@@ -18,7 +18,6 @@ from .cdga import (
     KAlgebra,
     eval_k_multilinear,
     kvec_scale,
-    table_add,
 )
 from .grdlin import ONE, GradedSpace, enumerate_shuffles, koszul_sign, vec_add
 from .report import Report

@@ -23,12 +23,10 @@ from .grdlin import (
     ONE,
     GradedMap,
     GradedSpace,
-    SignedPermutation,
     enumerate_shuffles,
-    koszul_sign,
     solve,
-    sparse_rank,
     vec_add,
+    vec_add_term,
 )
 from .report import Report
 
@@ -83,7 +81,7 @@ class AInfBimodule:
         table = self.tables.get((l, r))
         if not table:
             return {}
-        key = tuple(v for _, v in pairs)
+        key = tuple([v for _, v in pairs])
         degs = self.input_degree_list(l, r, key)
         return eval_k_multilinear(self.base, table, 1, pairs, degs)
 
@@ -92,8 +90,6 @@ class AInfBimodule:
         return self.base.degree(b) + slot_space.degree[v]
 
     def input_tuples(self, l, r):
-        lg = self.left.gens.labels() if l else [()]
-        rg = self.right.gens.labels() if r else [()]
         left_part = product(self.left.gens.labels(), repeat=l) if l else [()]
         right_part = product(self.right.gens.labels(), repeat=r) if r else [()]
         for xs in left_part:
@@ -504,7 +500,8 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
         """mu_{l,r} of the tensor bimodule on generator inputs.
 
         All inputs carry unit coefficients; k-linearity is restored later
-        by the generic table evaluation.
+        by the generic table evaluation.  Signs are parity bits applied by
+        negation.
         """
         vm, ys, vn = gen
         k = len(ys)
@@ -519,30 +516,29 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
             # mu^M_{l,n1} (x) id^{(k-n1)+1}: window starts at the far left
             for n1 in range(0, k + 1):
                 value = m.eval(l, n1, x_pairs + mid_pairs[:1 + n1])
+                new_ys = ys[n1:]
                 for (b2, vm2), c in value.items():
-                    new_ys = ys[n1:]
-                    vec_add(out, {(b2, (vm2, new_ys, vn)): c})
+                    vec_add_term(out, (b2, (vm2, new_ys, vn)), c)
         if l == 0 and r == 0 and middle is not None:
-            # id^{1+n1} (x) mu^S_{n2} (x) id
+            # id^{1+n1} (x) mu^S_{n2} (x) id; moving mu past vm, y_1..y_n1
+            # and the coefficient b2 back past them
             for n2 in range(1, k + 1):
                 for n1 in range(0, k - n2 + 1):
                     left_deg = degs[0] + sum(degs[1:1 + n1])
-                    sign = -ONE if left_deg % 2 else ONE
                     inner = middle.eval_mu(mid_pairs[1 + n1:1 + n1 + n2])
                     for (b2, y2), c in inner.items():
-                        msign = (-ONE if (base.degree(b2) * left_deg) % 2 else ONE)
+                        negate = (left_deg + base.degree(b2) * left_deg) % 2
                         new_ys = ys[:n1] + (y2,) + ys[n1 + n2:]
-                        vec_add(out, {(b2, (vm, new_ys, vn)): sign * msign * c})
+                        vec_add_term(out, (b2, (vm, new_ys, vn)), -c if negate else c)
         if l == 0:
             # id^{1+n1} (x) mu^N_{n2,r}
             for n1 in range(0, k + 1):
                 n2 = k - n1
                 left_deg = degs[0] + sum(degs[1:1 + n1])
-                sign = -ONE if left_deg % 2 else ONE
                 value = n.eval(n2, r, mid_pairs[1 + n1:] + y_pairs_r)
                 for (b2, vn2), c in value.items():
-                    msign = -ONE if (base.degree(b2) * left_deg) % 2 else ONE
-                    vec_add(out, {(b2, (vm, ys[:n1], vn2)): sign * msign * c})
+                    negate = (left_deg + base.degree(b2) * left_deg) % 2
+                    vec_add_term(out, (b2, (vm, ys[:n1], vn2)), -c if negate else c)
         return out
 
     d_gen = {}

@@ -14,9 +14,7 @@ past the collected coefficient.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .grdlin import Complex, GradedMap, GradedSpace, ONE, ZERO, frac, vec_add
+from .grdlin import Complex, GradedMap, GradedSpace, ONE, frac, vec_add
 
 Kvec = dict  # (k_basis_label, gen_label) -> Fraction
 
@@ -173,38 +171,53 @@ def collect_coefficients(base: BaseCDGA, gen_degrees, pairs):
     """Rewrite (b_1 v_1)(x)...(x)(b_n v_n) as +- (b_1...b_n)(v_1(x)...(x)v_n).
 
     ``gen_degrees``: the degrees |v_i|.  Returns (sign, bvec, vtuple) where
-    bvec is the product of the coefficients in k (a sparse dict) -- or None
-    when the product vanishes.
+    sign is the int +1 or -1 and bvec is the product of the coefficients in
+    k (a sparse dict) -- or None when the product vanishes.
+
+    A slot whose coefficient is ``base.unit`` is skipped: the unit has
+    degree 0, so it moves past the v's without a sign, and multiplying by
+    it changes nothing (BaseCDGA validates mul_basis(a, unit) == {a: 1}).
+    When every slot carries the unit, bvec is {base.unit: 1}.
     """
+    unit = base.unit
     exponent = 0
     left = 0
-    bvec = {base.unit: ONE}
+    bvec = {unit: ONE}
     vs = []
     for (b, v), dv in zip(pairs, gen_degrees):
-        if base.degree(b) % 2:
-            exponent += left
-        new = {}
-        for bb, c in bvec.items():
-            for b2, x in base.mul_basis(bb, b).items():
-                vec_add(new, {b2: c * x})
-        bvec = new
-        if not bvec:
-            return ONE, None, ()
         vs.append(v)
+        if b != unit:
+            if base.degree(b) % 2:
+                exponent += left
+            new = {}
+            for bb, c in bvec.items():
+                for b2, x in base.mul_basis(bb, b).items():
+                    vec_add(new, {b2: c * x})
+            if not new:
+                return 1, None, ()
+            bvec = new
         left += dv
-    sign = -ONE if exponent % 2 else ONE
-    return sign, bvec, tuple(vs)
+    return (-1 if exponent % 2 else 1), bvec, tuple(vs)
 
 
 def eval_k_multilinear(base: BaseCDGA, table, map_degree, pairs, gen_degrees) -> Kvec:
     """Evaluate a k-multilinear map (stored on generator tuples) on full
-    basis pairs (b_i, v_i).  Output is a kvec of the target module."""
+    basis pairs (b_i, v_i).  Output is a kvec of the target module.
+
+    When the collected coefficient is {base.unit: 1} with sign +1 -- every
+    slot carries the unit, as in all complex assembly -- the value is the
+    table column itself, copied without its zero entries; the unit axiom
+    validated by BaseCDGA makes that equal to the general formula.  The
+    result is always a fresh dict that the caller may mutate.
+    """
     sign, bvec, vs = collect_coefficients(base, gen_degrees, pairs)
     if bvec is None:
         return {}
     value = table.get(vs)
     if not value:
         return {}
+    if sign == 1 and len(bvec) == 1 and bvec.get(base.unit) == 1:
+        return {key: x for key, x in value.items() if x}
     out = {}
     for b, cb in bvec.items():
         term_sign = sign * cb

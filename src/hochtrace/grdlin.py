@@ -97,6 +97,23 @@ def vec_add(target: dict, items, coeff=ONE):
     return target
 
 
+def vec_add_term(target: dict, label, c):
+    """In-place target[label] += c for a nonzero c, dropping a zero sum.
+
+    The one-entry case of vec_add without its multiply by the unit
+    coefficient; keys keep the order vec_add would give them.
+    """
+    old = target.get(label)
+    if old is None:
+        target[label] = c
+    else:
+        c = old + c
+        if c:
+            target[label] = c
+        else:
+            del target[label]
+
+
 def vec_scale(vec: dict, coeff) -> dict:
     if not coeff:
         return {}

@@ -13,10 +13,9 @@ H_max is an honest subcomplex and d^2 = 0 holds exactly there.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
-from .ainf import AInfAlgebra, AInfMorphism, compositions
+from .ainf import AInfAlgebra, compositions
 from .bimod import AInfBimodule, BimoduleMap, diagonal_bimodule
 from .cdga import BaseCDGA, KAlgebra
 from .grdlin import (
@@ -25,27 +24,41 @@ from .grdlin import (
     GradedMap,
     GradedSpace,
     HomologyBasis,
-    homology_window,
     is_chain_map,
-    is_quasi_iso_window,
     vec_add,
+    vec_add_term,
 )
 from .report import Report
 
 
-def _rotations_with_signs(items, degrees, count):
-    """Iterate (rotated items, sign) for 0..count rotations (last to front)."""
+def _rotations_with_parities(items, degrees, count):
+    """Iterate (rotated items, sign parity) for 0..count rotations (last
+    to front); the Koszul sign of a rotation is (-1)^parity."""
     current = list(items)
     degs = list(degrees)
-    sign = ONE
-    yield tuple(current), sign
+    parity = 0
+    yield tuple(current), parity
     for _ in range(count):
         moved = degs[-1]
         rest = sum(degs[:-1])
-        sign = sign * (-ONE if (moved * rest) % 2 else ONE)
+        parity ^= (moved * rest) % 2
         current = [current[-1]] + current[:-1]
         degs = [degs[-1]] + degs[:-1]
-        yield tuple(current), sign
+        yield tuple(current), parity
+
+
+def _add_times_base(out, base, b, c, tail, coeff, negate):
+    """out[(b*c,) + tail] += (-1)^negate coeff, with the product b*c of
+    base basis labels expanded in the base's basis.
+
+    b = unit skips the product (the validated unit axiom).
+    """
+    if b == base.unit:
+        vec_add_term(out, (c,) + tail, -coeff if negate else coeff)
+        return
+    for b2, q in base.mul_basis(b, c).items():
+        term = coeff * q
+        vec_add_term(out, (b2,) + tail, -term if negate else term)
 
 
 class HochschildComplex:
@@ -103,42 +116,41 @@ class HochschildComplex:
 
     def differential_column(self, label) -> dict:
         """d_HH per Obs-3.7.2 shape: algebra insertions plus rotated
-        bimodule folds; the k-coefficient is handled by migration."""
+        bimodule folds; the k-coefficient is handled by migration.
+
+        Signs are kept as parity bits and applied by negation."""
         b, vm, xs = label
         alg, bim, base = self.algebra, self.bimodule, self.base
+        unit = base.unit
         n = len(xs)
         deg_b = base.degree(b)
         deg_m = bim.kmodule.gens.degree[vm]
         x_degs = [alg.gens.degree[x] for x in xs]
+        x_pairs = tuple((unit, x) for x in xs)
         out = {}
-        # (a) id^{1+r} (x) mu_s (x) id^t on the x-string (s >= 1)
+        # (a) id^{1+r} (x) mu_s (x) id^t on the x-string (s >= 1); moving
+        # mu past b, m, x_1..x_r, then the coefficient c back past m, x_1..x_r
         for s in range(1, n + 1):
             for r in range(0, n - s + 1):
-                left = deg_b + deg_m + sum(x_degs[:r])
-                sign = -ONE if left % 2 else ONE
-                pairs = tuple((base.unit, x) for x in xs[r:r + s])
-                inner = alg.eval_mu(pairs)
+                mig = deg_m + sum(x_degs[:r])
+                inner = alg.eval_mu(x_pairs[r:r + s])
                 for (c, y), coeff in inner.items():
-                    mig = deg_m + sum(x_degs[:r])
-                    msign = -ONE if (base.degree(c) * mig) % 2 else ONE
+                    negate = (deg_b + mig + base.degree(c) * mig) % 2
                     new_xs = xs[:r] + (y,) + xs[r + s:]
-                    for b2, q in base.mul_basis(b, c).items():
-                        vec_add(out, {(b2, vm, new_xs): sign * msign * coeff * q})
+                    _add_times_base(out, base, b, c, (vm, new_xs), coeff, negate)
         # (b) (mu_{l,r}^M (x) id^s) o t_{1+n}^l
         factors = (vm,) + xs
         degrees = [deg_m] + x_degs
-        for l, (rotated, rot_sign) in enumerate(
-                _rotations_with_signs(factors, degrees, n)):
+        for l, (rotated, rot_parity) in enumerate(
+                _rotations_with_parities(factors, degrees, n)):
             # rotated = (x_{n-l+1}, .., x_n, vm, x_1, .., x_{n-l})
+            rotated_pairs = tuple((unit, x) for x in rotated)
+            negate = rot_parity ^ (deg_b % 2)
             for r in range(0, n - l + 1):
-                window = rotated[:l + 1 + r]
-                pairs = tuple((base.unit, x) for x in window)
-                sign = rot_sign * (-ONE if deg_b % 2 else ONE)
-                value = bim.eval(l, r, pairs)
+                value = bim.eval(l, r, rotated_pairs[:l + 1 + r])
+                new_xs = rotated[l + 1 + r:]
                 for (c, vm2), coeff in value.items():
-                    new_xs = rotated[l + 1 + r:]
-                    for b2, q in base.mul_basis(b, c).items():
-                        vec_add(out, {(b2, vm2, tuple(new_xs)): sign * coeff * q})
+                    _add_times_base(out, base, b, c, (vm2, new_xs), coeff, negate)
         return self._project(out)
 
     def project_to_coefficients(self) -> GradedMap:
@@ -272,17 +284,17 @@ class CyclicWords:
         items = tuple(items)
         degs = [self.degree_of(x) for x in items]
         best = None
-        best_sign = None
-        seen_signs = {}
-        for rotated, sign in _rotations_with_signs(items, degs, len(items) - 1):
-            if rotated in seen_signs and seen_signs[rotated] != sign:
+        best_parity = None
+        seen_parities = {}
+        for rotated, parity in _rotations_with_parities(items, degs, len(items) - 1):
+            if seen_parities.get(rotated, parity) != parity:
                 return None, ONE * 0
-            seen_signs[rotated] = sign
+            seen_parities[rotated] = parity
             key = repr(rotated)
             if best is None or key < best[0]:
                 best = (key, rotated)
-                best_sign = sign
-        return best[1], best_sign
+                best_parity = parity
+        return best[1], -ONE if best_parity else ONE
 
 
 class ConnesComplex:
@@ -536,10 +548,10 @@ class ClassicalHochschild:
             beta, vm = lab
             out = {}
             for (_1, b2), c in bar.eval(0, 0, ((u, beta),)).items():
-                vec_add(out, {(b2, vm): c})
-            sign = -ONE if bg.degree[beta] % 2 else ONE
+                vec_add_term(out, (b2, vm), c)
+            negate = bg.degree[beta] % 2
             for (_1, vm2), c in bimodule.eval(0, 0, ((u, vm),)).items():
-                vec_add(out, {(beta, vm2): sign * c})
+                vec_add_term(out, (beta, vm2), -c if negate else c)
             return out
 
         labels = [(beta, vm) for beta in bg.labels() for vm in mg.labels()]
@@ -562,12 +574,12 @@ class ClassicalHochschild:
                         continue  # the unit relations vanish identically
                     row = {}
                     for (_1, b2), c in bar.eval(1, 0, ((u, x), (u, beta))).items():
-                        vec_add(row, {(b2, vm): c})
+                        vec_add_term(row, (b2, vm), c)
+                    # subtracted with the sign (-1)^exp
                     exp = (sdeg[x] + 1) * (beta_deg + m_deg) + m_deg + 1
-                    s = -ONE if exp % 2 else ONE
                     for (_1, vm2), c in bimodule.eval(
                             0, 1, ((u, vm), (u, x))).items():
-                        vec_add(row, {(beta, vm2): -s * c})
+                        vec_add_term(row, (beta, vm2), c if exp % 2 else -c)
                     if row:
                         self._relation_count += 1
                         rrow, _ = elim.insert({wrap(k): c for k, c in row.items()})
@@ -575,11 +587,11 @@ class ClassicalHochschild:
                             raise AssertionError("relation span hit the basis")
                     row = {}
                     for (_1, b2), c in bar.eval(0, 1, ((u, beta), (u, x))).items():
-                        vec_add(row, {(b2, vm): c})
-                    s = -ONE if (beta_deg + 1) % 2 else ONE
+                        vec_add_term(row, (b2, vm), c)
+                    # subtracted with the sign (-1)^{|beta| + 1}
                     for (_1, vm2), c in bimodule.eval(
                             1, 0, ((u, x), (u, vm))).items():
-                        vec_add(row, {(beta, vm2): -s * c})
+                        vec_add_term(row, (beta, vm2), -c if beta_deg % 2 else c)
                     if row:
                         self._relation_count += 1
                         rrow, _ = elim.insert({wrap(k): c for k, c in row.items()})

@@ -211,4 +211,4 @@ def test_tr0_tr1():
     # cyclic invariance: both rotations of the same cyclic word carry the
     # same pairing value up to the Koszul rotation sign (odd here: degrees
     # 1 and 3 -> sign -1... both shifted degrees odd: (-1)^{1*3} = -1)
-    assert v1 == -v2 or v1 == v2
+    assert v1 == -v2
