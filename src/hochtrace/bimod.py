@@ -698,7 +698,8 @@ def obs_359_map(n: AInfBimodule, m: AInfBimodule, h_max=0) -> BimoduleMap:
     target = hom_k(m, n)
     table = {}
     for (vn, ys, phi) in source.kmodule.gens.labels():
-        assert ys == ()
+        if ys != ():
+            raise ValueError(f"obs_359_map expects N (x)_k M^v generators, got {(vn, ys, phi)!r}")
         _, v, _one = phi
         table[((vn, ys, phi),)] = {(source.base.unit, hom_label(v, vn)): ONE}
     return BimoduleMap(source, target, 0, {(0, 0): table})

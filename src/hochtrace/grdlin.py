@@ -3,7 +3,9 @@
 Graded vector spaces with named basis elements, sparse graded maps,
 cochain complexes (differentials of degree +1, d*d = 0 asserted on
 construction), Koszul signs for permutations of graded tensor factors,
-and windowed homology by exact Gaussian elimination over Fraction.
+and windowed homology by exact Gaussian elimination that keeps integral
+coefficients as int and builds a Fraction only to divide by a pivot
+other than +-1.
 
 Conventions: cohomological grading; s^n shifts degrees by -n (so the
 shift s lowers degrees by 1).  Shifts are pure relabelings of bases and
@@ -14,7 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -87,9 +88,13 @@ def tensor_space(*spaces) -> GradedSpace:
 
 
 def vec_add(target: dict, items, coeff=ONE):
-    """In-place target += coeff * items, dropping zeros."""
+    """In-place target += coeff * items, dropping zeros.
+
+    A missing entry counts as int 0, so int coefficients times an int
+    coeff stay int; any Fraction operand gives a Fraction.
+    """
     for label, c in items.items() if isinstance(items, dict) else items:
-        value = target.get(label, ZERO) + coeff * c
+        value = target.get(label, 0) + coeff * c
         if value:
             target[label] = value
         else:
@@ -369,26 +374,12 @@ class Complex:
 # exact elimination
 
 
-def _col_key(col):
-    # deterministic across runs (labels are nested tuples of str/int)
-    return repr(col)
-
-
 def sparse_rank(rows) -> int:
-    """Rank of a sparse matrix given as a list of dict rows (destructive copy)."""
-    rank = 0
-    pivots = {}  # col -> reduced row
-    for r in rows:
-        row = dict(r)
-        while row:
-            col = min(row, key=_col_key)
-            pivot = pivots.get(col)
-            if pivot is None:
-                pivots[col] = row
-                rank += 1
-                break
-            vec_add(row, pivot, -row[col] / pivot[col])
-    return rank
+    """Rank of a sparse matrix given as a list of dict rows (not modified)."""
+    elim = _Eliminator()
+    for row in rows:
+        elim.insert(row)
+    return len(elim.pivots)
 
 
 def dense_rank(matrix) -> int:
@@ -420,36 +411,70 @@ def dense_rank(matrix) -> int:
     return rank
 
 
-def rank_of_block(mapping: GradedMap, t) -> int:
-    rows = [mapping.column(v) for v in mapping.source.by_degree.get(t, ())]
-    return sparse_rank(rows)
+def _int_first(vec):
+    """A copy of vec without zeros, integral Fractions turned into int."""
+    return {k: c.numerator if c.denominator == 1 else c for k, c in vec.items() if c}
 
 
 class _Eliminator:
-    """Incremental sparse Gaussian elimination with row-combination tracking."""
+    """Incremental sparse Gaussian elimination with row-combination tracking.
+
+    The pivot of a row is its leading column: the label with the least
+    repr (``lead``).  ``hoch.ClassicalHochschild`` relies on this order
+    to keep its "a"-tagged relation labels ahead of its "z"-tagged basis.
+    Each label's repr is computed once, when a row holding it comes in.
+
+    Rows and combos are copied on entry, with zero entries dropped and
+    integral Fractions turned into int.  Pivot rows and their combos are
+    stored normalized to leading coefficient 1, so a reduction step
+    multiplies but never divides, and integral input stays int unless a
+    pivot is not +-1.  Returned rows, combos and the results built from
+    them may therefore hold int as well as Fraction coefficients.
+    """
 
     def __init__(self):
-        self.pivots = {}  # col -> (row, combo)
+        self.pivots = {}  # leading col -> (normalized row, combo)
+        self._keys = {}  # label -> repr(label)
+
+    def lead(self, row):
+        """The leading (pivot) column of a nonempty row that went through
+        this eliminator."""
+        return min(row, key=self._keys.__getitem__)
 
     def reduce(self, row, combo=None):
-        """Reduce row against pivots in place; returns (row, combo)."""
+        """Reduce a copy of row against the pivots; returns (row, combo),
+        combo tracking the pivot combos subtracted (None: not tracked)."""
+        row = _int_first(row)
+        keys = self._keys
+        for label in row:
+            if label not in keys:
+                keys[label] = repr(label)
+        if combo is not None:
+            combo = _int_first(combo)
         while row:
-            col = min(row, key=_col_key)
+            col = self.lead(row)
             hit = self.pivots.get(col)
             if hit is None:
-                return row, combo
+                break
             pivot_row, pivot_combo = hit
-            factor = -row[col] / pivot_row[col]
+            factor = -row[col]
             vec_add(row, pivot_row, factor)
             if combo is not None and pivot_combo is not None:
                 vec_add(combo, pivot_combo, factor)
         return row, combo
 
     def insert(self, row, combo=None):
-        """Reduce and insert if independent. Returns surviving (row, combo)."""
+        """Reduce and insert if independent. Returns the surviving (row,
+        combo), normalized when the row is nonzero."""
         row, combo = self.reduce(row, combo)
         if row:
-            col = min(row, key=_col_key)
+            col = self.lead(row)
+            p = row[col]
+            if p != 1:
+                inv = -1 if p == -1 else ONE / p
+                row = {k: c * inv for k, c in row.items()}
+                if combo is not None:
+                    combo = {k: c * inv for k, c in combo.items()}
             self.pivots[col] = (row, combo)
         return row, combo
 
@@ -459,7 +484,7 @@ def kernel_basis(rows):
     elim = _Eliminator()
     kernel = []
     for i, r in enumerate(rows):
-        row, combo = elim.insert(dict(r), {i: ONE})
+        row, combo = elim.insert(r, {i: 1})
         if not row:
             kernel.append(combo)
     return kernel
@@ -472,8 +497,8 @@ def solve(rows, rhs):
     """
     elim = _Eliminator()
     for i, r in enumerate(rows):
-        elim.insert(dict(r), {i: ONE})
-    residue, neg_solution = elim.reduce(dict(rhs), {})
+        elim.insert(r, {i: 1})
+    residue, neg_solution = elim.reduce(rhs, {})
     if residue:
         return None
     return {i: -c for i, c in neg_solution.items()}
@@ -504,11 +529,11 @@ class HomologyBasis:
         for v in cx.space.by_degree.get(t - 1, ()):
             col = cx.d.column(v)
             if col:
-                self._elim.insert(dict(col), {})
+                self._elim.insert(col, {})
         self.representatives = []
         for z in cycles:
             tag = len(self.representatives)
-            row, _ = self._elim.insert(dict(z), {tag: ONE})
+            row, _ = self._elim.insert(z, {tag: 1})
             if row:
                 self.representatives.append(z)
 
@@ -518,7 +543,7 @@ class HomologyBasis:
 
     def coords(self, vec: dict):
         """Homology coordinates of a cycle (boundaries project to zero)."""
-        residue, neg = self._elim.reduce(dict(vec), {})
+        residue, neg = self._elim.reduce(vec, {})
         if residue:
             raise ValueError("vector is not a cycle modulo boundaries")
         return {k: -c for k, c in neg.items() if c}

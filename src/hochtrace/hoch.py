@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .ainf import AInfAlgebra, compositions
-from .bimod import AInfBimodule, BimoduleMap, diagonal_bimodule
+from .ainf import AInfAlgebra, compositions, from_dga
+from .bimod import AInfBimodule, BimoduleMap, diagonal_bimodule, tensor_inf
 from .cdga import BaseCDGA, KAlgebra
 from .grdlin import (
     ONE,
@@ -24,7 +24,9 @@ from .grdlin import (
     GradedMap,
     GradedSpace,
     HomologyBasis,
+    _Eliminator,
     is_chain_map,
+    sparse_rank,
     vec_add,
     vec_add_term,
 )
@@ -240,7 +242,6 @@ def stabilized_normalization_report(algebra: AInfAlgebra, h_max, t_min, t_max,
             rows_big.append(hb.coords(rep))
             projected = {lbl: c for lbl, c in rep.items() if unit not in lbl[2]}
             rows_comp.append(hn.coords(projected))
-        from .grdlin import sparse_rank
         r_inc = sparse_rank(rows_big)
         r_comp = sparse_rank(rows_comp)
         report.record(f"t={t} normalized stability", hn_small.dim == hn.dim,
@@ -527,9 +528,6 @@ class ClassicalHochschild:
     def __init__(self, dga: KAlgebra, bimodule: AInfBimodule, h_max, check=True):
         if not dga.base.is_rational:
             raise ValueError("classical comparison is implemented over Q")
-        from .ainf import from_dga
-        from .bimod import diagonal_bimodule, tensor_inf
-        from .grdlin import _Eliminator
         self.dga = dga
         self.bimodule = bimodule
         self.h_max = int(h_max)
@@ -583,7 +581,7 @@ class ClassicalHochschild:
                     if row:
                         self._relation_count += 1
                         rrow, _ = elim.insert({wrap(k): c for k, c in row.items()})
-                        if check and rrow and min(rrow, key=repr)[0] == "z":
+                        if check and rrow and elim.lead(rrow)[0] == "z":
                             raise AssertionError("relation span hit the basis")
                     row = {}
                     for (_1, b2), c in bar.eval(0, 1, ((u, beta), (u, x))).items():
@@ -595,7 +593,7 @@ class ClassicalHochschild:
                     if row:
                         self._relation_count += 1
                         rrow, _ = elim.insert({wrap(k): c for k, c in row.items()})
-                        if check and rrow and min(rrow, key=repr)[0] == "z":
+                        if check and rrow and elim.lead(rrow)[0] == "z":
                             raise AssertionError("relation span hit the basis")
 
         def reduce_vec(vec):

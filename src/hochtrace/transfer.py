@@ -19,28 +19,23 @@ from .ainf import (
     compositions,
     from_dga,
     to_rational_algebra,
-    unit_algebra,
 )
 from .bimod import (
     AInfBimodule,
-    diagonal_bimodule,
     end_algebra,
     hom_label,
-    left_module_from_algebra,
     tensor_inf,
     v_map,
 )
-from .cdga import BaseCDGA, FreeKModule, KAlgebra, cdga_as_kalgebra
+from .cdga import BaseCDGA, FreeKModule, cdga_as_kalgebra
 from .grdlin import (
     Complex,
     GradedMap,
     GradedSpace,
     HomologyBasis,
     ONE,
-    chain_map_defect,
     is_chain_map,
     solve,
-    sparse_rank,
     vec_add,
 )
 from .hoch import HochschildComplex, hh_of_algebra
@@ -256,7 +251,6 @@ def find_derived_coev(base: BaseCDGA, module: FreeKModule, b_max=3,
     was too small)."""
     r_alg = r_alg or base_algebra_over_q(base)
     right = module_as_right(module, r_alg)
-    from .bimod import dual_module, hom_k, trivial_module
     left_dual = _dual_as_left(module, r_alg)
     tensor = tensor_inf(right, left_dual, b_max)
     kspace = tensor.kmodule.total

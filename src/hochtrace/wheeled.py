@@ -18,22 +18,18 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
-from .ainf import AInfAlgebra, check_stasheff
+from .ainf import AInfAlgebra
 from .cdga import BaseCDGA
 from .grdlin import (
-    Complex,
     GradedMap,
     GradedSpace,
     HomologyBasis,
     ONE,
     enumerate_shuffles,
-    is_chain_map,
     koszul_sign,
-    sparse_rank,
     vec_add,
 )
-from .hoch import BarConnesComplex, ConnesComplex, hc_complex, rotation_to_bar_hc
-from .report import Report
+from .hoch import BarConnesComplex
 
 ZERO = Fraction(0)
 

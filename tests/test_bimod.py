@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -175,6 +176,20 @@ def test_dual_and_obs_359():
     from hochtrace.grdlin import GradedMap
     fmap = GradedMap(src.space, tgt.space, 0, f)
     assert is_quasi_iso_window(fmap, src, tgt, -2, 2)
+
+
+def test_obs_359_map_rejects_a_bar_tail(monkeypatch):
+    m = left_module_from_algebra(fixture_algebra("s2"))
+
+    def with_tail(n, mdual, h_max):
+        # the generators of a bar length-1 tensor, which obs_359_map must refuse
+        vn, ys, phi = tensor_inf(n, mdual, h_max).kmodule.gens.labels()[0]
+        gens = GradedSpace([((vn, ys + ("y",), phi), 0)])
+        return SimpleNamespace(kmodule=SimpleNamespace(gens=gens))
+
+    monkeypatch.setattr("hochtrace.bimod.tensor_inf", with_tail)
+    with pytest.raises(ValueError, match="'y'"):
+        obs_359_map(m, m)
 
 
 def test_end_algebra_and_v_map():

@@ -1,0 +1,213 @@
+"""Exact elimination (sparse_rank, kernel_basis, solve, HomologyBasis):
+property tests on random rational matrices with non-unit pivots, and
+pinned exact outputs that any change to elimination must reproduce."""
+import hashlib
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hochtrace.fixtures import fixture_algebra
+from hochtrace.grdlin import (
+    Complex,
+    GradedMap,
+    GradedSpace,
+    HomologyBasis,
+    _Eliminator,
+    dense_rank,
+    kernel_basis,
+    solve,
+    sparse_rank,
+)
+from hochtrace.hoch import hh_of_algebra
+
+# labels are nested tuples mixing str and int, like the library's own
+atoms = st.one_of(st.sampled_from(["a", "z", "ab", ""]), st.integers(-3, 12))
+labels = st.recursive(atoms, lambda inner: st.tuples(inner, inner), max_leaves=4)
+# rationals with non-unit numerators and denominators reach the Fraction
+# branch of the pivot normalization
+nonzero = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def matrices(draw, max_rows=7):
+    cols = draw(st.lists(labels, min_size=1, max_size=6, unique=True))
+    # explicit zero entries must not become pivots
+    entries = nonzero | st.just(Fraction(0))
+    rows = draw(st.lists(st.dictionaries(st.sampled_from(cols), entries, max_size=len(cols)),
+                         max_size=max_rows))
+    return cols, rows
+
+
+def combine(rows, coeffs):
+    acc = {}
+    for i, c in coeffs.items():
+        for col, v in rows[i].items():
+            acc[col] = acc.get(col, 0) + c * v
+    return {col: v for col, v in acc.items() if v}
+
+
+def assert_exact(vec):
+    assert all(type(c) in (int, Fraction) for c in vec.values()), vec
+
+
+def dense(cols, rows):
+    return [[row.get(col, 0) for col in cols] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_sparse_rank_matches_dense_rank(matrix):
+    cols, rows = matrix
+    copies = [dict(r) for r in rows]
+    assert sparse_rank(rows) == dense_rank(dense(cols, rows))
+    assert rows == copies
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_kernel_basis_vectors(matrix):
+    cols, rows = matrix
+    kernel = kernel_basis(rows)
+    assert len(kernel) == len(rows) - dense_rank(dense(cols, rows))
+    for vec in kernel:
+        assert_exact(vec)
+        assert combine(rows, vec) == {}
+        # the row whose insertion found the vector has coefficient 1
+        assert vec[max(vec)] == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_solve_exact_or_none(matrix, data):
+    cols, rows = matrix
+    if data.draw(st.booleans()) and rows:
+        coeffs = data.draw(st.dictionaries(st.integers(0, len(rows) - 1), nonzero))
+        rhs = combine(rows, coeffs)
+    else:
+        rhs = data.draw(st.dictionaries(st.sampled_from(cols), nonzero))
+    in_span = dense_rank(dense(cols, rows + [rhs])) == dense_rank(dense(cols, rows))
+    sol = solve(rows, rhs)
+    if not in_span:
+        assert sol is None
+    else:
+        assert sol is not None
+        assert_exact(sol)
+        assert combine(rows, sol) == rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_pivots_are_normalized_in_repr_order(matrix):
+    _cols, rows = matrix
+    elim = _Eliminator()
+    for row in rows:
+        elim.insert(row, {})
+    for col, (row, _combo) in elim.pivots.items():
+        assert row[col] == 1
+        assert elim.lead(row) == col == min(row, key=repr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_homology_coords_of_representatives(matrix):
+    # the two-term complex C^0 -> C^1 whose differential has the rows as
+    # its columns; H^0 is the kernel, H^1 the cokernel
+    cols, rows = matrix
+    space = GradedSpace([(("s", i), 0) for i in range(len(rows))]
+                        + [(("t", col), 1) for col in cols])
+    d = GradedMap(space, space, 1, {("s", i): {("t", col): c for col, c in row.items()}
+                                    for i, row in enumerate(rows)})
+    cx = Complex(space, d)
+    rank = dense_rank(dense(cols, rows))
+    for t, dim in ((0, len(rows) - rank), (1, len(cols) - rank)):
+        hb = HomologyBasis(cx, t)
+        assert hb.dim == dim
+        for i, rep in enumerate(hb.representatives):
+            assert_exact(rep)
+            coords = hb.coords(rep)
+            assert_exact(coords)
+            assert coords == {i: 1}
+
+
+# --- pinned outputs -------------------------------------------------------------
+
+
+def digest(value):
+    """Hash of nested lists and dicts of rationals; dict keys sorted by repr,
+    coefficients written as numerator/denominator, so 1 and Fraction(1)
+    hash the same."""
+    h = hashlib.sha256()
+
+    def walk(v):
+        if isinstance(v, dict):
+            h.update(b"{")
+            for k in sorted(v, key=repr):
+                h.update(repr(k).encode() + b":")
+                walk(v[k])
+            h.update(b"}")
+        elif isinstance(v, list):
+            h.update(b"[")
+            for x in v:
+                walk(x)
+            h.update(b"]")
+        else:
+            h.update(f"{v.numerator}/{v.denominator};".encode())
+
+    walk(value)
+    return h.hexdigest()[:16]
+
+
+# digest of [representatives, coords of every kernel_basis cycle] of
+# hh_of_algebra(cp2, 5) in each degree
+PINNED_CP2_H5 = {
+    -5: "cbf34fdd8b1bb270", -4: "ce6acd417567d142", -3: "c0d95e637653cd77",
+    -2: "54b83bcbf1f05f37", -1: "c1238fe190dd1499", 0: "54070c4fe89321d7",
+    1: "084563518b3d757b", 2: "b31bee1541ac3a4b", 3: "ff7dcb16897e5682",
+    4: "61549100cb9c96cc", 5: "d60022a7876c57b2", 6: "1d6d8024f9813bee",
+    7: "342356c830e89ff6", 8: "334439bc50ae7452", 9: "d84bf6e32877439f",
+    10: "d1ae3ab75c5e301b", 11: "ea1629e643f8405d", 12: "56223d91511532ea",
+    13: "47e4e23fed5115c7", 14: "c0fd27f0ea76ff73", 15: "77b29781cba2a395",
+    16: "5ec00aafe64a9758", 17: "6b0ef9fcabad41a1", 19: "351e945cd8046a48",
+}
+
+
+def test_cp2_homology_bases_pinned():
+    hh = hh_of_algebra(fixture_algebra("cp2"), 5)
+    got = {}
+    for t in hh.space.degrees():
+        labels = hh.space.by_degree[t]
+        hb = HomologyBasis(hh.complex, t)
+        cycles = [{labels[i]: c for i, c in vec.items()}
+                  for vec in kernel_basis([hh.d.column(v) for v in labels])]
+        got[t] = digest([hb.representatives, [hb.coords(z) for z in cycles]])
+    assert got == PINNED_CP2_H5
+
+
+def seeded_rows():
+    rng = random.Random(2604)
+    cols = [(("c", i), i % 3) for i in range(6)]
+    rows = []
+    for _ in range(8):
+        picked = rng.sample(cols, 3)
+        rows.append({c: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+                     for c in picked})
+    return rows
+
+
+F = Fraction
+
+
+def test_seeded_kernel_and_solve_pinned():
+    rows = seeded_rows()
+    assert sparse_rank(rows) == 6
+    assert kernel_basis(rows) == [
+        {6: 1, 2: F(40, 63), 0: F(-391, 567), 1: F(-122, 189), 3: F(-380, 567),
+         5: F(-29, 567)},
+        {7: 1, 1: F(365, 189), 4: 3, 2: F(-79, 252), 0: F(-2971, 1134), 3: F(-781, 567),
+         5: F(-1213, 567)},
+    ]
+    rhs = {(("c", 0), 0): F(1), (("c", 5), 2): F(-2, 3)}
+    assert solve(rows, rhs) == {0: F(3, 7), 3: F(10, 21), 5: F(4, 7), 2: F(9, 7), 1: F(-6, 7)}
+    assert solve(rows[:3], rhs) is None
