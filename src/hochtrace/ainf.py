@@ -16,6 +16,7 @@ from .cdga import (
     BaseCDGA,
     FreeKModule,
     KAlgebra,
+    base_as_algebra,
     eval_k_multilinear,
     kvec_scale,
 )
@@ -57,10 +58,6 @@ class AInfAlgebra:
                         if base.degree(b) + gens.degree[w] != want:
                             raise ValueError(
                                 f"mu_{n}{vs!r} -> ({b!r},{w!r}) is not degree +1")
-
-    @property
-    def is_unital_flagged(self):
-        return self.unit is not None
 
     def eval_mu(self, pairs) -> dict:
         """mu_n on a tuple of total-space labels (b, v); n = len(pairs).
@@ -138,13 +135,7 @@ def check_stasheff(alg: AInfAlgebra, up_to) -> Report:
     if up_to > alg.n_max + 1:
         raise ValueError("validator arity exceeds N_max + 1")
     for n in range(1, up_to + 1):
-        witness = None
-        for vs in alg.gen_tuples(n):
-            defect = alg.stasheff_defect(vs)
-            if defect:
-                witness = (vs, defect)
-                break
-        report.record(f"n={n}", witness is None, witness)
+        report.record_first_defect(f"n={n}", alg.gen_tuples(n), alg.stasheff_defect)
     return report
 
 
@@ -202,9 +193,9 @@ def check_cinfty(alg: AInfAlgebra, up_to) -> Report:
             continue
         for p in range(1, n):
             q = n - p
-            witness = None
             shuffles = enumerate_shuffles(p, q)
-            for vs in alg.gen_tuples(n):
+
+            def shuffle_sum(vs):
                 degs = [alg.gens.degree[v] for v in vs]
                 total = {}
                 for sigma in shuffles:
@@ -212,10 +203,9 @@ def check_cinfty(alg: AInfAlgebra, up_to) -> Report:
                     permuted = sigma.apply_to(vs)
                     pairs = tuple((alg.base.unit, v) for v in permuted)
                     vec_add(total, alg.eval_mu(pairs), sign)
-                if total:
-                    witness = (vs, total)
-                    break
-            report.record(f"(p,q)=({p},{q})", witness is None, witness)
+                return total
+
+            report.record_first_defect(f"(p,q)=({p},{q})", alg.gen_tuples(n), shuffle_sum)
     return report
 
 
@@ -256,9 +246,6 @@ class AInfMorphism:
             return {}
         degs = [self.source.gens.degree[v] for _, v in pairs]
         return eval_k_multilinear(self.source.base, table, 0, pairs, degs)
-
-    def is_strict(self):
-        return set(self.components) <= {1}
 
     def blocks_apply(self, pairs, composition):
         """(f_{n_1} (x) ... (x) f_{n_i}) on pairs; no signs (degree 0)."""
@@ -314,13 +301,8 @@ def morphism_defect(f: AInfMorphism, vs) -> dict:
 def check_morphism(f: AInfMorphism, up_to) -> Report:
     report = Report(f"morphism(up_to={up_to})")
     for n in range(1, up_to + 1):
-        witness = None
-        for vs in f.source.gen_tuples(n):
-            defect = morphism_defect(f, vs)
-            if defect:
-                witness = (vs, defect)
-                break
-        report.record(f"n={n}", witness is None, witness)
+        report.record_first_defect(f"n={n}", f.source.gen_tuples(n),
+                                   lambda vs: morphism_defect(f, vs))
     return report
 
 
@@ -388,16 +370,8 @@ def from_dga(dga: KAlgebra, n_max=None) -> AInfAlgebra:
     return alg
 
 
-def strict_from_dga_map(source: AInfAlgebra, target: AInfAlgebra, gen_map) -> AInfMorphism:
-    """The strict morphism induced by a dga map given on generators
-    (gen_map: source generator -> kvec over the target)."""
-    table = {(v,): dict(col) for v, col in gen_map.items() if col}
-    return AInfMorphism(source, target, {1: table})
-
-
 def unit_algebra(base: BaseCDGA, n_max=3) -> AInfAlgebra:
     """The base cdga as a unital A-infinity algebra over itself."""
-    from .cdga import base_as_algebra
     return from_dga(base_as_algebra(base), n_max=n_max)
 
 
@@ -431,14 +405,3 @@ def to_rational_algebra(alg: AInfAlgebra) -> AInfAlgebra:
     return AInfAlgebra(rationals, gens, mu, alg.n_max, unit=unit,
                        cinfty=alg.cinfty, check=False)
 
-
-def check_all(alg: AInfAlgebra, up_to=None) -> Report:
-    """Run every structural validator appropriate to the algebra's flags."""
-    up_to = up_to if up_to is not None else alg.n_max
-    report = Report("algebra validation")
-    report.merge(check_stasheff(alg, min(up_to + 1, alg.n_max + 1)))
-    if alg.unit is not None:
-        report.merge(check_unital(alg))
-    if alg.cinfty:
-        report.merge(check_cinfty(alg, up_to))
-    return report

@@ -14,8 +14,8 @@ k-multilinear tables on generators.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import permutations, product
 
 from .ainf import AInfAlgebra, AInfMorphism, compositions, from_dga
 from .cdga import BaseCDGA, FreeKModule, KAlgebra, eval_k_multilinear, kvec_scale
@@ -23,14 +23,13 @@ from .grdlin import (
     ONE,
     GradedMap,
     GradedSpace,
+    cyclic_rotations,
     enumerate_shuffles,
     solve,
     vec_add,
     vec_add_term,
 )
 from .report import Report
-
-ZERO_F = Fraction(0)
 
 
 class AInfBimodule:
@@ -85,10 +84,6 @@ class AInfBimodule:
         degs = self.input_degree_list(l, r, key)
         return eval_k_multilinear(self.base, table, 1, pairs, degs)
 
-    def pair_degree(self, pair, slot_space: GradedSpace):
-        b, v = pair
-        return self.base.degree(b) + slot_space.degree[v]
-
     def input_tuples(self, l, r):
         left_part = product(self.left.gens.labels(), repeat=l) if l else [()]
         right_part = product(self.right.gens.labels(), repeat=r) if r else [()]
@@ -113,59 +108,48 @@ class AInfBimodule:
                 f"N_max={self.n_max})")
 
 
-def _pair_deg(base, space, pair):
-    b, v = pair
-    return base.degree(b) + space.degree[v]
+def _insert(total, outer, lo, ro, inner, inner_degree, pairs, degs,
+            start, stop, coeff):
+    """total += coeff outer_{lo,ro}(id (x) inner (x) id) on pairs, the inner
+    map eating pairs[start:stop]; moving it past the prefix pairs[:start]
+    gives the Koszul sign (-1)^{deg(inner) |prefix|}."""
+    if inner_degree % 2 and sum(degs[:start]) % 2:
+        coeff = -coeff
+    for pair, c in inner(pairs[start:stop]).items():
+        vec_add(total, outer(lo, ro, pairs[:start] + (pair,) + pairs[stop:]),
+                coeff * c)
 
 
-def _tuple_degrees(bim: AInfBimodule, l, r, pairs):
-    degs = []
-    for i, pair in enumerate(pairs):
-        if i < l:
-            degs.append(_pair_deg(bim.base, bim.left.gens, pair))
-        elif i == l:
-            degs.append(_pair_deg(bim.base, bim.kmodule.gens, pair))
-        else:
-            degs.append(_pair_deg(bim.base, bim.right.gens, pair))
-    return degs
+def _equation_sums(total, outer, middle, middle_degree, pairs, degs, l, r,
+                   coeff=1, left=None, right=None):
+    """total += coeff times the sums of the (l, r) bimodule equations on
+    pairs: outer o (id (x) middle_{l2,r1} (x) id) around the module slot,
+    and, when the algebras ``left``/``right`` are given, outer o (id (x)
+    mu (x) id) over the left and the right algebra slots."""
+    if left is not None:
+        for l2 in range(1, l + 1):
+            for l1 in range(0, l - l2 + 1):
+                _insert(total, outer, l - l2 + 1, r, left.eval_mu, 1, pairs,
+                        degs, l1, l1 + l2, coeff)
+    for l2 in range(0, l + 1):
+        for r1 in range(0, r + 1):
+            _insert(total, outer, l - l2, r - r1, partial(middle, l2, r1),
+                    middle_degree, pairs, degs, l - l2, l + 1 + r1, coeff)
+    if right is not None:
+        for r2 in range(1, r + 1):
+            for r1 in range(0, r - r2 + 1):
+                offset = l + 1 + r1
+                _insert(total, outer, l, r - r2 + 1, right.eval_mu, 1, pairs,
+                        degs, offset, offset + r2, coeff)
 
 
 def bimodule_defect(bim: AInfBimodule, l, r, key) -> dict:
     """The (l, r) bimodule equation (three sums) on a generator tuple."""
-    base_unit = bim.base.unit
-    pairs = tuple((base_unit, v) for v in key)
-    degs = _tuple_degrees(bim, l, r, pairs)
+    pairs = tuple((bim.base.unit, v) for v in key)
+    degs = bim.input_degree_list(l, r, key)
     total = {}
-    # algebra insertions on the left
-    for l2 in range(1, l + 1):
-        for l1 in range(0, l - l2 + 1):
-            l3 = l - l1 - l2
-            sign = -ONE if sum(degs[:l1]) % 2 else ONE
-            inner = bim.left.eval_mu(pairs[l1:l1 + l2])
-            for pair, c in inner.items():
-                new_pairs = pairs[:l1] + (pair,) + pairs[l1 + l2:]
-                vec_add(total, bim.eval(l1 + 1 + l3, r, new_pairs), sign * c)
-    # inner bimodule map
-    for l2 in range(0, l + 1):
-        for r1 in range(0, r + 1):
-            l1 = l - l2
-            r2 = r - r1
-            window = pairs[l1:l + 1 + r1]
-            sign = -ONE if sum(degs[:l1]) % 2 else ONE
-            inner = bim.eval(l2, r1, window)
-            for pair, c in inner.items():
-                new_pairs = pairs[:l1] + (pair,) + pairs[l + 1 + r1:]
-                vec_add(total, bim.eval(l1, r2, new_pairs), sign * c)
-    # algebra insertions on the right
-    for r2 in range(1, r + 1):
-        for r1 in range(0, r - r2 + 1):
-            r3 = r - r1 - r2
-            offset = l + 1 + r1
-            sign = -ONE if sum(degs[:offset]) % 2 else ONE
-            inner = bim.right.eval_mu(pairs[offset:offset + r2])
-            for pair, c in inner.items():
-                new_pairs = pairs[:offset] + (pair,) + pairs[offset + r2:]
-                vec_add(total, bim.eval(l, r1 + 1 + r3, new_pairs), sign * c)
+    _equation_sums(total, bim.eval, bim.eval, 1, pairs, degs, l, r,
+                   left=bim.left, right=bim.right)
     return total
 
 
@@ -178,13 +162,9 @@ def check_bimodule(bim: AInfBimodule, up_to) -> Report:
             r = total_arity - l
             if (l and bim.left is None) or (r and bim.right is None):
                 continue
-            witness = None
-            for key in bim.input_tuples(l, r):
-                defect = bimodule_defect(bim, l, r, key)
-                if defect:
-                    witness = (key, defect)
-                    break
-            report.record(f"(l,r)=({l},{r})", witness is None, witness)
+            report.record_first_defect(
+                f"(l,r)=({l},{r})", bim.input_tuples(l, r),
+                lambda key: bimodule_defect(bim, l, r, key))
     return report
 
 
@@ -232,51 +212,13 @@ class BimoduleMap:
 def bimodule_map_defect(f: BimoduleMap, l, r, key) -> dict:
     """(-1)^d (mu' after f) - (f after mu) on a generator tuple."""
     src, tgt = f.source, f.target
-    base_unit = src.base.unit
-    pairs = tuple((base_unit, v) for v in key)
-    degs = _tuple_degrees(src, l, r, pairs)
-    d = f.degree
+    pairs = tuple((src.base.unit, v) for v in key)
+    degs = src.input_degree_list(l, r, key)
     total = {}
-    # LHS: (-1)^d sum mu^{M'} o (id (x) f (x) id)
-    lhs_sign = -ONE if d % 2 else ONE
-    for l2 in range(0, l + 1):
-        for r1 in range(0, r + 1):
-            l1 = l - l2
-            r2 = r - r1
-            window = pairs[l1:l + 1 + r1]
-            sign = lhs_sign * (-ONE if (d * sum(degs[:l1])) % 2 else ONE)
-            inner = f.eval(l2, r1, window)
-            for pair, c in inner.items():
-                new_pairs = pairs[:l1] + (pair,) + pairs[l + 1 + r1:]
-                vec_add(total, tgt.eval(l1, r2, new_pairs), sign * c)
-    # RHS terms, subtracted
-    for l2 in range(1, l + 1):
-        for l1 in range(0, l - l2 + 1):
-            l3 = l - l1 - l2
-            sign = -ONE if sum(degs[:l1]) % 2 else ONE
-            inner = src.left.eval_mu(pairs[l1:l1 + l2])
-            for pair, c in inner.items():
-                new_pairs = pairs[:l1] + (pair,) + pairs[l1 + l2:]
-                vec_add(total, f.eval(l1 + 1 + l3, r, new_pairs), -sign * c)
-    for l2 in range(0, l + 1):
-        for r1 in range(0, r + 1):
-            l1 = l - l2
-            r2 = r - r1
-            window = pairs[l1:l + 1 + r1]
-            sign = -ONE if sum(degs[:l1]) % 2 else ONE
-            inner = src.eval(l2, r1, window)
-            for pair, c in inner.items():
-                new_pairs = pairs[:l1] + (pair,) + pairs[l + 1 + r1:]
-                vec_add(total, f.eval(l1, r2, new_pairs), -sign * c)
-    for r2 in range(1, r + 1):
-        for r1 in range(0, r - r2 + 1):
-            r3 = r - r1 - r2
-            offset = l + 1 + r1
-            sign = -ONE if sum(degs[:offset]) % 2 else ONE
-            inner = src.right.eval_mu(pairs[offset:offset + r2])
-            for pair, c in inner.items():
-                new_pairs = pairs[:offset] + (pair,) + pairs[offset + r2:]
-                vec_add(total, f.eval(l, r1 + 1 + r3, new_pairs), -sign * c)
+    _equation_sums(total, tgt.eval, f.eval, f.degree, pairs, degs, l, r,
+                   coeff=-1 if f.degree % 2 else 1)
+    _equation_sums(total, f.eval, src.eval, 1, pairs, degs, l, r, coeff=-1,
+                   left=src.left, right=src.right)
     return total
 
 
@@ -288,13 +230,9 @@ def check_bimodule_map(f: BimoduleMap, up_to) -> Report:
             r = total_arity - l
             if (l and src.left is None) or (r and src.right is None):
                 continue
-            witness = None
-            for key in src.input_tuples(l, r):
-                defect = bimodule_map_defect(f, l, r, key)
-                if defect:
-                    witness = (key, defect)
-                    break
-            report.record(f"(l,r)=({l},{r})", witness is None, witness)
+            report.record_first_defect(
+                f"(l,r)=({l},{r})", src.input_tuples(l, r),
+                lambda key: bimodule_map_defect(f, l, r, key))
     return report
 
 
@@ -310,18 +248,10 @@ def compose_bimodule_maps(f2: BimoduleMap, f1: BimoduleMap) -> BimoduleMap:
             table = {}
             for key in src.input_tuples(l, r):
                 pairs = tuple((src.base.unit, v) for v in key)
-                degs = _tuple_degrees(src, l, r, pairs)
+                degs = src.input_degree_list(l, r, key)
                 total = {}
-                for l2 in range(0, l + 1):
-                    for r1 in range(0, r + 1):
-                        l1 = l - l2
-                        r2 = r - r1
-                        window = pairs[l1:l + 1 + r1]
-                        sign = (-ONE if (f2.degree * sum(degs[:l1])) % 2 else ONE)
-                        inner = f1.eval(l2, r1, window)
-                        for pair, c in inner.items():
-                            new_pairs = pairs[:l1] + (pair,) + pairs[l + 1 + r1:]
-                            vec_add(total, f2.eval(l1, r2, new_pairs), sign * c)
+                _equation_sums(total, f2.eval, f1.eval, f1.degree, pairs, degs,
+                               l, r)
                 if total:
                     table[key] = total
             if table:
@@ -378,7 +308,7 @@ def dga_module_bimodule(left: AInfAlgebra, right, kmodule: FreeKModule,
 
 def restrict_scalars(f: AInfMorphism, g: AInfMorphism,
                      bim: AInfBimodule) -> AInfBimodule:
-    """(f, g)^* M': structure maps через compositions of f- and g-blocks."""
+    """(f, g)^* M': structure maps through compositions of f- and g-blocks."""
     if bim.left is not None and f.target.gens != bim.left.gens:
         raise ValueError("f must land in the left algebra of the bimodule")
     if bim.right is not None and g.target.gens != bim.right.gens:
@@ -417,42 +347,6 @@ def restrict_scalars(f: AInfMorphism, g: AInfMorphism,
                 tables[(l, r)] = table
     return AInfBimodule(left, right, bim.kmodule, tables, n_max,
                         unital=bim.unital, symmetric=bim.symmetric)
-
-
-def restrict_scalars_map(f: AInfMorphism, g: AInfMorphism, h: BimoduleMap,
-                         new_source: AInfBimodule,
-                         new_target: AInfBimodule) -> BimoduleMap:
-    """(f, g)^* of a bimodule map, same block formula with h in place of mu."""
-    left, right = f.source, g.source
-    components = {}
-    for total_arity in range(0, h.source.n_max + 1):
-        for l in range(0, total_arity + 1):
-            r = total_arity - l
-            if (l and left is None) or (r and right is None):
-                continue
-            table = {}
-            for xs in (product(left.gens.labels(), repeat=l) if l else [()]):
-                for m in h.source.kmodule.gens.labels():
-                    for ys in (product(right.gens.labels(), repeat=r) if r else [()]):
-                        total = {}
-                        x_pairs = tuple((left.base.unit, v) for v in xs)
-                        y_pairs = tuple((right.base.unit, v) for v in ys)
-                        m_pair = (h.source.base.unit, m)
-                        comps_l = compositions(l) if l else [()]
-                        comps_r = compositions(r) if r else [()]
-                        for cl in comps_l:
-                            for blocks_l, c1 in f.blocks_apply(x_pairs, cl):
-                                for cr in comps_r:
-                                    for blocks_r, c2 in g.blocks_apply(y_pairs, cr):
-                                        value = h.eval(
-                                            len(cl), len(cr),
-                                            blocks_l + (m_pair,) + blocks_r)
-                                        vec_add(total, value, c1 * c2)
-                        if total:
-                            table[xs + (m,) + ys] = total
-            if table:
-                components[(l, r)] = table
-    return BimoduleMap(new_source, new_target, h.degree, components, check=False)
 
 
 def algebra_map_bimodule_map(f: AInfMorphism) -> BimoduleMap:
@@ -888,74 +782,42 @@ def nu_map(alg: AInfAlgebra, m: AInfBimodule, target=None) -> BimoduleMap:
 # --- symmetry ----------------------------------------------------------------
 
 
-def _cyclic_rotations(pairs, degs):
-    """All i-fold rotations of (m, x_1..x_n) with accumulated Koszul signs."""
-    out = [(tuple(pairs), ONE)]
-    current = list(pairs)
-    current_degs = list(degs)
-    sign = ONE
-    for _ in range(len(pairs) - 1):
-        moved = current_degs[-1]
-        rest = sum(current_degs[:-1])
-        sign = sign * (-ONE if (moved * rest) % 2 else ONE)
-        current = [current[-1]] + current[:-1]
-        current_degs = [current_degs[-1]] + current_degs[:-1]
-        out.append((tuple(current), sign))
-    return out
-
-
-def symmetry_defect(bim: AInfBimodule, vm, xs) -> dict:
-    """sum_{i=0..n} mu_{i,n-i} o t_{n+1}^i on m (x) x_1 .. x_n."""
+def _symmetry_defect(bim: AInfBimodule, structure_map, vm, xs) -> dict:
+    """sum_{i=0..n} structure_map_{i,n-i} o t_{n+1}^i on m (x) x_1 .. x_n,
+    for structure maps on the R-R-bimodule ``bim``."""
     base = bim.base
     n = len(xs)
     pairs = ((base.unit, vm),) + tuple((base.unit, x) for x in xs)
     degs = [bim.kmodule.gens.degree[vm]] + [bim.left.gens.degree[x] for x in xs]
     total = {}
-    for i, (rotated, sign) in enumerate(_cyclic_rotations(pairs, degs)):
-        vec_add(total, bim.eval(i, n - i, rotated), sign)
+    for i, rotated, parity in cyclic_rotations(pairs, degs):
+        vec_add(total, structure_map(i, n - i, rotated), -1 if parity else 1)
     return total
+
+
+def _symmetry_report(title, bim: AInfBimodule, structure_map, up_to) -> Report:
+    """First witness, per arity n, of a nonzero rotation sum."""
+    report = Report(title)
+    for n in range(1, up_to + 1):
+        candidates = ((vm, xs) for vm in bim.kmodule.gens.labels()
+                      for xs in product(bim.left.gens.labels(), repeat=n))
+        report.record_first_defect(
+            f"n={n}", candidates,
+            lambda c: _symmetry_defect(bim, structure_map, *c))
+    return report
 
 
 def check_symmetric(bim: AInfBimodule, up_to) -> Report:
     """Def 3.4.5: structure maps vanish on sums of cyclic permutations."""
     if bim.left is None or bim.right is None or bim.left.gens != bim.right.gens:
         raise ValueError("symmetry requires an R-R-bimodule")
-    report = Report(f"symmetric bimodule(up_to={up_to})")
-    for n in range(1, up_to + 1):
-        witness = None
-        for vm in bim.kmodule.gens.labels():
-            for xs in product(bim.left.gens.labels(), repeat=n):
-                defect = symmetry_defect(bim, vm, xs)
-                if defect:
-                    witness = ((vm, xs), defect)
-                    break
-            if witness:
-                break
-        report.record(f"n={n}", witness is None, witness)
-    return report
+    return _symmetry_report(f"symmetric bimodule(up_to={up_to})", bim, bim.eval,
+                            up_to)
 
 
 def check_symmetric_map(f: BimoduleMap, up_to) -> Report:
-    report = Report(f"symmetric map(up_to={up_to})")
-    bim = f.source
-    base = bim.base
-    for n in range(1, up_to + 1):
-        witness = None
-        for vm in bim.kmodule.gens.labels():
-            for xs in product(bim.left.gens.labels(), repeat=n):
-                pairs = ((base.unit, vm),) + tuple((base.unit, x) for x in xs)
-                degs = ([bim.kmodule.gens.degree[vm]]
-                        + [bim.left.gens.degree[x] for x in xs])
-                total = {}
-                for i, (rotated, sign) in enumerate(_cyclic_rotations(pairs, degs)):
-                    vec_add(total, f.eval(i, n - i, rotated), sign)
-                if total:
-                    witness = ((vm, xs), total)
-                    break
-            if witness:
-                break
-        report.record(f"n={n}", witness is None, witness)
-    return report
+    return _symmetry_report(f"symmetric map(up_to={up_to})", f.source, f.eval,
+                            up_to)
 
 
 # --- cyclic permutations inside the shuffle span (Lemma 3.4.9) ---------------
@@ -972,23 +834,22 @@ def cyclic_in_shuffle_span(n) -> dict:
     exists (which would falsify the lemma)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    from itertools import permutations as all_perms
     rot = tuple((i + 1) % n for i in range(n))
     c_n = {}
     current = tuple(range(n))
     for _ in range(n):
-        c_n[current] = c_n.get(current, ZERO_F) + ONE
+        c_n[current] = c_n.get(current, 0) + ONE
         current = _perm_compose(rot, current)
     rows = []
     index = []
     for p in range(1, n):
         q = n - p
         sh_sum = [s.perm for s in enumerate_shuffles(p, q)]
-        for tau in all_perms(range(n)):
+        for tau in permutations(range(n)):
             row = {}
             for sigma in sh_sum:
                 key = _perm_compose(tau, sigma)
-                row[key] = row.get(key, ZERO_F) + ONE
+                row[key] = row.get(key, 0) + ONE
             rows.append(row)
             index.append((p, q, tau))
     solution = solve(rows, c_n)
@@ -1000,7 +861,7 @@ def cyclic_in_shuffle_span(n) -> dict:
     for (p, q, tau), coeff in certificate.items():
         for s in enumerate_shuffles(p, q):
             key = _perm_compose(tau, s.perm)
-            acc[key] = acc.get(key, ZERO_F) + coeff
+            acc[key] = acc.get(key, 0) + coeff
     acc = {k: v for k, v in acc.items() if v}
     if acc != c_n:
         raise AssertionError("certificate failed substitution check")

@@ -138,31 +138,6 @@ class FreeKModule:
     def rank(self):
         return self.gens.dim
 
-    def gen_degree(self, v):
-        return self.gens.degree[v]
-
-    def unit_pair(self, v):
-        """The total-space label of 1_k (x) v."""
-        return (self.base.unit, v)
-
-    def include_gen(self, v) -> Kvec:
-        return {(self.base.unit, v): ONE}
-
-    def kmul(self, b, vec: Kvec) -> Kvec:
-        """Left multiplication by a k-basis element (no sign: coefficients
-        are kept leftmost)."""
-        out = {}
-        for (c, v), x in vec.items():
-            for bb, y in self.base.mul_basis(b, c).items():
-                vec_add(out, {(bb, v): x * y})
-        return out
-
-    def kmul_vec(self, bvec: dict, vec: Kvec) -> Kvec:
-        out = {}
-        for b, c in bvec.items():
-            vec_add(out, self.kmul(b, vec), c)
-        return out
-
     def __repr__(self):
         return f"FreeKModule(base_dim={self.base.space.dim}, rank={self.rank})"
 
@@ -227,15 +202,6 @@ def eval_k_multilinear(base: BaseCDGA, table, map_degree, pairs, gen_degrees) ->
             for bb, y in base.mul_basis(b, c).items():
                 vec_add(out, {(bb, w): term_sign * x * y})
     return out
-
-
-def table_add(target, vtuple, kvec, coeff=ONE):
-    """target[vtuple] += coeff * kvec, dropping zero columns."""
-    col = target.setdefault(vtuple, {})
-    vec_add(col, kvec, coeff)
-    if not col:
-        target.pop(vtuple, None)
-    return target
 
 
 class KAlgebra:

@@ -232,9 +232,3 @@ def _rand_sphere_like(rng):
     n = rng.choice([2, 3, 4, 5])
     return cdga_as_kalgebra(sphere_cohomology(n))
 
-
-def random_commutative_cdga(rng: random.Random) -> BaseCDGA:
-    """A random finite graded-commutative dga fixture (for base-change and
-    symmetry tests)."""
-    choice = rng.choice(["s2", "s3", "s4", "cp2", "dual"])
-    return fixture_cdga(choice)

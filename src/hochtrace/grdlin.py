@@ -7,6 +7,10 @@ and windowed homology by exact Gaussian elimination that keeps integral
 coefficients as int and builds a Fraction only to divide by a pivot
 other than +-1.
 
+``cyclic_rotations`` is the one implementation of the cyclic Koszul
+rotation and its sign: every Hochschild, Connes, trace and symmetry
+formula that rotates a word of graded factors goes through it.
+
 Conventions: cohomological grading; s^n shifts degrees by -n (so the
 shift s lowers degrees by 1).  Shifts are pure relabelings of bases and
 carry no signs themselves; all signs live in maps and permutations.
@@ -71,9 +75,6 @@ class GradedSpace:
         """s^n: same labels, degrees lowered by n (cohomological shift by -n)."""
         return GradedSpace((label, deg - n) for label, deg in self.basis)
 
-    def direct_sum(self, other):
-        return GradedSpace(self.basis + other.basis)
-
 
 def tensor_space(*spaces) -> GradedSpace:
     """Tensor product; labels are tuples with one slot per factor."""
@@ -123,13 +124,6 @@ def vec_scale(vec: dict, coeff) -> dict:
     if not coeff:
         return {}
     return {label: coeff * c for label, c in vec.items()}
-
-
-def vec_degree(space: GradedSpace, vec: dict):
-    degs = {space.degree[label] for label in vec}
-    if len(degs) > 1:
-        raise ValueError(f"inhomogeneous vector, degrees {sorted(degs)}")
-    return degs.pop() if degs else None
 
 
 class GradedMap:
@@ -222,14 +216,6 @@ class GradedMap:
     def __repr__(self):
         return (f"GradedMap(degree={self.degree}, "
                 f"{self.source.dim}->{self.target.dim}, nnz={sum(len(c) for c in self.entries.values())})")
-
-    def transpose_rows(self):
-        """Rows of the matrix, indexed by target label."""
-        rows = {}
-        for v, col in self.entries.items():
-            for w, c in col.items():
-                rows.setdefault(w, {})[v] = c
-        return rows
 
 
 def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
@@ -330,14 +316,21 @@ def koszul_sign(perm: SignedPermutation, degrees) -> Fraction:
     return -ONE if exponent % 2 else ONE
 
 
-def rotate_tuple(labels, degrees):
-    """One cyclic rotation t (last to front). Returns (new_labels, sign)."""
-    if len(labels) <= 1:
-        return tuple(labels), ONE
-    moved = degrees[-1]
-    rest = sum(degrees[:-1])
-    sign = -ONE if (moved * rest) % 2 else ONE
-    return (labels[-1],) + tuple(labels[:-1]), sign
+def cyclic_rotations(items, degrees):
+    """Every cyclic rotation of a tuple of graded factors, with its sign.
+
+    Yields (l, items[n-l:] + items[:n-l], parity) for l = 0..n-1: the
+    last l factors moved to the front, whose Koszul sign is (-1)^parity
+    with parity = |moved block| * |rest| mod 2.  This is the sign of
+    SignedPermutation.rotation(n) applied l times.
+    """
+    items = tuple(items)
+    n = len(items)
+    total = sum(degrees)
+    moved = 0
+    for l in range(n):
+        yield l, items[n - l:] + items[:n - l], (moved * (total - moved)) % 2
+        moved += degrees[n - 1 - l]
 
 
 class Complex:
@@ -573,13 +566,6 @@ def is_quasi_iso_window(f: GradedMap, source: Complex, target: Complex,
         if sparse_rank(rows) != ht.dim:
             return False
     return True
-
-
-def induced_map_on_homology(f: GradedMap, source: Complex, target: Complex, t):
-    """Matrix of H^t(f), rows indexed by source homology classes."""
-    hs = HomologyBasis(source, t)
-    ht = HomologyBasis(target, t)
-    return [ht.coords(f(rep)) for rep in hs.representatives], hs, ht
 
 
 def enumerate_shuffles(p, q):

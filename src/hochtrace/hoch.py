@@ -16,7 +16,13 @@ from __future__ import annotations
 from itertools import product
 
 from .ainf import AInfAlgebra, compositions, from_dga
-from .bimod import AInfBimodule, BimoduleMap, diagonal_bimodule, tensor_inf
+from .bimod import (
+    AInfBimodule,
+    BimoduleMap,
+    dga_module_bimodule,
+    diagonal_bimodule,
+    tensor_inf,
+)
 from .cdga import BaseCDGA, KAlgebra
 from .grdlin import (
     ONE,
@@ -25,28 +31,13 @@ from .grdlin import (
     GradedSpace,
     HomologyBasis,
     _Eliminator,
+    cyclic_rotations,
     is_chain_map,
     sparse_rank,
     vec_add,
     vec_add_term,
 )
 from .report import Report
-
-
-def _rotations_with_parities(items, degrees, count):
-    """Iterate (rotated items, sign parity) for 0..count rotations (last
-    to front); the Koszul sign of a rotation is (-1)^parity."""
-    current = list(items)
-    degs = list(degrees)
-    parity = 0
-    yield tuple(current), parity
-    for _ in range(count):
-        moved = degs[-1]
-        rest = sum(degs[:-1])
-        parity ^= (moved * rest) % 2
-        current = [current[-1]] + current[:-1]
-        degs = [degs[-1]] + degs[:-1]
-        yield tuple(current), parity
 
 
 def _add_times_base(out, base, b, c, tail, coeff, negate):
@@ -143,8 +134,7 @@ class HochschildComplex:
         # (b) (mu_{l,r}^M (x) id^s) o t_{1+n}^l
         factors = (vm,) + xs
         degrees = [deg_m] + x_degs
-        for l, (rotated, rot_parity) in enumerate(
-                _rotations_with_parities(factors, degrees, n)):
+        for l, rotated, rot_parity in cyclic_rotations(factors, degrees):
             # rotated = (x_{n-l+1}, .., x_n, vm, x_1, .., x_{n-l})
             rotated_pairs = tuple((unit, x) for x in rotated)
             negate = rot_parity ^ (deg_b % 2)
@@ -285,17 +275,14 @@ class CyclicWords:
         items = tuple(items)
         degs = [self.degree_of(x) for x in items]
         best = None
-        best_parity = None
         seen_parities = {}
-        for rotated, parity in _rotations_with_parities(items, degs, len(items) - 1):
-            if seen_parities.get(rotated, parity) != parity:
+        for _l, rotated, parity in cyclic_rotations(items, degs):
+            if seen_parities.setdefault(rotated, parity) != parity:
                 return None, ONE * 0
-            seen_parities[rotated] = parity
             key = repr(rotated)
             if best is None or key < best[0]:
-                best = (key, rotated)
-                best_parity = parity
-        return best[1], -ONE if best_parity else ONE
+                best = (key, rotated, parity)
+        return best[1], -ONE if best[2] else ONE
 
 
 class ConnesComplex:
@@ -392,17 +379,11 @@ class DegeneratePiece:
         report = Report(f"contraction on G_{self.p}")
         s = self.contraction()
         lhs = self.d.compose(s) + s.compose(self.d)
-        witness = None
-        for label in self.space.labels():
-            if len(label[2]) >= self.hh.h_max:
-                continue
-            got = lhs.column(label)
-            want = {label: -ONE}
-            if got != want:
-                witness = (label, got)
-                break
-        report.record(f"d s_{self.p} + s_{self.p} d = -id", witness is None,
-                      witness)
+        labels = (label for label in self.space.labels()
+                  if len(label[2]) < self.hh.h_max)
+        # the defect (d s_p + s_p d + id)(label) is nonempty exactly on failure
+        report.record_first_defect(f"d s_{self.p} + s_{self.p} d = -id", labels,
+                                   lambda label: vec_add(lhs.column(label), {label: ONE}))
         return report
 
 
@@ -709,39 +690,22 @@ def hh_induced_map(f, g, source_hh: HochschildComplex,
     entries = {}
     for label in source_hh.space.labels():
         b, vm, xs = label
-        n = len(xs)
+        pairs = ((unit, vm),) + tuple((unit, x) for x in xs)
         degs = [source_hh.bimodule.kmodule.gens.degree[vm]] + \
             [alg.gens.degree[x] for x in xs]
         out = {}
-        for ni in range(0, n + 1):
-            rot_sign = _cyclic_sign(degs, ni)
-            head = xs[n - ni:]
-            body = xs[:n - ni]
-            for n1 in range(0, len(body) + 1):
-                block1 = body[:n1]
-                rest = body[n1:]
-                g_pairs = (tuple((unit, x) for x in head) + ((unit, vm),)
-                           + tuple((unit, x) for x in block1))
-                g_val = g.eval(ni, n1, g_pairs)
+        for ni, rotated, parity in cyclic_rotations(pairs, degs):
+            # rotated = (x_{n-ni+1}, .., x_n, m, x_1, .., x_{n-ni})
+            for n1 in range(0, len(rotated) - ni):
+                g_val = g.eval(ni, n1, rotated[:ni + 1 + n1])
                 if not g_val:
                     continue
-                comps = [()] if not rest else compositions(len(rest))
-                for comp in comps:
-                    partials = [((), ONE)]
-                    offset = 0
-                    for size in comp:
-                        block = tuple((unit, x)
-                                      for x in rest[offset:offset + size])
-                        offset += size
-                        image = f.eval_f(block)
-                        partials = [(acc + (p,), c * q)
-                                    for acc, c in partials
-                                    for p, q in image.items()]
-                        if not partials:
-                            break
+                rest = rotated[ni + 1 + n1:]
+                for comp in (compositions(len(rest)) if rest else [()]):
+                    partials = f.blocks_apply(rest, comp)
                     for (bm, vm2), gc in g_val.items():
                         for blocks, fc in partials:
-                            coeff = rot_sign * gc * fc
+                            coeff = -gc * fc if parity else gc * fc
                             b_acc = {bm: ONE}
                             ys = []
                             prefix_deg = tgt_mgens.degree[vm2]
@@ -764,22 +728,9 @@ def hh_induced_map(f, g, source_hh: HochschildComplex,
     return GradedMap(source_hh.space, target_hh.space, 0, entries)
 
 
-def _cyclic_sign(degs, times):
-    sign = ONE
-    current = list(degs)
-    for _ in range(times):
-        moved = current[-1]
-        rest = sum(current[:-1])
-        if (moved * rest) % 2:
-            sign = -sign
-        current = [current[-1]] + current[:-1]
-    return sign
-
-
 def hh_algebra_induced_map(f, source_hh: HochschildComplex,
                            target_hh: HochschildComplex) -> GradedMap:
     """HH_k(R) -> HH_k(S) induced by an algebra morphism (pair (f, f'))."""
-    from .bimod import BimoduleMap, diagonal_bimodule
     components = {}
     for n, table in f.components.items():
         for l in range(0, n):
@@ -938,14 +889,10 @@ def rotation_to_bar_hc(hc: ConnesComplex, target: BarConnesComplex) -> GradedMap
             continue
         degs = [alg.gens.degree[x] for x in letters]
         out = {}
-        for i in range(n1):
-            tail = sum(degs[:i])
-            headd = sum(degs[i:])
-            sign = -ONE if (tail * headd) % 2 else ONE
-            word = letters[i:] + letters[:i]
+        for _l, word, parity in cyclic_rotations(letters, degs):
             tlabel, tsign = target.reduce_label(b, (word,))
             if tlabel is not None:
-                vec_add(out, {tlabel: sign * tsign})
+                vec_add(out, {tlabel: -tsign if parity else tsign})
         if out:
             entries[label] = out
     return GradedMap(hc.space, target.space, 0, entries)
@@ -979,7 +926,6 @@ class BimonoidHochschild:
             raise NotImplementedError(
                 "Def 2.2.13 over a noncentral base dga is not mechanized; "
                 "see the decisions ledger")
-        from .bimod import diagonal_bimodule
         self.dga = dga
         self.b_max = int(b_max)
         self.n_limit = int(n_limit)
@@ -1034,20 +980,11 @@ def bar_epsilon_algebra_rational(dga: KAlgebra, b_max) -> AInfAlgebra:
 def bimonoid_level_one(dga: KAlgebra, h_max) -> ClassicalHochschild:
     """B^{(*)_R 1} = B (x)_{R^e} R = the classical Hochschild complex
     HH_k(R, R) (Lemma 2.2.14's source), for any dga over Q."""
-    from .ainf import from_dga
-    from .bimod import AInfBimodule, dga_module_bimodule
-    from .cdga import FreeKModule
     alg = from_dga(dga)
-    # R itself as a classical R-R-bimodule (Obs 3.3.6 with M = R)
-    kmod = FreeKModule(dga.base, dga.gens,
-                       {v: col for v, col in dga.module.d_gen.items()})
-    left = {}
-    right = {}
-    for (a, b2), col in dga.mult.items():
-        left[(a, b2)] = dict(col)
-        right[(a, b2)] = dict(col)
-    bim = dga_module_bimodule(alg, alg, kmod, left_action=left,
-                              right_action=right)
+    # R itself as a classical R-R-bimodule (Obs 3.3.6 with M = R): both
+    # actions are the multiplication table
+    bim = dga_module_bimodule(alg, alg, dga.module, left_action=dga.mult,
+                              right_action=dga.mult)
     return ClassicalHochschild(dga, bim, h_max)
 
 

@@ -13,6 +13,15 @@ class Report:
         self.checks.append((name, bool(ok), witness))
         return ok
 
+    def record_first_defect(self, name, candidates, defect):
+        """Record check ``name``: it fails at the first candidate whose
+        defect(candidate) is nonempty, with witness (candidate, defect)."""
+        for candidate in candidates:
+            value = defect(candidate)
+            if value:
+                return self.record(name, False, (candidate, value))
+        return self.record(name, True)
+
     @property
     def ok(self):
         return all(ok for _, ok, _ in self.checks)
@@ -26,11 +35,6 @@ class Report:
             if not ok:
                 return name, witness
         return None
-
-    def merge(self, other: "Report"):
-        for name, ok, witness in other.checks:
-            self.checks.append((f"{other.title}: {name}", ok, witness))
-        return self
 
     def summary(self) -> str:
         lines = [f"{self.title}: {'PASS' if self.ok else 'FAIL'}"]

@@ -34,11 +34,13 @@ from .grdlin import (
     GradedSpace,
     HomologyBasis,
     ONE,
+    chain_map_defect,
+    cyclic_rotations,
     is_chain_map,
     solve,
     vec_add,
 )
-from .hoch import HochschildComplex, hh_of_algebra
+from .hoch import HochschildComplex, hh_algebra_induced_map, hh_of_algebra
 from .report import Report
 
 ZERO = Fraction(0)
@@ -202,23 +204,6 @@ def module_as_right(module: FreeKModule, r_alg: AInfAlgebra) -> AInfBimodule:
                         unital=True)
 
 
-def module_as_left(module: FreeKModule, r_alg: AInfAlgebra) -> AInfBimodule:
-    """A free R-module as a left module over R-as-Q-algebra:
-    mu_{1,0}(sr (x) m) = r m."""
-    flat = module_flat(module)
-    base = module.base
-    table = {}
-    for r2 in r_alg.gens.labels():
-        for (r, v) in flat.gens.labels():
-            col = {}
-            for r3, q in base.mul_basis(r2, r).items():
-                col[("1", (r3, v))] = q
-            if col:
-                table[(r2, (r, v))] = col
-    return AInfBimodule(r_alg, None, flat, {(1, 0): table}, r_alg.n_max,
-                        unital=True)
-
-
 # --- derived coevaluation -------------------------------------------------------
 
 
@@ -347,6 +332,32 @@ def _letters_and_degrees(hh: HochschildComplex, label):
     return letters, degs
 
 
+def _rotation_trace(hh: HochschildComplex, rel_alg: AInfAlgebra,
+                    module: FreeKModule, structure_map, flip) -> GradedMap:
+    """HH_Q(S) -> R, s^{-1}(x_0 (x) .. (x) x_n) ->
+    sum_i (-1)^{eps + flip} tr_R(structure_map(x_i, .., x_{i-1}, -)) with
+    eps = (|x_0|+..+|x_{i-1}|)(|x_i|+..+|x_n|), the rotation sign.
+
+    ``structure_map`` takes a tuple of pairs (the rotated letters as pairs
+    of ``rel_alg`` followed by a module generator) to a kvec of ``module``."""
+    unit = module.base.unit
+    entries = {}
+    for label in hh.space.labels():
+        letters, degs = _letters_and_degrees(hh, label)
+        pairs = tuple(_letter_to_pair(hh.algebra, rel_alg, x) for x in letters)
+        out = {}
+        for _l, rotated, parity in cyclic_rotations(pairs, degs):
+            operator = {}
+            for v in module.gens.labels():
+                value = structure_map(rotated + ((unit, v),))
+                if value:
+                    operator[v] = value
+            vec_add(out, module_trace(module, operator), -1 if parity ^ flip else 1)
+        if out:
+            entries[label] = out
+    return GradedMap(hh.space, module.base.space, 0, entries)
+
+
 def tr_degree0(hh: HochschildComplex, m: AInfBimodule,
                module: FreeKModule) -> GradedMap:
     """The Hochschild-degree-0 transfer HH_Q(S) -> R (Thm-4.2.7 shape):
@@ -358,29 +369,8 @@ def tr_degree0(hh: HochschildComplex, m: AInfBimodule,
     (flattened) Hochschild complex of S; ``m`` the left S-module over the
     base R; ``module`` its underlying free R-module.  Certified as a
     chain map by the caller via trace_chain_report."""
-    base = module.base
-    target = _base_space(base)
-    entries = {}
-    for label in hh.space.labels():
-        letters, degs = _letters_and_degrees(hh, label)
-        n1 = len(letters)
-        out = {}
-        for i in range(n1):
-            tail = sum(degs[:i])
-            head = sum(degs[i:])
-            sign = -ONE if (tail * head) % 2 else ONE
-            rotated = letters[i:] + letters[:i]
-            operator = {}
-            for v in module.gens.labels():
-                pairs = tuple(_letter_to_pair(hh.algebra, m.left, x)
-                              for x in rotated) + ((base.unit, v),)
-                value = m.eval(n1, 0, pairs)
-                if value:
-                    operator[v] = value
-            vec_add(out, module_trace(module, operator), sign)
-        if out:
-            entries[label] = out
-    return GradedMap(hh.space, target, 0, entries)
+    return _rotation_trace(hh, m.left, module,
+                           lambda pairs: m.eval(len(pairs) - 1, 0, pairs), 0)
 
 
 def _letter_to_pair(hh_alg: AInfAlgebra, rel_alg: AInfAlgebra, letter):
@@ -392,14 +382,6 @@ def _letter_to_pair(hh_alg: AInfAlgebra, rel_alg: AInfAlgebra, letter):
     return letter
 
 
-def _base_space(base: BaseCDGA) -> GradedSpace:
-    return base.space
-
-
-def base_complex(base: BaseCDGA) -> Complex:
-    return base.complex
-
-
 def corollary_tr(hh: HochschildComplex, s_alg: AInfAlgebra) -> GradedMap:
     """The fiberwise-Euler-characteristic map HH_Q(S) -> R (Cor-5.2.2
     shape), computed directly from the algebra structure maps:
@@ -408,61 +390,40 @@ def corollary_tr(hh: HochschildComplex, s_alg: AInfAlgebra) -> GradedMap:
         sum_i (-1)^{eps+1} tr_R(mu_{n+2}^S(x_i, .., x_{i-1}, -))
 
     where the operator acts on the shifted module sS (free over R)."""
-    base = s_alg.base
-    module = s_alg.module
-    target = _base_space(base)
-    entries = {}
-    for label in hh.space.labels():
-        letters, degs = _letters_and_degrees(hh, label)
-        n1 = len(letters)
-        out = {}
-        for i in range(n1):
-            tail = sum(degs[:i])
-            head = sum(degs[i:])
-            sign = ONE if (tail * head) % 2 else -ONE   # (-1)^{eps + 1}
-            rotated = letters[i:] + letters[:i]
-            operator = {}
-            for v in s_alg.gens.labels():
-                pairs = tuple(_letter_to_pair(hh.algebra, s_alg, x)
-                              for x in rotated) + ((base.unit, v),)
-                value = s_alg.eval_mu(pairs)
-                if value:
-                    operator[v] = value
-            vec_add(out, module_trace(module, operator), sign)
-        if out:
-            entries[label] = out
-    return GradedMap(hh.space, target, 0, entries)
+    return _rotation_trace(hh, s_alg, s_alg.module, s_alg.eval_mu, 1)
+
+
+def _chain_report(title, check_name, f: GradedMap, source: Complex,
+                  target: Complex) -> Report:
+    report = Report(title)
+    defect = chain_map_defect(f, source, target)
+    witness = next(iter(defect.entries.items()), None)
+    report.record(check_name, witness is None, witness)
+    return report
 
 
 def trace_chain_report(name, tr_map: GradedMap, hh: HochschildComplex,
                        base: BaseCDGA) -> Report:
-    report = Report(f"{name} chain certificate")
-    target = base_complex(base)
-    defect = tr_map.compose(hh.d) - target.d.compose(tr_map)
-    report.record("commutes with differentials", defect.is_zero(),
-                  None if defect.is_zero() else next(iter(defect.entries.items())))
-    return report
+    return _chain_report(f"{name} chain certificate", "commutes with differentials",
+                         tr_map, hh.complex, base.complex)
 
 
 def cyclic_factorization_report(name, tr_map: GradedMap,
                                 hh: HochschildComplex) -> Report:
     """tr vanishes on (1 - cyclic rotation) of every basis tensor."""
     report = Report(f"{name} cyclic factorization")
-    witness = None
-    for label in hh.space.labels():
-        b, vm, xs = label
-        if not xs:
-            continue
+
+    def defect(label):
+        """tr(x) - (-1)^{|x_n|(|x_0|+..+|x_{n-1}|)} tr(t x)."""
         letters, degs = _letters_and_degrees(hh, label)
-        rotated = (letters[-1],) + letters[:-1]
-        sign = -ONE if (degs[-1] * sum(degs[:-1])) % 2 else ONE
-        rot_label = (b, rotated[0], rotated[1:])
-        lhs = tr_map.column(label)
-        rhs = {k: sign * c for k, c in tr_map.column(rot_label).items()}
-        if lhs != rhs:
-            witness = (label, lhs, rhs)
-            break
-    report.record("tr(x) = +- tr(t x)", witness is None, witness)
+        _l, rotated, parity = list(cyclic_rotations(letters, degs))[1]
+        return vec_add(tr_map.column(label),
+                       tr_map.column((label[0], rotated[0], rotated[1:])),
+                       1 if parity else -1)
+
+    report.record_first_defect("tr(x) = +- tr(t x)",
+                               (label for label in hh.space.labels() if label[2]),
+                               defect)
     return report
 
 
@@ -483,7 +444,7 @@ def becker_gottlieb(s_alg: AInfAlgebra) -> GradedMap:
         out = {k: -c for k, c in out.items()}
         if out:
             entries[(b, v)] = out
-    return GradedMap(source, _base_space(base), 1, entries, check=False)
+    return GradedMap(source, base.space, 1, entries, check=False)
 
 
 def becker_gottlieb_report(s_alg: AInfAlgebra) -> Report:
@@ -585,36 +546,11 @@ class GeneralizedTrace:
         self.map = GradedMap(hh_end.space, hh_target.space, 0, entries)
 
     def chain_report(self) -> Report:
-        report = Report("generalized trace chain certificate")
-        defect = (self.map.compose(self.hh_end.d)
-                  - self.hh_target.d.compose(self.map))
-        report.record("commutes with differentials", defect.is_zero(),
-                      None if defect.is_zero()
-                      else next(iter(defect.entries.items())))
-        return report
-
-    def degree_zero_part(self) -> GradedMap:
-        """The composite with the projection HH(R) -> R."""
-        target = _base_space(self.base)
-        entries = {}
-        for src, col in self.map.entries.items():
-            out = {}
-            for (b, y0, ys), c in col.items():
-                if ys:
-                    continue
-                vec_add(out, {y0: c})
-            if out:
-                entries[src] = out
-        return GradedMap(self.hh_end.space, target, 0, entries)
+        return _chain_report("generalized trace chain certificate",
+                             "commutes with differentials", self.map,
+                             self.hh_end.complex, self.hh_target.complex)
 
     # -- internals ---------------------------------------------------------
-
-    def _letters(self, label):
-        b, vm, xs = label
-        letters = (vm,) + xs
-        degs = [self.hh_end.bimodule.kmodule.gens.degree[vm]] + \
-            [self.hh_end.algebra.gens.degree[x] for x in xs]
-        return letters, degs
 
     def _as_end_pair(self, letter):
         if isinstance(letter, tuple) and len(letter) == 2:
@@ -625,13 +561,10 @@ class GeneralizedTrace:
         r, v = pair
         return self.base.degree(r) + self.module.gens.degree[v]
 
-    def _word_deg(self, ys):
-        return sum(self.r_alg.gens.degree[y] for y in ys)
-
     def _evaluate(self, label) -> dict:
         base = self.base
         module = self.module
-        letters, adegs = self._letters(label)
+        letters, adegs = _letters_and_degrees(self.hh_end, label)
         n1 = len(letters)
         cterms = list(self.coev.terms())
         total_deg = sum(adegs)
@@ -696,8 +629,6 @@ class GeneralizedTrace:
             if i < n1 - 1:
                 rest_deg += next(gd[r] for r in rhos[i])
         sign = -ONE if (rho_n_deg * rest_deg) % 2 else ONE
-        tail_choices = [({}, ONE)]
-        tail_letters = []
         # expand the interior scalar letters
         def expand():
             results = [((), ONE)]
@@ -774,21 +705,16 @@ class TransferReport:
         self.hh_target = hh_of_algebra(coev.r_alg, target_h)
         self.trace = GeneralizedTrace(coev, self.hh_end, self.hh_target)
         # v_*: HH(S) -> HH(End)
-        from .hoch import hh_algebra_induced_map
         v = v_map(s_alg, m, end_ainf=e_alg)
         v_flat = v if s_flat is s_alg else flatten_morphism(v, s_flat, e_flat)
         self.v_star = hh_algebra_induced_map(v_flat, self.hh_s, self.hh_end)
         self.composite = self.trace.map.compose(self.v_star)
 
     def chain_report(self) -> Report:
-        report = Report("explicit transfer chain certificate")
-        defect = (self.composite.compose(self.hh_s.d)
-                  - self.hh_target.d.compose(self.composite))
-        report.record("tr^c o v_* commutes with differentials",
-                      defect.is_zero(),
-                      None if defect.is_zero()
-                      else next(iter(defect.entries.items())))
-        return report
+        return _chain_report("explicit transfer chain certificate",
+                             "tr^c o v_* commutes with differentials",
+                             self.composite, self.hh_s.complex,
+                             self.hh_target.complex)
 
     def degree_zero_report(self, m: AInfBimodule) -> Report:
         """Thm-4.2.5 vs Thm-4.2.7 coherence: the Hochschild-degree-0 output
@@ -829,70 +755,49 @@ def closed_form_transfer(report: TransferReport, m: AInfBimodule) -> GradedMap:
     through the module structure maps and fed to tr_R^c as an
     endomorphism-valued tensor."""
     hh_s = report.hh_s
-    trace = report.trace
-    base = report.module.base
-    module = report.module
     entries = {}
     for label in hh_s.space.labels():
-        b, vm, xs = label
-        letters = (vm,) + xs
-        degs = [hh_s.bimodule.kmodule.gens.degree[vm]] + \
-            [hh_s.algebra.gens.degree[x] for x in xs]
-        n = len(xs)
+        letters, degs = _letters_and_degrees(hh_s, label)
         out = {}
-        # decompositions: the wrapping operator eats (tail block, x_0,
-        # head block); p - 1 interior operators eat positive blocks
-        for p in range(1, n + 2):
-            for n0 in range(0, n + 1):
-                for np_ in range(0, n - n0 + 1):
-                    interior = n - n0 - np_
-                    if interior < p - 1:
+        # rotated = (x_{n-np_+1}, .., x_n, x_0, x_1, .., x_{n-np_}): the
+        # wrapping operator eats the tail block, x_0 and n0 head letters;
+        # the interior letters split into blocks for the other operators
+        for np_, rotated, parity in cyclic_rotations(letters, degs):
+            for n0 in range(0, len(letters) - np_):
+                wrap = _block_operator(report, m, rotated[:np_ + 1 + n0])
+                if wrap is None:
+                    continue
+                interior = rotated[np_ + 1 + n0:]
+                for comp in (compositions(len(interior)) if interior else [()]):
+                    ops = [wrap]
+                    offset = 0
+                    for size in comp:
+                        ops.append(_block_operator(
+                            report, m, interior[offset:offset + size]))
+                        offset += size
+                    if any(op is None for op in ops):
                         continue
-                    for comp in (compositions(interior, p - 1)
-                                 if p > 1 else ([()] if interior == 0 else [])):
-                        # positions: wrap block = letters[n-np_+1..n, 0, 1..n0]
-                        idx_wrap = (list(range(n - np_ + 1, n + 1))
-                                    + [0] + list(range(1, n0 + 1)))
-                        tail = sum(degs[k] for k in range(n - np_ + 1, n + 1))
-                        head = sum(degs[k] for k in range(0, n - np_ + 1))
-                        eps_sign = -ONE if (tail * head) % 2 else ONE
-                        offset = n0 + 1
-                        idx_blocks = []
-                        ok = True
-                        for size in comp:
-                            idx_blocks.append(list(range(offset, offset + size)))
-                            offset += size
-                        if offset != n - np_ + 1:
-                            continue
-                        ops = [_block_operator(report, m, letters, degs,
-                                               idx_wrap, wrap=True)]
-                        for idx in idx_blocks:
-                            ops.append(_block_operator(report, m, letters,
-                                                       degs, idx, wrap=False))
-                        if any(op is None for op in ops):
-                            continue
-                        _accumulate_closed(report, trace, out, ops, eps_sign)
+                    _accumulate_closed(report, out, ops, -1 if parity else 1)
         if out:
             entries[label] = out
     return GradedMap(hh_s.space, report.hh_target.space, 0, entries)
 
 
-def _block_operator(report, m, letters, degs, idx, wrap):
+def _block_operator(report, m, block):
     """The End-valued element s mu^M(block letters (x) -) as a kvec over
     the (flat) End generators, or None when zero."""
     base = report.module.base
     module = report.module
     out = {}
-    pairs = tuple(_letter_to_pair(report.hh_s.algebra, m.left, letters[k])
-                  for k in idx)
+    pairs = tuple(_letter_to_pair(report.hh_s.algebra, m.left, x) for x in block)
     for v in module.gens.labels():
-        value = m.eval(len(idx), 0, pairs + ((base.unit, v),))
+        value = m.eval(len(block), 0, pairs + ((base.unit, v),))
         for (r, w), c in value.items():
             vec_add(out, {(r, hom_label(v, w)): c})
     return out or None
 
 
-def _accumulate_closed(report, trace, out, ops, eps_sign):
+def _accumulate_closed(report, out, ops, eps_sign):
     """Feed the End-valued tensor (op_0, .., op_{p-1}) to tr^c."""
     base = report.module.base
     choices = [list(op.items()) for op in ops]
@@ -907,7 +812,7 @@ def _accumulate_closed(report, trace, out, ops, eps_sign):
             else:
                 flat_letters.append(pair)
         label = ("1", flat_letters[0], tuple(flat_letters[1:]))
-        col = trace.map.column(label)
+        col = report.trace.map.column(label)
         for lbl2, c2 in col.items():
             vec_add(out, {lbl2: coeff * c2})
 
@@ -932,7 +837,6 @@ def tr0_tr1_evaluate(hh: HochschildComplex, s_alg: AInfAlgebra, action):
     with the strictly diagonal pairing of tensor words (the action data
     must be supplied in the same convention).
     """
-    base = s_alg.base
     tr0 = corollary_tr(hh, s_alg)
     unit = s_alg.unit
     e_basis = [v for v in s_alg.gens.labels() if v != unit]
@@ -940,19 +844,11 @@ def tr0_tr1_evaluate(hh: HochschildComplex, s_alg: AInfAlgebra, action):
     phi = action.get("phi", {})
     tr1 = {}
     for label in hh.space.labels():
-        b, vm, xs = label
-        letters = (vm,) + xs
-        degs = [hh.bimodule.kmodule.gens.degree[vm]] + \
-            [hh.algebra.gens.degree[x] for x in xs]
-        n1 = len(letters)
+        letters, degs = _letters_and_degrees(hh, label)
         for theta, assignments in phi.items():
             td = theta_deg.get(theta, 0)
             total = ZERO
-            for j in range(n1):
-                tail = sum(degs[:j])
-                head = sum(degs[j:])
-                eps = tail * head
-                rotated = letters[j:] + letters[:j]
+            for _j, rotated, eps in cyclic_rotations(letters, degs):
                 for e_i in e_basis:
                     sign_exp = eps + 1 + td * s_alg.gens.degree[e_i]
                     sign = -ONE if sign_exp % 2 else ONE

@@ -16,7 +16,7 @@ basis elements.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .ainf import AInfAlgebra
 from .cdga import BaseCDGA
@@ -226,7 +226,7 @@ def free_multilinear_algebra(n) -> AInfAlgebra:
     letters = tuple(range(1, n + 1))
     all_trees = []
     for size in range(1, n + 1):
-        for support in _subsets(letters, size):
+        for support in combinations(letters, size):
             all_trees.extend(multilinear_trees(support))
     gens = GradedSpace(((t, tree_degree(t)) for t in all_trees))
     mu = {}
@@ -246,12 +246,6 @@ def free_multilinear_algebra(n) -> AInfAlgebra:
         if table:
             mu[k] = table
     return AInfAlgebra(base, gens, mu, n_max=n, cinfty=True)
-
-
-def _subsets(items, size):
-    from itertools import combinations
-    for c in combinations(items, size):
-        yield c
 
 
 def _disjoint_tuples(trees, k, universe):
@@ -319,9 +313,8 @@ def gc1_homology(n, characters=False):
 
 def _conjugacy_representatives(n):
     """One permutation per cycle type (as one-line tuples, 1-based)."""
-    from itertools import permutations as perms
     reps = {}
-    for p in perms(range(1, n + 1)):
+    for p in permutations(range(1, n + 1)):
         # cycle type
         seen = set()
         lengths = []

@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from hochtrace.ainf import (
     AInfAlgebra,
     AInfMorphism,
@@ -14,15 +12,12 @@ from hochtrace.ainf import (
     compose_morphisms,
     eta_morphism,
     from_dga,
-    morphism_defect,
     to_rational_algebra,
     unit_algebra,
 )
-from hochtrace.cdga import BaseCDGA, cdga_as_kalgebra, base_as_algebra
+from hochtrace.cdga import BaseCDGA
 from hochtrace.fixtures import (
     broken_associativity_algebra,
-    cp2_cohomology,
-    dual_numbers,
     fixture_algebra,
     mu3_algebra,
     noncommutative_dga,

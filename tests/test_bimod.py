@@ -1,10 +1,9 @@
 import random
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from hochtrace.ainf import AInfMorphism, check_morphism, from_dga, unit_algebra
+from hochtrace.ainf import AInfMorphism, check_morphism, unit_algebra
 from hochtrace.bimod import (
     AInfBimodule,
     BimoduleMap,
@@ -15,11 +14,9 @@ from hochtrace.bimod import (
     check_symmetric,
     check_symmetric_map,
     compose_bimodule_maps,
-    contraction_h,
     cyclic_in_shuffle_span,
     diagonal_bimodule,
     dual_module,
-    end_algebra,
     hom_k,
     homotopy_identity_report,
     iota_map,
@@ -33,7 +30,7 @@ from hochtrace.bimod import (
     v_map,
 )
 from hochtrace.cdga import FreeKModule
-from hochtrace.fixtures import fixture_algebra, mu3_algebra, noncommutative_dga
+from hochtrace.fixtures import fixture_algebra, mu3_algebra
 from hochtrace.grdlin import ONE, GradedSpace, is_quasi_iso_window
 
 
@@ -239,6 +236,21 @@ def test_pi_iota_mu3():
     composite = compose_bimodule_maps(pi, iota_map(alg, m, 3, target=tensor))
     assert composite.components == BimoduleMap.identity(m).components
     assert homotopy_identity_report(alg, m, 3).ok
+
+
+def test_composing_with_identity_keeps_an_odd_map():
+    # pi has degree 1 and a nonzero pi_{1,0} on the odd letter a; moving the
+    # inner identity (degree 0) past a carries no sign
+    alg = mu3_algebra()
+    m = left_module_from_algebra(alg)
+    tensor = bar_resolution_module(alg, m, 3)
+    pi = pi_map(alg, m, 3, source=tensor)
+    assert pi.components[(1, 0)]
+    for composite in (compose_bimodule_maps(pi, BimoduleMap.identity(tensor)),
+                      compose_bimodule_maps(BimoduleMap.identity(m), pi)):
+        assert composite.degree == 1
+        assert composite.components == pi.components
+        assert check_bimodule_map(composite, 2).ok
 
 
 def test_nu_map():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hochtrace.grdlin import (
     Complex,
@@ -9,6 +11,7 @@ from hochtrace.grdlin import (
     GradedSpace,
     HomologyBasis,
     SignedPermutation,
+    cyclic_rotations,
     dense_rank,
     enumerate_shuffles,
     homology_window,
@@ -38,6 +41,20 @@ def test_koszul_sign_cycle():
     # factor (degree 1) passes degrees 1 and 2: sign (-1)^(1*1) * (-1)^(1*2) = -1
     t3 = SignedPermutation.rotation(3)
     assert koszul_sign(t3, [1, 2, 1]) == -1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=7))
+def test_cyclic_rotations_match_the_rotation_permutation(degrees):
+    n = len(degrees)
+    items = tuple(f"x{i}" for i in range(n))
+    power = SignedPermutation.identity(n)
+    rotations = list(cyclic_rotations(items, degrees))
+    assert [l for l, _, _ in rotations] == list(range(n))
+    for l, rotated, parity in rotations:
+        assert rotated == power.apply_to(items)
+        assert (-1) ** parity == koszul_sign(power, degrees)
+        power = SignedPermutation.rotation(n).compose(power)
 
 
 def test_koszul_multiplicative():

@@ -1,13 +1,8 @@
-from fractions import Fraction
-
-import pytest
-
 from hochtrace.ainf import unit_algebra
 from hochtrace.bimod import (
     diagonal_bimodule,
     left_module_from_algebra,
     tensor_inf,
-    trivial_module,
 )
 from hochtrace.cdga import BaseCDGA
 from hochtrace.fixtures import fixture_algebra, mu3_algebra
@@ -19,9 +14,7 @@ from hochtrace.grdlin import (
     is_quasi_iso_window,
 )
 from hochtrace.hoch import (
-    ConnesComplex,
     DegeneratePiece,
-    HochschildComplex,
     filtration_report,
     hc_complex,
     hh_complex,

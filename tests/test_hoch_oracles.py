@@ -1,7 +1,7 @@
 import random
 
 from hochtrace.ainf import AInfMorphism, check_morphism, from_dga
-from hochtrace.bimod import diagonal_bimodule
+from hochtrace.bimod import diagonal_bimodule, left_module_from_algebra, v_map
 from hochtrace.cdga import BaseCDGA, base_as_algebra, cdga_as_kalgebra
 from hochtrace.fixtures import (
     dual_numbers,
@@ -34,6 +34,7 @@ from hochtrace.hoch import (
     hh_of_algebra,
     rotation_to_bar_hc,
 )
+from hochtrace.transfer import end_algebra_over_base
 
 
 def test_bar_construction_point():
@@ -90,6 +91,17 @@ def test_induced_map_identity_and_functoriality():
     hh = hh_of_algebra(alg, 3)
     ident = AInfMorphism.identity(alg)
     assert hh_algebra_induced_map(ident, hh, hh) == GradedMap.identity(hh.space)
+
+
+def test_induced_map_of_the_action_map_mu3():
+    # v: R -> End(R) for mu3 has v_2 on the odd letter a, so the Koszul sign
+    # of the rotated letters that v_2 eats decides whether v_* is a chain map
+    alg = mu3_algebra()
+    end = end_algebra_over_base(alg.module)
+    v = v_map(alg, left_module_from_algebra(alg), end_ainf=end)
+    source, target = hh_of_algebra(alg, 2), hh_of_algebra(end, 2)
+    induced = hh_algebra_induced_map(v, source, target)
+    assert is_chain_map(induced, source.complex, target.complex)
 
 
 def test_induced_map_quasi_iso():

@@ -1,0 +1,50 @@
+"""Source hygiene of src/hochtrace, checked with the standard-library ast:
+no unused import and no bare ``assert`` (checks raise typed errors)."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "hochtrace").glob("*.py"))
+
+
+def _imported_names(tree):
+    """(bound name, line) for every import except ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, line) for name, line in _imported_names(tree) if name not in used]
+
+
+def bare_asserts(source):
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_the_scan_sees_the_sources():
+    assert {p.name for p in SOURCES} >= {"grdlin.py", "hoch.py", "transfer.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_bare_assert(path):
+    assert bare_asserts(path.read_text()) == []
+
+
+def test_the_checks_fire():
+    source = "from itertools import product, permutations\nassert product\n"
+    assert unused_imports(source) == [("permutations", 1)]
+    assert bare_asserts(source) == [2]

@@ -5,8 +5,8 @@ import pytest
 
 from hochtrace.bimod import left_module_from_algebra
 from hochtrace.cdga import BaseCDGA, FreeKModule
-from hochtrace.fixtures import dual_numbers, fixture_algebra, mu3_algebra, sphere_cohomology
-from hochtrace.grdlin import GradedSpace, ONE, homology_window
+from hochtrace.fixtures import dual_numbers, fixture_algebra, mu3_algebra
+from hochtrace.grdlin import GradedMap, GradedSpace, ONE, homology_window
 from hochtrace.hoch import hh_of_algebra
 from hochtrace.transfer import (
     DualityData,
@@ -86,6 +86,19 @@ def test_tr_degree0_chain_certificate_mu3():
     tr = tr_degree0(hh, m, alg.module)
     assert trace_chain_report("tr0", tr, hh, alg.base).ok
     assert cyclic_factorization_report("tr0", tr, hh).ok
+
+
+def test_cyclic_factorization_needs_the_koszul_sign():
+    # t(1 | x | x) = (1 | x | x) with the odd letter x passing the odd x:
+    # the map is t-invariant only without the Koszul sign, so it must fail
+    alg = fixture_algebra("s2")
+    hh = hh_of_algebra(alg, 2)
+    label = ("1", "x", ("x",))
+    target = GradedSpace([("1", hh.space.degree[label])])
+    tr = GradedMap(hh.space, target, 0, {label: {"1": 1}})
+    report = cyclic_factorization_report("unsigned", tr, hh)
+    assert not report.ok
+    assert report.first_failure[1][0] == label
 
 
 def test_becker_gottlieb_values():
