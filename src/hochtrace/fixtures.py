@@ -55,6 +55,13 @@ def exterior_odd(degree=1) -> BaseCDGA:
     return _cdga([("1", 0), ("x", degree)], {("x", "x"): {}})
 
 
+def sphere3_with_differential() -> BaseCDGA:
+    """Q[x]/(x^2) (x) Lambda(y) with |x| = 2, |y| = 1 and dy = x: a base
+    cdga with d != 0 whose cohomology is H^*(S^3), spanned by 1 and xy."""
+    return _cdga([("1", 0), ("x", 2), ("y", 1), ("xy", 3)],
+                 {("x", "y"): {"xy": 1}}, diff={"y": {"x": ONE}})
+
+
 def fixture_cdga(name: str) -> BaseCDGA:
     table = {
         "s2": lambda: sphere_cohomology(2),

@@ -456,7 +456,7 @@ def becker_gottlieb_report(s_alg: AInfAlgebra) -> Report:
     base = s_alg.base
     lhs = base.d.compose(bg)
     rhs = bg.compose(s_alg.module.d)
-    ok = lhs == rhs.scale(-ONE) or lhs == rhs
+    ok = lhs == rhs.scale(-ONE)
     report.record("commutes with differentials (up to the shift sign)", ok,
                   None if ok else (lhs.entries, rhs.entries))
     return report
@@ -528,6 +528,15 @@ class GeneralizedTrace:
     their right, the last one wrapping to the front word with a Koszul
     transport.  An all-empty configuration lands in Hochschild degree 0
     as the ordered product of the scalars.
+
+    A fold depends only on the c-term before it, the End letter and the
+    c-term after it, so every fold is computed once, into a table
+    ``letter -> [c-term j][c-term k] -> rho`` over the End generators.
+    The assignments of a label are enumerated depth first in
+    ``itertools.product`` order, descending only through nonzero folds;
+    the c-term coefficients, the block-move sign and ``_assemble`` are
+    applied to the live assignments alone, in the order the full product
+    would have reached them.
     """
 
     def __init__(self, coev: DerivedCoevaluation, hh_end: HochschildComplex,
@@ -538,11 +547,22 @@ class GeneralizedTrace:
         self.base = coev.base
         self.module = coev.module
         self.r_alg = coev.r_alg
+        self._cterms = list(coev.terms())
+        self._folds = {
+            letter: [[self._fold(phi, letter, m) for m, _ys, _phi, _c in self._cterms]
+                     for _m, _ys, phi, _c in self._cterms]
+            for letter in hh_end.algebra.gens.labels()}
         entries = {}
         for label in hh_end.space.labels():
             col = self._evaluate(label)
             if col:
                 entries[label] = col
+        for col in entries.values():
+            for out_label in col:
+                if out_label not in hh_target.space:
+                    raise ValueError(
+                        f"output label {out_label!r} lies outside the target window "
+                        f"h={hh_target.h_max}; it needs target_h >= {len(out_label[2])}")
         self.map = GradedMap(hh_end.space, hh_target.space, 0, entries)
 
     def chain_report(self) -> Report:
@@ -552,66 +572,53 @@ class GeneralizedTrace:
 
     # -- internals ---------------------------------------------------------
 
-    def _as_end_pair(self, letter):
-        if isinstance(letter, tuple) and len(letter) == 2:
-            return letter        # flat pair (r, hom(..))
-        return (self.base.unit, letter)
-
-    def _flat_pair_deg(self, pair):
-        r, v = pair
-        return self.base.degree(r) + self.module.gens.degree[v]
+    def _fold(self, phi, letter, m) -> dict:
+        """The group (phi, letter, m) folded to the R-scalar
+        (-1)^{|phi|} phi(letter(m)); {} when it vanishes.  The fold sign is
+        calibrated by the chain certificate and the degree-0 anchors, and
+        discriminated on a twisted-differential module."""
+        base, module = self.base, self.module
+        end_pair = (letter if isinstance(letter, tuple) and len(letter) == 2
+                    else (base.unit, letter))    # flat pair (r, hom(..))
+        phi_deg = base.degree(phi[0]) - module.gens.degree[phi[1][1]]
+        fsign = -ONE if phi_deg % 2 else ONE
+        rho = {}
+        for m2, c2 in _apply_end(base, module, end_pair, m).items():
+            for r4, c4 in _apply_dual(base, module, phi, m2).items():
+                vec_add(rho, {r4: fsign * c2 * c4})
+        return rho
 
     def _evaluate(self, label) -> dict:
-        base = self.base
-        module = self.module
         letters, adegs = _letters_and_degrees(self.hh_end, label)
         n1 = len(letters)
-        cterms = list(self.coev.terms())
+        cterms = self._cterms
+        # folds[i] joins slot i to slot i + 1 (mod n1) through letter i + 1
+        folds = [self._folds[x] for x in letters[1:] + letters[:1]]
         total_deg = sum(adegs)
         out = {}
-        for assignment in product(range(len(cterms)), repeat=n1):
-            coeff = ONE
-            for i in range(n1):
-                coeff *= cterms[assignment[i]][3]
-            if not coeff:
-                continue
-            # regroup: (alpha_0, m_0) moves to the back (c-terms are degree 0)
-            m0 = cterms[assignment[0]][0]
-            m0_deg = self._flat_pair_deg(m0)
-            block = (adegs[0] + m0_deg) % 2
-            rest = (total_deg - adegs[0] - m0_deg) % 2
-            if block and rest:
-                coeff = -coeff
-            # fold each group (phi_i, alpha_{i+1}, m_{i+1}) to a shifted
-            # letter s(rho_i); each fold carries the sign (-1)^{|phi_i|}
-            # (calibrated by the chain certificate and the degree-0 anchors,
-            # discriminated on a twisted-differential module)
-            words = []
-            rhos = []
-            dead = False
-            for i in range(n1):
-                ys_i = cterms[assignment[i]][1]
-                vphi_i = cterms[assignment[i]][2]
-                alpha_next = letters[(i + 1) % n1]
-                m_next = cterms[assignment[(i + 1) % n1]][0]
-                phi_deg = (base.degree(vphi_i[0])
-                           - module.gens.degree[vphi_i[1][1]])
-                fsign = -ONE if phi_deg % 2 else ONE
-                inner = _apply_end(base, module,
-                                   self._as_end_pair(alpha_next), m_next)
-                rho = {}
-                for m2, c2 in inner.items():
-                    for r4, c4 in _apply_dual(base, module, vphi_i, m2).items():
-                        vec_add(rho, {r4: fsign * c2 * c4})
+
+        def descend(path, rhos, coeff):
+            last = path[-1]
+            if len(path) == n1:
+                rho = folds[-1][last][path[0]]
                 if not rho:
-                    dead = True
-                    break
-                words.append(tuple(ys_i))
-                rhos.append(rho)
-            if dead:
-                continue
-            for lbl2, c2 in self._assemble(words, rhos).items():
-                vec_add(out, {lbl2: coeff * c2})
+                    return
+                # (alpha_0, m_0) moves to the back (c-terms are degree 0)
+                r0, v0 = cterms[path[0]][0]
+                block = adegs[0] + self.base.degree(r0) + self.module.gens.degree[v0]
+                if block % 2 and (total_deg - block) % 2:
+                    coeff = -coeff
+                words = [tuple(cterms[k][1]) for k in path]
+                for lbl2, c2 in self._assemble(words, rhos + [rho]).items():
+                    vec_add(out, {lbl2: coeff * c2})
+                return
+            fold = folds[len(path) - 1][last]
+            for k, rho in enumerate(fold):
+                if rho:
+                    descend(path + (k,), rhos + [rho], coeff * cterms[k][3])
+
+        for k, term in enumerate(cterms):
+            descend((k,), [], term[3])
         return out
 
     def _assemble(self, words, rhos) -> dict:
@@ -651,15 +658,24 @@ class GeneralizedTrace:
         return f"GeneralizedTrace(dim_source={self.hh_end.space.dim})"
 
 
+def _output_tail_bound(coev: DerivedCoevaluation, h_max) -> int:
+    """The longest output tail of tr_R^c on Hochschild degrees <= h_max:
+    h_max interior scalar letters between h_max + 1 c-term bar words."""
+    longest = max((len(ys) for _m, ys, _phi, _c in coev.terms()), default=0)
+    return h_max + (h_max + 1) * longest
+
+
 def generalized_trace(coev: DerivedCoevaluation, h_max,
                       target_h=None) -> GeneralizedTrace:
-    """Materialize tr_R^c with its source HH_Q(End_R(M))."""
+    """Materialize tr_R^c with its source HH_Q(End_R(M)).  The default
+    target window holds every output tail; an explicit ``target_h`` that
+    is too small raises ValueError naming an output label outside it."""
     module = coev.module
     e_alg = end_algebra_over_base(module)
     e_flat = to_rational_algebra(e_alg) if not coev.base.is_rational else e_alg
     hh_end = hh_of_algebra(e_flat, h_max)
     target_h = target_h if target_h is not None else max(
-        h_max * max(coev.b_max, 1), h_max)
+        h_max * max(coev.b_max, 1), _output_tail_bound(coev, h_max))
     hh_target = hh_of_algebra(coev.r_alg, target_h)
     return GeneralizedTrace(coev, hh_end, hh_target)
 
@@ -700,8 +716,8 @@ class TransferReport:
         e_alg = end_algebra_over_base(module)
         e_flat = e_alg if base.is_rational else to_rational_algebra(e_alg)
         self.hh_end = hh_of_algebra(e_flat, h_max)
-        target_h = target_h if target_h is not None else (
-            h_max * max(coev.b_max, 1) + 2)
+        target_h = target_h if target_h is not None else max(
+            h_max * max(coev.b_max, 1) + 2, _output_tail_bound(coev, h_max))
         self.hh_target = hh_of_algebra(coev.r_alg, target_h)
         self.trace = GeneralizedTrace(coev, self.hh_end, self.hh_target)
         # v_*: HH(S) -> HH(End)

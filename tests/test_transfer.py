@@ -1,11 +1,18 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from hochtrace.ainf import from_dga, unit_algebra
 from hochtrace.bimod import left_module_from_algebra
-from hochtrace.cdga import BaseCDGA, FreeKModule
-from hochtrace.fixtures import dual_numbers, fixture_algebra, mu3_algebra
+from hochtrace.cdga import BaseCDGA, FreeKModule, cdga_as_kalgebra
+from hochtrace.fixtures import (
+    dual_numbers,
+    fixture_algebra,
+    mu3_algebra,
+    sphere3_with_differential,
+)
 from hochtrace.grdlin import GradedMap, GradedSpace, ONE, homology_window
 from hochtrace.hoch import hh_of_algebra
 from hochtrace.transfer import (
@@ -112,6 +119,26 @@ def test_becker_gottlieb_values():
     assert not becker_gottlieb(alg).column(("1", "x"))
 
 
+def test_becker_gottlieb_sign_on_a_base_with_differential(monkeypatch):
+    # dy = x makes both sides nonzero: d_R o bg = -(bg o d_sS), not +
+    alg = unit_algebra(sphere3_with_differential())
+    assert becker_gottlieb_report(alg).ok
+    bg = becker_gottlieb(alg)
+    assert alg.base.d.compose(bg).entries == {("y", "1"): {"x": -1}}
+    assert bg.compose(alg.module.d).entries == {("y", "1"): {"x": 1}}
+    # the same algebra presented with the opposite sign of d_sS must fail
+    monkeypatch.setattr(alg.module, "d", alg.module.d.scale(-ONE))
+    assert not becker_gottlieb_report(alg).ok
+
+
+def test_base_with_differential_has_the_hh_of_s3():
+    hh = hh_of_algebra(from_dga(cdga_as_kalgebra(sphere3_with_differential())), 4)
+    hs3 = hh_of_algebra(fixture_algebra("s3"), 4)
+    degrees = hh.space.degrees() + hs3.space.degrees()
+    lo, hi = min(degrees), max(degrees)
+    assert homology_window(hh.complex, lo, hi) == homology_window(hs3.complex, lo, hi)
+
+
 def test_assembly_projection():
     alg = fixture_algebra("s2")
     hh = hh_of_algebra(alg, 3)
@@ -134,11 +161,17 @@ def test_derived_coev_trivial_differentials():
     assert len(terms) == 2
 
 
-def test_derived_coev_twisted():
-    # over the dual numbers with d(u) = x w the coevaluation needs bar terms
+def _twisted_dual_numbers_module():
+    # over the dual numbers with d(u) = x w: the c-terms carry the bar
+    # letter ("x",) and a -1 coefficient
     R = dual_numbers()
-    M = FreeKModule(R, GradedSpace([("u", 0), ("w", 1)]),
-                    {"u": {("x", "w"): ONE}})
+    return R, FreeKModule(R, GradedSpace([("u", 0), ("w", 1)]),
+                          {"u": {("x", "w"): ONE}})
+
+
+def test_derived_coev_twisted():
+    # the coevaluation over the dual numbers needs bar terms
+    R, M = _twisted_dual_numbers_module()
     coev = find_derived_coev(R, M, b_max=2)
     assert any(ys for (_m, ys, _p, _c) in coev.terms())
 
@@ -162,6 +195,67 @@ def test_generalized_trace_twisted_module():
     coev = find_derived_coev(q, m, b_max=3)
     gt = generalized_trace(coev, 2)
     assert gt.chain_report().ok
+
+
+def entries_digest(entries):
+    """Hash of a map's columns: labels sorted by repr, coefficients written
+    as numerator/denominator, so 1 and Fraction(1) hash the same."""
+    h = hashlib.sha256()
+    for src in sorted(entries, key=repr):
+        h.update(repr(src).encode() + b":")
+        col = entries[src]
+        for tgt in sorted(col, key=repr):
+            c = col[tgt]
+            h.update(f"{tgt!r}={c.numerator}/{c.denominator};".encode())
+        h.update(b"\n")
+    return h.hexdigest()[:16]
+
+
+def _trace_s2():
+    alg = fixture_algebra("s2")
+    coev = find_derived_coev(BaseCDGA.rationals(), alg.module, b_max=2)
+    return generalized_trace(coev, 2).map
+
+
+def _trace_twisted_over_q():
+    q = BaseCDGA.rationals()
+    m = FreeKModule(q, GradedSpace([("u", 0), ("w", 1)]), {"u": {("1", "w"): ONE}})
+    return generalized_trace(find_derived_coev(q, m, b_max=3), 2).map
+
+
+def _trace_mu3_transfer():
+    alg = mu3_algebra()
+    m = left_module_from_algebra(alg)
+    coev = find_derived_coev(BaseCDGA.rationals(), alg.module, b_max=2)
+    return transfer_explicit(alg, m, alg.module, coev, 2).trace.map
+
+
+def _trace_dual_numbers():
+    R, M = _twisted_dual_numbers_module()
+    gt = generalized_trace(find_derived_coev(R, M, b_max=2), 2, target_h=5)
+    assert gt.chain_report().ok
+    return gt.map
+
+
+# (number of nonzero columns, entries_digest) of GeneralizedTrace.map
+@pytest.mark.parametrize("build, columns, pinned", [
+    (_trace_s2, 14, "40e0cdd79bff142f"),
+    (_trace_twisted_over_q, 14, "1e81febaa861036c"),
+    (_trace_mu3_transfer, 39, "0aaca200a7d8662f"),
+    (_trace_dual_numbers, 258, "4f15fec0b8eef014"),
+], ids=["s2", "twisted_over_q", "mu3_transfer", "dual_numbers"])
+def test_generalized_trace_pinned(build, columns, pinned):
+    entries = build().entries
+    assert (len(entries), entries_digest(entries)) == (columns, pinned)
+
+
+def test_generalized_trace_window_holds_bar_letters():
+    # tails reach h + (h + 1) * max|ys| = 3 letters at h = 1
+    R, M = _twisted_dual_numbers_module()
+    coev = find_derived_coev(R, M, b_max=2)
+    assert generalized_trace(coev, 1).chain_report().ok
+    with pytest.raises(ValueError, match=r"\('1', '1', \('x', '1', 'x'\)\).*target_h >= 3"):
+        generalized_trace(coev, 1, target_h=2)
 
 
 def test_explicit_transfer_consistency():
