@@ -148,38 +148,30 @@ def check_unital(alg: AInfAlgebra) -> Report:
     one = (base_unit, alg.unit)
     report.record("s1 is a cocycle", not alg.eval_mu((one,)),
                   alg.eval_mu((one,)) or None)
-    left_ok, right_ok, witness_l, witness_r = True, True, None, None
-    for v in alg.gens.labels():
+
+    def left_defect(v):
         pv = (base_unit, v)
-        got = alg.eval_mu((one, pv))
-        if got != {pv: ONE}:
-            left_ok, witness_l = False, (v, got)
-            break
-    for v in alg.gens.labels():
+        return vec_add(alg.eval_mu((one, pv)), {pv: -1})
+
+    def right_defect(v):
+        # want (-1)^{|a|} sa, with |a| = |sa| + 1 the unshifted degree
         pv = (base_unit, v)
-        got = alg.eval_mu((pv, one))
-        unshifted = alg.gens.degree[v] + 1
-        want = kvec_scale({pv: ONE}, -ONE if unshifted % 2 else ONE)
-        if got != want:
-            right_ok, witness_r = False, (v, got)
-            break
-    report.record("mu_2(s1 (x) sa) = sa", left_ok, witness_l)
-    report.record("mu_2(sa (x) s1) = (-1)^{|a|} sa", right_ok, witness_r)
-    higher_ok, witness_h = True, None
-    for n in sorted(alg.mu):
-        if n < 3:
-            continue
-        for vs in alg.gen_tuples(n):
-            if alg.unit not in vs:
-                continue
-            got = alg.eval_mu(tuple((base_unit, v) for v in vs))
-            if got:
-                higher_ok, witness_h = False, (n, vs, got)
-                break
-        if not higher_ok:
-            break
-    report.record("mu_{n>=3} vanish on s1 slots", higher_ok, witness_h)
+        want = -1 if (alg.gens.degree[v] + 1) % 2 else 1
+        return vec_add(alg.eval_mu((pv, one)), {pv: -want})
+
+    report.record_first_defect("mu_2(s1 (x) sa) = sa", alg.gens.labels(), left_defect)
+    report.record_first_defect("mu_2(sa (x) s1) = (-1)^{|a|} sa", alg.gens.labels(),
+                               right_defect)
+    report.record_first_defect(
+        "mu_{n>=3} vanish on s1 slots", _unit_slot_tuples(alg, alg.mu, 3),
+        lambda n_vs: alg.eval_mu(tuple((base_unit, v) for v in n_vs[1])))
     return report
+
+
+def _unit_slot_tuples(alg: AInfAlgebra, tables, lowest):
+    """(n, vs) for each arity n >= lowest of ``tables`` and n-tuple vs with an s1 slot."""
+    return ((n, vs) for n in sorted(tables) if n >= lowest
+            for vs in alg.gen_tuples(n) if alg.unit in vs)
 
 
 def check_cinfty(alg: AInfAlgebra, up_to) -> Report:
@@ -312,23 +304,12 @@ def check_unital_morphism(f: AInfMorphism) -> Report:
     if su is None or tu is None:
         report.record("units declared", False)
         return report
-    one = (f.source.base.unit, su)
+    base_unit = f.source.base.unit
     want = {(f.target.base.unit, tu): ONE}
-    report.record("f_1(s1) = s1", f.eval_f((one,)) == want)
-    ok, witness = True, None
-    for n in sorted(f.components):
-        if n < 2:
-            continue
-        for vs in f.source.gen_tuples(n):
-            if su not in vs:
-                continue
-            got = f.eval_f(tuple((f.source.base.unit, v) for v in vs))
-            if got:
-                ok, witness = False, (n, vs, got)
-                break
-        if not ok:
-            break
-    report.record("f_{n>=2} vanish on s1 slots", ok, witness)
+    report.record("f_1(s1) = s1", f.eval_f(((base_unit, su),)) == want)
+    report.record_first_defect(
+        "f_{n>=2} vanish on s1 slots", _unit_slot_tuples(f.source, f.components, 2),
+        lambda n_vs: f.eval_f(tuple((base_unit, v) for v in n_vs[1])))
     return report
 
 
@@ -359,11 +340,10 @@ def from_dga(dga: KAlgebra, n_max=None) -> AInfAlgebra:
     shifted = dga.gens.shifted(1)
     mu1 = {}
     for v, col in dga.module.d_gen.items():
-        mu1[(v,)] = kvec_scale(col, -ONE)
+        mu1[(v,)] = kvec_scale(col, -1)
     mu2 = {}
     for (x, y), col in dga.mult.items():
-        sign = -ONE if dga.gens.degree[x] % 2 else ONE
-        mu2[(x, y)] = kvec_scale(col, sign)
+        mu2[(x, y)] = kvec_scale(col, -1 if dga.gens.degree[x] % 2 else 1)
     n_max = n_max if n_max is not None else 3
     alg = AInfAlgebra(dga.base, shifted, {1: mu1, 2: mu2}, n_max,
                       unit=dga.unit_gen, cinfty=dga.is_graded_commutative())

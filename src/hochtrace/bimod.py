@@ -18,7 +18,15 @@ from functools import partial
 from itertools import permutations, product
 
 from .ainf import AInfAlgebra, AInfMorphism, compositions, from_dga
-from .cdga import BaseCDGA, FreeKModule, KAlgebra, eval_k_multilinear, kvec_scale
+from .cdga import (
+    BaseCDGA,
+    FreeKModule,
+    KAlgebra,
+    eval_k_multilinear,
+    insertions,
+    kvec_scale,
+    migration_parity,
+)
 from .grdlin import (
     ONE,
     GradedMap,
@@ -399,12 +407,9 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
         """
         vm, ys, vn = gen
         k = len(ys)
-        mid_pairs = (((base.unit, vm),)
-                     + tuple((base.unit, y) for y in ys)
-                     + ((base.unit, vn),))
-        degs = ([m.kmodule.gens.degree[vm]]
-                + [middle.gens.degree[y] for y in ys]
-                + [n.kmodule.gens.degree[vn]])
+        mid_pairs = tuple((base.unit, v) for v in (vm,) + ys + (vn,))
+        deg_m = m.kmodule.gens.degree[vm]
+        y_degs = [middle.gens.degree[y] for y in ys]
         out = {}
         if r == 0:
             # mu^M_{l,n1} (x) id^{(k-n1)+1}: window starts at the far left
@@ -414,24 +419,17 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
                 for (b2, vm2), c in value.items():
                     vec_add_term(out, (b2, (vm2, new_ys, vn)), c)
         if l == 0 and r == 0 and middle is not None:
-            # id^{1+n1} (x) mu^S_{n2} (x) id; moving mu past vm, y_1..y_n1
-            # and the coefficient b2 back past them
-            for n2 in range(1, k + 1):
-                for n1 in range(0, k - n2 + 1):
-                    left_deg = degs[0] + sum(degs[1:1 + n1])
-                    inner = middle.eval_mu(mid_pairs[1 + n1:1 + n1 + n2])
-                    for (b2, y2), c in inner.items():
-                        negate = (left_deg + base.degree(b2) * left_deg) % 2
-                        new_ys = ys[:n1] + (y2,) + ys[n1 + n2:]
-                        vec_add_term(out, (b2, (vm, new_ys, vn)), -c if negate else c)
+            # id^{1+n1} (x) mu^S_{n2} (x) id, moving past vm, y_1..y_n1
+            for _n1, new_ys, b2, c, parity in insertions(base, middle.eval_mu, 1, ys,
+                                                         y_degs, deg_m):
+                vec_add_term(out, (b2, (vm, new_ys, vn)), -c if parity else c)
         if l == 0:
-            # id^{1+n1} (x) mu^N_{n2,r}
+            # id^{1+n1} (x) mu^N_{n2,r}, moving past vm, y_1..y_n1
             for n1 in range(0, k + 1):
-                n2 = k - n1
-                left_deg = degs[0] + sum(degs[1:1 + n1])
-                value = n.eval(n2, r, mid_pairs[1 + n1:] + y_pairs_r)
+                left_deg = deg_m + sum(y_degs[:n1])
+                value = n.eval(k - n1, r, mid_pairs[1 + n1:] + y_pairs_r)
                 for (b2, vn2), c in value.items():
-                    negate = (left_deg + base.degree(b2) * left_deg) % 2
+                    negate = migration_parity(left_deg, 1, base.degree(b2))
                     vec_add_term(out, (b2, (vm, ys[:n1], vn2)), -c if negate else c)
         return out
 

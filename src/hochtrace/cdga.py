@@ -11,10 +11,16 @@ evaluation helpers here implement the coefficient collection
 
 with Koszul signs, plus the sign (-1)^{|f||b|} for moving an odd map
 past the collected coefficient.
+
+``insertions`` is the one insertion and coefficient-migration rule:
+every complex assembled from structure maps (Hochschild, bar, bar
+Connes, the infinity tensor product) applies id^r (x) f (x) id^t to a
+word of unit-coefficient generators through it, and ``migration_parity``
+is the one place its sign is computed.
 """
 from __future__ import annotations
 
-from .grdlin import Complex, GradedMap, GradedSpace, ONE, frac, vec_add
+from .grdlin import Complex, GradedMap, GradedSpace, ONE, vec_add
 
 Kvec = dict  # (k_basis_label, gen_label) -> Fraction
 
@@ -32,7 +38,7 @@ class BaseCDGA:
         self.unit = unit
         self.mult = {}
         for (a, b), col in mult.items():
-            col = {c: frac(x) for c, x in col.items() if x}
+            col = {c: x for c, x in col.items() if x}
             if col:
                 self.mult[(a, b)] = col
         self.complex = Complex(space, d, check=check)
@@ -173,6 +179,40 @@ def collect_coefficients(base: BaseCDGA, gen_degrees, pairs):
             bvec = new
         left += dv
     return (-1 if exponent % 2 else 1), bvec, tuple(vs)
+
+
+def migration_parity(prefix_degree, map_degree, coeff_degree):
+    """M (|f| + |c|) mod 2: the Koszul sign of moving a map f past a prefix
+    of degree M, then its output coefficient c back past that prefix."""
+    return prefix_degree * (map_degree + coeff_degree) % 2
+
+
+def insertions(base: BaseCDGA, f, map_degree, word, degrees, prefix_degree=0):
+    """id^r (x) f (x) id^t at every window word[r:r+s] (s >= 1) of a word of
+    generators that all carry the unit coefficient.
+
+    ``f`` takes the window as a tuple of (base.unit, v) pairs and returns a
+    kvec (falsy where it does not act); ``degrees`` are the |v|, and
+    ``prefix_degree`` the degree of what stands before the word.  Yields
+    (r, word[:r] + (y,) + word[r+s:], c, coeff, parity) for each entry
+    (c, y): coeff of f's value, with migration_parity at M = prefix_degree
+    + |word[:r]|.  The caller multiplies the coefficient c into its own.
+    """
+    pairs = tuple([(base.unit, v) for v in word])
+    coeff_degree = base.space.degree
+    prefix = [prefix_degree]
+    for d in degrees:
+        prefix.append(prefix[-1] + d)
+    n = len(word)
+    for s in range(1, n + 1):
+        for r in range(n - s + 1):
+            value = f(pairs[r:r + s])
+            if value:
+                m = prefix[r]
+                head, tail = word[:r], word[r + s:]
+                for (c, y), coeff in value.items():
+                    yield (r, head + (y,) + tail, c, coeff,
+                           migration_parity(m, map_degree, coeff_degree[c]))
 
 
 def eval_k_multilinear(base: BaseCDGA, table, map_degree, pairs, gen_degrees) -> Kvec:

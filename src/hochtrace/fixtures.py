@@ -135,6 +135,20 @@ def noncommutative_dga() -> KAlgebra:
     return KAlgebra(base, gens, mult, "1")
 
 
+def odd_coefficient_dga() -> KAlgebra:
+    """A dga over Lambda(x), |x| = 1, whose one non-unit product e f = x g
+    has an odd base coefficient: generators 1, e, f (degree 0) and g
+    (degree -1).  Assembling a complex from it moves x back past a prefix,
+    so it discriminates the coefficient-migration sign."""
+    base = exterior_odd(1)
+    gens = GradedSpace([("1", 0), ("e", 0), ("f", 0), ("g", -1)])
+    mult = {}
+    for v in gens.labels():
+        mult[("1", v)] = mult[(v, "1")] = {("1", v): ONE}
+    mult[("e", "f")] = {("x", "g"): ONE}
+    return KAlgebra(base, gens, mult, "1")
+
+
 def upper_triangular_dga() -> KAlgebra:
     """2x2 upper triangular matrices over Q, degree 0, zero differential."""
     base = BaseCDGA.rationals()

@@ -5,7 +5,9 @@ cochain complexes (differentials of degree +1, d*d = 0 asserted on
 construction), Koszul signs for permutations of graded tensor factors,
 and windowed homology by exact Gaussian elimination that keeps integral
 coefficients as int and builds a Fraction only to divide by a pivot
-other than +-1.
+other than +-1.  ``GradedMap`` keeps coefficients as given (int or
+Fraction), so integral input stays int through composition and the d^2
+and chain-map checks.
 
 ``cyclic_rotations`` is the one implementation of the cyclic Koszul
 rotation and its sign: every Hochschild, Connes, trace and symmetry
@@ -21,10 +23,6 @@ from fractions import Fraction
 from itertools import combinations
 
 ONE = Fraction(1)
-
-
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class GradedSpace:
@@ -129,8 +127,9 @@ def vec_scale(vec: dict, coeff) -> dict:
 class GradedMap:
     """A degree-homogeneous linear map given by sparse columns.
 
-    ``entries[src_label]`` is a dict target_label -> Fraction.  Every
-    entry must raise degrees by exactly ``degree``.
+    ``entries[src_label]`` is a dict target_label -> coefficient (int or
+    Fraction, kept as given; zeros are dropped).  Every entry must raise
+    degrees by exactly ``degree``.
     """
 
     __slots__ = ("source", "target", "degree", "entries")
@@ -140,7 +139,7 @@ class GradedMap:
         self.target = target
         self.degree = int(degree)
         self.entries = {
-            v: {w: frac(c) for w, c in col.items() if c}
+            v: {w: c for w, c in col.items() if c}
             for v, col in entries.items()
             if any(col.values())
         }
@@ -194,13 +193,12 @@ class GradedMap:
         return GradedMap(self.source, self.target, self.degree, entries, check=False)
 
     def __neg__(self):
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, coeff):
-        coeff = frac(coeff)
         return GradedMap(self.source, self.target, self.degree,
                          {v: vec_scale(col, coeff) for v, col in self.entries.items()},
                          check=False)
@@ -377,7 +375,7 @@ def sparse_rank(rows) -> int:
 
 def dense_rank(matrix) -> int:
     """Rank by dense fraction elimination; independent oracle for sparse_rank."""
-    m = [[frac(x) for x in row] for row in matrix]
+    m = [[Fraction(x) for x in row] for row in matrix]
     if not m:
         return 0
     ncols = len(m[0])

@@ -23,7 +23,7 @@ from .bimod import (
     diagonal_bimodule,
     tensor_inf,
 )
-from .cdga import BaseCDGA, KAlgebra
+from .cdga import BaseCDGA, KAlgebra, collect_coefficients, insertions
 from .grdlin import (
     ONE,
     Complex,
@@ -116,28 +116,22 @@ class HochschildComplex:
         alg, bim, base = self.algebra, self.bimodule, self.base
         unit = base.unit
         n = len(xs)
-        deg_b = base.degree(b)
+        deg_b = base.degree(b) % 2
         deg_m = bim.kmodule.gens.degree[vm]
         x_degs = [alg.gens.degree[x] for x in xs]
-        x_pairs = tuple((unit, x) for x in xs)
         out = {}
-        # (a) id^{1+r} (x) mu_s (x) id^t on the x-string (s >= 1); moving
-        # mu past b, m, x_1..x_r, then the coefficient c back past m, x_1..x_r
-        for s in range(1, n + 1):
-            for r in range(0, n - s + 1):
-                mig = deg_m + sum(x_degs[:r])
-                inner = alg.eval_mu(x_pairs[r:r + s])
-                for (c, y), coeff in inner.items():
-                    negate = (deg_b + mig + base.degree(c) * mig) % 2
-                    new_xs = xs[:r] + (y,) + xs[r + s:]
-                    _add_times_base(out, base, b, c, (vm, new_xs), coeff, negate)
+        # (a) id^{1+r} (x) mu_s (x) id^t on the x-string (s >= 1); mu moves
+        # past b, then past m, x_1..x_r together with its coefficient c
+        for _r, new_xs, c, coeff, parity in insertions(base, alg.eval_mu, 1, xs,
+                                                       x_degs, deg_m):
+            _add_times_base(out, base, b, c, (vm, new_xs), coeff, deg_b ^ parity)
         # (b) (mu_{l,r}^M (x) id^s) o t_{1+n}^l
         factors = (vm,) + xs
         degrees = [deg_m] + x_degs
         for l, rotated, rot_parity in cyclic_rotations(factors, degrees):
             # rotated = (x_{n-l+1}, .., x_n, vm, x_1, .., x_{n-l})
             rotated_pairs = tuple((unit, x) for x in rotated)
-            negate = rot_parity ^ (deg_b % 2)
+            negate = rot_parity ^ deg_b
             for r in range(0, n - l + 1):
                 value = bim.eval(l, r, rotated_pairs[:l + 1 + r])
                 new_xs = rotated[l + 1 + r:]
@@ -423,36 +417,31 @@ class BarConstruction:
     def _differential(self, label) -> dict:
         _tag, n, b, vs = label
         dga, base = self.dga, self.base
-        gens = dga.gens
-        degs = [gens.degree[v] for v in vs]
+        degs = [dga.gens.degree[v] for v in vs]
         out = {}
+
+        def add(level, c, new_vs, coeff, negate):
+            coeff = -coeff if negate else coeff
+            for b2, q in base.mul_basis(b, c).items():
+                vec_add_term(out, ("bar", level, b2, new_vs), coeff * q)
+
+        def product(window):
+            return len(window) == 2 and dga.mult.get((window[0][1], window[1][1]))
+
+        def twist(window):
+            return len(window) == 1 and dga.module.d_gen.get(window[0][1])
+
         # horizontal faces: sum (-1)^i id^i (x) mu (x) id^{n-i}; level 0 has
         # none (its face is the augmentation, not part of the differential)
-        for i in range(0, n + 1) if n >= 1 else ():
-            face_sign = -ONE if i % 2 else ONE
-            prod = dga.mult.get((vs[i], vs[i + 1]), {})
-            for (c, w), coeff in prod.items():
-                mig = sum(degs[:i])
-                msign = -ONE if (base.degree(c) * mig) % 2 else ONE
-                new_vs = vs[:i] + (w,) + vs[i + 2:]
-                for b2, q in base.mul_basis(b, c).items():
-                    vec_add(out, {("bar", n - 1, b2, new_vs):
-                                  face_sign * msign * coeff * q})
-        # internal differential with the totalization sign (-1)^n
-        tot_sign = -ONE if n % 2 else ONE
+        if n >= 1:
+            for i, new_vs, c, coeff, parity in insertions(base, product, 0, vs, degs):
+                add(n - 1, c, new_vs, coeff, (i + parity) % 2)
+        # internal differential and the twist, with the totalization sign (-1)^n
         for b2, q in base.d.column(b).items():
-            vec_add(out, {("bar", n, b2, vs): tot_sign * q})
-        b_sign = -ONE if base.degree(b) % 2 else ONE
-        for i in range(0, n + 2):
-            twist = dga.module.d_gen.get(vs[i], {})
-            prefix = sum(degs[:i])
-            sign = tot_sign * b_sign * (-ONE if prefix % 2 else ONE)
-            for (c, w), coeff in twist.items():
-                msign = -ONE if (base.degree(c) * prefix) % 2 else ONE
-                new_vs = vs[:i] + (w,) + vs[i + 1:]
-                for b2, q in base.mul_basis(b, c).items():
-                    vec_add(out, {("bar", n, b2, new_vs):
-                                  sign * msign * coeff * q})
+            vec_add_term(out, ("bar", n, b2, vs), -q if n % 2 else q)
+        tot_b = n + base.degree(b)
+        for _i, new_vs, c, coeff, parity in insertions(base, twist, 1, vs, degs):
+            add(n, c, new_vs, coeff, (tot_b + parity) % 2)
         return out
 
     def augmentation(self) -> GradedMap:
@@ -630,12 +619,13 @@ def compare_classical(classical: ClassicalHochschild,
         raise ValueError("the two complexes do not share a labeled basis")
     labels = classical.space.labels()
     sign = {}
-    # propagate signs along the differential graph
+    # propagate signs along the differential graph; an edge (w, x, y) asks
+    # sign[w] = sign[v] * x / y, compared exactly without dividing
     order = sorted(labels, key=repr)
     for seed in order:
         if seed in sign:
             continue
-        sign[seed] = ONE
+        sign[seed] = 1
         stack = [seed]
         while stack:
             v = stack.pop()
@@ -644,18 +634,21 @@ def compare_classical(classical: ClassicalHochschild,
                 a = ainf_hh.d.column(v).get(w)
                 if a is None:
                     raise ValueError(f"sparsity mismatch at {v!r} -> {w!r}")
-                neighbours.append((w, a / c))
+                neighbours.append((w, a, c))
             for w2, col in classical.d.entries.items():
                 c = col.get(v)
                 if c is not None:
                     a = ainf_hh.d.column(w2).get(v)
                     if a is None:
                         raise ValueError(f"sparsity mismatch at {w2!r} -> {v!r}")
-                    neighbours.append((w2, c / a))
-            for w, ratio in neighbours:
-                if ratio not in (ONE, -ONE):
-                    raise ValueError(f"non-sign ratio {ratio} at {v!r}")
-                value = sign[v] * ratio
+                    neighbours.append((w2, c, a))
+            for w, x, y in neighbours:
+                if x == y:
+                    value = sign[v]
+                elif x == -y:
+                    value = -sign[v]
+                else:
+                    raise ValueError(f"non-sign ratio {x}/{y} at {v!r}")
                 if w in sign:
                     if sign[w] != value:
                         raise ValueError("no diagonal isomorphism exists")
@@ -703,26 +696,15 @@ def hh_induced_map(f, g, source_hh: HochschildComplex,
                 rest = rotated[ni + 1 + n1:]
                 for comp in (compositions(len(rest)) if rest else [()]):
                     partials = f.blocks_apply(rest, comp)
-                    for (bm, vm2), gc in g_val.items():
+                    for pair, gc in g_val.items():
                         for blocks, fc in partials:
-                            coeff = -gc * fc if parity else gc * fc
-                            b_acc = {bm: ONE}
-                            ys = []
-                            prefix_deg = tgt_mgens.degree[vm2]
-                            for (cb, y) in blocks:
-                                if base.degree(cb) % 2 and prefix_deg % 2:
-                                    coeff = -coeff
-                                new_acc = {}
-                                for bb, cc in b_acc.items():
-                                    for b3, q3 in base.mul_basis(bb, cb).items():
-                                        vec_add(new_acc, {b3: cc * q3})
-                                b_acc = new_acc
-                                ys.append(y)
-                                prefix_deg += tgt_agens.degree[y]
-                            for bb, cc in b_acc.items():
-                                for b3, q3 in base.mul_basis(b, bb).items():
-                                    vec_add(out, {(b3, vm2, tuple(ys)):
-                                                  coeff * cc * q3})
+                            word_degs = [tgt_mgens.degree[pair[1]]] + \
+                                [tgt_agens.degree[y] for _, y in blocks]
+                            sign, bvec, vs = collect_coefficients(base, word_degs,
+                                                                  (pair,) + blocks)
+                            for bb, cc in (bvec or {}).items():
+                                _add_times_base(out, base, b, bb, (vs[0], vs[1:]),
+                                                gc * fc * cc, parity ^ (sign < 0))
         if out:
             entries[label] = out
     return GradedMap(source_hh.space, target_hh.space, 0, entries)
@@ -831,35 +813,25 @@ class BarConnesComplex:
     def _differential(self, label) -> dict:
         b, words = label
         base = self.base
-        alg = self.algebra
+        degree = self.algebra.gens.degree
         out = {}
-        deg_b = base.degree(b)
-        fdegs = [self._factor_degree(w) for w in words]
+        deg_b = base.degree(b) % 2
+        before = 0  # the degree of the factors before w
         for i, w in enumerate(words):
-            ambient = deg_b + sum(fdegs[:i])
-            amb_sign = -ONE if ambient % 2 else ONE
-            # wordwise bar differential
-            letters = [alg.gens.degree[x] for x in w]
-            for s in range(1, len(w) + 1):
-                for r in range(0, len(w) - s + 1):
-                    inner_sign = -ONE if sum(letters[:r]) % 2 else ONE
-                    pairs = tuple((base.unit, x) for x in w[r:r + s])
-                    value = alg.eval_mu(pairs)
-                    for (c, y), coeff in value.items():
-                        new_word = w[:r] + (y,) + w[r + s:]
-                        mig = ambient + sum(letters[:r]) - deg_b
-                        msign = (-ONE if (base.degree(c) * mig) % 2 else ONE)
-                        new_words = words[:i] + (new_word,) + words[i + 1:]
-                        for b2, q in base.mul_basis(b, c).items():
-                            vec_add(out, {(b2, new_words):
-                                          amb_sign * inner_sign * msign
-                                          * coeff * q})
+            head, tail = words[:i], words[i + 1:]
+            # wordwise bar differential: mu moves past b, then past the
+            # factors before w and w's own prefix together with its
+            # coefficient c
+            for _r, new_word, c, coeff, parity in insertions(
+                    base, self.algebra.eval_mu, 1, w, [degree[x] for x in w], before):
+                _add_times_base(out, base, b, c, (head + (new_word,) + tail,), coeff,
+                                deg_b ^ parity)
             # deconcatenations, sign (-1)^{deg s^{-1} w_1}
             for cut in range(1, len(w)):
                 w1, w2 = w[:cut], w[cut:]
-                sign = amb_sign * (-ONE if self._factor_degree(w1) % 2 else ONE)
-                new_words = words[:i] + (w1, w2) + words[i + 1:]
-                vec_add(out, {(b, new_words): sign})
+                negate = (deg_b + before + self._factor_degree(w1)) % 2
+                vec_add_term(out, (b, head + (w1, w2) + tail), -1 if negate else 1)
+            before += self._factor_degree(w)
         return out
 
     def reduce_label(self, b, words):

@@ -748,14 +748,10 @@ class TransferReport:
                 vec_add(out, {b if v == "1" else (b, v): c})
             if out:
                 collapsed[src] = out
-        ok = True
-        witness = None
-        for src in set(collapsed) | set(rhs.entries):
-            if collapsed.get(src, {}) != rhs.entries.get(src, {}):
-                ok = False
-                witness = (src, collapsed.get(src), rhs.entries.get(src))
-                break
-        report.record("pr_0 o tr^c o v_* = tr_degree0", ok, witness)
+        report.record_first_defect(
+            "pr_0 o tr^c o v_* = tr_degree0",
+            sorted(set(collapsed) | set(rhs.entries), key=repr),
+            lambda src: vec_add(dict(collapsed.get(src, {})), rhs.entries.get(src, {}), -1))
         return report
 
 

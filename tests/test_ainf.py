@@ -21,6 +21,7 @@ from hochtrace.fixtures import (
     fixture_algebra,
     mu3_algebra,
     noncommutative_dga,
+    odd_coefficient_dga,
     random_dga,
     sphere_cohomology,
 )
@@ -81,7 +82,8 @@ def test_unital_fixture_and_perturbed():
                       {**alg.mu, 3: {("1", "x", "x"): {("1", "x"): ONE}}},
                       alg.n_max, unit="1", check=False)
     report = check_unital(bad)
-    assert not report.ok
+    assert report.first_failure == ("mu_{n>=3} vanish on s1 slots",
+                                    ((3, ("1", "x", "x")), {("1", "x"): ONE}))
 
 
 def test_eta_is_strict_unital_morphism():
@@ -90,6 +92,18 @@ def test_eta_is_strict_unital_morphism():
         eta = eta_morphism(alg)
         assert check_morphism(eta, 3).ok
         assert check_unital_morphism(eta).ok
+
+
+def test_unital_morphism_fails_on_an_s1_slot():
+    alg = from_dga(odd_coefficient_dga())
+    ident = AInfMorphism.identity(alg)
+    assert check_unital_morphism(ident).ok
+    # f_2(s1, e) = g: degree 0, and nonzero on an s1 slot
+    bad = AInfMorphism(alg, alg, {**ident.components,
+                                  2: {("1", "e"): {("1", "g"): ONE}}})
+    report = check_unital_morphism(bad)
+    assert report.first_failure == ("f_{n>=2} vanish on s1 slots",
+                                    ((2, ("1", "e")), {("1", "g"): ONE}))
 
 
 def test_cinfty_commutative_passes():

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 from hochtrace.ainf import AInfMorphism, check_morphism, from_dga
 from hochtrace.bimod import diagonal_bimodule, left_module_from_algebra, v_map
-from hochtrace.cdga import BaseCDGA, base_as_algebra, cdga_as_kalgebra
+from hochtrace.cdga import BaseCDGA, KAlgebra, base_as_algebra, cdga_as_kalgebra
 from hochtrace.fixtures import (
     dual_numbers,
     exterior_odd,
@@ -14,6 +15,7 @@ from hochtrace.fixtures import (
 )
 from hochtrace.grdlin import (
     GradedMap,
+    GradedSpace,
     HomologyBasis,
     ONE,
     homology_window,
@@ -72,6 +74,24 @@ def test_classical_comparison_has_teeth():
     iso = compare_classical(classical_hh(dga, diag, 3), hh_complex(alg, diag, 3))
     flips = sum(1 for v, col in iso.entries.items() if col.get(v) == -ONE)
     assert flips > 0
+
+
+def test_classical_comparison_of_an_int_table_dga_is_exact():
+    # int tables keep both differentials int; the diagonal iso must still
+    # hold exact signs, not int / int quotients
+    gens = GradedSpace([("1", 0), ("x", 1)])
+    mult = {}
+    for v in gens.labels():
+        mult[("1", v)] = mult[(v, "1")] = {("1", v): 1}
+    dga = KAlgebra(BaseCDGA.rationals(), gens, mult, "1")
+    alg = from_dga(dga)
+    diag = diagonal_bimodule(alg)
+    cl, ai = classical_hh(dga, diag, 3), hh_complex(alg, diag, 3)
+    for cx in (cl, ai):
+        assert {type(c) for col in cx.d.entries.values() for c in col.values()} == {int}
+    signs = [c for col in compare_classical(cl, ai).entries.values() for c in col.values()]
+    assert all(type(c) in (int, Fraction) and c in (1, -1) for c in signs)
+    assert -1 in signs
 
 
 def test_classical_comparison_random_sample():
