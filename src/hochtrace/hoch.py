@@ -743,25 +743,23 @@ class BarConnesComplex:
     """
 
     def __init__(self, algebra: AInfAlgebra, letter_max, check=True,
-                 tuple_filter=None):
-        """``tuple_filter``: optional predicate on word tuples restricting
-        the basis to a differential-stable summand (e.g. the multilinear
-        part over distinct hair letters)."""
+                 word_tuples=None):
+        """``word_tuples``: the word tuples of the basis, spanning a
+        differential-stable summand (e.g. the multilinear part over
+        distinct hair letters); by default every tuple of at most
+        ``letter_max`` letters."""
         self.algebra = algebra
         self.letter_max = int(letter_max)
         base = algebra.base
         self.base = base
-        gens = algebra.gens
         self.cyclic = CyclicWords(self._factor_degree)
+        if word_tuples is None:
+            word_tuples = self._word_tuples()
         full = {}
-        for total in range(1, self.letter_max + 1):
-            for words in self._word_tuples(total):
-                if tuple_filter is not None and not tuple_filter(words):
-                    continue
-                for b in base.space.labels():
-                    deg = base.degree(b) + sum(self._factor_degree(w)
-                                               for w in words)
-                    full[(b, words)] = deg
+        for words in word_tuples:
+            for b in base.space.labels():
+                deg = base.degree(b) + sum(self._factor_degree(w) for w in words)
+                full[(b, words)] = deg
         reps = {}
         proj_entries = {}
         for (b, words), deg in full.items():
@@ -784,6 +782,9 @@ class BarConnesComplex:
             full_d_entries = {}
             for label in self.full_space.labels():
                 col = self._differential(label)
+                outside = [w for w in col if w not in full]
+                if outside:
+                    raise ValueError(f"word tuples not closed under d: {label!r} -> {outside[0]!r}")
                 if col:
                     full_d_entries[label] = col
             full_d = GradedMap(self.full_space, self.full_space, 1, full_d_entries)
@@ -794,7 +795,8 @@ class BarConnesComplex:
     def _factor_degree(self, word):
         return sum(self.algebra.gens.degree[x] for x in word) + 1
 
-    def _word_tuples(self, total):
+    def _word_tuples(self):
+        """Every tuple of nonempty words of 1..letter_max letters in all."""
         gens = self.algebra.gens.labels()
         def words_of(k):
             return list(product(gens, repeat=k))
@@ -808,7 +810,8 @@ class BarConnesComplex:
                     parts.append(w)
                     yield from rec(remaining - k, parts)
                     parts.pop()
-        yield from rec(total, [])
+        for total in range(1, self.letter_max + 1):
+            yield from rec(total, [])
 
     def _differential(self, label) -> dict:
         b, words = label

@@ -897,8 +897,9 @@ class SimpModel:
             if len(label[2]) >= 1:       # Hochschild degree >= 1
                 gens.append((label, hhn.space.degree[label] + 1))  # [-1]
         self.gen_space = GradedSpace(gens)
-        if any(d < 1 for _, d in gens):
-            raise AssertionError("model generators must be in degrees >= 1")
+        low = [(g, d) for g, d in gens if d < 1]
+        if low:
+            raise ValueError(f"model generators must be in degrees >= 1; offending {low[:3]}")
         self.word_cap = word_cap
         monomials = [((), 0)]
         frontier = [((), 0)]

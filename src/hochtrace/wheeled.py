@@ -1,5 +1,5 @@
-"""Wheeled trees, the free shifted-C-infinity algebra, the directed
-one-loop graph complex, and the wheel evaluation map.
+"""Wheeled trees, the free shifted-C-infinity algebra and the directed
+one-loop graph complex.
 
 The biarity-(n,0) part of the wheeled envelope of C-infinity is realized
 through its cycle-tree dictionary: a cycle tree is a cyclic tuple of bar
@@ -12,13 +12,17 @@ Tree normal form (the (k-1)!-basis of Q[Sigma_k]/shuffles): at every
 vertex the child containing the smallest letter sits in the last slot;
 the remaining children are ordered, and distinct orders are distinct
 basis elements.
+
+A tree's support, its set of letters, is a bitmask with bit i for letter
+i.  Bases and tables are generated support by support, so a support is
+known where a tree is built and is never recomputed from the tree.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, pairwise, permutations, product
 
-from .ainf import AInfAlgebra
+from .ainf import AInfAlgebra, compositions
 from .cdga import BaseCDGA
 from .grdlin import (
     GradedMap,
@@ -45,81 +49,76 @@ def node(children):
     return ("node", tuple(children))
 
 
-def tree_letters(tree):
-    kind, payload = tree
-    if kind == "leaf":
-        return frozenset([payload])
-    out = frozenset()
-    for child in payload:
-        out |= tree_letters(child)
-    return out
-
-
-def tree_vertices(tree):
-    kind, payload = tree
-    if kind == "leaf":
-        return 0
-    return 1 + sum(tree_vertices(child) for child in payload)
+def support(letters) -> int:
+    """The bitmask of a set of letters: bit i for letter i."""
+    return sum(1 << letter for letter in set(letters))
 
 
 def tree_degree(tree):
     """Vertices carry degree +1, letters degree -1 (the sC convention on
     degree-zero hair letters)."""
-    return tree_vertices(tree) - len(tree_letters(tree))
+    kind, payload = tree
+    if kind == "leaf":
+        return -1
+    return 1 + sum(tree_degree(child) for child in payload)
 
 
-def tree_min(tree):
-    return min(tree_letters(tree))
-
-
-def _normalize_children(children) -> dict:
-    """Rewrite a child tuple so the minimal-letter child is last, using the
-    shuffle relations; returns {child tuple: coefficient}."""
-    children = tuple(children)
+def _normalize_children(children, supports, degrees) -> dict:
+    """Rewrite a child tuple so the child holding the smallest letter is
+    last, using the shuffle relations; ``supports`` and ``degrees`` are the
+    children's (disjoint) supports and degrees.  Returns {child tuple:
+    coefficient}."""
     k = len(children)
-    j = min(range(k), key=lambda i: tree_min(children[i]))
+    # the lowest set bit of a support is its smallest letter
+    j = min(range(k), key=lambda i: supports[i] & -supports[i])
     if j == k - 1:
         return {children: ONE}
     # shuffle relation with p = j + 1: the identity shuffle keeps the
     # designated child at position j; all other (p, q)-shuffles push it right
     p = j + 1
     q = k - p
-    degrees = [tree_degree(c) for c in children]
     out = {}
     for sigma in enumerate_shuffles(p, q):
         if sigma.perm == tuple(range(k)):
             continue
         sign = koszul_sign(sigma, degrees)
-        permuted = sigma.apply_to(children)
-        for child_tuple, c in _normalize_children(permuted).items():
+        permuted = _normalize_children(sigma.apply_to(children), sigma.apply_to(supports),
+                                       sigma.apply_to(degrees))
+        for child_tuple, c in permuted.items():
             vec_add(out, {child_tuple: -sign * c})
     return out
 
 
-def normalize_tree(tree) -> dict:
-    """Bring every vertex of a tree to normal form; {tree: coefficient}."""
+def normalize_tree(tree):
+    """Bring every vertex of a tree to normal form.  Returns ({tree:
+    coefficient}, support, degree); normalizing keeps the last two."""
     kind, payload = tree
     if kind == "leaf":
-        return {tree: ONE}
+        return {tree: ONE}, 1 << payload, -1
     # normalize children first (multilinear expansion)
     expansions = [((), ONE)]
+    supports, degrees = [], []
     for child in payload:
-        norm = normalize_tree(child)
+        norm, child_support, child_degree = normalize_tree(child)
+        supports.append(child_support)
+        degrees.append(child_degree)
         expansions = [(acc + (t,), c * q)
                       for acc, c in expansions for t, q in norm.items()]
+    supports, degrees = tuple(supports), tuple(degrees)
     out = {}
     for children, coeff in expansions:
-        for child_tuple, c in _normalize_children(children).items():
+        for child_tuple, c in _normalize_children(children, supports, degrees).items():
             vec_add(out, {node(child_tuple): coeff * c})
-    return out
+    return out, sum(supports), 1 + sum(degrees)
 
 
-def graft(subtrees) -> dict:
-    """mu_k applied to a tuple of normal trees: the new root, normalized."""
+def graft(subtrees, supports, degrees) -> dict:
+    """mu_k applied to a tuple of normal trees with the given supports and
+    degrees: the new root, normalized."""
     if len(subtrees) < 2:
         raise ValueError("generators have arity >= 2")
     out = {}
-    for child_tuple, c in _normalize_children(tuple(subtrees)).items():
+    for child_tuple, c in _normalize_children(subtrees, supports, degrees).items():
         vec_add(out, {node(child_tuple): c})
     return out
 
@@ -172,29 +171,34 @@ def tree_differential(tree) -> dict:
                 inner = node(payload[r:r + s])
                 expanded = node(payload[:r] + (inner,) + payload[r + s:])
                 rebuilt = replace(tree, path, expanded)
-                for t2, c in normalize_tree(rebuilt).items():
+                for t2, c in normalize_tree(rebuilt)[0].items():
                     vec_add(out, {t2: sign * c})
     return out
 
 
-def multilinear_trees(letters) -> list:
-    """All shuffle-normal trees with leaf set exactly ``letters``."""
-    letters = tuple(sorted(letters))
+def trees_by_support(n) -> dict:
+    """{support: the shuffle-normal trees with exactly that leaf set} for
+    every nonempty support in {1..n}, by size and then lexicographically
+    in the letters."""
+    out = {}
+    for size in range(1, n + 1):
+        for letters in combinations(range(1, n + 1), size):
+            out[support(letters)] = _trees_on(letters, out)
+    return out
+
+
+def _trees_on(letters, smaller) -> list:
+    """The normal trees on ``letters``, from those on smaller supports: a
+    root over a set partition, the block of the smallest letter last."""
     if len(letters) == 1:
         return [leaf(letters[0])]
     out = []
-    collected = set()
     for k in range(2, len(letters) + 1):
         for blocks in _set_partitions(letters, k):
-            subtree_choices = [multilinear_trees(tuple(b)) for b in blocks]
-            for combo in product(*subtree_choices):
-                j = min(range(k), key=lambda i: tree_min(combo[i]))
-                rest = [combo[i] for i in range(k) if i != j]
+            # the first block holds the smallest letter
+            for first, *rest in product(*(smaller[support(b)] for b in blocks)):
                 for ordered_rest in permutations(rest):
-                    candidate = node(tuple(ordered_rest) + (combo[j],))
-                    if candidate not in collected:
-                        collected.add(candidate)
-                        out.append(candidate)
+                    out.append(node(ordered_rest + (first,)))
     return out
 
 
@@ -218,76 +222,81 @@ def _set_partitions(items, k):
             yield (tuple(block),) + others
 
 
+def _disjoint_supports(available, k):
+    """Ordered sequences of k pairwise disjoint nonempty supports inside
+    the support ``available``."""
+    if k == 0:
+        yield ()
+        return
+    sub = available
+    while sub:
+        for rest in _disjoint_supports(available & ~sub, k - 1):
+            yield (sub,) + rest
+        sub = (sub - 1) & available
+
+
 def free_multilinear_algebra(n) -> AInfAlgebra:
     """The free shifted-C-infinity algebra on n degree-(-1) letters,
     restricted to multilinear words (a genuine A-infinity algebra: zero
     structure maps on overlapping supports)."""
     base = BaseCDGA.rationals()
-    letters = tuple(range(1, n + 1))
-    all_trees = []
-    for size in range(1, n + 1):
-        for support in combinations(letters, size):
-            all_trees.extend(multilinear_trees(support))
-    gens = GradedSpace(((t, tree_degree(t)) for t in all_trees))
+    trees = trees_by_support(n)
+    gens = GradedSpace((t, tree_degree(t)) for group in trees.values() for t in group)
+    degree = gens.degree
     mu = {}
     d_table = {}
-    for t in all_trees:
+    for t in gens.labels():
         col = tree_differential(t)
         if col:
             d_table[(t,)] = {("1", t2): c for t2, c in col.items()}
     if d_table:
         mu[1] = d_table
+    full = support(range(1, n + 1))
     for k in range(2, n + 1):
         table = {}
-        for combo in _disjoint_tuples(all_trees, k, set(letters)):
-            value = graft(combo)
-            if value:
-                table[combo] = {("1", t2): c for t2, c in value.items()}
+        for supports in _disjoint_supports(full, k):
+            for combo in product(*(trees[s] for s in supports)):
+                value = graft(combo, supports, [degree[t] for t in combo])
+                if value:
+                    table[combo] = {("1", t2): c for t2, c in value.items()}
         if table:
             mu[k] = table
     return AInfAlgebra(base, gens, mu, n_max=n, cinfty=True)
 
 
-def _disjoint_tuples(trees, k, universe):
-    """Tuples of k trees with pairwise disjoint letter supports."""
-    def rec(chosen, used):
-        if len(chosen) == k:
-            yield tuple(chosen)
-            return
-        for t in trees:
-            s = tree_letters(t)
-            if s & used:
-                continue
-            yield from rec(chosen + [t], used | s)
-    yield from rec([], frozenset())
-
-
 # --- the loop-order-one graph complex ---------------------------------------------
+
+
+def multilinear_word_tuples(n):
+    """The word tuples whose trees' supports partition {1..n}: each ordered
+    sequence of k trees on an ordered set partition, cut into nonempty
+    words in each of its 2^(k-1) ways."""
+    trees = trees_by_support(n)
+    full = support(range(1, n + 1))
+    for k in range(1, n + 1):
+        # word boundaries of each cut, as positions in the tree sequence
+        cuts = [list(accumulate(lengths, initial=0)) for lengths in compositions(k)]
+        for supports in _disjoint_supports(full, k):
+            if sum(supports) != full:
+                continue
+            for sequence in product(*(trees[s] for s in supports)):
+                for bounds in cuts:
+                    yield tuple(sequence[a:b] for a, b in pairwise(bounds))
 
 
 def gc1_complex(n, check=True) -> BarConnesComplex:
     """C-infinity-wheel (n, 0) as the multilinear Connes complex of the bar
     of the free algebra (the Lemma-6.4.11 cycle-tree dictionary)."""
-    algebra = free_multilinear_algebra(n)
-    letters = frozenset(range(1, n + 1))
-
-    def multilinear(words):
-        seen = set()
-        for w in words:
-            for t in w:
-                s = tree_letters(t)
-                if s & seen:
-                    return False
-                seen |= s
-        return seen == letters
-
-    return BarConnesComplex(algebra, n, check=check, tuple_filter=multilinear)
+    return BarConnesComplex(free_multilinear_algebra(n), n, check=check,
+                            word_tuples=multilinear_word_tuples(n))
 
 
 def gc1_homology(n, characters=False):
     """Dimensions of H^k (k = n - #vertices) of the one-loop complex, and
     optionally the traces of the Sigma_n-action on each homology group."""
     cx = gc1_complex(n)
+    actions = {perm: _letter_permutation_map(cx, perm)
+               for perm in _conjugacy_representatives(n)} if characters else {}
     dims = {}
     out_chars = {}
     for t in range(-(n - 1), 1):
@@ -297,8 +306,7 @@ def gc1_homology(n, characters=False):
             dims[k] = basis.dim
         if characters and basis.dim:
             out_chars[k] = {}
-            for perm in _conjugacy_representatives(n):
-                action = _letter_permutation_map(cx, perm)
+            for perm, action in actions.items():
                 trace = ZERO
                 for idx, rep in enumerate(basis.representatives):
                     coords = basis.coords(action(rep))
@@ -351,7 +359,7 @@ def _letter_permutation_map(cx: BarConnesComplex, perm) -> GradedMap:
         for w in words:
             word_exp = [((), ONE)]
             for t in w:
-                norm = normalize_tree(_relabel_tree(t, perm))
+                norm = normalize_tree(_relabel_tree(t, perm))[0]
                 word_exp = [(acc + (t2,), c * q)
                             for acc, c in word_exp for t2, q in norm.items()]
             expansions = [(acc + (tuple(wpart),), c * q)

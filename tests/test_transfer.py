@@ -6,9 +6,10 @@ import pytest
 
 from hochtrace.ainf import from_dga, unit_algebra
 from hochtrace.bimod import left_module_from_algebra
-from hochtrace.cdga import BaseCDGA, FreeKModule, cdga_as_kalgebra
+from hochtrace.cdga import BaseCDGA, FreeKModule, KAlgebra, cdga_as_kalgebra
 from hochtrace.fixtures import (
     dual_numbers,
+    exterior_odd,
     fixture_algebra,
     mu3_algebra,
     sphere3_with_differential,
@@ -287,6 +288,19 @@ def test_simp_model_zero_transfer_is_free():
 def test_simp_model_degree_guard():
     with pytest.raises(ValueError):
         simp_model(fixture_algebra("dual"), 2)
+
+
+def test_simp_model_rejects_a_low_model_generator():
+    # R/1 passes its degree guard (a has shifted degree 2), but the base
+    # coefficient x of degree -3 puts the model generator ("x", "1", ("a",))
+    # in degree 0
+    gens = GradedSpace([("1", 0), ("a", 3)])
+    mult = {}
+    for v in gens.labels():
+        mult[("1", v)] = mult[(v, "1")] = {("1", v): ONE}
+    alg = from_dga(KAlgebra(exterior_odd(-3), gens, mult, "1"), n_max=3)
+    with pytest.raises(ValueError, match="model generators"):
+        simp_model(alg, 1, word_cap=1)
 
 
 def test_vanishing_check_s2():
