@@ -30,6 +30,10 @@ class AInfAlgebra:
     ``gens`` is the generator space of sR (shifted degrees).  ``mu`` maps
     arities to tables {generator tuple: kvec}.  Arities above N_max are
     declared zero.  ``unit`` is the generator label of s1, if any.
+
+    ``arities``: the ascending arities n at which mu_n can be nonzero on
+    unit-coefficient generators, the arities of ``mu`` plus 1 whenever the
+    module differential has entries.
     """
 
     def __init__(self, base: BaseCDGA, gens: GradedSpace, mu, n_max,
@@ -48,6 +52,10 @@ class AInfAlgebra:
         # mu tables are keyed by tuples, the module twist by bare labels
         twist = {vs[0]: col for vs, col in self.mu.get(1, {}).items()}
         self.module = FreeKModule(base, gens, twist, check=check)
+        arities = set(self.mu)
+        if self.module.d.entries:
+            arities.add(1)
+        self.arities = tuple(sorted(arities))
         if check:
             for n, table in self.mu.items():
                 for vs, col in table.items():

@@ -420,8 +420,9 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
                     vec_add_term(out, (b2, (vm2, new_ys, vn)), c)
         if l == 0 and r == 0 and middle is not None:
             # id^{1+n1} (x) mu^S_{n2} (x) id, moving past vm, y_1..y_n1
-            for _n1, new_ys, b2, c, parity in insertions(base, middle.eval_mu, 1, ys,
-                                                         y_degs, deg_m):
+            for _n1, new_ys, b2, c, parity in insertions(base, middle.eval_mu, 1,
+                                                         middle.arities, ys, y_degs,
+                                                         deg_m):
                 vec_add_term(out, (b2, (vm, new_ys, vn)), -c if parity else c)
         if l == 0:
             # id^{1+n1} (x) mu^N_{n2,r}, moving past vm, y_1..y_n1

@@ -187,11 +187,14 @@ def migration_parity(prefix_degree, map_degree, coeff_degree):
     return prefix_degree * (map_degree + coeff_degree) % 2
 
 
-def insertions(base: BaseCDGA, f, map_degree, word, degrees, prefix_degree=0):
-    """id^r (x) f (x) id^t at every window word[r:r+s] (s >= 1) of a word of
-    generators that all carry the unit coefficient.
+def insertions(base: BaseCDGA, f, map_degree, arities, word, degrees, prefix_degree=0):
+    """id^r (x) f (x) id^t at every window word[r:r+s] of a word of
+    generators that all carry the unit coefficient, for each width s in
+    ``arities``.
 
-    ``f`` takes the window as a tuple of (base.unit, v) pairs and returns a
+    ``arities`` lists, ascending and without repeats, the widths at which
+    f can be nonzero; windows of any other width are not evaluated.  ``f``
+    takes the window as a tuple of (base.unit, v) pairs and returns a
     kvec (falsy where it does not act); ``degrees`` are the |v|, and
     ``prefix_degree`` the degree of what stands before the word.  Yields
     (r, word[:r] + (y,) + word[r+s:], c, coeff, parity) for each entry
@@ -204,7 +207,7 @@ def insertions(base: BaseCDGA, f, map_degree, word, degrees, prefix_degree=0):
     for d in degrees:
         prefix.append(prefix[-1] + d)
     n = len(word)
-    for s in range(1, n + 1):
+    for s in arities:
         for r in range(n - s + 1):
             value = f(pairs[r:r + s])
             if value:

@@ -7,7 +7,10 @@ and windowed homology by exact Gaussian elimination that keeps integral
 coefficients as int and builds a Fraction only to divide by a pivot
 other than +-1.  ``GradedMap`` keeps coefficients as given (int or
 Fraction), so integral input stays int through composition and the d^2
-and chain-map checks.
+and chain-map checks.  Each degree block d^t of a ``Complex`` is
+eliminated once per complex and the result cached on it, read-only:
+``homology_window`` reads ranks from it and ``HomologyBasis`` its cycles
+and its boundary pivots.  Koszul signs are the ints +1 and -1.
 
 ``cyclic_rotations`` is the one implementation of the cyclic Koszul
 rotation and its sign: every Hochschild, Connes, trace and symmetry
@@ -118,12 +121,6 @@ def vec_add_term(target: dict, label, c):
             del target[label]
 
 
-def vec_scale(vec: dict, coeff) -> dict:
-    if not coeff:
-        return {}
-    return {label: coeff * c for label, c in vec.items()}
-
-
 class GradedMap:
     """A degree-homogeneous linear map given by sparse columns.
 
@@ -200,7 +197,8 @@ class GradedMap:
 
     def scale(self, coeff):
         return GradedMap(self.source, self.target, self.degree,
-                         {v: vec_scale(col, coeff) for v, col in self.entries.items()},
+                         {v: {w: coeff * c for w, c in col.items()}
+                          for v, col in self.entries.items()},
                          check=False)
 
     def is_zero(self):
@@ -294,12 +292,13 @@ class SignedPermutation:
             out[self.perm[i]] = x
         return tuple(out)
 
-    def sign(self, degrees) -> Fraction:
+    def sign(self, degrees) -> int:
         return koszul_sign(self, degrees)
 
 
-def koszul_sign(perm: SignedPermutation, degrees) -> Fraction:
-    """(-1)^(sum of |x_i||x_j| over pairs i<j that the permutation inverts)."""
+def koszul_sign(perm: SignedPermutation, degrees) -> int:
+    """(-1)^(sum of |x_i||x_j| over pairs i<j that the permutation
+    inverts), as the int +1 or -1."""
     degrees = list(degrees)
     if len(degrees) != len(perm):
         raise ValueError("degree list does not match permutation size")
@@ -311,7 +310,7 @@ def koszul_sign(perm: SignedPermutation, degrees) -> Fraction:
         for j in range(i + 1, len(p)):
             if p[i] > p[j] and degrees[j] % 2:
                 exponent += 1
-    return -ONE if exponent % 2 else ONE
+    return -1 if exponent % 2 else 1
 
 
 def cyclic_rotations(items, degrees):
@@ -336,9 +335,17 @@ class Complex:
 
     d o d = 0 is asserted on construction; failures raise ValueError
     with a witness basis label.
+
+    Each degree block d^t is eliminated at most once per complex, when
+    ``homology_window`` or ``HomologyBasis`` first needs it: its columns
+    go in basis order through one ``_Eliminator`` that tracks {i: 1}
+    combos.  The complex keeps that eliminator with the combos of its
+    pivot rows dropped (rank d^t is the number of pivots) and the kernel
+    combos, over the indices of ``space.by_degree[t]``.  The cache is
+    read-only once filled, so ``d`` must not change after the first use.
     """
 
-    __slots__ = ("space", "d")
+    __slots__ = ("space", "d", "_blocks")
 
     def __init__(self, space: GradedSpace, d: GradedMap, check=True):
         if d.source != space or d.target != space:
@@ -347,6 +354,7 @@ class Complex:
             raise ValueError("differential must have degree +1")
         self.space = space
         self.d = d
+        self._blocks = {}
         if check:
             dd = d.compose(d)
             if not dd.is_zero():
@@ -356,9 +364,16 @@ class Complex:
     def __repr__(self):
         return f"Complex(dim={self.space.dim}, degrees={self.space.degrees()})"
 
-    def d_block(self, t):
-        """Rows (indexed by degree-t basis labels) of d restricted to degree t."""
-        return [self.d.column(v) for v in self.space.by_degree.get(t, ())]
+    def _block(self, t):
+        """(eliminator of the columns of d^t, kernel combos of d^t), cached."""
+        block = self._blocks.get(t)
+        if block is None:
+            entries = self.d.entries
+            elim, kernel = _eliminate(
+                [entries.get(v, {}) for v in self.space.by_degree.get(t, ())])
+            elim.pivots = {col: (row, None) for col, (row, _) in elim.pivots.items()}
+            block = self._blocks[t] = (elim, kernel)
+        return block
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +484,32 @@ class _Eliminator:
             self.pivots[col] = (row, combo)
         return row, combo
 
+    def fork(self):
+        """A new eliminator that starts from a copy of this pivot dict and
+        shares these repr keys.  The pivot rows are shared too: reduce and
+        insert change only copies, and the fork adds its own pivots to its
+        own dict."""
+        other = _Eliminator()
+        other.pivots = dict(self.pivots)
+        other._keys = self._keys
+        return other
 
-def kernel_basis(rows):
-    """Basis of {x : sum_i x_i * rows[i] = 0}, as dicts over row indices."""
+
+def _eliminate(rows):
+    """Insert rows[i] with combo {i: 1} into one new eliminator; returns
+    it and the combos of the rows that reduced to zero."""
     elim = _Eliminator()
     kernel = []
     for i, r in enumerate(rows):
         row, combo = elim.insert(r, {i: 1})
         if not row:
             kernel.append(combo)
-    return kernel
+    return elim, kernel
+
+
+def kernel_basis(rows):
+    """Basis of {x : sum_i x_i * rows[i] = 0}, as dicts over row indices."""
+    return _eliminate(rows)[1]
 
 
 def solve(rows, rhs):
@@ -496,35 +527,33 @@ def solve(rows, rhs):
 
 
 def homology_window(cx: Complex, t_min, t_max) -> dict:
-    """dim H^t for t in [t_min, t_max]: dim ker d^t - rank d^{t-1}."""
-    dims = {}
-    ranks = {}
-    for t in range(t_min - 1, t_max + 1):
-        ranks[t] = sparse_rank(cx.d_block(t))
-    for t in range(t_min, t_max + 1):
-        dim = cx.space.dim_in_degree(t)
-        h = dim - ranks[t] - ranks[t - 1]
-        dims[t] = h
-    return dims
+    """dim H^t for t in [t_min, t_max]: dim ker d^t - rank d^{t-1}, each
+    rank the pivot count of the complex's eliminated block."""
+    ranks = {t: len(cx._block(t)[0].pivots) for t in range(t_min - 1, t_max + 1)}
+    return {t: cx.space.dim_in_degree(t) - ranks[t] - ranks[t - 1]
+            for t in range(t_min, t_max + 1)}
 
 
 class HomologyBasis:
-    """Representatives of H^t plus exact projection to homology coordinates."""
+    """Representatives of H^t plus exact projection to homology coordinates.
+
+    The cycles are the kernel combos of the complex's eliminated block
+    d^t, in order.  The boundaries are a fork of its eliminated block
+    d^{t-1}: those pivot rows are the ones inserting the d^{t-1} columns
+    would build, so pivots stay least-repr first.  A cycle becomes a
+    representative when it is independent of the boundaries and of the
+    representatives before it; its pivot goes into the fork only, and
+    the complex's cache is never written to.
+    """
 
     def __init__(self, cx: Complex, t):
         self.t = t
         labels = cx.space.by_degree.get(t, [])
-        cycle_combos = kernel_basis([cx.d.column(v) for v in labels])
-        cycles = [{labels[i]: c for i, c in combo.items()} for combo in cycle_combos]
-        self._elim = _Eliminator()
-        for v in cx.space.by_degree.get(t - 1, ()):
-            col = cx.d.column(v)
-            if col:
-                self._elim.insert(col, {})
+        self._elim = cx._block(t - 1)[0].fork()
         self.representatives = []
-        for z in cycles:
-            tag = len(self.representatives)
-            row, _ = self._elim.insert(z, {tag: 1})
+        for combo in cx._block(t)[1]:
+            z = {labels[i]: c for i, c in combo.items()}
+            row, _ = self._elim.insert(z, {len(self.representatives): 1})
             if row:
                 self.representatives.append(z)
 

@@ -89,6 +89,14 @@ class HochschildComplex:
                                + self.shift)
                         basis.append(((b, vm, xs), deg))
         self.space = GradedSpace(basis)
+        # the bimodule maps that exist: fold l -> ascending r with a
+        # mu_{l,r} table, and (0, 0) when the module differential has entries
+        live = set(bimodule.tables)
+        if bimodule.kmodule.d.entries:
+            live.add((0, 0))
+        self._folds = {}
+        for l, r in sorted(live):
+            self._folds.setdefault(l, []).append(r)
         entries = {}
         for (label, _deg) in basis:
             col = self.differential_column(label)
@@ -120,19 +128,27 @@ class HochschildComplex:
         deg_m = bim.kmodule.gens.degree[vm]
         x_degs = [alg.gens.degree[x] for x in xs]
         out = {}
-        # (a) id^{1+r} (x) mu_s (x) id^t on the x-string (s >= 1); mu moves
+        # (a) id^{1+r} (x) mu_s (x) id^t on the x-string, s in alg.arities; mu moves
         # past b, then past m, x_1..x_r together with its coefficient c
-        for _r, new_xs, c, coeff, parity in insertions(base, alg.eval_mu, 1, xs,
-                                                       x_degs, deg_m):
+        for _r, new_xs, c, coeff, parity in insertions(base, alg.eval_mu, 1, alg.arities,
+                                                       xs, x_degs, deg_m):
             _add_times_base(out, base, b, c, (vm, new_xs), coeff, deg_b ^ parity)
-        # (b) (mu_{l,r}^M (x) id^s) o t_{1+n}^l
+        # (b) (mu_{l,r}^M (x) id^s) o t_{1+n}^l, for the (l, r) that exist
+        folds = self._folds
+        top = max(folds, default=-1)
         factors = (vm,) + xs
         degrees = [deg_m] + x_degs
         for l, rotated, rot_parity in cyclic_rotations(factors, degrees):
+            if l > top:
+                break
+            if l not in folds:
+                continue
             # rotated = (x_{n-l+1}, .., x_n, vm, x_1, .., x_{n-l})
             rotated_pairs = tuple((unit, x) for x in rotated)
             negate = rot_parity ^ deg_b
-            for r in range(0, n - l + 1):
+            for r in folds[l]:
+                if r > n - l:
+                    break
                 value = bim.eval(l, r, rotated_pairs[:l + 1 + r])
                 new_xs = rotated[l + 1 + r:]
                 for (c, vm2), coeff in value.items():
@@ -426,21 +442,21 @@ class BarConstruction:
                 vec_add_term(out, ("bar", level, b2, new_vs), coeff * q)
 
         def product(window):
-            return len(window) == 2 and dga.mult.get((window[0][1], window[1][1]))
+            return dga.mult.get((window[0][1], window[1][1]))
 
         def twist(window):
-            return len(window) == 1 and dga.module.d_gen.get(window[0][1])
+            return dga.module.d_gen.get(window[0][1])
 
         # horizontal faces: sum (-1)^i id^i (x) mu (x) id^{n-i}; level 0 has
         # none (its face is the augmentation, not part of the differential)
         if n >= 1:
-            for i, new_vs, c, coeff, parity in insertions(base, product, 0, vs, degs):
+            for i, new_vs, c, coeff, parity in insertions(base, product, 0, (2,), vs, degs):
                 add(n - 1, c, new_vs, coeff, (i + parity) % 2)
         # internal differential and the twist, with the totalization sign (-1)^n
         for b2, q in base.d.column(b).items():
             vec_add_term(out, ("bar", n, b2, vs), -q if n % 2 else q)
         tot_b = n + base.degree(b)
-        for _i, new_vs, c, coeff, parity in insertions(base, twist, 1, vs, degs):
+        for _i, new_vs, c, coeff, parity in insertions(base, twist, 1, (1,), vs, degs):
             add(n, c, new_vs, coeff, (tot_b + parity) % 2)
         return out
 
@@ -826,7 +842,8 @@ class BarConnesComplex:
             # factors before w and w's own prefix together with its
             # coefficient c
             for _r, new_word, c, coeff, parity in insertions(
-                    base, self.algebra.eval_mu, 1, w, [degree[x] for x in w], before):
+                    base, self.algebra.eval_mu, 1, self.algebra.arities, w,
+                    [degree[x] for x in w], before):
                 _add_times_base(out, base, b, c, (head + (new_word,) + tail,), coeff,
                                 deg_b ^ parity)
             # deconcatenations, sign (-1)^{deg s^{-1} w_1}

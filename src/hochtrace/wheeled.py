@@ -32,6 +32,7 @@ from .grdlin import (
     enumerate_shuffles,
     koszul_sign,
     vec_add,
+    vec_add_term,
 )
 from .hoch import BarConnesComplex
 
@@ -67,12 +68,12 @@ def _normalize_children(children, supports, degrees) -> dict:
     """Rewrite a child tuple so the child holding the smallest letter is
     last, using the shuffle relations; ``supports`` and ``degrees`` are the
     children's (disjoint) supports and degrees.  Returns {child tuple:
-    coefficient}."""
+    int coefficient}."""
     k = len(children)
     # the lowest set bit of a support is its smallest letter
     j = min(range(k), key=lambda i: supports[i] & -supports[i])
     if j == k - 1:
-        return {children: ONE}
+        return {children: 1}
     # shuffle relation with p = j + 1: the identity shuffle keeps the
     # designated child at position j; all other (p, q)-shuffles push it right
     p = j + 1
@@ -85,18 +86,18 @@ def _normalize_children(children, supports, degrees) -> dict:
         permuted = _normalize_children(sigma.apply_to(children), sigma.apply_to(supports),
                                        sigma.apply_to(degrees))
         for child_tuple, c in permuted.items():
-            vec_add(out, {child_tuple: -sign * c})
+            vec_add_term(out, child_tuple, -sign * c)
     return out
 
 
 def normalize_tree(tree):
-    """Bring every vertex of a tree to normal form.  Returns ({tree:
+    """Bring every vertex of a tree to normal form.  Returns ({tree: int
     coefficient}, support, degree); normalizing keeps the last two."""
     kind, payload = tree
     if kind == "leaf":
-        return {tree: ONE}, 1 << payload, -1
+        return {tree: 1}, 1 << payload, -1
     # normalize children first (multilinear expansion)
-    expansions = [((), ONE)]
+    expansions = [((), 1)]
     supports, degrees = [], []
     for child in payload:
         norm, child_support, child_degree = normalize_tree(child)
@@ -108,7 +109,7 @@ def normalize_tree(tree):
     out = {}
     for children, coeff in expansions:
         for child_tuple, c in _normalize_children(children, supports, degrees).items():
-            vec_add(out, {node(child_tuple): coeff * c})
+            vec_add_term(out, node(child_tuple), coeff * c)
     return out, sum(supports), 1 + sum(degrees)
 
 
@@ -117,10 +118,8 @@ def graft(subtrees, supports, degrees) -> dict:
     degrees: the new root, normalized."""
     if len(subtrees) < 2:
         raise ValueError("generators have arity >= 2")
-    out = {}
-    for child_tuple, c in _normalize_children(subtrees, supports, degrees).items():
-        vec_add(out, {node(child_tuple): c})
-    return out
+    return {node(child_tuple): c
+            for child_tuple, c in _normalize_children(subtrees, supports, degrees).items()}
 
 
 def tree_differential(tree) -> dict:
@@ -167,12 +166,12 @@ def tree_differential(tree) -> dict:
         for s in range(2, k):
             for r in range(0, k - s + 1):
                 exponent = prefix + sum(child_degs[:r]) + 1
-                sign = -ONE if exponent % 2 else ONE
+                sign = -1 if exponent % 2 else 1
                 inner = node(payload[r:r + s])
                 expanded = node(payload[:r] + (inner,) + payload[r + s:])
                 rebuilt = replace(tree, path, expanded)
                 for t2, c in normalize_tree(rebuilt)[0].items():
-                    vec_add(out, {t2: sign * c})
+                    vec_add_term(out, t2, sign * c)
     return out
 
 

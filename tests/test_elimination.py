@@ -8,7 +8,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochtrace.fixtures import fixture_algebra
+from hochtrace.ainf import from_dga
+from hochtrace.fixtures import fixture_algebra, mu3_algebra, odd_coefficient_dga, random_dga
 from hochtrace.grdlin import (
     Complex,
     GradedMap,
@@ -16,6 +17,7 @@ from hochtrace.grdlin import (
     HomologyBasis,
     _Eliminator,
     dense_rank,
+    homology_window,
     kernel_basis,
     solve,
     sparse_rank,
@@ -211,3 +213,79 @@ def test_seeded_kernel_and_solve_pinned():
     rhs = {(("c", 0), 0): F(1), (("c", 5), 2): F(-2, 3)}
     assert solve(rows, rhs) == {0: F(3, 7), 3: F(10, 21), 5: F(4, 7), 2: F(9, 7), 1: F(-6, 7)}
     assert solve(rows[:3], rhs) is None
+
+
+# --- one elimination per degree block ----------------------------------------
+
+
+def cache_complexes():
+    rng = random.Random(2)   # the second draw has a differential
+    draws = [from_dga(random_dga(rng)) for _ in range(2)]
+    return ([lambda: hh_of_algebra(fixture_algebra("cp2"), 5),
+             lambda: hh_of_algebra(mu3_algebra(), 4),
+             lambda: hh_of_algebra(from_dga(odd_coefficient_dga()), 3)]
+            + [lambda alg=alg: hh_of_algebra(alg, 3) for alg in draws])
+
+
+def exact(vec):
+    """A dict as its ordered items with coefficient types: equal only
+    when bit-identical."""
+    return [(k, type(c), c) for k, c in vec.items()]
+
+
+def fresh_basis(cx, t):
+    """HomologyBasis(cx, t) from fresh eliminators: (representatives,
+    coords of every kernel cycle), eliminating d^t and d^{t-1} anew."""
+    labels = cx.space.by_degree.get(t, [])
+    elim = _Eliminator()
+    cycles = []
+    for i, v in enumerate(labels):
+        row, combo = elim.insert(cx.d.column(v), {i: 1})
+        if not row:
+            cycles.append({labels[j]: c for j, c in combo.items()})
+    boundaries = _Eliminator()
+    for v in cx.space.by_degree.get(t - 1, ()):
+        boundaries.insert(cx.d.column(v), {})
+    reps = []
+    for z in cycles:
+        row, _ = boundaries.insert(z, {len(reps): 1})
+        if row:
+            reps.append(z)
+    coords = []
+    for z in cycles:
+        residue, neg = boundaries.reduce(z, {})
+        assert not residue
+        coords.append({k: -c for k, c in neg.items() if c})
+    return [exact(z) for z in reps], [exact(c) for c in coords], cycles
+
+
+def cached_basis(cx, t, cycles):
+    hb = HomologyBasis(cx, t)
+    return [exact(z) for z in hb.representatives], [exact(hb.coords(z)) for z in cycles]
+
+
+def test_the_block_cache_matches_fresh_elimination():
+    for build in cache_complexes():
+        cx = build().complex
+        degrees = cx.space.degrees()
+        lo, hi = degrees[0], degrees[-1]
+        rank = {t: sparse_rank([cx.d.column(v) for v in cx.space.by_degree.get(t, ())])
+                for t in range(lo - 1, hi + 1)}
+        window = {t: cx.space.dim_in_degree(t) - rank[t] - rank[t - 1]
+                  for t in range(lo, hi + 1)}
+        fresh = {t: fresh_basis(cx, t) for t in degrees}
+        # bases before the window, the window, then bases twice more
+        for _ in range(2):
+            for t in degrees:
+                reps, coords, cycles = fresh[t]
+                assert cached_basis(cx, t, cycles) == (reps, coords)
+            assert homology_window(cx, lo, hi) == window
+        for t in degrees:
+            reps, coords, cycles = fresh[t]
+            assert cached_basis(cx, t, cycles) == (reps, coords)
+        # a new complex that computes the window first
+        cx = build().complex
+        assert homology_window(cx, lo, hi) == window
+        for t in degrees:
+            reps, coords, cycles = fresh[t]
+            assert cached_basis(cx, t, cycles) == (reps, coords)
