@@ -20,7 +20,7 @@ from .cdga import (
     eval_k_multilinear,
     kvec_scale,
 )
-from .grdlin import ONE, GradedSpace, enumerate_shuffles, koszul_sign, vec_add
+from .grdlin import ONE, GradedSpace, enumerate_shuffles, int_first, koszul_sign, vec_add
 from .report import Report
 
 
@@ -28,8 +28,10 @@ class AInfAlgebra:
     """An A-infinity algebra over a base cdga, truncated at arity N_max.
 
     ``gens`` is the generator space of sR (shifted degrees).  ``mu`` maps
-    arities to tables {generator tuple: kvec}.  Arities above N_max are
-    declared zero.  ``unit`` is the generator label of s1, if any.
+    arities to tables {generator tuple: kvec}, stored through
+    ``int_first``: explicit zeros are dropped and integral coefficients
+    become int.  Arities above N_max are declared zero.  ``unit`` is the
+    generator label of s1, if any.
 
     ``arities``: the ascending arities n at which mu_n can be nonzero on
     unit-coefficient generators, the arities of ``mu`` plus 1 whenever the
@@ -40,7 +42,7 @@ class AInfAlgebra:
                  unit=None, cinfty=False, check=True):
         self.base = base
         self.gens = gens
-        self.mu = {n: {vs: dict(col) for vs, col in table.items() if col}
+        self.mu = {n: {vs: kept for vs, col in table.items() if (kept := int_first(col))}
                    for n, table in mu.items()}
         self.mu = {n: t for n, t in self.mu.items() if t}
         self.n_max = int(n_max)

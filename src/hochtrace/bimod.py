@@ -33,6 +33,7 @@ from .grdlin import (
     GradedSpace,
     cyclic_rotations,
     enumerate_shuffles,
+    int_first,
     solve,
     vec_add,
     vec_add_term,
@@ -43,9 +44,11 @@ from .report import Report
 class AInfBimodule:
     """An R-S-bimodule with structure-map tables on generators.
 
-    ``tables``: {(l, r): {input generator tuple: kvec}} for (l, r) != (0, 0);
-    the (0, 0) map is the differential of ``kmodule``.  Either algebra may
-    be None, meaning the zero algebra (one-sided modules).
+    ``tables``: {(l, r): {input generator tuple: kvec}} for (l, r) != (0, 0),
+    stored through ``int_first``: explicit zeros are dropped and integral
+    coefficients become int.  The (0, 0) map is the differential of
+    ``kmodule``.  Either algebra may be None, meaning the zero algebra
+    (one-sided modules).
     """
 
     def __init__(self, left, right, kmodule: FreeKModule, tables, n_max,
@@ -63,7 +66,7 @@ class AInfBimodule:
                 raise ValueError("the (0,0) map is owned by the free module")
             if (l and left is None) or (r and right is None):
                 raise ValueError("structure map over the zero algebra")
-            cleaned = {k: dict(col) for k, col in table.items() if col}
+            cleaned = {k: kept for k, col in table.items() if (kept := int_first(col))}
             if cleaned:
                 self.tables[(l, r)] = cleaned
         if check:

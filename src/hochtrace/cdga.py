@@ -20,27 +20,24 @@ is the one place its sign is computed.
 """
 from __future__ import annotations
 
-from .grdlin import Complex, GradedMap, GradedSpace, ONE, vec_add
+from .grdlin import Complex, GradedMap, GradedSpace, ONE, int_first, vec_add
 
-Kvec = dict  # (k_basis_label, gen_label) -> Fraction
+Kvec = dict  # (k_basis_label, gen_label) -> int, or Fraction if not integral
 
 
 class BaseCDGA:
     """A finite-dimensional graded-commutative unital dga over Q.
 
-    ``mult`` maps basis pairs (a, b) to sparse products {c: coefficient}.
-    Associativity, graded commutativity, the Leibniz rule and unitality
-    are checked on construction.
+    ``mult`` maps basis pairs (a, b) to sparse products {c: coefficient},
+    stored through ``int_first``: explicit zeros are dropped and integral
+    coefficients become int.  Associativity, graded commutativity, the
+    Leibniz rule and unitality are checked on construction.
     """
 
     def __init__(self, space: GradedSpace, d: GradedMap, mult, unit, check=True):
         self.space = space
         self.unit = unit
-        self.mult = {}
-        for (a, b), col in mult.items():
-            col = {c: x for c, x in col.items() if x}
-            if col:
-                self.mult[(a, b)] = col
+        self.mult = {pair: kept for pair, col in mult.items() if (kept := int_first(col))}
         self.complex = Complex(space, d, check=check)
         self.d = d
         if unit not in space.degree or space.degree[unit] != 0:
@@ -111,15 +108,18 @@ def kvec_scale(vec: Kvec, c) -> Kvec:
 class FreeKModule:
     """k (x) V for a finite generator space V, with a k-linear differential.
 
-    ``d_gen`` maps each generator label to a kvec of degree |v| + 1.  The
-    total differential is d(b, v) = (d_k b, v) + (-1)^{|b|} b * d_gen(v);
-    d*d = 0 on the total space is asserted on construction.
+    ``d_gen`` maps each generator label to a kvec of degree |v| + 1,
+    stored through ``int_first`` (zeros dropped, integral coefficients
+    int).  The total differential is
+    d(b, v) = (d_k b, v) + (-1)^{|b|} b * d_gen(v); d*d = 0 on the total
+    space is asserted on construction.
     """
 
     def __init__(self, base: BaseCDGA, gens: GradedSpace, d_gen=None, check=True):
         self.base = base
         self.gens = gens
-        self.d_gen = {v: dict(col) for v, col in (d_gen or {}).items() if col}
+        self.d_gen = {v: kept for v, col in (d_gen or {}).items()
+                      if (kept := int_first(col))}
         self.total = GradedSpace(
             ((b, v), base.degree(b) + gens.degree[v])
             for b, _ in base.space.basis for v, _ in gens.basis
@@ -222,17 +222,19 @@ def eval_k_multilinear(base: BaseCDGA, table, map_degree, pairs, gen_degrees) ->
     """Evaluate a k-multilinear map (stored on generator tuples) on full
     basis pairs (b_i, v_i).  Output is a kvec of the target module.
 
-    When the collected coefficient is {base.unit: 1} with sign +1 -- every
-    slot carries the unit, as in all complex assembly -- the value is the
-    table column itself, copied without its zero entries; the unit axiom
-    validated by BaseCDGA makes that equal to the general formula.  The
-    result is always a fresh dict that the caller may mutate.
+    The generator tuple is looked up first, so a tuple with no table entry
+    costs no coefficient collection.  When the collected coefficient is
+    {base.unit: 1} with sign +1 -- every slot carries the unit, as in all
+    complex assembly -- the value is the table column itself, copied
+    without its zero entries; the unit axiom validated by BaseCDGA makes
+    that equal to the general formula.  The result is always a fresh dict
+    that the caller may mutate.
     """
-    sign, bvec, vs = collect_coefficients(base, gen_degrees, pairs)
-    if bvec is None:
-        return {}
-    value = table.get(vs)
+    value = table.get(tuple([v for _, v in pairs]))
     if not value:
+        return {}
+    sign, bvec, _ = collect_coefficients(base, gen_degrees, pairs)
+    if bvec is None:
         return {}
     if sign == 1 and len(bvec) == 1 and bvec.get(base.unit) == 1:
         return {key: x for key, x in value.items() if x}
@@ -252,7 +254,8 @@ class KAlgebra:
     designated generator.
 
     ``mult`` is the k-bilinear multiplication on generator pairs, with
-    kvec values.  Associativity, Leibniz and unitality are checked on
+    kvec values stored through ``int_first`` (zeros dropped, integral
+    coefficients int).  Associativity, Leibniz and unitality are checked on
     generators (k-bilinearity makes that sufficient).
     """
 
@@ -261,7 +264,7 @@ class KAlgebra:
         self.module = FreeKModule(base, gens, d_gen, check=check)
         self.base = base
         self.gens = gens
-        self.mult = {pair: dict(col) for pair, col in mult.items() if col}
+        self.mult = {pair: kept for pair, col in mult.items() if (kept := int_first(col))}
         if isinstance(unit_gen, dict):
             # a general unit kvec (e.g. sum of matrix units for End)
             self.unit_kvec = dict(unit_gen)

@@ -2,13 +2,10 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .ainf import AInfAlgebra, from_dga
 from .cdga import BaseCDGA, KAlgebra, cdga_as_kalgebra
 from .grdlin import GradedMap, GradedSpace, ONE
-
-_Q = Fraction
 
 
 def _cdga(basis, products, unit="1", diff=None):
@@ -23,10 +20,10 @@ def _cdga(basis, products, unit="1", diff=None):
         if a != unit:
             mult[(a, unit)] = {a: ONE}
     for (a, b), col in products.items():
-        mult[(a, b)] = {c: _Q(x) for c, x in col.items()}
+        mult[(a, b)] = col
         if (b, a) not in products and a != b:
             sign = -1 if (space.degree[a] * space.degree[b]) % 2 else 1
-            mult[(b, a)] = {c: _Q(x) * sign for c, x in col.items()}
+            mult[(b, a)] = {c: x * sign for c, x in col.items()}
     d = GradedMap(space, space, 1, diff or {})
     return BaseCDGA(space, d, mult, unit)
 
@@ -193,8 +190,8 @@ def _kalg(basis, products, d_gen=None):
         if a != "1":
             mult[(a, "1")] = {("1", a): ONE}
     for pair, col in products.items():
-        mult[pair] = {("1", c): _Q(x) for c, x in col.items()}
-    dg = {v: {("1", w): _Q(x) for w, x in col.items()}
+        mult[pair] = {("1", c): x for c, x in col.items()}
+    dg = {v: {("1", w): x for w, x in col.items()}
           for v, col in (d_gen or {}).items()}
     return KAlgebra(base, gens, mult, "1", dg)
 

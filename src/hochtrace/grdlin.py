@@ -3,14 +3,17 @@
 Graded vector spaces with named basis elements, sparse graded maps,
 cochain complexes (differentials of degree +1, d*d = 0 asserted on
 construction), Koszul signs for permutations of graded tensor factors,
-and windowed homology by exact Gaussian elimination that keeps integral
-coefficients as int and builds a Fraction only to divide by a pivot
-other than +-1.  ``GradedMap`` keeps coefficients as given (int or
-Fraction), so integral input stays int through composition and the d^2
-and chain-map checks.  Each degree block d^t of a ``Complex`` is
-eliminated once per complex and the result cached on it, read-only:
-``homology_window`` reads ranks from it and ``HomologyBasis`` its cycles
-and its boundary pivots.  Koszul signs are the ints +1 and -1.
+and windowed homology by exact Gaussian elimination.
+
+Coefficients are exact rationals, and an integral coefficient is a
+Python int: ``ONE`` is the int 1, structure tables are stored through
+``int_first``, and ``vec_add``, ``GradedMap`` and the d^2 and chain-map
+checks keep int input int.  A Fraction appears only where elimination
+divides by a pivot other than +-1 (``_Eliminator.insert``); int and
+Fraction values go through the same code.  Each degree block d^t of a
+``Complex`` is eliminated once per complex and the result cached on it,
+read-only: ``homology_window`` reads ranks from it and ``HomologyBasis``
+its cycles and its boundary pivots.  Koszul signs are the ints +1 and -1.
 
 ``cyclic_rotations`` is the one implementation of the cyclic Koszul
 rotation and its sign: every Hochschild, Connes, trace and symmetry
@@ -25,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-ONE = Fraction(1)
+ONE = 1
 
 
 class GradedSpace:
@@ -89,11 +92,12 @@ def tensor_space(*spaces) -> GradedSpace:
     return GradedSpace(basis)
 
 
-def vec_add(target: dict, items, coeff=ONE):
+def vec_add(target: dict, items, coeff=1):
     """In-place target += coeff * items, dropping zeros.
 
     A missing entry counts as int 0, so int coefficients times an int
-    coeff stay int; any Fraction operand gives a Fraction.
+    coeff stay int: integral coefficients are int throughout, and only a
+    Fraction operand (from a non-unit pivot) gives a Fraction.
     """
     for label, c in items.items() if isinstance(items, dict) else items:
         value = target.get(label, 0) + coeff * c
@@ -124,9 +128,10 @@ def vec_add_term(target: dict, label, c):
 class GradedMap:
     """A degree-homogeneous linear map given by sparse columns.
 
-    ``entries[src_label]`` is a dict target_label -> coefficient (int or
-    Fraction, kept as given; zeros are dropped).  Every entry must raise
-    degrees by exactly ``degree``.
+    ``entries[src_label]`` is a dict target_label -> coefficient, kept as
+    given with zeros dropped: an int for every integral coefficient, a
+    Fraction only where elimination divided by a non-unit pivot.  Every
+    entry must raise degrees by exactly ``degree``.
     """
 
     __slots__ = ("source", "target", "degree", "entries")
@@ -417,8 +422,11 @@ def dense_rank(matrix) -> int:
     return rank
 
 
-def _int_first(vec):
-    """A copy of vec without zeros, integral Fractions turned into int."""
+def int_first(vec):
+    """A copy of vec without zeros, integral Fractions turned into int.
+
+    The one normalizer at the boundary where structure tables come in:
+    a table written with Fraction(1) then takes the int path too."""
     return {k: c.numerator if c.denominator == 1 else c for k, c in vec.items() if c}
 
 
@@ -434,8 +442,10 @@ class _Eliminator:
     integral Fractions turned into int.  Pivot rows and their combos are
     stored normalized to leading coefficient 1, so a reduction step
     multiplies but never divides, and integral input stays int unless a
-    pivot is not +-1.  Returned rows, combos and the results built from
-    them may therefore hold int as well as Fraction coefficients.
+    pivot p is not +-1: ``insert`` then scales by Fraction(1, p), the one
+    division in the library outside the ``dense_rank`` oracle.  Returned
+    rows, combos and the results built from them may therefore hold int
+    as well as Fraction coefficients.
     """
 
     def __init__(self):
@@ -450,13 +460,13 @@ class _Eliminator:
     def reduce(self, row, combo=None):
         """Reduce a copy of row against the pivots; returns (row, combo),
         combo tracking the pivot combos subtracted (None: not tracked)."""
-        row = _int_first(row)
+        row = int_first(row)
         keys = self._keys
         for label in row:
             if label not in keys:
                 keys[label] = repr(label)
         if combo is not None:
-            combo = _int_first(combo)
+            combo = int_first(combo)
         while row:
             col = self.lead(row)
             hit = self.pivots.get(col)
@@ -477,7 +487,7 @@ class _Eliminator:
             col = self.lead(row)
             p = row[col]
             if p != 1:
-                inv = -1 if p == -1 else ONE / p
+                inv = -1 if p == -1 else Fraction(1, p)
                 row = {k: c * inv for k, c in row.items()}
                 if combo is not None:
                     combo = {k: c * inv for k, c in combo.items()}
@@ -543,15 +553,22 @@ class HomologyBasis:
     would build, so pivots stay least-repr first.  A cycle becomes a
     representative when it is independent of the boundaries and of the
     representatives before it; its pivot goes into the fork only, and
-    the complex's cache is never written to.
+    the complex's cache is never written to.  The scan stops once it has
+    dim H^t = len(kernel of d^t) - rank d^{t-1} representatives: every
+    later cycle would reduce to zero against the fork.
     """
 
     def __init__(self, cx: Complex, t):
         self.t = t
         labels = cx.space.by_degree.get(t, [])
-        self._elim = cx._block(t - 1)[0].fork()
+        boundaries, _ = cx._block(t - 1)
+        cycles = cx._block(t)[1]
+        dim = len(cycles) - len(boundaries.pivots)
+        self._elim = boundaries.fork()
         self.representatives = []
-        for combo in cx._block(t)[1]:
+        for combo in cycles:
+            if len(self.representatives) == dim:
+                break
             z = {labels[i]: c for i, c in combo.items()}
             row, _ = self._elim.insert(z, {len(self.representatives): 1})
             if row:

@@ -288,7 +288,7 @@ class CyclicWords:
         seen_parities = {}
         for _l, rotated, parity in cyclic_rotations(items, degs):
             if seen_parities.setdefault(rotated, parity) != parity:
-                return None, ONE * 0
+                return None, 0
             key = repr(rotated)
             if best is None or key < best[0]:
                 best = (key, rotated, parity)

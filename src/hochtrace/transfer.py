@@ -10,7 +10,6 @@ Every trace-type map ships with an exact chain-map certificate.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .ainf import (
@@ -43,7 +42,7 @@ from .grdlin import (
 from .hoch import HochschildComplex, hh_algebra_induced_map, hh_of_algebra
 from .report import Report
 
-ZERO = Fraction(0)
+ZERO = 0
 
 
 # --- graded traces over the base cdga -----------------------------------------
@@ -104,10 +103,10 @@ def graded_trace_cyclicity_report(module: FreeKModule, rng, samples=20) -> Repor
                 for r in base.space.labels():
                     if (base.degree(r) + module.gens.degree[w]
                             - module.gens.degree[v]) == fdeg and rng.random() < 0.5:
-                        f.setdefault(v, {})[(r, w)] = Fraction(rng.randint(-3, 3))
+                        f.setdefault(v, {})[(r, w)] = rng.randint(-3, 3)
                     if (base.degree(r) + module.gens.degree[w]
                             - module.gens.degree[v]) == gdeg and rng.random() < 0.5:
-                        g.setdefault(v, {})[(r, w)] = Fraction(rng.randint(-3, 3))
+                        g.setdefault(v, {})[(r, w)] = rng.randint(-3, 3)
         lhs = module_trace(module, operator_compose(module, f, g))
         rhs = module_trace(module, operator_compose(module, g, f))
         sign = -ONE if (fdeg * gdeg) % 2 else ONE

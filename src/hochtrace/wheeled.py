@@ -19,13 +19,11 @@ known where a tree is built and is never recomputed from the tree.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, combinations, pairwise, permutations, product
 
 from .ainf import AInfAlgebra, compositions
 from .cdga import BaseCDGA
 from .grdlin import (
-    GradedMap,
     GradedSpace,
     HomologyBasis,
     ONE,
@@ -36,7 +34,7 @@ from .grdlin import (
 )
 from .hoch import BarConnesComplex
 
-ZERO = Fraction(0)
+ZERO = 0
 
 
 # --- shuffle-reduced trees -------------------------------------------------------
@@ -294,7 +292,7 @@ def gc1_homology(n, characters=False):
     """Dimensions of H^k (k = n - #vertices) of the one-loop complex, and
     optionally the traces of the Sigma_n-action on each homology group."""
     cx = gc1_complex(n)
-    actions = {perm: _letter_permutation_map(cx, perm)
+    actions = {perm: _letter_permutation_action(cx, perm)
                for perm in _conjugacy_representatives(n)} if characters else {}
     dims = {}
     out_chars = {}
@@ -347,12 +345,15 @@ def _relabel_tree(tree, perm):
     return node(tuple(_relabel_tree(c, perm) for c in payload))
 
 
-def _letter_permutation_map(cx: BarConnesComplex, perm) -> GradedMap:
+def _letter_permutation_action(cx: BarConnesComplex, perm):
     """The Sigma_n-action on the one-loop complex by hair relabeling
     (letters have degree -1... odd: relabeling itself carries no Koszul
-    sign beyond tree renormalization)."""
-    entries = {}
-    for label in cx.space.labels():
+    sign beyond tree renormalization), as a function on vectors.  A trace
+    reads it only on homology representatives, so each basis label's
+    column is computed on first use and kept for this action only."""
+    columns = {}
+
+    def column(label):
         b, words = label
         expansions = [((), ONE)]
         for w in words:
@@ -368,6 +369,15 @@ def _letter_permutation_map(cx: BarConnesComplex, perm) -> GradedMap:
             tlabel, sign = cx.reduce_label(b, new_words)
             if tlabel is not None:
                 vec_add(col, {tlabel: sign * c})
-        if col:
-            entries[label] = col
-    return GradedMap(cx.space, cx.space, 0, entries)
+        return col
+
+    def action(vec):
+        out = {}
+        for label, c in vec.items():
+            col = columns.get(label)
+            if col is None:
+                col = columns[label] = column(label)
+            vec_add(out, col, c)
+        return out
+
+    return action

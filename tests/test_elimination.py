@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hochtrace.ainf import from_dga
-from hochtrace.fixtures import fixture_algebra, mu3_algebra, odd_coefficient_dga, random_dga
+from hochtrace.fixtures import (
+    fixture_algebra,
+    mu3_algebra,
+    odd_coefficient_dga,
+    random_dga,
+    sphere3_with_differential,
+)
 from hochtrace.grdlin import (
     Complex,
     GradedMap,
@@ -221,9 +227,12 @@ def test_seeded_kernel_and_solve_pinned():
 def cache_complexes():
     rng = random.Random(2)   # the second draw has a differential
     draws = [from_dga(random_dga(rng)) for _ in range(2)]
+    # sphere3_with_differential: H^2 = 0, though x = dy spans the kernel
+    # of its degree-2 block
     return ([lambda: hh_of_algebra(fixture_algebra("cp2"), 5),
              lambda: hh_of_algebra(mu3_algebra(), 4),
-             lambda: hh_of_algebra(from_dga(odd_coefficient_dga()), 3)]
+             lambda: hh_of_algebra(from_dga(odd_coefficient_dga()), 3),
+             sphere3_with_differential]
             + [lambda alg=alg: hh_of_algebra(alg, 3) for alg in draws])
 
 

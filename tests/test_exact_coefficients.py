@@ -1,0 +1,46 @@
+"""Integral coefficients are Python ints from the structure tables to the
+certificates; a Fraction is built only where elimination divides by a
+pivot other than +-1."""
+from fractions import Fraction
+
+from hochtrace.ainf import AInfAlgebra, from_dga
+from hochtrace.cdga import BaseCDGA
+from hochtrace.fixtures import fixture_algebra, mu3_algebra, odd_coefficient_dga
+from hochtrace.grdlin import GradedSpace, _Eliminator
+from hochtrace.hoch import hh_of_algebra
+from hochtrace.wheeled import free_multilinear_algebra, gc1_complex
+
+
+def coefficient_types(columns):
+    return {type(c) for col in columns.values() for c in col.values()}
+
+
+def test_integral_coefficients_are_int():
+    differentials = [
+        hh_of_algebra(fixture_algebra("cp2"), 3).d,
+        hh_of_algebra(mu3_algebra(), 3).d,
+        hh_of_algebra(from_dga(odd_coefficient_dga()), 3).d,
+        gc1_complex(3).d,
+    ]
+    for d in differentials:
+        assert coefficient_types(d.entries) == {int}, d
+    for table in free_multilinear_algebra(3).mu.values():
+        assert coefficient_types(table) == {int}
+    # a table written with Fractions is stored with ints
+    gens = GradedSpace([("a", 1), ("c", 4)])
+    alg = AInfAlgebra(BaseCDGA.rationals(), gens,
+                      {3: {("a", "a", "a"): {("1", "c"): Fraction(1)},
+                           ("a", "c", "a"): {("1", "a"): Fraction(-2),
+                                             ("1", "c"): Fraction(0)}}},
+                      3, check=False)
+    assert alg.mu[3] == {("a", "a", "a"): {("1", "c"): 1},
+                         ("a", "c", "a"): {("1", "a"): -2}}
+    assert coefficient_types(alg.mu[3]) == {int}
+
+
+def test_a_non_unit_pivot_builds_a_fraction():
+    elim = _Eliminator()
+    elim.insert({"a": 3, "b": 1})
+    row, combo = elim.pivots["a"]
+    assert row == {"a": 1, "b": Fraction(1, 3)} and combo is None
+    assert type(row["b"]) is Fraction

@@ -1,5 +1,7 @@
 """Source hygiene of src/hochtrace, checked with the standard-library ast:
-no unused import and no bare ``assert`` (checks raise typed errors)."""
+no unused import, no bare ``assert`` (checks raise typed errors), and no
+``/`` or ``/=`` outside ``grdlin.dense_rank``: exact code divides only
+through ``Fraction``, so no float is reachable."""
 import ast
 from pathlib import Path
 
@@ -30,6 +32,18 @@ def bare_asserts(source):
             if isinstance(node, ast.Assert)]
 
 
+def divisions(source, allowed=()):
+    """Lines of every ``/`` and ``/=`` outside the functions named in
+    ``allowed``."""
+    tree = ast.parse(source)
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name in allowed
+              for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div) and id(node) not in exempt)
+
+
 def test_the_scan_sees_the_sources():
     assert {p.name for p in SOURCES} >= {"grdlin.py", "hoch.py", "transfer.py"}
 
@@ -44,7 +58,16 @@ def test_no_bare_assert(path):
     assert bare_asserts(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_division(path):
+    allowed = ("dense_rank",) if path.name == "grdlin.py" else ()
+    assert divisions(path.read_text(), allowed) == []
+
+
 def test_the_checks_fire():
     source = "from itertools import product, permutations\nassert product\n"
     assert unused_imports(source) == [("permutations", 1)]
     assert bare_asserts(source) == [2]
+    source = "x = 1 / 2\nx /= 3\ny = 7 // 2\ndef dense_rank(m):\n    return m / 2\n"
+    assert divisions(source) == [1, 2, 5]
+    assert divisions(source, ("dense_rank",)) == [1, 2]
