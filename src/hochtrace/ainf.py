@@ -212,7 +212,11 @@ def check_cinfty(alg: AInfAlgebra, up_to) -> Report:
 
 
 class AInfMorphism:
-    """Components f_n: (sR)^{(x)n} -> sS of degree 0, tables on generators."""
+    """Components f_n: (sR)^{(x)n} -> sS of degree 0, tables on generators.
+
+    The tables are stored through ``int_first``, as ``AInfAlgebra.mu``:
+    explicit zeros are dropped and integral coefficients become int.
+    """
 
     def __init__(self, source: AInfAlgebra, target: AInfAlgebra, components,
                  n_max=None, check=True):
@@ -220,7 +224,8 @@ class AInfMorphism:
             raise ValueError("morphism across different bases")
         self.source = source
         self.target = target
-        self.components = {n: {vs: dict(col) for vs, col in table.items() if col}
+        self.components = {n: {vs: kept for vs, col in table.items()
+                               if (kept := int_first(col))}
                            for n, table in components.items()}
         self.components = {n: t for n, t in self.components.items() if t}
         self.n_max = n_max if n_max is not None else min(source.n_max, target.n_max)

@@ -180,7 +180,11 @@ def check_bimodule(bim: AInfBimodule, up_to) -> Report:
 
 
 class BimoduleMap:
-    """A degree-d map of R-S-bimodules, component tables on generators."""
+    """A degree-d map of R-S-bimodules, component tables on generators.
+
+    The tables are stored through ``int_first``, as ``AInfBimodule.tables``:
+    explicit zeros are dropped and integral coefficients become int.
+    """
 
     def __init__(self, source: AInfBimodule, target: AInfBimodule, degree,
                  components, check=True):
@@ -189,7 +193,7 @@ class BimoduleMap:
         self.degree = int(degree)
         self.components = {}
         for (l, r), table in components.items():
-            cleaned = {k: dict(col) for k, col in table.items() if col}
+            cleaned = {k: kept for k, col in table.items() if (kept := int_first(col))}
             if cleaned:
                 self.components[(l, r)] = cleaned
         if check:
@@ -445,11 +449,14 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
     kmodule = FreeKModule(base, gens, d_gen)
 
     out_nmax = max(m.n_max, n.n_max)
+    # table (l, 0) only applies mu^M_{l, .} and table (0, r) only mu^N_{., r}
+    m_left = {l for l, _r in m.tables}
+    n_right = {r for _l, r in n.tables}
     tables = {}
     for total_arity in range(1, out_nmax + 1):
         for l in range(0, total_arity + 1):
             r = total_arity - l
-            if (l and m.left is None) or (r and n.right is None):
+            if (l and l not in m_left) or (r and r not in n_right):
                 continue
             if l > 0 and r > 0:
                 continue  # tensor structure maps vanish unless one side is 0

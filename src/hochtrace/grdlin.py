@@ -9,11 +9,15 @@ Coefficients are exact rationals, and an integral coefficient is a
 Python int: ``ONE`` is the int 1, structure tables are stored through
 ``int_first``, and ``vec_add``, ``GradedMap`` and the d^2 and chain-map
 checks keep int input int.  A Fraction appears only where elimination
-divides by a pivot other than +-1 (``_Eliminator.insert``); int and
+divides by a pivot other than +-1 (``_Eliminator._insert``); int and
 Fraction values go through the same code.  Each degree block d^t of a
 ``Complex`` is eliminated once per complex and the result cached on it,
 read-only: ``homology_window`` reads ranks from it and ``HomologyBasis``
-its cycles and its boundary pivots.  Koszul signs are the ints +1 and -1.
+its cycles and its boundary pivots.  Inside ``_Eliminator`` rows are
+keyed by the repr string of each label, so that every dict operation of
+a reduction hashes a string that caches its hash; the pivot is still the
+least-repr label, the order ``hoch.ClassicalHochschild`` relies on.
+Koszul signs are the ints +1 and -1.
 
 ``cyclic_rotations`` is the one implementation of the cyclic Koszul
 rotation and its sign: every Hochschild, Connes, trace and symmetry
@@ -389,7 +393,7 @@ def sparse_rank(rows) -> int:
     """Rank of a sparse matrix given as a list of dict rows (not modified)."""
     elim = _Eliminator()
     for row in rows:
-        elim.insert(row)
+        elim._insert(row, None)
     return len(elim.pivots)
 
 
@@ -436,40 +440,68 @@ class _Eliminator:
     The pivot of a row is its leading column: the label with the least
     repr (``lead``).  ``hoch.ClassicalHochschild`` relies on this order
     to keep its "a"-tagged relation labels ahead of its "z"-tagged basis.
-    Each label's repr is computed once, when a row holding it comes in.
+
+    Inside, rows are keyed by the repr string of each label, computed
+    once when a row brings the label in, and ``pivots`` maps the repr of
+    each leading label to its row: the pivot of a row is then ``min(row)``,
+    a string compare, and every dict operation hashes a string that caches
+    its hash.  Two labels with one repr would share a column and raise
+    ValueError instead.  ``insert`` and ``reduce`` take and return rows
+    keyed by label; the repr -> label map that translates them back is
+    shared with every ``fork``.  Combos stay keyed by the caller's index.
 
     Rows and combos are copied on entry, with zero entries dropped and
     integral Fractions turned into int.  Pivot rows and their combos are
     stored normalized to leading coefficient 1, so a reduction step
     multiplies but never divides, and integral input stays int unless a
-    pivot p is not +-1: ``insert`` then scales by Fraction(1, p), the one
+    pivot p is not +-1: ``_insert`` then scales by Fraction(1, p), the one
     division in the library outside the ``dense_rank`` oracle.  Returned
     rows, combos and the results built from them may therefore hold int
     as well as Fraction coefficients.
     """
 
     def __init__(self):
-        self.pivots = {}  # leading col -> (normalized row, combo)
+        self.pivots = {}  # repr of the leading label -> (normalized row, combo)
         self._keys = {}  # label -> repr(label)
+        self._labels = {}  # repr(label) -> label
+
+    def _keyed(self, row):
+        """A copy of a label-keyed row keyed by repr, zeros dropped and
+        integral Fractions turned into int (as ``int_first``)."""
+        keys = self._keys
+        out = {}
+        for label, c in row.items():
+            if c:
+                key = keys.get(label)
+                if key is None:
+                    key = repr(label)
+                    other = self._labels.setdefault(key, label)
+                    if other is not label:
+                        raise ValueError(
+                            f"labels {other!r} and {label!r} share the repr {key}")
+                    keys[label] = key
+                out[key] = c.numerator if c.denominator == 1 else c
+        return out
+
+    def _labelled(self, row):
+        """A repr-keyed row keyed by label again."""
+        labels = self._labels
+        return {labels[key]: c for key, c in row.items()}
 
     def lead(self, row):
-        """The leading (pivot) column of a nonempty row that went through
-        this eliminator."""
+        """The leading (pivot) label of a nonempty label-keyed row that
+        went through this eliminator."""
         return min(row, key=self._keys.__getitem__)
 
-    def reduce(self, row, combo=None):
-        """Reduce a copy of row against the pivots; returns (row, combo),
-        combo tracking the pivot combos subtracted (None: not tracked)."""
-        row = int_first(row)
-        keys = self._keys
-        for label in row:
-            if label not in keys:
-                keys[label] = repr(label)
-        if combo is not None:
-            combo = int_first(combo)
+    def _reduce(self, row, combo):
+        """Reduce a repr-keyed copy of row, which is keyed by label, against
+        the pivots; returns (row, combo), the pivot combos subtracted
+        being added to combo in place (None: not tracked)."""
+        row = self._keyed(row)
+        pivots = self.pivots
         while row:
-            col = self.lead(row)
-            hit = self.pivots.get(col)
+            col = min(row)
+            hit = pivots.get(col)
             if hit is None:
                 break
             pivot_row, pivot_combo = hit
@@ -479,12 +511,12 @@ class _Eliminator:
                 vec_add(combo, pivot_combo, factor)
         return row, combo
 
-    def insert(self, row, combo=None):
-        """Reduce and insert if independent. Returns the surviving (row,
-        combo), normalized when the row is nonzero."""
-        row, combo = self.reduce(row, combo)
+    def _insert(self, row, combo):
+        """``_reduce``, then store the surviving row, normalized, as a
+        pivot.  Returns the repr-keyed (row, combo)."""
+        row, combo = self._reduce(row, combo)
         if row:
-            col = self.lead(row)
+            col = min(row)
             p = row[col]
             if p != 1:
                 inv = -1 if p == -1 else Fraction(1, p)
@@ -494,14 +526,27 @@ class _Eliminator:
             self.pivots[col] = (row, combo)
         return row, combo
 
+    def reduce(self, row, combo=None):
+        """Reduce a copy of row against the pivots; returns (row, combo),
+        combo tracking the pivot combos subtracted (None: not tracked)."""
+        row, combo = self._reduce(row, None if combo is None else int_first(combo))
+        return self._labelled(row), combo
+
+    def insert(self, row, combo=None):
+        """Reduce and insert if independent. Returns the surviving (row,
+        combo), normalized when the row is nonzero."""
+        row, combo = self._insert(row, None if combo is None else int_first(combo))
+        return self._labelled(row), combo
+
     def fork(self):
         """A new eliminator that starts from a copy of this pivot dict and
-        shares these repr keys.  The pivot rows are shared too: reduce and
-        insert change only copies, and the fork adds its own pivots to its
-        own dict."""
+        shares these repr keys and labels.  The pivot rows are shared too:
+        reduce and insert change only copies, and the fork adds its own
+        pivots to its own dict."""
         other = _Eliminator()
         other.pivots = dict(self.pivots)
         other._keys = self._keys
+        other._labels = self._labels
         return other
 
 
@@ -511,7 +556,7 @@ def _eliminate(rows):
     elim = _Eliminator()
     kernel = []
     for i, r in enumerate(rows):
-        row, combo = elim.insert(r, {i: 1})
+        row, combo = elim._insert(r, {i: 1})
         if not row:
             kernel.append(combo)
     return elim, kernel
@@ -527,10 +572,8 @@ def solve(rows, rhs):
 
     ``rows`` are dict rows; ``rhs`` a dict over the same column labels.
     """
-    elim = _Eliminator()
-    for i, r in enumerate(rows):
-        elim.insert(r, {i: 1})
-    residue, neg_solution = elim.reduce(rhs, {})
+    elim, _ = _eliminate(rows)
+    residue, neg_solution = elim._reduce(rhs, {})
     if residue:
         return None
     return {i: -c for i, c in neg_solution.items()}
@@ -570,7 +613,7 @@ class HomologyBasis:
             if len(self.representatives) == dim:
                 break
             z = {labels[i]: c for i, c in combo.items()}
-            row, _ = self._elim.insert(z, {len(self.representatives): 1})
+            row, _ = self._elim._insert(z, {len(self.representatives): 1})
             if row:
                 self.representatives.append(z)
 
@@ -580,7 +623,7 @@ class HomologyBasis:
 
     def coords(self, vec: dict):
         """Homology coordinates of a cycle (boundaries project to zero)."""
-        residue, neg = self._elim.reduce(vec, {})
+        residue, neg = self._elim._reduce(vec, {})
         if residue:
             raise ValueError("vector is not a cycle modulo boundaries")
         return {k: -c for k, c in neg.items() if c}

@@ -1,9 +1,10 @@
+import hashlib
 import random
 from types import SimpleNamespace
 
 import pytest
 
-from hochtrace.ainf import AInfMorphism, check_morphism, unit_algebra
+from hochtrace.ainf import AInfMorphism, check_morphism, from_dga, unit_algebra
 from hochtrace.bimod import (
     AInfBimodule,
     BimoduleMap,
@@ -30,7 +31,7 @@ from hochtrace.bimod import (
     v_map,
 )
 from hochtrace.cdga import FreeKModule
-from hochtrace.fixtures import fixture_algebra, mu3_algebra
+from hochtrace.fixtures import fixture_algebra, mu3_algebra, odd_coefficient_dga
 from hochtrace.grdlin import ONE, GradedSpace, is_quasi_iso_window
 
 
@@ -129,6 +130,49 @@ def test_tensor_inf_mu3():
     diag = diagonal_bimodule(alg)
     bar = tensor_inf(diag, left_module_from_algebra(alg), 3)
     assert check_bimodule(bar, 3).ok
+
+
+def _tables_digest(value):
+    """Hash of nested dicts of rationals, keys sorted by repr, coefficients
+    written as numerator/denominator."""
+    h = hashlib.sha256()
+
+    def walk(v):
+        if isinstance(v, dict):
+            h.update(b"{")
+            for k in sorted(v, key=repr):
+                h.update(repr(k).encode() + b":")
+                walk(v[k])
+            h.update(b"}")
+        else:
+            h.update(f"{v.numerator}/{v.denominator};".encode())
+
+    walk(value)
+    return h.hexdigest()[:16]
+
+
+# (algebra, right factor, table arities, digest of the tables and d_gen of
+# tensor_inf(diagonal, factor, 2)), hashed before tables that cannot be
+# nonzero were skipped
+PINNED_TENSORS = [
+    ("cp2", "diagonal", [(0, 1), (1, 0)], "ab86f9ceb9c4ca7c"),
+    ("cp2", "left", [(1, 0)], "9914c3830679bd97"),
+    ("mu3", "diagonal", [(0, 1), (0, 2), (1, 0), (2, 0)], "fd62c981566adf99"),
+    ("mu3", "left", [(1, 0), (2, 0)], "9c794f19c04a34cc"),
+    ("odd", "diagonal", [(0, 1), (1, 0)], "bbbe6a5c6867c882"),
+    ("odd", "left", [(1, 0)], "b5a2c5b0d49bc4ae"),
+]
+TENSOR_ALGEBRAS = {"cp2": lambda: fixture_algebra("cp2"), "mu3": mu3_algebra,
+                   "odd": lambda: from_dga(odd_coefficient_dga())}
+TENSOR_FACTORS = {"diagonal": diagonal_bimodule, "left": left_module_from_algebra}
+
+
+@pytest.mark.parametrize("alg_name, factor, arities, pinned", PINNED_TENSORS)
+def test_tensor_inf_tables_pinned(alg_name, factor, arities, pinned):
+    alg = TENSOR_ALGEBRAS[alg_name]()
+    t = tensor_inf(diagonal_bimodule(alg), TENSOR_FACTORS[factor](alg), 2)
+    assert sorted(t.tables) == arities
+    assert _tables_digest({"tables": t.tables, "d_gen": t.kmodule.d_gen}) == pinned
 
 
 def test_hom_bimodule_validates():

@@ -1,10 +1,16 @@
 """Exact elimination (sparse_rank, kernel_basis, solve, HomologyBasis):
 property tests on random rational matrices with non-unit pivots, and
-pinned exact outputs that any change to elimination must reproduce."""
+pinned exact outputs that any change to elimination must reproduce.
+
+``LabelEliminator`` is the elimination loop as it was before rows were
+keyed by repr strings: rows keyed by label, the pivot picked by
+``min(row, key=repr)``.  It is kept as the reference that the library's
+``_Eliminator`` must match bit for bit."""
 import hashlib
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +30,11 @@ from hochtrace.grdlin import (
     _Eliminator,
     dense_rank,
     homology_window,
+    int_first,
     kernel_basis,
     solve,
     sparse_rank,
+    vec_add,
 )
 from hochtrace.hoch import hh_of_algebra
 
@@ -112,9 +120,111 @@ def test_pivots_are_normalized_in_repr_order(matrix):
     elim = _Eliminator()
     for row in rows:
         elim.insert(row, {})
-    for col, (row, _combo) in elim.pivots.items():
+    # the pivot dict is keyed by repr; read each pivot row back by label
+    for key, (row, _combo) in elim.pivots.items():
+        col, row = elim._labels[key], elim._labelled(row)
         assert row[col] == 1
         assert elim.lead(row) == col == min(row, key=repr)
+
+
+class LabelEliminator:
+    """The label-keyed elimination loop: pivots keyed by label, the pivot
+    of a row its least-repr label, rows and combos normalized to a
+    leading 1 (int_first on entry, Fraction(1, p) for a pivot p != +-1)."""
+
+    def __init__(self):
+        self.pivots = {}
+        self._keys = {}
+
+    def lead(self, row):
+        return min(row, key=self._keys.__getitem__)
+
+    def reduce(self, row, combo=None):
+        row = int_first(row)
+        for label in row:
+            if label not in self._keys:
+                self._keys[label] = repr(label)
+        if combo is not None:
+            combo = int_first(combo)
+        while row:
+            col = self.lead(row)
+            hit = self.pivots.get(col)
+            if hit is None:
+                break
+            pivot_row, pivot_combo = hit
+            factor = -row[col]
+            vec_add(row, pivot_row, factor)
+            if combo is not None and pivot_combo is not None:
+                vec_add(combo, pivot_combo, factor)
+        return row, combo
+
+    def insert(self, row, combo=None):
+        row, combo = self.reduce(row, combo)
+        if row:
+            col = self.lead(row)
+            p = row[col]
+            if p != 1:
+                inv = -1 if p == -1 else Fraction(1, p)
+                row = {k: c * inv for k, c in row.items()}
+                if combo is not None:
+                    combo = {k: c * inv for k, c in combo.items()}
+            self.pivots[col] = (row, combo)
+        return row, combo
+
+
+def exact(vec):
+    """A dict as its ordered items with coefficient types: equal only
+    when bit-identical."""
+    return [(k, type(c), c) for k, c in vec.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_repr_keys_match_the_label_keyed_loop(matrix, data):
+    cols, rows = matrix
+    ref, elim = LabelEliminator(), _Eliminator()
+    kernel = []
+    for i, r in enumerate(rows):
+        want = ref.insert(r, {i: 1})
+        got = elim.insert(r, {i: 1})
+        assert [exact(v) for v in got] == [exact(v) for v in want]
+        if not want[0]:
+            kernel.append(want[1])
+    # the same pivots, in insertion order, with the same normalized rows
+    assert [elim._labels[key] for key in elim.pivots] == list(ref.pivots)
+    for key, (row, combo) in elim.pivots.items():
+        want_row, want_combo = ref.pivots[elim._labels[key]]
+        assert exact(elim._labelled(row)) == exact(want_row)
+        assert exact(combo) == exact(want_combo)
+    assert sparse_rank(rows) == len(ref.pivots)
+    assert [exact(v) for v in kernel_basis(rows)] == [exact(v) for v in kernel]
+    rhs = data.draw(st.dictionaries(st.sampled_from(cols), nonzero))
+    residue, neg = ref.reduce(rhs, {})
+    want = None if residue else {i: -c for i, c in neg.items()}
+    got = solve(rows, rhs)
+    assert got == want and (got is None or exact(got) == exact(want))
+    assert [exact(v) for v in elim.reduce(rhs, {})] == [exact(residue), exact(neg)]
+
+
+class SameRepr:
+    """Two instances are different labels with one repr."""
+
+    def __repr__(self):
+        return "label"
+
+
+def test_labels_sharing_a_repr_raise():
+    first, second = SameRepr(), SameRepr()
+    elim = _Eliminator()
+    elim.insert({first: 1})
+    with pytest.raises(ValueError, match="share the repr"):
+        elim.insert({second: 2})
+    with pytest.raises(ValueError, match="share the repr"):
+        _Eliminator().insert({first: 1, second: 1})
+    # equal labels built apart are one column
+    elim = _Eliminator()
+    elim.insert({("x", (1, "y")): 2})
+    assert elim.insert({("x", (1, "y")): 2}) == ({}, None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -234,12 +344,6 @@ def cache_complexes():
              lambda: hh_of_algebra(from_dga(odd_coefficient_dga()), 3),
              sphere3_with_differential]
             + [lambda alg=alg: hh_of_algebra(alg, 3) for alg in draws])
-
-
-def exact(vec):
-    """A dict as its ordered items with coefficient types: equal only
-    when bit-identical."""
-    return [(k, type(c), c) for k, c in vec.items()]
 
 
 def fresh_basis(cx, t):

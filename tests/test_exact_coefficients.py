@@ -3,7 +3,8 @@ certificates; a Fraction is built only where elimination divides by a
 pivot other than +-1."""
 from fractions import Fraction
 
-from hochtrace.ainf import AInfAlgebra, from_dga
+from hochtrace.ainf import AInfAlgebra, AInfMorphism, from_dga
+from hochtrace.bimod import BimoduleMap, diagonal_bimodule
 from hochtrace.cdga import BaseCDGA
 from hochtrace.fixtures import fixture_algebra, mu3_algebra, odd_coefficient_dga
 from hochtrace.grdlin import GradedSpace, _Eliminator
@@ -38,9 +39,27 @@ def test_integral_coefficients_are_int():
     assert coefficient_types(alg.mu[3]) == {int}
 
 
+def test_morphism_tables_are_int():
+    # AInfMorphism and BimoduleMap store their tables as the structure
+    # tables are: Fraction(1) becomes 1 and an all-zero column is dropped
+    alg = mu3_algebra()
+    f = AInfMorphism(alg, alg, {1: {("a",): {("1", "a"): Fraction(1)},
+                                    ("c",): {("1", "c"): Fraction(0)}}})
+    assert f.components == {1: {("a",): {("1", "a"): 1}}}
+    assert coefficient_types(f.components[1]) == {int}
+    bim = diagonal_bimodule(alg)
+    g = BimoduleMap.strict(bim, bim, {("a",): {("1", "a"): Fraction(1)},
+                                      ("c",): {("1", "c"): 0}})
+    assert g.components == {(0, 0): {("a",): {("1", "a"): 1}}}
+    assert coefficient_types(g.components[(0, 0)]) == {int}
+
+
 def test_a_non_unit_pivot_builds_a_fraction():
     elim = _Eliminator()
     elim.insert({"a": 3, "b": 1})
-    row, combo = elim.pivots["a"]
+    # the pivot dict is keyed by repr; read it back by label
+    (key, (row, combo)), = elim.pivots.items()
+    row = elim._labelled(row)
+    assert elim._labels[key] == "a"
     assert row == {"a": 1, "b": Fraction(1, 3)} and combo is None
     assert type(row["b"]) is Fraction
