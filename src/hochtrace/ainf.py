@@ -274,8 +274,10 @@ class AInfMorphism:
 
 def compositions(n, parts=None):
     """Ordered tuples of positive integers summing to n (optionally a fixed
-    number of parts)."""
+    number of parts); 0 has one composition, the empty one."""
     if parts is None:
+        if not n:
+            return [()]
         out = []
         for i in range(1, n + 1):
             out.extend(compositions(n, i))

@@ -146,6 +146,12 @@ def odd_coefficient_dga() -> KAlgebra:
     return KAlgebra(base, gens, mult, "1")
 
 
+def twisted_odd_coefficient_dga() -> KAlgebra:
+    """odd_coefficient_dga with d(g) = x g: mu_1 has an odd coefficient."""
+    dga = odd_coefficient_dga()
+    return KAlgebra(dga.base, dga.gens, dga.mult, "1", d_gen={"g": {("x", "g"): ONE}})
+
+
 def upper_triangular_dga() -> KAlgebra:
     """2x2 upper triangular matrices over Q, degree 0, zero differential."""
     base = BaseCDGA.rationals()

@@ -89,13 +89,9 @@ class HochschildComplex:
                                + self.shift)
                         basis.append(((b, vm, xs), deg))
         self.space = GradedSpace(basis)
-        # the bimodule maps that exist: fold l -> ascending r with a
-        # mu_{l,r} table, and (0, 0) when the module differential has entries
-        live = set(bimodule.tables)
-        if bimodule.kmodule.d.entries:
-            live.add((0, 0))
+        # the bimodule maps that exist: fold l -> ascending r
         self._folds = {}
-        for l, r in sorted(live):
+        for l, r in bimodule.arities:
             self._folds.setdefault(l, []).append(r)
         entries = {}
         for (label, _deg) in basis:
@@ -254,15 +250,11 @@ def stabilized_normalization_report(algebra: AInfAlgebra, h_max, t_min, t_max,
 def filtration_report(hh: HochschildComplex) -> Report:
     """The differential never raises the Hochschild degree."""
     report = Report("hochschild filtration")
-    bad = None
-    for src, col in hh.d.entries.items():
-        for tgt in col:
-            if hh.hochschild_degree(tgt) > hh.hochschild_degree(src):
-                bad = (src, tgt)
-                break
-        if bad:
-            break
-    report.record("d does not raise the Hochschild degree", bad is None, bad)
+    # the defect of an entry src -> tgt is the rise in Hochschild degree
+    report.record_first_defect(
+        "d does not raise the Hochschild degree",
+        ((src, tgt) for src, col in hh.d.entries.items() for tgt in col),
+        lambda edge: max(0, hh.hochschild_degree(edge[1]) - hh.hochschild_degree(edge[0])))
     return report
 
 
@@ -328,10 +320,6 @@ class ConnesComplex:
 
     def __repr__(self):
         return f"HC(rank={self.space.dim}, h_max={self.hh.h_max})"
-
-
-def hc_complex(algebra: AInfAlgebra, h_max) -> ConnesComplex:
-    return ConnesComplex(hh_of_algebra(algebra, h_max))
 
 
 # --- the normalized contraction (Lemma 3.7.13 shape) --------------------------
@@ -483,10 +471,6 @@ class BarConstruction:
 
     def __repr__(self):
         return f"BarConstruction(levels<={self.b_max}, dim={self.space.dim})"
-
-
-def bar_construction(dga: KAlgebra, b_max) -> BarConstruction:
-    return BarConstruction(dga, b_max)
 
 
 # --- the classical Hochschild complex via B (x)_{R^e} M -----------------------
@@ -706,11 +690,13 @@ def hh_induced_map(f, g, source_hh: HochschildComplex,
         for ni, rotated, parity in cyclic_rotations(pairs, degs):
             # rotated = (x_{n-ni+1}, .., x_n, m, x_1, .., x_{n-ni})
             for n1 in range(0, len(rotated) - ni):
+                if (ni, n1) not in g.components:
+                    continue
                 g_val = g.eval(ni, n1, rotated[:ni + 1 + n1])
                 if not g_val:
                     continue
                 rest = rotated[ni + 1 + n1:]
-                for comp in (compositions(len(rest)) if rest else [()]):
+                for comp in compositions(len(rest)):
                     partials = f.blocks_apply(rest, comp)
                     for pair, gc in g_val.items():
                         for blocks, fc in partials:
@@ -864,10 +850,6 @@ class BarConnesComplex:
         return f"BarConnesComplex(rank={self.space.dim}, letters<={self.letter_max})"
 
 
-def hc_of_bar(algebra: AInfAlgebra, letter_max) -> BarConnesComplex:
-    return BarConnesComplex(algebra, letter_max)
-
-
 def rotation_to_bar_hc(hc: ConnesComplex, target: BarConnesComplex) -> GradedMap:
     """HC_k(R) -> HC_k(bar R): x_0 (x) .. (x) x_n -> sum of rotations as
     single bar words, with the Koszul rotation signs (Lemma 3.7.9 shape)."""
@@ -978,7 +960,3 @@ def bimonoid_level_one(dga: KAlgebra, h_max) -> ClassicalHochschild:
     bim = dga_module_bimodule(alg, alg, dga.module, left_action=dga.mult,
                               right_action=dga.mult)
     return ClassicalHochschild(dga, bim, h_max)
-
-
-def hh_bimonoid(dga: KAlgebra, b_max, n_limit) -> BimonoidHochschild:
-    return BimonoidHochschild(dga, b_max, n_limit)

@@ -368,8 +368,10 @@ def tr_degree0(hh: HochschildComplex, m: AInfBimodule,
     (flattened) Hochschild complex of S; ``m`` the left S-module over the
     base R; ``module`` its underlying free R-module.  Certified as a
     chain map by the caller via trace_chain_report."""
-    return _rotation_trace(hh, m.left, module,
-                           lambda pairs: m.eval(len(pairs) - 1, 0, pairs), 0)
+    def structure_map(pairs):
+        shape = (len(pairs) - 1, 0)
+        return m.eval(*shape, pairs) if shape in m.arities else {}
+    return _rotation_trace(hh, m.left, module, structure_map, 0)
 
 
 def _letter_to_pair(hh_alg: AInfAlgebra, rel_alg: AInfAlgebra, letter):
@@ -779,7 +781,7 @@ def closed_form_transfer(report: TransferReport, m: AInfBimodule) -> GradedMap:
                 if wrap is None:
                     continue
                 interior = rotated[np_ + 1 + n0:]
-                for comp in (compositions(len(interior)) if interior else [()]):
+                for comp in compositions(len(interior)):
                     ops = [wrap]
                     offset = 0
                     for size in comp:
@@ -797,6 +799,8 @@ def closed_form_transfer(report: TransferReport, m: AInfBimodule) -> GradedMap:
 def _block_operator(report, m, block):
     """The End-valued element s mu^M(block letters (x) -) as a kvec over
     the (flat) End generators, or None when zero."""
+    if (len(block), 0) not in m.arities:
+        return None
     base = report.module.base
     module = report.module
     out = {}
@@ -963,10 +967,6 @@ class SimpModel:
                 if sorted_word is not None:
                     vec_add(out, {("simp", sorted_word): sign * s2 * c})
         return out
-
-
-def simp_model(s_alg: AInfAlgebra, h_max, word_cap=2) -> SimpModel:
-    return SimpModel(s_alg, h_max, word_cap)
 
 
 # --- the manifold-bundle vanishing check (Thm-6.3.2 shape) -----------------------

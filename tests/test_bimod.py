@@ -1,14 +1,17 @@
 import hashlib
 import random
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
 
-from hochtrace.ainf import AInfMorphism, check_morphism, from_dga, unit_algebra
+from hochtrace import bimod
+from hochtrace.ainf import AInfMorphism, check_morphism, eta_morphism, from_dga, unit_algebra
 from hochtrace.bimod import (
     AInfBimodule,
     BimoduleMap,
     algebra_map_bimodule_map,
+    bimodule_inputs,
     bar_resolution_module,
     check_bimodule,
     check_bimodule_map,
@@ -31,7 +34,12 @@ from hochtrace.bimod import (
     v_map,
 )
 from hochtrace.cdga import FreeKModule
-from hochtrace.fixtures import fixture_algebra, mu3_algebra, odd_coefficient_dga
+from hochtrace.fixtures import (
+    fixture_algebra,
+    mu3_algebra,
+    odd_coefficient_dga,
+    twisted_odd_coefficient_dga,
+)
 from hochtrace.grdlin import ONE, GradedSpace, is_quasi_iso_window
 
 
@@ -95,7 +103,6 @@ def test_restriction_along_identity_is_same():
 
 def test_restriction_along_eta_and_symmetry():
     # restrict the diagonal S^2 bimodule along eta: Q -> H*(S^2)
-    from hochtrace.ainf import eta_morphism
     alg = fixture_algebra("s2")
     eta = eta_morphism(alg)
     diag = diagonal_bimodule(alg)
@@ -173,6 +180,94 @@ def test_tensor_inf_tables_pinned(alg_name, factor, arities, pinned):
     t = tensor_inf(diagonal_bimodule(alg), TENSOR_FACTORS[factor](alg), 2)
     assert sorted(t.tables) == arities
     assert _tables_digest({"tables": t.tables, "d_gen": t.kmodule.d_gen}) == pinned
+
+
+def _bimodule_tables(bim):
+    return {"tables": bim.tables, "d_gen": bim.kmodule.d_gen}
+
+
+def _mu3_inputs():
+    alg = mu3_algebra()
+    return alg, left_module_from_algebra(alg)
+
+
+def _twisted_inputs():
+    alg = from_dga(twisted_odd_coefficient_dga())
+    return alg, left_module_from_algebra(alg)
+
+
+# (inputs, construction, digest of its tables), hashed before the
+# constructions read AInfBimodule.arities; on the twisted dga the module
+# differential is nonzero, so (0, 0) is a live arity there
+PINNED_CONSTRUCTIONS = {
+    "mu3_v_map": (_mu3_inputs, lambda alg, m: v_map(alg, m).components,
+                  "ed0fc9a2db6678c0"),
+    "mu3_hom_k": (_mu3_inputs, lambda alg, m: _bimodule_tables(hom_k(m, m)),
+                  "2f125a1700e20f10"),
+    "mu3_pi_map": (_mu3_inputs, lambda alg, m: pi_map(alg, m, 2).components,
+                   "3e9e06a80e566fc0"),
+    "mu3_nu_map": (_mu3_inputs, lambda alg, m: nu_map(alg, m).components,
+                   "283516e71cfde30d"),
+    "mu3_restrict_scalars": (
+        _mu3_inputs,
+        lambda alg, m: _bimodule_tables(restrict_scalars(
+            eta_morphism(alg), eta_morphism(alg), diagonal_bimodule(alg))),
+        "5c21c227450ce552"),
+    "twisted_tensor_inf": (
+        _twisted_inputs,
+        lambda alg, m: _bimodule_tables(tensor_inf(diagonal_bimodule(alg),
+                                                   diagonal_bimodule(alg), 2)),
+        "d8c108e0f0bdc799"),
+    "twisted_pi_map": (_twisted_inputs, lambda alg, m: pi_map(alg, m, 2).components,
+                       "3851b87afd86d10c"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CONSTRUCTIONS)
+def test_constructions_pinned(name):
+    inputs, build, pinned = PINNED_CONSTRUCTIONS[name]
+    assert _tables_digest(build(*inputs())) == pinned
+
+
+def test_bimodule_arities():
+    mu3, twisted = mu3_algebra(), from_dga(twisted_odd_coefficient_dga())
+    diag = diagonal_bimodule(mu3)
+    assert diag.arities == ((0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
+    assert left_module_from_algebra(mu3).arities == ((1, 0), (2, 0))
+    assert tensor_inf(diag, diag, 2).arities == ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0))
+    # the module differential of sR is nonzero here: (0, 0) is live
+    assert diagonal_bimodule(twisted).arities == ((0, 0), (0, 1), (1, 0))
+    assert left_module_from_algebra(twisted).arities == ((0, 0), (1, 0))
+    assert trivial_module(twisted.base).arities == ()
+
+
+def test_structure_maps_are_evaluated_only_where_they_exist(monkeypatch):
+    missing = []
+    real = AInfBimodule.eval
+
+    def counted(self, l, r, pairs):
+        if (l, r) not in self.arities:
+            missing.append((l, r))
+        return real(self, l, r, pairs)
+
+    monkeypatch.setattr(AInfBimodule, "eval", counted)
+    alg, m = _mu3_inputs()
+    diag = diagonal_bimodule(alg)
+    tensor_inf(diag, diag, 2)
+    v_map(alg, m)
+    assert missing == []
+
+
+def test_bimodule_inputs_in_product_order():
+    alg = mu3_algebra()
+    diag = diagonal_bimodule(alg)
+    letters = alg.gens.labels()
+    for l, r in [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2)]:
+        want = [xs + (v,) + ys for xs in product(letters, repeat=l) for v in letters
+                for ys in product(letters, repeat=r)]
+        assert list(bimodule_inputs(alg, diag.kmodule, alg, l, r)) == want
+    # a zero algebra has only the empty word
+    assert list(bimodule_inputs(None, diag.kmodule, None, 0, 0)) == [(v,) for v in letters]
 
 
 def test_hom_bimodule_validates():
@@ -269,6 +364,20 @@ def test_pi_iota_and_contraction():
     assert composite.components == ident.components
     report = homotopy_identity_report(alg, m, h_max)
     assert report.ok, report.summary()
+
+
+def test_homotopy_identity_report_names_a_witness(monkeypatch):
+    # with 2h in place of h, d h + h d - (id - iota_0 pi_0) is id - iota_0 pi_0,
+    # which keeps each label outside s1 (x) M with coefficient 1
+    real = bimod.contraction_h
+    monkeypatch.setattr(bimod, "contraction_h", lambda alg, tm: real(alg, tm) + real(alg, tm))
+    alg = fixture_algebra("s2")
+    report = homotopy_identity_report(alg, left_module_from_algebra(alg), 3)
+    assert not report.ok
+    _name, (label, defect) = report.first_failure
+    _b, (vr, ys, _vm) = label
+    assert len(ys) <= 2 and vr != alg.unit
+    assert defect[label] == 1
 
 
 def test_pi_iota_mu3():

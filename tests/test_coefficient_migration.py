@@ -14,10 +14,14 @@ import pytest
 from hochtrace import bimod, cdga
 from hochtrace.ainf import check_stasheff, check_unital, from_dga
 from hochtrace.bimod import bar_resolution_module, left_module_from_algebra
-from hochtrace.cdga import KAlgebra
-from hochtrace.fixtures import odd_coefficient_dga
+from hochtrace.cdga import cdga_as_kalgebra
+from hochtrace.fixtures import (
+    odd_coefficient_dga,
+    sphere3_with_differential,
+    twisted_odd_coefficient_dga,
+)
 from hochtrace.grdlin import homology_window
-from hochtrace.hoch import BarConnesComplex, bar_construction, hh_of_algebra
+from hochtrace.hoch import BarConnesComplex, BarConstruction, hh_of_algebra
 
 
 def _digest(gmap):
@@ -104,9 +108,16 @@ def test_bar_construction_on_an_odd_coefficient():
     # d^2 = 0 and the augmentation chain map survive dropping the face or
     # the twist migration sign here; only the digests, taken before the
     # shared kernel, catch it
-    dga = odd_coefficient_dga()
-    twisted = KAlgebra(dga.base, dga.gens, dga.mult, "1", d_gen={"g": {("x", "g"): 1}})
-    for alg, digest in ((dga, "d582e90688361047"), (twisted, "128db305ee383113")):
-        bar = bar_construction(alg, 2)
+    for alg, digest in ((odd_coefficient_dga(), "d582e90688361047"),
+                        (twisted_odd_coefficient_dga(), "128db305ee383113")):
+        bar = BarConstruction(alg, 2)
         assert bar.augmentation_is_chain_map()
         assert _digest(bar.d) == digest
+
+
+def test_bar_construction_twist_sign_over_a_base_with_differential():
+    # dy = x with |y| = 1: the twist's insertion parity moves d past an odd
+    # prefix letter, so dropping it breaks d^2 = 0 at ('bar', 0, '1', ('y', 'y'))
+    bar = BarConstruction(cdga_as_kalgebra(sphere3_with_differential()), 2)
+    assert bar.space.dim == 336
+    assert bar.augmentation_is_chain_map()

@@ -14,9 +14,9 @@ from hochtrace.grdlin import (
     is_quasi_iso_window,
 )
 from hochtrace.hoch import (
+    ConnesComplex,
     DegeneratePiece,
     filtration_report,
-    hc_complex,
     hh_complex,
     hh_of_algebra,
     normalized_hh,
@@ -35,6 +35,16 @@ def test_hh_d_squared_mu3():
     alg = mu3_algebra()
     hh = hh_of_algebra(alg, 4)
     assert filtration_report(hh).ok
+
+
+def test_filtration_report_names_an_entry_that_raises_the_degree():
+    hh = hh_of_algebra(fixture_algebra("s2"), 2)
+    src = next(label for label in hh.space.labels() if not label[2])
+    tgt = next(label for label in hh.space.labels() if len(label[2]) == 2)
+    hh.d.entries[src] = {tgt: ONE}
+    report = filtration_report(hh)
+    assert not report.ok
+    assert report.first_failure == ("d does not raise the Hochschild degree", ((src, tgt), 2))
 
 
 def test_hh_of_rationals_normalized():
@@ -79,7 +89,7 @@ def test_contraction_identity_on_graded_pieces():
 def test_hc_degree_zero_part():
     # commutative R: the Hochschild-degree-0 part of HC is all of sR
     alg = fixture_algebra("s2")
-    hc = hc_complex(alg, 3)
+    hc = ConnesComplex(hh_of_algebra(alg, 3))
     level0 = [lbl for lbl in hc.space.labels() if not lbl[2]]
     assert len(level0) == 2
 
@@ -87,7 +97,7 @@ def test_hc_degree_zero_part():
 def test_hc_c2_coinvariants():
     # n=1 summand: (sR (x) sR)_{C_2} with Koszul signs
     alg = fixture_algebra("s2")
-    hc = hc_complex(alg, 3)
+    hc = ConnesComplex(hh_of_algebra(alg, 3))
     level1 = [lbl for lbl in hc.space.labels() if len(lbl[2]) == 1]
     # basis of sR (x) sR: 11, 1x, x1, xx; C_2 swaps with Koszul sign
     # (s1 s1): swap sign (-1)^{1*1} = -1 -> dies; (sx sx): (-1)^{1*1} = -1 dies;
@@ -97,7 +107,7 @@ def test_hc_c2_coinvariants():
 
 def test_hc_mu3_d_squared():
     alg = mu3_algebra()
-    hc = hc_complex(alg, 4)
+    hc = ConnesComplex(hh_of_algebra(alg, 4))
     assert hc.space.dim > 0
 
 

@@ -24,14 +24,14 @@ from hochtrace.grdlin import (
     sparse_rank,
 )
 from hochtrace.hoch import (
-    bar_construction,
+    BarConnesComplex,
+    BarConstruction,
+    BimonoidHochschild,
+    ConnesComplex,
     bimonoid_level_one,
     classical_hh,
     compare_classical,
-    hc_complex,
-    hc_of_bar,
     hh_algebra_induced_map,
-    hh_bimonoid,
     hh_complex,
     hh_of_algebra,
     rotation_to_bar_hc,
@@ -41,13 +41,13 @@ from hochtrace.transfer import end_algebra_over_base
 
 def test_bar_construction_point():
     # R = k = Q: levels Q, homology = Q in degree 0
-    bar = bar_construction(base_as_algebra(BaseCDGA.rationals()), 4)
+    bar = BarConstruction(base_as_algebra(BaseCDGA.rationals()), 4)
     assert bar.augmentation_is_chain_map()
     assert homology_window(bar.complex, -3, 0) == {-3: 0, -2: 0, -1: 0, 0: 1}
 
 
 def test_bar_construction_dual_numbers():
-    bar = bar_construction(cdga_as_kalgebra(dual_numbers()), 5)
+    bar = BarConstruction(cdga_as_kalgebra(dual_numbers()), 5)
     assert bar.augmentation_is_chain_map()
     # eps is a quasi-isomorphism in the window where truncation is complete
     dims = homology_window(bar.complex, -3, 0)
@@ -149,8 +149,8 @@ def test_induced_map_quasi_iso():
 def test_rotation_map_is_chain_map():
     for name in ("dual", "s2", "s3"):
         alg = fixture_algebra(name)
-        hc = hc_complex(alg, 3)
-        target = hc_of_bar(alg, 4)
+        hc = ConnesComplex(hh_of_algebra(alg, 3))
+        target = BarConnesComplex(alg, 4)
         rot = rotation_to_bar_hc(hc, target)
         assert is_chain_map(rot, hc.complex, target.complex)
 
@@ -158,8 +158,8 @@ def test_rotation_map_is_chain_map():
 def test_rotation_map_single_element():
     # n = 0: a single sR-letter maps to itself as a one-letter bar word
     alg = fixture_algebra("s2")
-    hc = hc_complex(alg, 2)
-    target = hc_of_bar(alg, 3)
+    hc = ConnesComplex(hh_of_algebra(alg, 2))
+    target = BarConnesComplex(alg, 3)
     rot = rotation_to_bar_hc(hc, target)
     col = rot.column(("1", "x", ()))
     assert col == {("1", (("x",),)): ONE}
@@ -168,8 +168,8 @@ def test_rotation_map_single_element():
 def test_rotation_quasi_iso_window_dual():
     # degreewise-finite fixture: direct windowed comparison is exact
     alg = fixture_algebra("dual")
-    hc = hc_complex(alg, 5)
-    target = hc_of_bar(alg, 6)
+    hc = ConnesComplex(hh_of_algebra(alg, 5))
+    target = BarConnesComplex(alg, 6)
     rot = rotation_to_bar_hc(hc, target)
     # homology of HC(R) in stable degrees must inject/match through rotation
     for t in (-2, -1, 0):
@@ -183,7 +183,7 @@ def test_bimonoid_r_equals_k():
     # Def 2.2.13 at R = k recovers the Def 2.2.11 shape; the Lemma 2.2.14
     # inclusion is a chain map and matches homology in the stable window
     q = base_as_algebra(BaseCDGA.rationals())
-    bh = hh_bimonoid(q, 3, 4)
+    bh = BimonoidHochschild(q, 3, 4)
     sub, inc = bh.inclusion_of_level_one()
     assert is_chain_map(inc, sub, bh.complex)
     for t in (-1, 0, 1):
@@ -200,4 +200,4 @@ def test_bimonoid_level_one_is_classical_hh():
 def test_bimonoid_noncentral_not_mechanized():
     import pytest
     with pytest.raises(NotImplementedError):
-        hh_bimonoid(cdga_as_kalgebra(dual_numbers()), 2, 3)
+        BimonoidHochschild(cdga_as_kalgebra(dual_numbers()), 2, 3)

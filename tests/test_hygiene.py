@@ -1,7 +1,9 @@
 """Source hygiene of src/hochtrace, checked with the standard-library ast:
-no unused import, no bare ``assert`` (checks raise typed errors), and no
+no unused import, no bare ``assert`` (checks raise typed errors), no
 ``/`` or ``/=`` outside ``grdlin.dense_rank``: exact code divides only
-through ``Fraction``, so no float is reachable."""
+through ``Fraction``, so no float is reachable; and no ``X if n else [()]``
+outside ``bimod.bimodule_inputs``, the one place that decides how a zero
+algebra (None) enumerates its words."""
 import ast
 from pathlib import Path
 
@@ -32,16 +34,33 @@ def bare_asserts(source):
             if isinstance(node, ast.Assert)]
 
 
-def divisions(source, allowed=()):
-    """Lines of every ``/`` and ``/=`` outside the functions named in
-    ``allowed``."""
-    tree = ast.parse(source)
+def _outside(tree, allowed):
+    """The nodes of ``tree`` outside the functions named in ``allowed``."""
     exempt = {id(node) for fn in ast.walk(tree)
               if isinstance(fn, ast.FunctionDef) and fn.name in allowed
               for node in ast.walk(fn)}
-    return sorted(node.lineno for node in ast.walk(tree)
+    return [node for node in ast.walk(tree) if id(node) not in exempt]
+
+
+def divisions(source, allowed=()):
+    """Lines of every ``/`` and ``/=`` outside the functions named in
+    ``allowed``."""
+    return sorted(node.lineno for node in _outside(ast.parse(source), allowed)
                   if isinstance(node, (ast.BinOp, ast.AugAssign))
-                  and isinstance(node.op, ast.Div) and id(node) not in exempt)
+                  and isinstance(node.op, ast.Div))
+
+
+def _is_empty_word_list(node):
+    return (isinstance(node, ast.List) and len(node.elts) == 1
+            and isinstance(node.elts[0], ast.Tuple) and not node.elts[0].elts)
+
+
+def empty_word_guards(source, allowed=()):
+    """Lines of every conditional expression with a ``[()]`` branch outside
+    the functions named in ``allowed``."""
+    return sorted(node.lineno for node in _outside(ast.parse(source), allowed)
+                  if isinstance(node, ast.IfExp)
+                  and (_is_empty_word_list(node.body) or _is_empty_word_list(node.orelse)))
 
 
 def test_the_scan_sees_the_sources():
@@ -64,6 +83,12 @@ def test_no_division(path):
     assert divisions(path.read_text(), allowed) == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_empty_word_guard(path):
+    allowed = ("bimodule_inputs",) if path.name == "bimod.py" else ()
+    assert empty_word_guards(path.read_text(), allowed) == []
+
+
 def test_the_checks_fire():
     source = "from itertools import product, permutations\nassert product\n"
     assert unused_imports(source) == [("permutations", 1)]
@@ -71,3 +96,7 @@ def test_the_checks_fire():
     source = "x = 1 / 2\nx /= 3\ny = 7 // 2\ndef dense_rank(m):\n    return m / 2\n"
     assert divisions(source) == [1, 2, 5]
     assert divisions(source, ("dense_rank",)) == [1, 2]
+    source = ("a = p(l) if l else [()]\nb = [()] if n else q\nc = p(l) if l else [(1,)]\n"
+              "def bimodule_inputs(l):\n    return p(l) if l else [()]\n")
+    assert empty_word_guards(source) == [1, 2, 5]
+    assert empty_word_guards(source, ("bimodule_inputs",)) == [1, 2]

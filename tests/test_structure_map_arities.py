@@ -14,8 +14,13 @@ import pytest
 
 from hochtrace.ainf import from_dga
 from hochtrace.bimod import bar_resolution_module, left_module_from_algebra
-from hochtrace.cdga import KAlgebra
-from hochtrace.fixtures import _rand_dual_with_d, fixture_algebra, mu3_algebra, odd_coefficient_dga
+from hochtrace.fixtures import (
+    _rand_dual_with_d,
+    fixture_algebra,
+    mu3_algebra,
+    odd_coefficient_dga,
+    twisted_odd_coefficient_dga,
+)
 from hochtrace.hoch import BarConnesComplex, hh_of_algebra
 
 
@@ -30,12 +35,6 @@ def _digest(gmap):
             c = col[tgt]
             h.update(f"{tgt!r}={c.numerator}/{c.denominator};".encode())
     return h.hexdigest()[:16]
-
-
-def twisted_odd_coefficient_dga():
-    """odd_coefficient_dga with d(g) = x g: mu_1 has an odd coefficient."""
-    dga = odd_coefficient_dga()
-    return KAlgebra(dga.base, dga.gens, dga.mult, "1", d_gen={"g": {("x", "g"): 1}})
 
 
 def dual_with_d(seed):

@@ -18,6 +18,7 @@ from hochtrace.grdlin import GradedMap, GradedSpace, ONE, homology_window
 from hochtrace.hoch import hh_of_algebra
 from hochtrace.transfer import (
     DualityData,
+    SimpModel,
     assembly_projection_report,
     becker_gottlieb,
     becker_gottlieb_report,
@@ -28,7 +29,6 @@ from hochtrace.transfer import (
     generalized_trace,
     graded_trace_cyclicity_report,
     module_trace,
-    simp_model,
     tr0_tr1_evaluate,
     tr_degree0,
     trace_chain_report,
@@ -272,7 +272,7 @@ def test_explicit_transfer_consistency():
 
 def test_simp_model_s3():
     alg = fixture_algebra("s3")
-    model = simp_model(alg, 3, word_cap=2)
+    model = SimpModel(alg, 3, word_cap=2)
     assert homology_window(model.complex, 0, 0) == {0: 1}
     assert all(model.gen_space.degree[g] >= 1 for g in model.gen_space.labels())
 
@@ -281,13 +281,13 @@ def test_simp_model_zero_transfer_is_free():
     # for S^3 the transfer vanishes on reduced HH in the truncation, so the
     # model's d is purely d_1 wherever d_2 would act; d^2 = 0 asserted anyway
     alg = fixture_algebra("s3")
-    model = simp_model(alg, 2, word_cap=2)
+    model = SimpModel(alg, 2, word_cap=2)
     assert model.complex is not None
 
 
 def test_simp_model_degree_guard():
     with pytest.raises(ValueError):
-        simp_model(fixture_algebra("dual"), 2)
+        SimpModel(fixture_algebra("dual"), 2)
 
 
 def test_simp_model_rejects_a_low_model_generator():
@@ -300,7 +300,7 @@ def test_simp_model_rejects_a_low_model_generator():
         mult[("1", v)] = mult[(v, "1")] = {("1", v): ONE}
     alg = from_dga(KAlgebra(exterior_odd(-3), gens, mult, "1"), n_max=3)
     with pytest.raises(ValueError, match="model generators"):
-        simp_model(alg, 1, word_cap=1)
+        SimpModel(alg, 1, word_cap=1)
 
 
 def test_vanishing_check_s2():
