@@ -242,10 +242,6 @@ class AInfMorphism:
         table = {(v,): {(alg.base.unit, v): ONE} for v in alg.gens.labels()}
         return cls(alg, alg, {1: table}, n_max=alg.n_max, check=False)
 
-    @classmethod
-    def strict(cls, source, target, f1_table, check=True):
-        return cls(source, target, {1: f1_table}, check=check)
-
     def eval_f(self, pairs) -> dict:
         n = len(pairs)
         table = self.components.get(n)

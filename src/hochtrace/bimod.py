@@ -6,6 +6,12 @@ bimodules, duals, the action map into endomorphisms, the projection /
 inclusion / contraction triple for sR (x)~_R M, symmetry validators, and
 the cyclic-permutations-in-shuffle-span certificates.
 
+``action(m, pairs)`` is the one End-valued action: the operator
+s mu^M_{l,0}(x_1 .. x_l, -) of a word on a module, as an End_k(M) kvec
+{(c, hom(v, w)): coeff}.  That kvec is the one operator format: v_map,
+nu_map, hom_k and the transfer traces all read it, ``end_algebra``
+composes it and ``transfer.module_trace`` traces it.
+
 A left module is a bimodule whose right algebra is None (the zero
 algebra); mu_{l,r} with r > 0 then vanish identically.  mu_{0,0} is
 always the full differential of the underlying free module (Leibniz over
@@ -220,8 +226,8 @@ class BimoduleMap:
                                 f"f_({l},{r}){key!r} has wrong degree")
 
     @classmethod
-    def strict(cls, source, target, table, degree=0, check=True):
-        return cls(source, target, degree, {(0, 0): table}, check=check)
+    def strict(cls, source, target, table):
+        return cls(source, target, 0, {(0, 0): table})
 
     @classmethod
     def identity(cls, bim: AInfBimodule):
@@ -296,8 +302,7 @@ def diagonal_bimodule(alg: AInfAlgebra) -> AInfBimodule:
 
 
 def dga_module_bimodule(left: AInfAlgebra, right, kmodule: FreeKModule,
-                        left_action=None, right_action=None,
-                        unital=True) -> AInfBimodule:
+                        left_action=None, right_action=None) -> AInfBimodule:
     """A classical dg-(bi)module: mu_{1,0}(sx (x) m) = x m and
     mu_{0,1}(m (x) sy) = (-1)^{|m| + 1} m y, higher maps zero.
 
@@ -321,7 +326,7 @@ def dga_module_bimodule(left: AInfAlgebra, right, kmodule: FreeKModule,
         tables[(0, 1)] = table
     return AInfBimodule(left, right, kmodule, tables,
                         n_max=max(x.n_max for x in (left, right) if x is not None),
-                        unital=unital)
+                        unital=True)
 
 
 def restrict_scalars(f: AInfMorphism, g: AInfMorphism,
@@ -483,6 +488,27 @@ def hom_generators(m_gens: GradedSpace, n_gens: GradedSpace) -> GradedSpace:
     )
 
 
+def _unit_pairs(base: BaseCDGA, labels):
+    return tuple((base.unit, x) for x in labels)
+
+
+def action(m: AInfBimodule, pairs) -> dict:
+    """s mu^M_{l,0}(pairs, -), l = len(pairs), as the End_k(M) kvec
+    {(c, hom(v, w)): coeff}: the one End-valued action of a word on a
+    module, one ``eval`` per generator v; {} when mu_{l,0} does not exist.
+
+    The End kvec is the one operator format: ``end_algebra(m.kmodule).mul``
+    composes these operators and ``transfer.module_trace`` traces them."""
+    if (len(pairs), 0) not in m.arities:
+        return {}
+    unit = m.base.unit
+    out = {}
+    for v in m.kmodule.gens.labels():
+        for (c, w), coeff in m.eval(len(pairs), 0, pairs + ((unit, v),)).items():
+            out[(c, hom_label(v, w))] = coeff
+    return out
+
+
 def _hom_twist(m: AInfBimodule, n: AInfBimodule):
     """d_gen of Hom_k(M, N): d_N o E - (-1)^{|E|} E o d_M on generators."""
     base = m.base
@@ -506,59 +532,38 @@ def _hom_twist(m: AInfBimodule, n: AInfBimodule):
     return d_gen
 
 
-def hom_k(m: AInfBimodule, n: AInfBimodule, n_max=None) -> AInfBimodule:
+def hom_k(m: AInfBimodule, n: AInfBimodule) -> AInfBimodule:
     """Hom_k(M, N) as an R-S-bimodule, for M a left S-module and N a left
     R-module; structure maps adjoint to mu^N o (id (x) ev) minus
-    ev o (id (x) mu^M)."""
+    ev o (id (x) mu^M), each read off one ``action`` per word."""
     if m.right is not None or n.right is not None:
         raise ValueError("hom_k expects left modules")
     s_alg, r_alg = m.left, n.left
     base = m.base
-    gens = hom_generators(m.kmodule.gens, n.kmodule.gens)
-    kmodule = FreeKModule(base, gens, _hom_twist(m, n))
-    n_max = n_max if n_max is not None else max(
-        x.n_max for x in (s_alg, r_alg) if x is not None) if (s_alg or r_alg) else 1
+    mg, ng = m.kmodule.gens, n.kmodule.gens
+    kmodule = FreeKModule(base, hom_generators(mg, ng), _hom_twist(m, n))
+    n_max = max((x.n_max for x in (s_alg, r_alg) if x is not None), default=1)
     tables = {}
-    mg = m.kmodule.gens
-    # mu_{l,0}(x .. x, E): psi(v) = mu_l^N(x .. x, E(v))
+
+    def add(shape, key, term, coeff):
+        vec_add_term(tables.setdefault(shape, {}).setdefault(key, {}), term, coeff)
+
+    # mu_{l,0}(x .. x, E) = v_l(x .. x) o E
     for l, _zero in n.arities:
-        if not 0 < l <= n_max:
-            continue
-        table = {}
-        for key in bimodule_inputs(r_alg, kmodule, None, l, 0):
-            _hom, v, w = key[l]
-            total = {}
-            value = n.eval(l, 0, tuple((base.unit, x) for x in key[:l])
-                           + ((base.unit, w),))
-            for (c, w2), coeff in value.items():
-                vec_add(total, {(c, hom_label(v, w2)): coeff})
-            if total:
-                table[key] = total
-        if table:
-            tables[(l, 0)] = table
-    # mu_{0,r}(E, y .. y): psi(v') = -(-1)^{|E|} E(mu_r^M(y .. y, v'))
+        if 0 < l <= n_max:
+            for xs in r_alg.gen_tuples(l):
+                for (c, (_hom, w, w2)), coeff in action(n, _unit_pairs(base, xs)).items():
+                    for v in mg.labels():
+                        add((l, 0), xs + (hom_label(v, w),), (c, hom_label(v, w2)), coeff)
+    # mu_{0,r}(E, y .. y) = -(-1)^{|E|} E o v_r(y .. y), E moving past c
     for r, _zero in m.arities:
-        if not 0 < r <= n_max:
-            continue
-        table = {}
-        for ys in product(s_alg.gens.labels(), repeat=r):
-            y_pairs = tuple((base.unit, y) for y in ys)
-            for e in gens.labels():
-                _hom, v, w = e
-                e_deg = gens.degree[e]
-                sign = -ONE if e_deg % 2 else ONE
-                total = {}
-                for v2 in mg.labels():
-                    value = m.eval(r, 0, y_pairs + ((base.unit, v2),))
-                    for (c, u), coeff in value.items():
-                        if u != v:
-                            continue
-                        esign = -ONE if (e_deg * base.degree(c)) % 2 else ONE
-                        vec_add(total, {(c, hom_label(v2, w)): -sign * esign * coeff})
-                if total:
-                    table[(e,) + ys] = total
-        if table:
-            tables[(0, r)] = table
+        if 0 < r <= n_max:
+            for ys in s_alg.gen_tuples(r):
+                for (c, (_hom, v2, v)), coeff in action(m, _unit_pairs(base, ys)).items():
+                    for w in ng.labels():
+                        e_deg = ng.degree[w] - mg.degree[v]
+                        add((0, r), (hom_label(v, w),) + ys, (c, hom_label(v2, w)),
+                            coeff if (e_deg * (1 + base.degree(c))) % 2 else -coeff)
     return AInfBimodule(r_alg, s_alg, kmodule, tables, n_max,
                         unital=(m.unital if s_alg else True)
                         and (n.unital if r_alg else True))
@@ -583,7 +588,7 @@ def dual_module(m: AInfBimodule) -> AInfBimodule:
     return hom_k(m, trivial_module(m.base))
 
 
-def obs_359_map(n: AInfBimodule, m: AInfBimodule, h_max=0) -> BimoduleMap:
+def obs_359_map(n: AInfBimodule, m: AInfBimodule) -> BimoduleMap:
     """N (x)_k M^v -> Hom_k(M, N), n (x) phi -> n phi(-): a strict map of
     R-S-bimodules (Obs 3.5.9 shape)."""
     mdual = dual_module(m)
@@ -621,25 +626,10 @@ def v_map(alg: AInfAlgebra, m: AInfBimodule, end_ainf=None) -> AInfMorphism:
     """v: R -> End_k(M), v_n(x_1 .. x_n) = s mu_n^M(x_1, .., x_n, -)."""
     if m.right is not None:
         raise ValueError("v_map expects a left module")
-    base = alg.base
     if end_ainf is None:
         end_ainf = from_dga(end_algebra(m.kmodule), n_max=alg.n_max)
-    components = {}
-    for l, _zero in m.arities:
-        if not 0 < l <= alg.n_max:
-            continue
-        table = {}
-        for xs in product(alg.gens.labels(), repeat=l):
-            x_pairs = tuple((base.unit, x) for x in xs)
-            total = {}
-            for v in m.kmodule.gens.labels():
-                value = m.eval(l, 0, x_pairs + ((base.unit, v),))
-                for (c, w), coeff in value.items():
-                    vec_add(total, {(c, hom_label(v, w)): coeff})
-            if total:
-                table[xs] = total
-        if table:
-            components[l] = table
+    components = {l: {xs: action(m, _unit_pairs(alg.base, xs)) for xs in alg.gen_tuples(l)}
+                  for l, _zero in m.arities if 0 < l <= alg.n_max}
     return AInfMorphism(alg, end_ainf, components, n_max=alg.n_max, check=False)
 
 
@@ -731,29 +721,13 @@ def homotopy_identity_report(alg: AInfAlgebra, m: AInfBimodule, h_max) -> Report
     return report
 
 
-def nu_map(alg: AInfAlgebra, m: AInfBimodule, target=None) -> BimoduleMap:
+def nu_map(alg: AInfAlgebra, m: AInfBimodule) -> BimoduleMap:
     """nu: sR -> Hom_k(M, M) of degree 1, adjoint to mu_{l+1+r}^M."""
     source = diagonal_bimodule(alg)
-    if target is None:
-        target = hom_k(m, m)
-    base = alg.base
-    components = {}
-    for l, r in shapes(alg, alg, 0, alg.n_max - 1):
-        if (l + 1 + r, 0) not in m.arities:
-            continue
-        table = {}
-        for key in bimodule_inputs(alg, source.kmodule, alg, l, r):
-            pairs = tuple((base.unit, x) for x in key)
-            total = {}
-            for v in m.kmodule.gens.labels():
-                value = m.eval(l + 1 + r, 0, pairs + ((base.unit, v),))
-                for (c, w), coeff in value.items():
-                    vec_add(total, {(c, hom_label(v, w)): coeff})
-            if total:
-                table[key] = total
-        if table:
-            components[(l, r)] = table
-    return BimoduleMap(source, target, 1, components, check=False)
+    components = {(l, r): {key: action(m, _unit_pairs(alg.base, key))
+                           for key in bimodule_inputs(alg, source.kmodule, alg, l, r)}
+                  for l, r in shapes(alg, alg, 0, alg.n_max - 1)}
+    return BimoduleMap(source, hom_k(m, m), 1, components, check=False)
 
 
 # --- symmetry ----------------------------------------------------------------

@@ -8,7 +8,7 @@ from .cdga import BaseCDGA, KAlgebra, cdga_as_kalgebra
 from .grdlin import GradedMap, GradedSpace, ONE
 
 
-def _cdga(basis, products, unit="1", diff=None):
+def _cdga(basis, products, diff=None):
     """Build a BaseCDGA from basis [(label, deg)] and a product dict
     {(a, b): {c: coeff}}; products are completed by unit and graded
     commutativity, unspecified products are zero."""
@@ -16,16 +16,16 @@ def _cdga(basis, products, unit="1", diff=None):
     mult = {}
     labels = space.labels()
     for a in labels:
-        mult[(unit, a)] = {a: ONE}
-        if a != unit:
-            mult[(a, unit)] = {a: ONE}
+        mult[("1", a)] = {a: ONE}
+        if a != "1":
+            mult[(a, "1")] = {a: ONE}
     for (a, b), col in products.items():
         mult[(a, b)] = col
         if (b, a) not in products and a != b:
             sign = -1 if (space.degree[a] * space.degree[b]) % 2 else 1
             mult[(b, a)] = {c: x * sign for c, x in col.items()}
     d = GradedMap(space, space, 1, diff or {})
-    return BaseCDGA(space, d, mult, unit)
+    return BaseCDGA(space, d, mult, "1")
 
 
 def sphere_cohomology(n: int) -> BaseCDGA:
@@ -70,12 +70,12 @@ def fixture_cdga(name: str) -> BaseCDGA:
     return table[name]()
 
 
-def fixture_algebra(name: str, n_max=4) -> AInfAlgebra:
+def fixture_algebra(name: str) -> AInfAlgebra:
     """The named cdga fixture as a C-infinity algebra over Q."""
-    return from_dga(cdga_as_kalgebra(fixture_cdga(name)), n_max=n_max)
+    return from_dga(cdga_as_kalgebra(fixture_cdga(name)), n_max=4)
 
 
-def mu3_algebra(unital=True, n_max=5) -> AInfAlgebra:
+def mu3_algebra(n_max=5) -> AInfAlgebra:
     """A genuine A-infinity fixture with mu_3 != 0.
 
     Shifted generators a (degree 1) and c (degree 4), mu_3(a,a,a) = c,
@@ -84,21 +84,17 @@ def mu3_algebra(unital=True, n_max=5) -> AInfAlgebra:
     Not C-infinity: the (1,2)-shuffle sum on (a,a,a) equals c.
     """
     base = BaseCDGA.rationals()
-    if unital:
-        gens = GradedSpace([("1", -1), ("a", 1), ("c", 4)])
-        mu2 = {}
-        for v, d in (("1", -1), ("a", 1), ("c", 4)):
-            mu2[("1", v)] = {("1", v): ONE}
-            if v != "1":
-                unshifted = d + 1
-                mu2[(v, "1")] = {("1", v): -ONE if unshifted % 2 else ONE}
-            else:
-                mu2[("1", "1")] = {("1", "1"): ONE}
-        mu3 = {("a", "a", "a"): {("1", "c"): ONE}}
-        return AInfAlgebra(base, gens, {2: mu2, 3: mu3}, n_max, unit="1")
-    gens = GradedSpace([("a", 1), ("c", 4)])
+    gens = GradedSpace([("1", -1), ("a", 1), ("c", 4)])
+    mu2 = {}
+    for v, d in (("1", -1), ("a", 1), ("c", 4)):
+        mu2[("1", v)] = {("1", v): ONE}
+        if v != "1":
+            unshifted = d + 1
+            mu2[(v, "1")] = {("1", v): -ONE if unshifted % 2 else ONE}
+        else:
+            mu2[("1", "1")] = {("1", "1"): ONE}
     mu3 = {("a", "a", "a"): {("1", "c"): ONE}}
-    return AInfAlgebra(base, gens, {3: mu3}, n_max)
+    return AInfAlgebra(base, gens, {2: mu2, 3: mu3}, n_max, unit="1")
 
 
 def broken_associativity_algebra() -> AInfAlgebra:

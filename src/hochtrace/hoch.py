@@ -63,7 +63,7 @@ class HochschildComplex:
     """
 
     def __init__(self, algebra: AInfAlgebra, bimodule: AInfBimodule, h_max,
-                 shift=0, normalized=False, check=True):
+                 shift=0, normalized=False):
         if bimodule.left is not None and bimodule.left.gens != algebra.gens:
             raise ValueError("coefficients must be a bimodule over the algebra")
         self.algebra = algebra
@@ -99,7 +99,7 @@ class HochschildComplex:
             if col:
                 entries[label] = col
         self.d = GradedMap(self.space, self.space, 1, entries)
-        self.complex = Complex(self.space, self.d, check=check)
+        self.complex = Complex(self.space, self.d)
 
     def hochschild_degree(self, label):
         return len(label[2])
@@ -183,10 +183,8 @@ class HochschildComplex:
                 f"shift={self.shift})")
 
 
-def hh_complex(algebra: AInfAlgebra, bimodule: AInfBimodule, h_max,
-               normalized=False) -> HochschildComplex:
-    return HochschildComplex(algebra, bimodule, h_max, shift=0,
-                             normalized=normalized)
+def hh_complex(algebra: AInfAlgebra, bimodule: AInfBimodule, h_max) -> HochschildComplex:
+    return HochschildComplex(algebra, bimodule, h_max)
 
 
 def hh_of_algebra(algebra: AInfAlgebra, h_max, normalized=False) -> HochschildComplex:
@@ -210,23 +208,22 @@ def normalized_hh(algebra: AInfAlgebra, bimodule: AInfBimodule, h_max):
     return full, reduced, quotient
 
 
-def stabilized_normalization_report(algebra: AInfAlgebra, h_max, t_min, t_max,
-                                    step=2) -> Report:
+def stabilized_normalization_report(algebra: AInfAlgebra, h_max, t_min, t_max) -> Report:
     """Lemma-3.7.13-style certificate at finite truncation.
 
     The unnormalized truncation never stabilizes pointwise (its top
     Hochschild level contributes unkilled cycles in every total degree),
     so the faithful finite statement is: the quotient map induces an
     isomorphism from the stabilized unnormalized homology (the image of
-    H^t at truncation h_max inside truncation h_max + step) onto the
+    H^t at truncation h_max inside truncation h_max + 2) onto the
     normalized homology, which is itself stable in the window.  All three
     ranks are computed exactly.
     """
     report = Report(f"normalization quasi-iso (h={h_max}, window=[{t_min},{t_max}])")
     small = hh_of_algebra(algebra, h_max)
-    big = hh_of_algebra(algebra, h_max + step)
+    big = hh_of_algebra(algebra, h_max + 2)
     norm_small = hh_of_algebra(algebra, h_max, normalized=True)
-    norm = hh_of_algebra(algebra, h_max + step, normalized=True)
+    norm = hh_of_algebra(algebra, h_max + 2, normalized=True)
     unit = algebra.unit
     for t in range(t_min, t_max + 1):
         hs = HomologyBasis(small.complex, t)
@@ -290,7 +287,7 @@ class CyclicWords:
 class ConnesComplex:
     """HC_k(R): the quotient of HH_k(R) by signed cyclic permutations."""
 
-    def __init__(self, hh: HochschildComplex, check=True):
+    def __init__(self, hh: HochschildComplex):
         if hh.bimodule.kmodule.gens != hh.algebra.gens:
             raise ValueError("Connes quotient needs the diagonal bimodule")
         self.hh = hh
@@ -314,8 +311,8 @@ class ConnesComplex:
             if col:
                 entries[rep_label] = col
         self.d = GradedMap(self.space, self.space, 1, entries)
-        self.complex = Complex(self.space, self.d, check=check)
-        if check and not is_chain_map(self.projection, hh.complex, self.complex):
+        self.complex = Complex(self.space, self.d)
+        if not is_chain_map(self.projection, hh.complex, self.complex):
             raise AssertionError("HC projection failed to be a chain map")
 
     def __repr__(self):
@@ -397,7 +394,7 @@ class BarConstruction:
     labels; total degree |b| + sum |v_i| - n.
     """
 
-    def __init__(self, dga: KAlgebra, b_max, check=True):
+    def __init__(self, dga: KAlgebra, b_max):
         self.dga = dga
         self.b_max = int(b_max)
         base = dga.base
@@ -416,7 +413,7 @@ class BarConstruction:
             if col:
                 entries[label] = col
         self.d = GradedMap(self.space, self.space, 1, entries)
-        self.complex = Complex(self.space, self.d, check=check)
+        self.complex = Complex(self.space, self.d)
 
     def _differential(self, label) -> dict:
         _tag, n, b, vs = label
@@ -495,7 +492,7 @@ class ClassicalHochschild:
     to the rational base (the comparison oracle's habitat).
     """
 
-    def __init__(self, dga: KAlgebra, bimodule: AInfBimodule, h_max, check=True):
+    def __init__(self, dga: KAlgebra, bimodule: AInfBimodule, h_max):
         if not dga.base.is_rational:
             raise ValueError("classical comparison is implemented over Q")
         self.dga = dga
@@ -551,7 +548,7 @@ class ClassicalHochschild:
                     if row:
                         self._relation_count += 1
                         rrow, _ = elim.insert({wrap(k): c for k, c in row.items()})
-                        if check and rrow and elim.lead(rrow)[0] == "z":
+                        if rrow and elim.lead(rrow)[0] == "z":
                             raise AssertionError("relation span hit the basis")
                     row = {}
                     for (_1, b2), c in bar.eval(0, 1, ((u, beta), (u, x))).items():
@@ -563,7 +560,7 @@ class ClassicalHochschild:
                     if row:
                         self._relation_count += 1
                         rrow, _ = elim.insert({wrap(k): c for k, c in row.items()})
-                        if check and rrow and elim.lead(rrow)[0] == "z":
+                        if rrow and elim.lead(rrow)[0] == "z":
                             raise AssertionError("relation span hit the basis")
 
         def reduce_vec(vec):
@@ -598,7 +595,7 @@ class ClassicalHochschild:
                 if col:
                     entries[(u, vm, ys)] = col
         self.d = GradedMap(self.space, self.space, 1, entries)
-        self.complex = Complex(self.space, self.d, check=check)
+        self.complex = Complex(self.space, self.d)
 
     def __repr__(self):
         return f"ClassicalHochschild(dim={self.space.dim}, h_max={self.h_max})"
@@ -744,8 +741,7 @@ class BarConnesComplex:
     subcomplex: the differential never raises the letter count).
     """
 
-    def __init__(self, algebra: AInfAlgebra, letter_max, check=True,
-                 word_tuples=None):
+    def __init__(self, algebra: AInfAlgebra, letter_max, word_tuples=None):
         """``word_tuples``: the word tuples of the basis, spanning a
         differential-stable summand (e.g. the multilinear part over
         distinct hair letters); by default every tuple of at most
@@ -779,20 +775,19 @@ class BarConnesComplex:
             if col:
                 entries[label] = col
         self.d = GradedMap(self.space, self.space, 1, entries)
-        self.complex = Complex(self.space, self.d, check=check)
-        if check:
-            full_d_entries = {}
-            for label in self.full_space.labels():
-                col = self._differential(label)
-                outside = [w for w in col if w not in full]
-                if outside:
-                    raise ValueError(f"word tuples not closed under d: {label!r} -> {outside[0]!r}")
-                if col:
-                    full_d_entries[label] = col
-            full_d = GradedMap(self.full_space, self.full_space, 1, full_d_entries)
-            if not (self.projection.compose(full_d)
-                    == self.d.compose(self.projection)):
-                raise AssertionError("cyclic projection is not a chain map")
+        self.complex = Complex(self.space, self.d)
+        full_d_entries = {}
+        for label in self.full_space.labels():
+            col = self._differential(label)
+            outside = [w for w in col if w not in full]
+            if outside:
+                raise ValueError(f"word tuples not closed under d: {label!r} -> {outside[0]!r}")
+            if col:
+                full_d_entries[label] = col
+        full_d = GradedMap(self.full_space, self.full_space, 1, full_d_entries)
+        if not (self.projection.compose(full_d)
+                == self.d.compose(self.projection)):
+            raise AssertionError("cyclic projection is not a chain map")
 
     def _factor_degree(self, word):
         return sum(self.algebra.gens.degree[x] for x in word) + 1
@@ -893,7 +888,7 @@ class BimonoidHochschild:
     HH_k(R, R) and is available for every dga via ClassicalHochschild.
     """
 
-    def __init__(self, dga: KAlgebra, b_max, n_limit, check=True):
+    def __init__(self, dga: KAlgebra, b_max, n_limit):
         if not dga.base.is_rational:
             raise ValueError("implemented over Q")
         if dga.gens.dim != 1:
@@ -906,7 +901,7 @@ class BimonoidHochschild:
         self.algebra = bar_epsilon_algebra_rational(dga, b_max)
         self.hh = HochschildComplex(self.algebra,
                                     diagonal_bimodule(self.algebra),
-                                    max(n_limit - 1, 0), shift=1, check=check)
+                                    max(n_limit - 1, 0), shift=1)
         self.space = self.hh.space
         self.d = self.hh.d
         self.complex = self.hh.complex

@@ -6,6 +6,12 @@ base cdga for the module/trace side: an algebra S over the finite cdga R
 is flattened to an algebra over Q for HH, while its modules stay free
 finite over R and traces land in R.
 
+Operators on a module are End_k(M) kvecs {(r, hom(v, w)): coeff}, the
+one format: ``bimod.action`` builds them from the module structure maps
+(the one End-valued action, behind tr_degree0, corollary_tr,
+becker_gottlieb and the closed-form transfer blocks), ``end_algebra``
+composes them and ``module_trace`` takes their graded trace.
+
 Every trace-type map ships with an exact chain-map certificate.
 """
 from __future__ import annotations
@@ -21,8 +27,10 @@ from .ainf import (
 )
 from .bimod import (
     AInfBimodule,
+    action,
     end_algebra,
     hom_label,
+    left_module_from_algebra,
     tensor_inf,
     v_map,
 )
@@ -49,42 +57,15 @@ ZERO = 0
 
 
 def module_trace(module: FreeKModule, operator) -> dict:
-    """tr_R(f) for an R-linear operator given by columns
-    {gen: kvec over (R-basis, gen)}: the graded trace
-    sum_i (-1)^{|m_i|} f_ii, an element of R (a sparse dict)."""
+    """tr_R(f) for an R-linear operator f given as an End_k(M) kvec
+    {(r, hom(v, w)): coeff}, the format of ``bimod.action`` and
+    ``end_algebra``: the graded trace sum_v (-1)^{|v|} f_vv, an element
+    of R (a sparse dict)."""
     out = {}
-    for v in module.gens.labels():
-        col = operator.get(v, {})
-        sign = -ONE if module.gens.degree[v] % 2 else ONE
-        for (r, w), c in col.items():
-            if w == v:
-                vec_add(out, {r: sign * c})
+    for (r, (_hom, v, w)), c in operator.items():
+        if v == w:
+            vec_add(out, {r: c}, -1 if module.gens.degree[v] % 2 else 1)
     return out
-
-
-def operator_compose(module: FreeKModule, f, g) -> dict:
-    """(f o g) for operators in column form, with graded R-linearity:
-    f(r . m) = (-1)^{|f||r|} r . f(m)."""
-    fdeg = _operator_degree(module, f)
-    out = {}
-    for v, col in g.items():
-        acc = {}
-        for (r, w), c in col.items():
-            sign = (-ONE if (fdeg * module.base.degree(r)) % 2 else ONE)
-            for (r2, w2), c2 in f.get(w, {}).items():
-                for r3, q in module.base.mul_basis(r, r2).items():
-                    vec_add(acc, {(r3, w2): sign * c * c2 * q})
-        if acc:
-            out[v] = acc
-    return out
-
-
-def _operator_degree(module: FreeKModule, f):
-    for v, col in f.items():
-        for (r, w) in col:
-            return (module.base.degree(r) + module.gens.degree[w]
-                    - module.gens.degree[v])
-    return 0
 
 
 def graded_trace_cyclicity_report(module: FreeKModule, rng, samples=20) -> Report:
@@ -92,6 +73,7 @@ def graded_trace_cyclicity_report(module: FreeKModule, rng, samples=20) -> Repor
     report = Report("trace cyclic invariance")
     gens = module.gens.labels()
     base = module.base
+    end = end_algebra(module)
     ok = True
     witness = None
     for _ in range(samples):
@@ -103,12 +85,12 @@ def graded_trace_cyclicity_report(module: FreeKModule, rng, samples=20) -> Repor
                 for r in base.space.labels():
                     if (base.degree(r) + module.gens.degree[w]
                             - module.gens.degree[v]) == fdeg and rng.random() < 0.5:
-                        f.setdefault(v, {})[(r, w)] = rng.randint(-3, 3)
+                        f[(r, hom_label(v, w))] = rng.randint(-3, 3)
                     if (base.degree(r) + module.gens.degree[w]
                             - module.gens.degree[v]) == gdeg and rng.random() < 0.5:
-                        g.setdefault(v, {})[(r, w)] = rng.randint(-3, 3)
-        lhs = module_trace(module, operator_compose(module, f, g))
-        rhs = module_trace(module, operator_compose(module, g, f))
+                        g[(r, hom_label(v, w))] = rng.randint(-3, 3)
+        lhs = module_trace(module, end.mul(f, g))
+        rhs = module_trace(module, end.mul(g, f))
         sign = -ONE if (fdeg * gdeg) % 2 else ONE
         rhs = {k: sign * c for k, c in rhs.items()}
         if lhs != rhs:
@@ -157,17 +139,17 @@ class DualityData:
         self.report = report
 
     def trace_of_identity(self) -> dict:
-        ident = {v: {(self.module.base.unit, v): ONE}
-                 for v in self.module.gens.labels()}
-        return module_trace(self.module, ident)
+        unit = self.module.base.unit
+        return module_trace(self.module, {(unit, hom_label(v, v)): ONE
+                                          for v in self.module.gens.labels()})
 
 
 # --- modules over R as one-sided A-infinity modules over R-as-Q-algebra --------
 
 
-def base_algebra_over_q(base: BaseCDGA, n_max=4) -> AInfAlgebra:
+def base_algebra_over_q(base: BaseCDGA) -> AInfAlgebra:
     """The finite cdga R as a C-infinity algebra over Q (flattened)."""
-    return from_dga(cdga_as_kalgebra(base), n_max=n_max)
+    return from_dga(cdga_as_kalgebra(base), n_max=4)
 
 
 def module_flat(module: FreeKModule) -> FreeKModule:
@@ -225,15 +207,14 @@ class DerivedCoevaluation:
             yield vm, ys, vphi, c
 
 
-def find_derived_coev(base: BaseCDGA, module: FreeKModule, b_max=3,
-                      r_alg=None) -> DerivedCoevaluation:
+def find_derived_coev(base: BaseCDGA, module: FreeKModule, b_max=3) -> DerivedCoevaluation:
     """Solve d(c) = 0 with eps(c) = coev(1), exactly.
 
     When the differentials of R and M both vanish, c = coev(1) placed in
     bar level 0; otherwise the cocycle-lift system is solved by exact
     elimination (an obstruction raises ValueError: the truncation b_max
     was too small)."""
-    r_alg = r_alg or base_algebra_over_q(base)
+    r_alg = base_algebra_over_q(base)
     right = module_as_right(module, r_alg)
     left_dual = _dual_as_left(module, r_alg)
     tensor = tensor_inf(right, left_dual, b_max)
@@ -331,32 +312,6 @@ def _letters_and_degrees(hh: HochschildComplex, label):
     return letters, degs
 
 
-def _rotation_trace(hh: HochschildComplex, rel_alg: AInfAlgebra,
-                    module: FreeKModule, structure_map, flip) -> GradedMap:
-    """HH_Q(S) -> R, s^{-1}(x_0 (x) .. (x) x_n) ->
-    sum_i (-1)^{eps + flip} tr_R(structure_map(x_i, .., x_{i-1}, -)) with
-    eps = (|x_0|+..+|x_{i-1}|)(|x_i|+..+|x_n|), the rotation sign.
-
-    ``structure_map`` takes a tuple of pairs (the rotated letters as pairs
-    of ``rel_alg`` followed by a module generator) to a kvec of ``module``."""
-    unit = module.base.unit
-    entries = {}
-    for label in hh.space.labels():
-        letters, degs = _letters_and_degrees(hh, label)
-        pairs = tuple(_letter_to_pair(hh.algebra, rel_alg, x) for x in letters)
-        out = {}
-        for _l, rotated, parity in cyclic_rotations(pairs, degs):
-            operator = {}
-            for v in module.gens.labels():
-                value = structure_map(rotated + ((unit, v),))
-                if value:
-                    operator[v] = value
-            vec_add(out, module_trace(module, operator), -1 if parity ^ flip else 1)
-        if out:
-            entries[label] = out
-    return GradedMap(hh.space, module.base.space, 0, entries)
-
-
 def tr_degree0(hh: HochschildComplex, m: AInfBimodule,
                module: FreeKModule) -> GradedMap:
     """The Hochschild-degree-0 transfer HH_Q(S) -> R (Thm-4.2.7 shape):
@@ -364,14 +319,20 @@ def tr_degree0(hh: HochschildComplex, m: AInfBimodule,
       s^{-1}(x_0 (x) .. (x) x_n) ->
         sum_i (-1)^{eps} tr_R(mu_{n+1}^M(x_i, .., x_{i-1}, -))
 
-    with eps = (|x_0|+..+|x_{i-1}|)(|x_i|+..+|x_n|).  ``hh`` is the
-    (flattened) Hochschild complex of S; ``m`` the left S-module over the
-    base R; ``module`` its underlying free R-module.  Certified as a
-    chain map by the caller via trace_chain_report."""
-    def structure_map(pairs):
-        shape = (len(pairs) - 1, 0)
-        return m.eval(*shape, pairs) if shape in m.arities else {}
-    return _rotation_trace(hh, m.left, module, structure_map, 0)
+    with eps = (|x_0|+..+|x_{i-1}|)(|x_i|+..+|x_n|), the rotation sign.
+    ``hh`` is the (flattened) Hochschild complex of S; ``m`` the left
+    S-module over the base R; ``module`` its underlying free R-module.
+    Certified as a chain map by the caller via trace_chain_report."""
+    entries = {}
+    for label in hh.space.labels():
+        letters, degs = _letters_and_degrees(hh, label)
+        pairs = tuple(_letter_to_pair(hh.algebra, m.left, x) for x in letters)
+        out = {}
+        for _l, rotated, parity in cyclic_rotations(pairs, degs):
+            vec_add(out, module_trace(module, action(m, rotated)), -1 if parity else 1)
+        if out:
+            entries[label] = out
+    return GradedMap(hh.space, module.base.space, 0, entries)
 
 
 def _letter_to_pair(hh_alg: AInfAlgebra, rel_alg: AInfAlgebra, letter):
@@ -385,13 +346,11 @@ def _letter_to_pair(hh_alg: AInfAlgebra, rel_alg: AInfAlgebra, letter):
 
 def corollary_tr(hh: HochschildComplex, s_alg: AInfAlgebra) -> GradedMap:
     """The fiberwise-Euler-characteristic map HH_Q(S) -> R (Cor-5.2.2
-    shape), computed directly from the algebra structure maps:
+    shape): -tr_degree0 of sS as a left module over itself,
 
       s^{-1}(x_0 (x) .. (x) x_n) ->
-        sum_i (-1)^{eps+1} tr_R(mu_{n+2}^S(x_i, .., x_{i-1}, -))
-
-    where the operator acts on the shifted module sS (free over R)."""
-    return _rotation_trace(hh, s_alg, s_alg.module, s_alg.eval_mu, 1)
+        sum_i (-1)^{eps+1} tr_R(mu_{n+2}^S(x_i, .., x_{i-1}, -))."""
+    return tr_degree0(hh, left_module_from_algebra(s_alg), s_alg.module).scale(-ONE)
 
 
 def _chain_report(title, check_name, f: GradedMap, source: Complex,
@@ -431,21 +390,11 @@ def cyclic_factorization_report(name, tr_map: GradedMap,
 def becker_gottlieb(s_alg: AInfAlgebra) -> GradedMap:
     """S -> R, s -> -tr_R(mu_2(s, -)) on the shifted module (Cor-6.1.2
     shape, sign per the Euler-characteristic normalization)."""
-    base = s_alg.base
-    module = s_alg.module
-    source = module.total
-    entries = {}
-    for (b, v) in source.labels():
-        operator = {}
-        for w in s_alg.gens.labels():
-            value = s_alg.eval_mu(((b, v), (base.unit, w)))
-            if value:
-                operator[w] = value
-        out = module_trace(module, operator)
-        out = {k: -c for k, c in out.items()}
-        if out:
-            entries[(b, v)] = out
-    return GradedMap(source, base.space, 1, entries, check=False)
+    ss = left_module_from_algebra(s_alg)
+    source = s_alg.module.total
+    entries = {pair: module_trace(s_alg.module, action(ss, (pair,)))
+               for pair in source.labels()}
+    return GradedMap(source, s_alg.base.space, 1, entries, check=False).scale(-ONE)
 
 
 def becker_gottlieb_report(s_alg: AInfAlgebra) -> Report:
@@ -480,9 +429,9 @@ def assembly_projection_report(hh: HochschildComplex) -> Report:
 # --- the generalized trace (Def-4.2.4 shape) -------------------------------------
 
 
-def end_algebra_over_base(module: FreeKModule, n_max=4) -> AInfAlgebra:
+def end_algebra_over_base(module: FreeKModule) -> AInfAlgebra:
     """End_R(M) as a shifted dga over the base R."""
-    return from_dga(end_algebra(module), n_max=n_max)
+    return from_dga(end_algebra(module), n_max=4)
 
 
 def _apply_end(base: BaseCDGA, module: FreeKModule, alpha_pair, m_pair) -> dict:
@@ -705,8 +654,7 @@ class TransferReport:
     tr_R^c o v_* and the closed-form expansion, compared term by term."""
 
     def __init__(self, s_alg: AInfAlgebra, m: AInfBimodule,
-                 module: FreeKModule, coev: DerivedCoevaluation, h_max,
-                 target_h=None):
+                 module: FreeKModule, coev: DerivedCoevaluation, h_max):
         self.s_alg = s_alg
         self.module = module
         self.coev = coev
@@ -717,8 +665,7 @@ class TransferReport:
         e_alg = end_algebra_over_base(module)
         e_flat = e_alg if base.is_rational else to_rational_algebra(e_alg)
         self.hh_end = hh_of_algebra(e_flat, h_max)
-        target_h = target_h if target_h is not None else max(
-            h_max * max(coev.b_max, 1) + 2, _output_tail_bound(coev, h_max))
+        target_h = max(h_max * max(coev.b_max, 1) + 2, _output_tail_bound(coev, h_max))
         self.hh_target = hh_of_algebra(coev.r_alg, target_h)
         self.trace = GeneralizedTrace(coev, self.hh_end, self.hh_target)
         # v_*: HH(S) -> HH(End)
@@ -758,8 +705,8 @@ class TransferReport:
 
 def transfer_explicit(s_alg: AInfAlgebra, m: AInfBimodule,
                       module: FreeKModule, coev: DerivedCoevaluation,
-                      h_max, target_h=None) -> TransferReport:
-    return TransferReport(s_alg, m, module, coev, h_max, target_h)
+                      h_max) -> TransferReport:
+    return TransferReport(s_alg, m, module, coev, h_max)
 
 
 def closed_form_transfer(report: TransferReport, m: AInfBimodule) -> GradedMap:
@@ -771,45 +718,29 @@ def closed_form_transfer(report: TransferReport, m: AInfBimodule) -> GradedMap:
     entries = {}
     for label in hh_s.space.labels():
         letters, degs = _letters_and_degrees(hh_s, label)
+        pairs = tuple(_letter_to_pair(hh_s.algebra, m.left, x) for x in letters)
         out = {}
         # rotated = (x_{n-np_+1}, .., x_n, x_0, x_1, .., x_{n-np_}): the
         # wrapping operator eats the tail block, x_0 and n0 head letters;
         # the interior letters split into blocks for the other operators
-        for np_, rotated, parity in cyclic_rotations(letters, degs):
-            for n0 in range(0, len(letters) - np_):
-                wrap = _block_operator(report, m, rotated[:np_ + 1 + n0])
-                if wrap is None:
+        for np_, rotated, parity in cyclic_rotations(pairs, degs):
+            for n0 in range(0, len(pairs) - np_):
+                wrap = action(m, rotated[:np_ + 1 + n0])
+                if not wrap:
                     continue
                 interior = rotated[np_ + 1 + n0:]
                 for comp in compositions(len(interior)):
                     ops = [wrap]
                     offset = 0
                     for size in comp:
-                        ops.append(_block_operator(
-                            report, m, interior[offset:offset + size]))
+                        ops.append(action(m, interior[offset:offset + size]))
                         offset += size
-                    if any(op is None for op in ops):
+                    if not all(ops):
                         continue
                     _accumulate_closed(report, out, ops, -1 if parity else 1)
         if out:
             entries[label] = out
     return GradedMap(hh_s.space, report.hh_target.space, 0, entries)
-
-
-def _block_operator(report, m, block):
-    """The End-valued element s mu^M(block letters (x) -) as a kvec over
-    the (flat) End generators, or None when zero."""
-    if (len(block), 0) not in m.arities:
-        return None
-    base = report.module.base
-    module = report.module
-    out = {}
-    pairs = tuple(_letter_to_pair(report.hh_s.algebra, m.left, x) for x in block)
-    for v in module.gens.labels():
-        value = m.eval(len(block), 0, pairs + ((base.unit, v),))
-        for (r, w), c in value.items():
-            vec_add(out, {(r, hom_label(v, w)): c})
-    return out or None
 
 
 def _accumulate_closed(report, out, ops, eps_sign):
@@ -885,7 +816,7 @@ class SimpModel:
     extending the transfer on generators); truncated at a monomial-length
     cap for windowed computations.  d^2 = 0 is asserted on construction."""
 
-    def __init__(self, s_alg: AInfAlgebra, h_max, word_cap=2, check=True):
+    def __init__(self, s_alg: AInfAlgebra, h_max, word_cap=2):
         if s_alg.unit is None:
             raise ValueError("the model needs a unital algebra")
         reduced = [x for x in s_alg.gens.labels() if x != s_alg.unit]
@@ -925,7 +856,7 @@ class SimpModel:
             if col:
                 entries[(tag, word)] = col
         self.d = GradedMap(self.space, self.space, 1, entries)
-        self.complex = Complex(self.space, self.d, check=check)
+        self.complex = Complex(self.space, self.d)
 
     def _sort_word(self, word):
         """Sort a generator word with Koszul signs; None if it dies."""
@@ -989,30 +920,24 @@ def reduced_hh_subcomplex(hh: HochschildComplex) -> Complex:
     return Complex(space, GradedMap(space, space, 1, entries))
 
 
-def vanishing_check(s_alg: AInfAlgebra, h_max, t_min, t_max,
-                    normalized=True) -> Report:
+def vanishing_check(s_alg: AInfAlgebra, h_max, t_min, t_max) -> Report:
     """Whether the composite reduced-HH -> k induces zero on homology in
     the window; a nonzero value is a certified witness against the
     asserted manifold-bundle origin of the model."""
     report = Report(f"vanishing (window [{t_min},{t_max}])")
-    hh = hh_of_algebra(s_alg, h_max, normalized=normalized)
+    hh = hh_of_algebra(s_alg, h_max, normalized=True)
     tr = corollary_tr(hh, s_alg)
     sub = reduced_hh_subcomplex(hh)
     base = s_alg.base
     for t in range(t_min, t_max + 1):
         basis = HomologyBasis(sub, t)
-        witness = None
-        for rep in basis.representatives:
+        # over the base, a homology-level value must be a boundary
+        boundaries = [base.d.column(v) for v in base.space.by_degree.get(t - 1, ())]
+
+        def defect(rep):
             value = tr(rep)
-            # over the base, a homology-level value must be a boundary;
-            # with zero differential on the base this means literally zero
-            if value and not base.d.entries:
-                witness = (rep, value)
-                break
-            if value:
-                rows = [base.d.column(v) for v in base.space.by_degree.get(t - 1, ())]
-                if solve(rows, value) is None:
-                    witness = (rep, value)
-                    break
-        report.record(f"t={t} ({basis.dim} classes)", witness is None, witness)
+            return value if solve(boundaries, value) is None else {}
+
+        report.record_first_defect(f"t={t} ({basis.dim} classes)", basis.representatives,
+                                   defect)
     return report

@@ -281,10 +281,10 @@ def multilinear_word_tuples(n):
                     yield tuple(sequence[a:b] for a, b in pairwise(bounds))
 
 
-def gc1_complex(n, check=True) -> BarConnesComplex:
+def gc1_complex(n) -> BarConnesComplex:
     """C-infinity-wheel (n, 0) as the multilinear Connes complex of the bar
     of the free algebra (the Lemma-6.4.11 cycle-tree dictionary)."""
-    return BarConnesComplex(free_multilinear_algebra(n), n, check=check,
+    return BarConnesComplex(free_multilinear_algebra(n), n,
                             word_tuples=multilinear_word_tuples(n))
 
 

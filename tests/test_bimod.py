@@ -258,6 +258,24 @@ def test_structure_maps_are_evaluated_only_where_they_exist(monkeypatch):
     assert missing == []
 
 
+@pytest.mark.parametrize("make, most", [(mu3_algebra, 72), (lambda: fixture_algebra("cp2"), 18)],
+                         ids=["mu3", "cp2"])
+def test_hom_k_evaluates_one_action_per_word(monkeypatch, make, most):
+    # one eval per (word, module generator) for each of the two table
+    # families; evaluating once per hom generator made 432 (mu3) and 108 (cp2)
+    calls = []
+    real = AInfBimodule.eval
+
+    def counted(self, l, r, pairs):
+        calls.append((l, r))
+        return real(self, l, r, pairs)
+
+    m = left_module_from_algebra(make())
+    monkeypatch.setattr(AInfBimodule, "eval", counted)
+    hom_k(m, m)
+    assert 0 < len(calls) <= most
+
+
 def test_bimodule_inputs_in_product_order():
     alg = mu3_algebra()
     diag = diagonal_bimodule(alg)

@@ -12,7 +12,7 @@ import hashlib
 import pytest
 
 from hochtrace import bimod, cdga
-from hochtrace.ainf import check_stasheff, check_unital, from_dga
+from hochtrace.ainf import AInfMorphism, check_morphism, check_stasheff, check_unital, from_dga
 from hochtrace.bimod import bar_resolution_module, left_module_from_algebra
 from hochtrace.cdga import cdga_as_kalgebra
 from hochtrace.fixtures import (
@@ -20,8 +20,13 @@ from hochtrace.fixtures import (
     sphere3_with_differential,
     twisted_odd_coefficient_dga,
 )
-from hochtrace.grdlin import homology_window
-from hochtrace.hoch import BarConnesComplex, BarConstruction, hh_of_algebra
+from hochtrace.grdlin import homology_window, is_chain_map
+from hochtrace.hoch import (
+    BarConnesComplex,
+    BarConstruction,
+    hh_algebra_induced_map,
+    hh_of_algebra,
+)
 
 
 def _digest(gmap):
@@ -121,3 +126,20 @@ def test_bar_construction_twist_sign_over_a_base_with_differential():
     bar = BarConstruction(cdga_as_kalgebra(sphere3_with_differential()), 2)
     assert bar.space.dim == 336
     assert bar.augmentation_is_chain_map()
+
+
+@pytest.mark.parametrize("dga", [odd_coefficient_dga, twisted_odd_coefficient_dga],
+                         ids=["odd", "twisted_odd"])
+def test_induced_map_with_an_odd_coefficient_output(dga):
+    # phi_1(e) = e + x g, the identity on 1, f and g: a strict morphism whose
+    # f-block output carries the odd x, so the induced map moves x back past
+    # the rotated prefix; dropping that migration sign breaks the chain-map
+    # check at Hochschild degrees 2 and 3 (not at 1)
+    alg = from_dga(dga())
+    table = {(v,): {("1", v): 1} for v in alg.gens.labels()}
+    table[("e",)] = {("1", "e"): 1, ("x", "g"): 1}
+    phi = AInfMorphism(alg, alg, {1: table})
+    assert check_morphism(phi, 3).ok
+    hh = hh_of_algebra(alg, 2)
+    assert hh.space.dim == 168
+    assert is_chain_map(hh_algebra_induced_map(phi, hh, hh), hh.complex, hh.complex)

@@ -3,7 +3,9 @@ no unused import, no bare ``assert`` (checks raise typed errors), no
 ``/`` or ``/=`` outside ``grdlin.dense_rank``: exact code divides only
 through ``Fraction``, so no float is reachable; and no ``X if n else [()]``
 outside ``bimod.bimodule_inputs``, the one place that decides how a zero
-algebra (None) enumerates its words."""
+algebra (None) enumerates its words; and no function but ``bimod.action``
+that calls both a structure-map ``eval`` and ``hom_label``, so every
+End-valued operator built from structure maps comes from one place."""
 import ast
 from pathlib import Path
 
@@ -63,6 +65,31 @@ def empty_word_guards(source, allowed=()):
                   and (_is_empty_word_list(node.body) or _is_empty_word_list(node.orelse)))
 
 
+def _calls(fn):
+    """(attribute names, bare names) called anywhere inside ``fn``."""
+    attrs, names = set(), set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute):
+                attrs.add(node.func.attr)
+            elif isinstance(node.func, ast.Name):
+                names.add(node.func.id)
+    return attrs, names
+
+
+def end_operator_builders(source, allowed=()):
+    """Names of the functions outside ``allowed`` that call a structure map
+    (``.eval`` or ``.eval_mu``) and ``hom_label``: each builds an
+    End-valued operator by hand."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef) and fn.name not in allowed:
+            attrs, names = _calls(fn)
+            if attrs & {"eval", "eval_mu"} and "hom_label" in names:
+                found.append(fn.name)
+    return sorted(found)
+
+
 def test_the_scan_sees_the_sources():
     assert {p.name for p in SOURCES} >= {"grdlin.py", "hoch.py", "transfer.py"}
 
@@ -89,6 +116,12 @@ def test_no_empty_word_guard(path):
     assert empty_word_guards(path.read_text(), allowed) == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_end_valued_action(path):
+    allowed = ("action",) if path.name == "bimod.py" else ()
+    assert end_operator_builders(path.read_text(), allowed) == []
+
+
 def test_the_checks_fire():
     source = "from itertools import product, permutations\nassert product\n"
     assert unused_imports(source) == [("permutations", 1)]
@@ -100,3 +133,9 @@ def test_the_checks_fire():
               "def bimodule_inputs(l):\n    return p(l) if l else [()]\n")
     assert empty_word_guards(source) == [1, 2, 5]
     assert empty_word_guards(source, ("bimodule_inputs",)) == [1, 2]
+    source = ("def action(m, p):\n    return {hom_label(v, w): m.eval(p)}\n"
+              "def by_hand(m, v, w):\n    return {hom_label(v, w): m.eval_mu(v)}\n"
+              "def twist(m, v, w):\n    return {hom_label(v, w): m.d.column(v)}\n"
+              "def builtin(v, w):\n    return {hom_label(v, w): eval(v)}\n")
+    assert end_operator_builders(source) == ["action", "by_hand"]
+    assert end_operator_builders(source, ("action",)) == ["by_hand"]

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from hochtrace import transfer
 from hochtrace.ainf import from_dga, unit_algebra
-from hochtrace.bimod import left_module_from_algebra
+from hochtrace.bimod import hom_label, left_module_from_algebra
 from hochtrace.cdga import BaseCDGA, FreeKModule, KAlgebra, cdga_as_kalgebra
 from hochtrace.fixtures import (
     dual_numbers,
@@ -43,14 +44,14 @@ def test_module_trace_identity():
     # identity on a rank-2 module with even generators -> 2
     q = BaseCDGA.rationals()
     m = FreeKModule(q, GradedSpace([("a", 0), ("b", 2)]))
-    ident = {v: {("1", v): ONE} for v in ("a", "b")}
+    ident = {("1", hom_label(v, v)): ONE for v in ("a", "b")}
     assert module_trace(m, ident) == {"1": Fraction(2)}
 
 
 def test_module_trace_shifted_sphere():
     # identity on sS for S = H*(S^2): degrees -1 and 1 -> -2
     alg = fixture_algebra("s2")
-    ident = {v: {("1", v): ONE} for v in alg.gens.labels()}
+    ident = {("1", hom_label(v, v)): ONE for v in alg.gens.labels()}
     assert module_trace(alg.module, ident) == {"1": Fraction(-2)}
 
 
@@ -309,6 +310,23 @@ def test_vanishing_check_s2():
     # the window sees actual homology classes, not just empty groups
     assert any("1 classes" in name or "2 classes" in name
                for name, _ok, _w in report.checks)
+
+
+def test_vanishing_check_names_a_class_with_a_nonzero_value(monkeypatch):
+    # over Lambda(x), |x| = 1, the class of 1 (x) x lies in degree 0, where
+    # the base Q lives; a transfer that is nonzero on it fails t = 0 with
+    # the representative and its value as the witness
+    alg = from_dga(cdga_as_kalgebra(exterior_odd(1)))
+    assert vanishing_check(alg, 3, -1, 1).ok
+    label = ("1", "1", ("x",))
+
+    def nonzero_on_the_class(hh, s_alg):
+        return GradedMap(hh.space, s_alg.base.space, 0, {label: {"1": 1}})
+
+    monkeypatch.setattr(transfer, "corollary_tr", nonzero_on_the_class)
+    report = vanishing_check(alg, 3, -1, 1)
+    assert [ok for _name, ok, _w in report.checks] == [True, False, True]
+    assert report.first_failure == ("t=0 (3 classes)", ({label: 1}, {"1": 1}))
 
 
 def test_tr0_tr1():
