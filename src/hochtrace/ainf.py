@@ -6,7 +6,9 @@ an AInfAlgebra is already the shifted space; `from_dga` performs the
 shift (labels unchanged, degrees lowered by one).
 
 Tables store values on generator tuples only and extend k-linearly; see
-cdga.eval_k_multilinear for the coefficient bookkeeping.
+cdga.eval_k_multilinear for the coefficient bookkeeping.  Complex
+assembly, whose words carry only the unit coefficient, reads the tables
+by generator word through ``AInfAlgebra.mu_word``.
 """
 from __future__ import annotations
 
@@ -68,6 +70,19 @@ class AInfAlgebra:
                         if base.degree(b) + gens.degree[w] != want:
                             raise ValueError(
                                 f"mu_{n}{vs!r} -> ({b!r},{w!r}) is not degree +1")
+
+    def mu_word(self, word) -> dict:
+        """mu_n on a word of unit-coefficient generators, n = len(word):
+        the stored column itself, {} where mu_n has none.
+
+        At n = 1 this is the module differential at (unit, v).  It equals
+        ``eval_mu`` of the (unit, v) pairs without building them; the
+        caller must not mutate the result.
+        """
+        if len(word) == 1:
+            return self.module.d.entries.get((self.base.unit, word[0]), {})
+        table = self.mu.get(len(word))
+        return table.get(word, {}) if table else {}
 
     def eval_mu(self, pairs) -> dict:
         """mu_n on a tuple of total-space labels (b, v); n = len(pairs).

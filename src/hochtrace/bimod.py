@@ -44,7 +44,7 @@ from .grdlin import (
     vec_add,
     vec_add_term,
 )
-from .report import Report
+from .report import CertificateError, Report
 
 
 class AInfBimodule:
@@ -97,6 +97,19 @@ class AInfBimodule:
         for i in range(r):
             degs.append(self.right.gens.degree[key[l + 1 + i]])
         return degs
+
+    def mu_word(self, l, r, word) -> dict:
+        """mu_{l,r} on a word of l + 1 + r unit-coefficient generators: the
+        stored column itself, {} where mu_{l,r} has none.
+
+        At (0, 0) this is the module differential at (unit, m).  It equals
+        ``eval`` of the (unit, v) pairs without building them; the caller
+        must not mutate the result.
+        """
+        if (l, r) == (0, 0):
+            return self.kmodule.d.entries.get((self.base.unit, word[0]), {})
+        table = self.tables.get((l, r))
+        return table.get(word, {}) if table else {}
 
     def eval(self, l, r, pairs) -> dict:
         """mu_{l,r} on a tuple of l + 1 + r total-space labels."""
@@ -407,14 +420,15 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
         """mu_{l,r} of the tensor bimodule on a generator tuple
         x_1..x_l, (vm, ys, vn), y_1..y_r.
 
-        All inputs carry unit coefficients; k-linearity is restored later
-        by the generic table evaluation.  Signs are parity bits applied by
+        All inputs carry unit coefficients, so the factors' structure maps
+        are read by generator word; k-linearity is restored later by the
+        generic table evaluation.  Signs are parity bits applied by
         negation.
         """
         vm, ys, vn = key[l]
         k = len(ys)
-        # x_1..x_l, vm, ys, vn, y_1..y_r as pairs: the factors' windows
-        pairs = tuple([(base.unit, v) for v in key[:l] + (vm,) + ys + (vn,) + key[l + 1:]])
+        # x_1..x_l, vm, ys, vn, y_1..y_r: the factors' windows
+        word = key[:l] + (vm,) + ys + (vn,) + key[l + 1:]
         deg_m = m.kmodule.gens.degree[vm]
         y_degs = [middle.gens.degree[y] for y in ys]
         out = {}
@@ -424,13 +438,13 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
             for l1, n1 in m.arities:
                 if l1 != l or n1 > k:
                     continue
-                value = m.eval(l, n1, pairs[:l + 1 + n1])
+                value = m.mu_word(l, n1, word[:l + 1 + n1])
                 new_ys = ys[n1:]
                 for (b2, vm2), c in value.items():
                     vec_add_term(out, (b2, (vm2, new_ys, vn)), c)
         if l == 0 and r == 0 and middle is not None:
             # id^{1+n1} (x) mu^S_{n2} (x) id, moving past vm, y_1..y_n1
-            for _n1, new_ys, b2, c, parity in insertions(base, middle.eval_mu, 1,
+            for _n1, new_ys, b2, c, parity in insertions(base, middle.mu_word, 1,
                                                          middle.arities, ys, y_degs,
                                                          deg_m):
                 vec_add_term(out, (b2, (vm, new_ys, vn)), -c if parity else c)
@@ -442,7 +456,7 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
                     continue
                 n1 = k - n2
                 left_deg = deg_m + sum(y_degs[:n1])
-                value = n.eval(n2, r, pairs[1 + n1:])
+                value = n.mu_word(n2, r, word[1 + n1:])
                 for (b2, vn2), c in value.items():
                     negate = migration_parity(left_deg, 1, base.degree(b2))
                     vec_add_term(out, (b2, (vm, ys[:n1], vn2)), -c if negate else c)
@@ -646,7 +660,6 @@ def pi_map(alg: AInfAlgebra, m: AInfBimodule, h_max,
     """pi: sR (x)~_R M -> M of degree 1; pi_l = mu_{l+1+n}^M on the n-th
     summand."""
     source = source or bar_resolution_module(alg, m, h_max)
-    base = alg.base
     components = {}
     for l in range(0, m.n_max):
         table = {}
@@ -654,8 +667,7 @@ def pi_map(alg: AInfAlgebra, m: AInfBimodule, h_max,
             vr, ys, vm = key[l]
             if (l + 1 + len(ys), 0) not in m.arities:
                 continue
-            inner = tuple((base.unit, v) for v in key[:l] + (vr,) + ys + (vm,))
-            value = m.eval(l + 1 + len(ys), 0, inner)
+            value = m.mu_word(l + 1 + len(ys), 0, key[:l] + (vr,) + ys + (vm,))
             if value:
                 table[key] = value
         if table:
@@ -813,7 +825,7 @@ def cyclic_in_shuffle_span(n) -> dict:
         for s in enumerate_shuffles(p, q):
             key = _perm_compose(tau, s.perm)
             acc[key] = acc.get(key, 0) + coeff
-    acc = {k: v for k, v in acc.items() if v}
-    if acc != c_n:
-        raise AssertionError("certificate failed substitution check")
+    defect = vec_add({k: v for k, v in acc.items() if v}, c_n, -1)
+    if defect:
+        raise CertificateError("certificate failed substitution check", (n, defect))
     return certificate

@@ -16,7 +16,11 @@ past the collected coefficient.
 every complex assembled from structure maps (Hochschild, bar, bar
 Connes, the infinity tensor product) applies id^r (x) f (x) id^t to a
 word of unit-coefficient generators through it, and ``migration_parity``
-is the one place its sign is computed.
+is the one place its sign is computed.  Those words never carry a
+non-unit coefficient, so assembly reads the structure tables by
+generator word (``AInfAlgebra.mu_word``, ``AInfBimodule.mu_word``);
+``eval_k_multilinear`` serves the general (b, v) inputs of the
+validators, the actions and the transfer layer.
 """
 from __future__ import annotations
 
@@ -194,14 +198,15 @@ def insertions(base: BaseCDGA, f, map_degree, arities, word, degrees, prefix_deg
 
     ``arities`` lists, ascending and without repeats, the widths at which
     f can be nonzero; windows of any other width are not evaluated.  ``f``
-    takes the window as a tuple of (base.unit, v) pairs and returns a
-    kvec (falsy where it does not act); ``degrees`` are the |v|, and
-    ``prefix_degree`` the degree of what stands before the word.  Yields
-    (r, word[:r] + (y,) + word[r+s:], c, coeff, parity) for each entry
-    (c, y): coeff of f's value, with migration_parity at M = prefix_degree
-    + |word[:r]|.  The caller multiplies the coefficient c into its own.
+    takes the window as a tuple of generator labels (the unit coefficient
+    is implied) and returns a kvec, falsy where it does not act; it is
+    read, never mutated, so a stored table column will do.  ``degrees``
+    are the |v|, and ``prefix_degree`` the degree of what stands before
+    the word.  Yields (r, word[:r] + (y,) + word[r+s:], c, coeff, parity)
+    for each entry (c, y): coeff of f's value, with migration_parity at
+    M = prefix_degree + |word[:r]|.  The caller multiplies the coefficient
+    c into its own.
     """
-    pairs = tuple([(base.unit, v) for v in word])
     coeff_degree = base.space.degree
     prefix = [prefix_degree]
     for d in degrees:
@@ -209,7 +214,7 @@ def insertions(base: BaseCDGA, f, map_degree, arities, word, degrees, prefix_deg
     n = len(word)
     for s in arities:
         for r in range(n - s + 1):
-            value = f(pairs[r:r + s])
+            value = f(word[r:r + s])
             if value:
                 m = prefix[r]
                 head, tail = word[:r], word[r + s:]
@@ -224,11 +229,12 @@ def eval_k_multilinear(base: BaseCDGA, table, map_degree, pairs, gen_degrees) ->
 
     The generator tuple is looked up first, so a tuple with no table entry
     costs no coefficient collection.  When the collected coefficient is
-    {base.unit: 1} with sign +1 -- every slot carries the unit, as in all
-    complex assembly -- the value is the table column itself, copied
+    {base.unit: 1} with sign +1 -- every slot carries the unit, as in the
+    validators' inputs -- the value is the table column itself, copied
     without its zero entries; the unit axiom validated by BaseCDGA makes
-    that equal to the general formula.  The result is always a fresh dict
-    that the caller may mutate.
+    that equal to the general formula.  (Complex assembly, whose inputs
+    are all such words, reads the table directly through ``mu_word``.)
+    The result is always a fresh dict that the caller may mutate.
     """
     value = table.get(tuple([v for _, v in pairs]))
     if not value:

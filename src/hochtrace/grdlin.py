@@ -32,6 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from .report import CertificateError
+
 ONE = 1
 
 
@@ -342,8 +344,8 @@ def cyclic_rotations(items, degrees):
 class Complex:
     """A cochain complex: graded space plus a degree +1 differential.
 
-    d o d = 0 is asserted on construction; failures raise ValueError
-    with a witness basis label.
+    d o d = 0 is asserted on construction; a failure raises
+    CertificateError("d*d != 0") with witness (basis label, its d*d column).
 
     Each degree block d^t is eliminated at most once per complex, when
     ``homology_window`` or ``HomologyBasis`` first needs it: its columns
@@ -367,8 +369,7 @@ class Complex:
         if check:
             dd = d.compose(d)
             if not dd.is_zero():
-                v = next(iter(dd.entries))
-                raise ValueError(f"d*d != 0, witness basis element {v!r}: {dd.entries[v]}")
+                raise CertificateError("d*d != 0", next(iter(dd.entries.items())))
 
     def __repr__(self):
         return f"Complex(dim={self.space.dim}, degrees={self.space.degrees()})"
@@ -635,6 +636,14 @@ def is_chain_map(f: GradedMap, source: Complex, target: Complex) -> bool:
 
 def chain_map_defect(f: GradedMap, source: Complex, target: Complex) -> GradedMap:
     return f.compose(source.d) - target.d.compose(f)
+
+
+def require_chain_map(check, f: GradedMap, source: Complex, target: Complex):
+    """Raise CertificateError(check) unless f is a chain map, with witness
+    (source label, its column of f d - d f) at the first defect."""
+    if not is_chain_map(f, source, target):
+        raise CertificateError(check, next(iter(chain_map_defect(f, source, target)
+                                                .entries.items())))
 
 
 def is_quasi_iso_window(f: GradedMap, source: Complex, target: Complex,

@@ -33,11 +33,12 @@ from .grdlin import (
     _Eliminator,
     cyclic_rotations,
     is_chain_map,
+    require_chain_map,
     sparse_rank,
     vec_add,
     vec_add_term,
 )
-from .report import Report
+from .report import CertificateError, Report
 
 
 def _add_times_base(out, base, b, c, tail, coeff, negate):
@@ -118,7 +119,6 @@ class HochschildComplex:
         Signs are kept as parity bits and applied by negation."""
         b, vm, xs = label
         alg, bim, base = self.algebra, self.bimodule, self.base
-        unit = base.unit
         n = len(xs)
         deg_b = base.degree(b) % 2
         deg_m = bim.kmodule.gens.degree[vm]
@@ -126,7 +126,7 @@ class HochschildComplex:
         out = {}
         # (a) id^{1+r} (x) mu_s (x) id^t on the x-string, s in alg.arities; mu moves
         # past b, then past m, x_1..x_r together with its coefficient c
-        for _r, new_xs, c, coeff, parity in insertions(base, alg.eval_mu, 1, alg.arities,
+        for _r, new_xs, c, coeff, parity in insertions(base, alg.mu_word, 1, alg.arities,
                                                        xs, x_degs, deg_m):
             _add_times_base(out, base, b, c, (vm, new_xs), coeff, deg_b ^ parity)
         # (b) (mu_{l,r}^M (x) id^s) o t_{1+n}^l, for the (l, r) that exist
@@ -140,12 +140,11 @@ class HochschildComplex:
             if l not in folds:
                 continue
             # rotated = (x_{n-l+1}, .., x_n, vm, x_1, .., x_{n-l})
-            rotated_pairs = tuple((unit, x) for x in rotated)
             negate = rot_parity ^ deg_b
             for r in folds[l]:
                 if r > n - l:
                     break
-                value = bim.eval(l, r, rotated_pairs[:l + 1 + r])
+                value = bim.mu_word(l, r, rotated[:l + 1 + r])
                 new_xs = rotated[l + 1 + r:]
                 for (c, vm2), coeff in value.items():
                     _add_times_base(out, base, b, c, (vm2, new_xs), coeff, negate)
@@ -203,8 +202,8 @@ def normalized_hh(algebra: AInfAlgebra, bimodule: AInfBimodule, h_max):
         if unit not in label[2]:
             entries[label] = {label: ONE}
     quotient = GradedMap(full.space, reduced.space, 0, entries)
-    if not is_chain_map(quotient, full.complex, reduced.complex):
-        raise AssertionError("normalized quotient failed to be a chain map")
+    require_chain_map("normalized quotient failed to be a chain map", quotient,
+                      full.complex, reduced.complex)
     return full, reduced, quotient
 
 
@@ -312,8 +311,8 @@ class ConnesComplex:
                 entries[rep_label] = col
         self.d = GradedMap(self.space, self.space, 1, entries)
         self.complex = Complex(self.space, self.d)
-        if not is_chain_map(self.projection, hh.complex, self.complex):
-            raise AssertionError("HC projection failed to be a chain map")
+        require_chain_map("HC projection failed to be a chain map", self.projection,
+                          hh.complex, self.complex)
 
     def __repr__(self):
         return f"HC(rank={self.space.dim}, h_max={self.hh.h_max})"
@@ -426,16 +425,13 @@ class BarConstruction:
             for b2, q in base.mul_basis(b, c).items():
                 vec_add_term(out, ("bar", level, b2, new_vs), coeff * q)
 
-        def product(window):
-            return dga.mult.get((window[0][1], window[1][1]))
-
         def twist(window):
-            return dga.module.d_gen.get(window[0][1])
+            return dga.module.d_gen.get(window[0])
 
         # horizontal faces: sum (-1)^i id^i (x) mu (x) id^{n-i}; level 0 has
         # none (its face is the augmentation, not part of the differential)
         if n >= 1:
-            for i, new_vs, c, coeff, parity in insertions(base, product, 0, (2,), vs, degs):
+            for i, new_vs, c, coeff, parity in insertions(base, dga.mult.get, 0, (2,), vs, degs):
                 add(n - 1, c, new_vs, coeff, (i + parity) % 2)
         # internal differential and the twist, with the totalization sign (-1)^n
         for b2, q in base.d.column(b).items():
@@ -512,14 +508,12 @@ class ClassicalHochschild:
         def tensor_d(lab):
             beta, vm = lab
             out = {}
-            for (_1, b2), c in bar.eval(0, 0, ((u, beta),)).items():
+            for (_1, b2), c in bar.mu_word(0, 0, (beta,)).items():
                 vec_add_term(out, (b2, vm), c)
             negate = bg.degree[beta] % 2
-            for (_1, vm2), c in bimodule.eval(0, 0, ((u, vm),)).items():
+            for (_1, vm2), c in bimodule.mu_word(0, 0, (vm,)).items():
                 vec_add_term(out, (beta, vm2), -c if negate else c)
             return out
-
-        labels = [(beta, vm) for beta in bg.labels() for vm in mg.labels()]
 
         def canonical(lab):
             (vb, _ys, vb2), _vm = lab
@@ -530,6 +524,16 @@ class ClassicalHochschild:
 
         elim = _Eliminator()
         self._relation_count = 0
+
+        def relate(row, witness):
+            """Insert one relation row; it must not reduce onto the basis."""
+            if row:
+                self._relation_count += 1
+                rrow, _ = elim.insert({wrap(k): c for k, c in row.items()})
+                if rrow and elim.lead(rrow)[0] == "z":
+                    raise CertificateError("relation span hit the basis",
+                                           (witness, {k: c for (_, k), c in rrow.items()}))
+
         for beta in bg.labels():
             beta_deg = bg.degree[beta]
             for vm in mg.labels():
@@ -538,38 +542,29 @@ class ClassicalHochschild:
                     if x == unit:
                         continue  # the unit relations vanish identically
                     row = {}
-                    for (_1, b2), c in bar.eval(1, 0, ((u, x), (u, beta))).items():
+                    for (_1, b2), c in bar.mu_word(1, 0, (x, beta)).items():
                         vec_add_term(row, (b2, vm), c)
                     # subtracted with the sign (-1)^exp
                     exp = (sdeg[x] + 1) * (beta_deg + m_deg) + m_deg + 1
-                    for (_1, vm2), c in bimodule.eval(
-                            0, 1, ((u, vm), (u, x))).items():
+                    for (_1, vm2), c in bimodule.mu_word(0, 1, (vm, x)).items():
                         vec_add_term(row, (beta, vm2), c if exp % 2 else -c)
-                    if row:
-                        self._relation_count += 1
-                        rrow, _ = elim.insert({wrap(k): c for k, c in row.items()})
-                        if rrow and elim.lead(rrow)[0] == "z":
-                            raise AssertionError("relation span hit the basis")
+                    relate(row, ("u1", x, beta, vm))
                     row = {}
-                    for (_1, b2), c in bar.eval(0, 1, ((u, beta), (u, x))).items():
+                    for (_1, b2), c in bar.mu_word(0, 1, (beta, x)).items():
                         vec_add_term(row, (b2, vm), c)
                     # subtracted with the sign (-1)^{|beta| + 1}
-                    for (_1, vm2), c in bimodule.eval(
-                            1, 0, ((u, x), (u, vm))).items():
+                    for (_1, vm2), c in bimodule.mu_word(1, 0, (x, vm)).items():
                         vec_add_term(row, (beta, vm2), -c if beta_deg % 2 else c)
-                    if row:
-                        self._relation_count += 1
-                        rrow, _ = elim.insert({wrap(k): c for k, c in row.items()})
-                        if rrow and elim.lead(rrow)[0] == "z":
-                            raise AssertionError("relation span hit the basis")
+                    relate(row, ("u2", x, beta, vm))
 
-        def reduce_vec(vec):
-            rem, _ = elim.reduce({wrap(k): c for k, c in vec.items()})
+        def quotient_d(lab):
+            """D(lab) in the quotient, on the canonical basis."""
+            rem, _ = elim.reduce({wrap(k): c for k, c in tensor_d(lab).items()})
+            residue = {k: c for (tag, k), c in rem.items() if tag != "z"}
+            if residue:
+                raise CertificateError("balanced reduction left a residue", (lab, residue))
             out = {}
-            for (tag, lab), c in rem.items():
-                if tag != "z":
-                    raise AssertionError("balanced reduction left a residue")
-                (vb, ys, vb2), vm = lab
+            for (_tag, ((_vb, ys, _vb2), vm)), c in rem.items():
                 out[(u, vm, ys)] = c
             return out
 
@@ -591,7 +586,7 @@ class ClassicalHochschild:
             if vb != unit or vb2 != unit:
                 continue
             for vm in mg.labels():
-                col = reduce_vec(tensor_d((beta, vm)))
+                col = quotient_d((beta, vm))
                 if col:
                     entries[(u, vm, ys)] = col
         self.d = GradedMap(self.space, self.space, 1, entries)
@@ -654,8 +649,8 @@ def compare_classical(classical: ClassicalHochschild,
                     stack.append(w)
     iso = GradedMap(classical.space, ainf_hh.space, 0,
                     {v: {v: sign[v]} for v in labels})
-    if not is_chain_map(iso, classical.complex, ainf_hh.complex):
-        raise AssertionError("diagonal sign map failed the chain-map check")
+    require_chain_map("diagonal sign map failed the chain-map check", iso,
+                      classical.complex, ainf_hh.complex)
     return iso
 
 
@@ -785,9 +780,10 @@ class BarConnesComplex:
             if col:
                 full_d_entries[label] = col
         full_d = GradedMap(self.full_space, self.full_space, 1, full_d_entries)
-        if not (self.projection.compose(full_d)
-                == self.d.compose(self.projection)):
-            raise AssertionError("cyclic projection is not a chain map")
+        lhs, rhs = self.projection.compose(full_d), self.d.compose(self.projection)
+        if lhs != rhs:
+            raise CertificateError("cyclic projection is not a chain map",
+                                   next(iter((lhs - rhs).entries.items())))
 
     def _factor_degree(self, word):
         return sum(self.algebra.gens.degree[x] for x in word) + 1
@@ -823,7 +819,7 @@ class BarConnesComplex:
             # factors before w and w's own prefix together with its
             # coefficient c
             for _r, new_word, c, coeff, parity in insertions(
-                    base, self.algebra.eval_mu, 1, self.algebra.arities, w,
+                    base, self.algebra.mu_word, 1, self.algebra.arities, w,
                     [degree[x] for x in w], before):
                 _add_times_base(out, base, b, c, (head + (new_word,) + tail,), coeff,
                                 deg_b ^ parity)

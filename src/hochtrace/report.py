@@ -1,5 +1,19 @@
-"""Validation reports: named checks with witnesses, failure is data."""
+"""Validation reports: named checks with witnesses, failure is data.
+
+A certificate that a constructor cannot do without (d*d = 0, a chain-map
+check it relies on) raises ``CertificateError`` instead, with the same
+two fields as a failed check: its name and its witness."""
 from __future__ import annotations
+
+
+class CertificateError(ValueError):
+    """A failed certificate: ``check`` names it, ``witness`` is the first
+    input it fails on (with the defect there, where there is one)."""
+
+    def __init__(self, check, witness=None):
+        super().__init__(check if witness is None else f"{check}, witness {witness!r}")
+        self.check = check
+        self.witness = witness
 
 
 class Report:

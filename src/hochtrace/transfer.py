@@ -713,8 +713,18 @@ def closed_form_transfer(report: TransferReport, m: AInfBimodule) -> GradedMap:
     """The Obs-4.2.6 closed form, computed independently of the composite:
     sum over cyclic block decompositions of the input, each block acting
     through the module structure maps and fed to tr_R^c as an
-    endomorphism-valued tensor."""
+    endomorphism-valued tensor.
+
+    Each distinct block acts once per call: ``ops`` holds its action
+    until the call returns."""
     hh_s = report.hh_s
+    ops = {}
+
+    def op(block):
+        if block not in ops:
+            ops[block] = action(m, block)
+        return ops[block]
+
     entries = {}
     for label in hh_s.space.labels():
         letters, degs = _letters_and_degrees(hh_s, label)
@@ -725,19 +735,21 @@ def closed_form_transfer(report: TransferReport, m: AInfBimodule) -> GradedMap:
         # the interior letters split into blocks for the other operators
         for np_, rotated, parity in cyclic_rotations(pairs, degs):
             for n0 in range(0, len(pairs) - np_):
-                wrap = action(m, rotated[:np_ + 1 + n0])
+                wrap = op(rotated[:np_ + 1 + n0])
                 if not wrap:
                     continue
                 interior = rotated[np_ + 1 + n0:]
                 for comp in compositions(len(interior)):
-                    ops = [wrap]
+                    tensor = [wrap]
                     offset = 0
                     for size in comp:
-                        ops.append(action(m, interior[offset:offset + size]))
+                        block = op(interior[offset:offset + size])
+                        if not block:
+                            break
+                        tensor.append(block)
                         offset += size
-                    if not all(ops):
-                        continue
-                    _accumulate_closed(report, out, ops, -1 if parity else 1)
+                    else:
+                        _accumulate_closed(report, out, tensor, -1 if parity else 1)
         if out:
             entries[label] = out
     return GradedMap(hh_s.space, report.hh_target.space, 0, entries)

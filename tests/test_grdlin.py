@@ -23,6 +23,17 @@ from hochtrace.grdlin import (
     tensor_map,
     tensor_space,
 )
+from hochtrace.report import CertificateError
+
+
+def test_d_squared_failure_names_its_witness():
+    space = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
+    d = GradedMap(space, space, 1, {"a": {"b": 1}, "b": {"c": 3}})
+    with pytest.raises(CertificateError) as caught:
+        Complex(space, d)
+    assert caught.value.check == "d*d != 0"
+    assert caught.value.witness == ("a", {"c": 3})
+    assert isinstance(caught.value, ValueError)
 
 
 def test_koszul_sign_identity():

@@ -1,8 +1,15 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from hochtrace.ainf import AInfMorphism, check_morphism, from_dga
-from hochtrace.bimod import diagonal_bimodule, left_module_from_algebra, v_map
+from hochtrace.bimod import (
+    dga_module_bimodule,
+    diagonal_bimodule,
+    left_module_from_algebra,
+    v_map,
+)
 from hochtrace.cdga import BaseCDGA, KAlgebra, base_as_algebra, cdga_as_kalgebra
 from hochtrace.fixtures import (
     dual_numbers,
@@ -36,6 +43,7 @@ from hochtrace.hoch import (
     hh_of_algebra,
     rotation_to_bar_hc,
 )
+from hochtrace.report import CertificateError
 from hochtrace.transfer import end_algebra_over_base
 
 
@@ -74,6 +82,24 @@ def test_classical_comparison_has_teeth():
     iso = compare_classical(classical_hh(dga, diag, 3), hh_complex(alg, diag, 3))
     flips = sum(1 for v, col in iso.entries.items() if col.get(v) == -ONE)
     assert flips > 0
+
+
+def test_classical_hochschild_names_a_relation_that_hits_the_basis():
+    # x acting by 2x on the left is not a module: (x x) 1 = x2 but
+    # x (x 1) = 4 x2, so the relation u2 on (x, s1 (x) sx, 1) reduces to a
+    # canonical basis label
+    dga = cdga_as_kalgebra(fixture_cdga("cp2"))
+    alg = from_dga(dga)
+    doubled = {(a, b): col if a == dga.unit_gen else {k: 2 * c for k, c in col.items()}
+               for (a, b), col in dga.mult.items()}
+    bim = dga_module_bimodule(alg, alg, dga.module, left_action=doubled,
+                              right_action=dga.mult)
+    with pytest.raises(CertificateError) as caught:
+        classical_hh(dga, bim, 1)
+    assert caught.value.check == "relation span hit the basis"
+    assert caught.value.witness == (("u2", "x", ("1", (), "x"), "1"),
+                                    {(("1", (), "1"), "x2"): 1})
+    assert isinstance(caught.value, ValueError)
 
 
 def test_classical_comparison_of_an_int_table_dga_is_exact():

@@ -271,6 +271,25 @@ def test_explicit_transfer_consistency():
         assert closed_form_transfer(rep, m) == rep.composite
 
 
+def test_closed_form_acts_once_per_block(monkeypatch):
+    # one action per distinct block in one call; recomputing every rotation
+    # and composition's blocks made 288 calls on 39 words on mu3 at h = 2
+    alg = mu3_algebra()
+    m = left_module_from_algebra(alg)
+    coev = find_derived_coev(BaseCDGA.rationals(), alg.module, b_max=2)
+    rep = transfer_explicit(alg, m, alg.module, coev, 2)
+    blocks = []
+    real = transfer.action
+
+    def counted(module, pairs):
+        blocks.append(pairs)
+        return real(module, pairs)
+
+    monkeypatch.setattr(transfer, "action", counted)
+    assert closed_form_transfer(rep, m) == rep.composite
+    assert len(blocks) == len(set(blocks)) == 39
+
+
 def test_simp_model_s3():
     alg = fixture_algebra("s3")
     model = SimpModel(alg, 3, word_cap=2)
