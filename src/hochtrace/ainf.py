@@ -9,6 +9,11 @@ Tables store values on generator tuples only and extend k-linearly; see
 cdga.eval_k_multilinear for the coefficient bookkeeping.  Complex
 assembly, whose words carry only the unit coefficient, reads the tables
 by generator word through ``AInfAlgebra.mu_word``.
+
+``insert_at`` is the one insertion rule on (b, v) pairs, behind the
+Stasheff, morphism and bimodule equations; ``flat_tables`` is the one
+flattening of tables over the base into tables over Q, behind
+``to_rational_algebra`` and the flattened transfer v map.
 """
 from __future__ import annotations
 
@@ -26,6 +31,22 @@ from .grdlin import ONE, GradedSpace, enumerate_shuffles, int_first, koszul_sign
 from .report import Report
 
 
+def insert_at(total, outer, inner, inner_degree, pairs, degs, start, stop, coeff):
+    """total += coeff outer(id (x) inner (x) id) on a tuple of (b, v) pairs,
+    the inner map eating pairs[start:stop]; moving it past the prefix
+    pairs[:start], whose degrees are degs[:start], gives the Koszul sign
+    (-1)^{|inner| |prefix|}.
+
+    The one insertion rule on pairs: the Stasheff, morphism and bimodule
+    equations all apply it.  ``cdga.insertions`` is its word form, for
+    complex assembly.
+    """
+    if inner_degree % 2 and sum(degs[:start]) % 2:
+        coeff = -coeff
+    for pair, c in inner(pairs[start:stop]).items():
+        vec_add(total, outer(pairs[:start] + (pair,) + pairs[stop:]), coeff * c)
+
+
 class AInfAlgebra:
     """An A-infinity algebra over a base cdga, truncated at arity N_max.
 
@@ -41,7 +62,7 @@ class AInfAlgebra:
     """
 
     def __init__(self, base: BaseCDGA, gens: GradedSpace, mu, n_max,
-                 unit=None, cinfty=False, check=True):
+                 unit=None, check=True):
         self.base = base
         self.gens = gens
         self.mu = {n: {vs: kept for vs, col in table.items() if (kept := int_first(col))}
@@ -49,7 +70,6 @@ class AInfAlgebra:
         self.mu = {n: t for n, t in self.mu.items() if t}
         self.n_max = int(n_max)
         self.unit = unit
-        self.cinfty = cinfty
         if any(n > self.n_max for n in self.mu):
             raise ValueError("structure map above the declared truncation arity")
         # building the module validates mu_1^2 = 0 (with the base Leibniz rule);
@@ -102,31 +122,15 @@ class AInfAlgebra:
     def gen_tuples(self, n):
         return product(self.gens.labels(), repeat=n)
 
-    def pair_degree(self, pair):
-        b, v = pair
-        return self.base.degree(b) + self.gens.degree[v]
-
-    def apply_mu_at(self, pairs, r, s):
-        """id^{(x)r} (x) mu_s (x) id^{(x)t} on a tuple of pairs.
-
-        Yields (new_pairs, coefficient); the Koszul sign for moving the
-        degree-1 map past the first r factors is included.
-        """
-        left = sum(self.pair_degree(p) for p in pairs[:r])
-        sign = -ONE if left % 2 else ONE
-        inner = self.eval_mu(pairs[r:r + s])
-        for pair, c in inner.items():
-            yield pairs[:r] + (pair,) + pairs[r + s:], sign * c
-
     def stasheff_defect(self, vs) -> dict:
         """Sum over r+s+t = n of mu_{r+1+t}(id^r (x) mu_s (x) id^t) on gens."""
         n = len(vs)
         pairs = tuple((self.base.unit, v) for v in vs)
+        degs = [self.gens.degree[v] for v in vs]
         total = {}
         for s in range(1, n + 1):
             for r in range(0, n - s + 1):
-                for new_pairs, c in self.apply_mu_at(pairs, r, s):
-                    vec_add(total, self.eval_mu(new_pairs), c)
+                insert_at(total, self.eval_mu, self.eval_mu, 1, pairs, degs, r, r + s, ONE)
         return total
 
     def unshifted_maps(self):
@@ -307,14 +311,14 @@ def morphism_defect(f: AInfMorphism, vs) -> dict:
     n = len(vs)
     src, tgt = f.source, f.target
     pairs = tuple((src.base.unit, v) for v in vs)
+    degs = [src.gens.degree[v] for v in vs]
     total = {}
     for comp in compositions(n):
         for image_tuple, c in f.blocks_apply(pairs, comp):
             vec_add(total, tgt.eval_mu(image_tuple), c)
     for s in range(1, n + 1):
         for r in range(0, n - s + 1):
-            for new_pairs, c in src.apply_mu_at(pairs, r, s):
-                vec_add(total, f.eval_f(new_pairs), -c)
+            insert_at(total, f.eval_f, src.eval_mu, 1, pairs, degs, r, r + s, -ONE)
     return total
 
 
@@ -373,9 +377,7 @@ def from_dga(dga: KAlgebra, n_max=None) -> AInfAlgebra:
     for (x, y), col in dga.mult.items():
         mu2[(x, y)] = kvec_scale(col, -1 if dga.gens.degree[x] % 2 else 1)
     n_max = n_max if n_max is not None else 3
-    alg = AInfAlgebra(dga.base, shifted, {1: mu1, 2: mu2}, n_max,
-                      unit=dga.unit_gen, cinfty=dga.is_graded_commutative())
-    return alg
+    return AInfAlgebra(dga.base, shifted, {1: mu1, 2: mu2}, n_max, unit=dga.unit_gen)
 
 
 def unit_algebra(base: BaseCDGA, n_max=3) -> AInfAlgebra:
@@ -392,6 +394,24 @@ def eta_morphism(alg: AInfAlgebra) -> AInfMorphism:
     return AInfMorphism(source, alg, {1: table}, n_max=alg.n_max)
 
 
+def flat_tables(evaluate, labels, arities) -> dict:
+    """{n: {label tuple: kvec over Q}} of ``evaluate`` on every n-tuple of
+    total-space labels (b, v), for n in ``arities``: a map over the base
+    re-expressed over Q on the flattened generators, whose labels are the
+    (b, v) pairs.  The one flattening loop, behind ``to_rational_algebra``
+    and the flattened v map of ``transfer.TransferReport``."""
+    tables = {}
+    for n in arities:
+        table = {}
+        for pair_tuple in product(labels, repeat=n):
+            value = evaluate(pair_tuple)
+            if value:
+                table[pair_tuple] = {("1", pair): c for pair, c in value.items()}
+        if table:
+            tables[n] = table
+    return tables
+
+
 def to_rational_algebra(alg: AInfAlgebra) -> AInfAlgebra:
     """Collapse the base: the same algebra as an A-infinity algebra over Q.
 
@@ -399,17 +419,8 @@ def to_rational_algebra(alg: AInfAlgebra) -> AInfAlgebra:
     (b, v) pairs of the original module.
     """
     gens = alg.module.total
-    rationals = BaseCDGA.rationals()
-    mu = {}
-    for n in alg.mu:
-        table = {}
-        for pair_tuple in product(gens.labels(), repeat=n):
-            value = alg.eval_mu(pair_tuple)
-            if value:
-                table[pair_tuple] = {("1", pair): c for pair, c in value.items()}
-        if table:
-            mu[n] = table
     unit = (alg.base.unit, alg.unit) if alg.unit is not None else None
-    return AInfAlgebra(rationals, gens, mu, alg.n_max, unit=unit,
-                       cinfty=alg.cinfty, check=False)
+    return AInfAlgebra(BaseCDGA.rationals(), gens,
+                       flat_tables(alg.eval_mu, gens.labels(), alg.mu), alg.n_max,
+                       unit=unit, check=False)
 

@@ -12,6 +12,11 @@ s mu^M_{l,0}(x_1 .. x_l, -) of a word on a module, as an End_k(M) kvec
 nu_map, hom_k and the transfer traces all read it, ``end_algebra``
 composes it and ``transfer.module_trace`` traces it.
 
+``hom_twist`` is the one Hom differential d_N o E - (-1)^{|E|} E o d_M,
+read from generator data: ``hom_k``, ``end_algebra`` and the dual module
+of the derived coevaluation twist by it.  ``dga_module_bimodule`` is the
+one place the right-action sign (-1)^{|m|+1} is applied.
+
 A left module is a bimodule whose right algebra is None (the zero
 algebra); mu_{l,r} with r > 0 then vanish identically.  mu_{0,0} is
 always the full differential of the underlying free module (Leibniz over
@@ -23,7 +28,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import permutations, product
 
-from .ainf import AInfAlgebra, AInfMorphism, compositions, from_dga
+from .ainf import AInfAlgebra, AInfMorphism, compositions, from_dga, insert_at
 from .cdga import (
     BaseCDGA,
     FreeKModule,
@@ -61,15 +66,12 @@ class AInfBimodule:
     whenever the module differential has entries.
     """
 
-    def __init__(self, left, right, kmodule: FreeKModule, tables, n_max,
-                 unital=False, symmetric=False, check=True):
+    def __init__(self, left, right, kmodule: FreeKModule, tables, n_max, check=True):
         self.left = left
         self.right = right
         self.kmodule = kmodule
         self.base = kmodule.base
         self.n_max = int(n_max)
-        self.unital = unital
-        self.symmetric = symmetric
         self.tables = {}
         for (l, r), table in tables.items():
             if (l, r) == (0, 0):
@@ -155,39 +157,28 @@ def shapes(left, right, lo, hi):
             yield l, r
 
 
-def _insert(total, outer, lo, ro, inner, inner_degree, pairs, degs,
-            start, stop, coeff):
-    """total += coeff outer_{lo,ro}(id (x) inner (x) id) on pairs, the inner
-    map eating pairs[start:stop]; moving it past the prefix pairs[:start]
-    gives the Koszul sign (-1)^{deg(inner) |prefix|}."""
-    if inner_degree % 2 and sum(degs[:start]) % 2:
-        coeff = -coeff
-    for pair, c in inner(pairs[start:stop]).items():
-        vec_add(total, outer(lo, ro, pairs[:start] + (pair,) + pairs[stop:]),
-                coeff * c)
-
-
 def _equation_sums(total, outer, middle, middle_degree, pairs, degs, l, r,
                    coeff=1, left=None, right=None):
     """total += coeff times the sums of the (l, r) bimodule equations on
     pairs: outer o (id (x) middle_{l2,r1} (x) id) around the module slot,
     and, when the algebras ``left``/``right`` are given, outer o (id (x)
-    mu (x) id) over the left and the right algebra slots."""
+    mu (x) id) over the left and the right algebra slots; each term is one
+    ``ainf.insert_at``."""
     if left is not None:
         for l2 in range(1, l + 1):
             for l1 in range(0, l - l2 + 1):
-                _insert(total, outer, l - l2 + 1, r, left.eval_mu, 1, pairs,
-                        degs, l1, l1 + l2, coeff)
+                insert_at(total, partial(outer, l - l2 + 1, r), left.eval_mu, 1, pairs,
+                          degs, l1, l1 + l2, coeff)
     for l2 in range(0, l + 1):
         for r1 in range(0, r + 1):
-            _insert(total, outer, l - l2, r - r1, partial(middle, l2, r1),
-                    middle_degree, pairs, degs, l - l2, l + 1 + r1, coeff)
+            insert_at(total, partial(outer, l - l2, r - r1), partial(middle, l2, r1),
+                      middle_degree, pairs, degs, l - l2, l + 1 + r1, coeff)
     if right is not None:
         for r2 in range(1, r + 1):
             for r1 in range(0, r - r2 + 1):
                 offset = l + 1 + r1
-                _insert(total, outer, l, r - r2 + 1, right.eval_mu, 1, pairs,
-                        degs, offset, offset + r2, coeff)
+                insert_at(total, partial(outer, l, r - r2 + 1), right.eval_mu, 1, pairs,
+                          degs, offset, offset + r2, coeff)
 
 
 def bimodule_defect(bim: AInfBimodule, l, r, key) -> dict:
@@ -302,7 +293,8 @@ def compose_bimodule_maps(f2: BimoduleMap, f1: BimoduleMap) -> BimoduleMap:
 
 
 def diagonal_bimodule(alg: AInfAlgebra) -> AInfBimodule:
-    """sR as an R-R-bimodule: mu_{l,r} = mu_{l+1+r}; symmetric when C-infinity."""
+    """sR as an R-R-bimodule: mu_{l,r} = mu_{l+1+r}; symmetric when C-infinity
+    (``check_symmetric``)."""
     tables = {}
     for n, table in alg.mu.items():
         if n < 2:
@@ -310,8 +302,7 @@ def diagonal_bimodule(alg: AInfAlgebra) -> AInfBimodule:
         for l in range(0, n):
             r = n - 1 - l
             tables.setdefault((l, r), {}).update(table)
-    return AInfBimodule(alg, alg, alg.module, tables, max(alg.n_max - 1, 0),
-                        unital=alg.unit is not None, symmetric=alg.cinfty)
+    return AInfBimodule(alg, alg, alg.module, tables, max(alg.n_max - 1, 0))
 
 
 def dga_module_bimodule(left: AInfAlgebra, right, kmodule: FreeKModule,
@@ -338,8 +329,7 @@ def dga_module_bimodule(left: AInfAlgebra, right, kmodule: FreeKModule,
             table[(m, y)] = kvec_scale(col, sign)
         tables[(0, 1)] = table
     return AInfBimodule(left, right, kmodule, tables,
-                        n_max=max(x.n_max for x in (left, right) if x is not None),
-                        unital=True)
+                        n_max=max(x.n_max for x in (left, right) if x is not None))
 
 
 def restrict_scalars(f: AInfMorphism, g: AInfMorphism,
@@ -371,8 +361,7 @@ def restrict_scalars(f: AInfMorphism, g: AInfMorphism,
                 table[key] = total
         if table:
             tables[(l, r)] = table
-    return AInfBimodule(left, right, bim.kmodule, tables, bim.n_max,
-                        unital=bim.unital, symmetric=bim.symmetric)
+    return AInfBimodule(left, right, bim.kmodule, tables, bim.n_max)
 
 
 def algebra_map_bimodule_map(f: AInfMorphism) -> BimoduleMap:
@@ -484,8 +473,7 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
                 table[key] = value
         if table:
             tables[(l, r)] = table
-    return AInfBimodule(m.left, n.right, kmodule, tables, out_nmax,
-                        unital=m.unital and n.unital)
+    return AInfBimodule(m.left, n.right, kmodule, tables, out_nmax)
 
 
 # --- hom bimodules, duals, endomorphism algebras ------------------------------
@@ -523,20 +511,24 @@ def action(m: AInfBimodule, pairs) -> dict:
     return out
 
 
-def _hom_twist(m: AInfBimodule, n: AInfBimodule):
-    """d_gen of Hom_k(M, N): d_N o E - (-1)^{|E|} E o d_M on generators."""
-    base = m.base
-    mg, ng = m.kmodule.gens, n.kmodule.gens
+def hom_twist(base: BaseCDGA, m_gens: GradedSpace, m_d_gen, n_gens: GradedSpace,
+              n_d_gen) -> dict:
+    """d_gen of Hom_k(M, N), d_N o E - (-1)^{|E|} E o d_M on the generators
+    E = hom(v, w), read from the generator data of M and N alone.
+
+    The one Hom differential: ``hom_k``, ``end_algebra`` and the dual
+    module of ``transfer.find_derived_coev`` (N the base, n_d_gen = {})
+    all twist by it."""
     d_gen = {}
-    for v in mg.labels():
-        for w in ng.labels():
-            e_deg = ng.degree[w] - mg.degree[v]
+    for v in m_gens.labels():
+        for w in n_gens.labels():
+            e_deg = n_gens.degree[w] - m_gens.degree[v]
             col = {}
-            for (c, w2), x in n.kmodule.d_gen.get(w, {}).items():
+            for (c, w2), x in n_d_gen.get(w, {}).items():
                 vec_add(col, {(c, hom_label(v, w2)): x})
             sign = -ONE if e_deg % 2 else ONE
-            for v2 in mg.labels():
-                for (c, u), x in m.kmodule.d_gen.get(v2, {}).items():
+            for v2 in m_gens.labels():
+                for (c, u), x in m_d_gen.get(v2, {}).items():
                     if u != v:
                         continue
                     esign = -ONE if (e_deg * base.degree(c)) % 2 else ONE
@@ -555,7 +547,8 @@ def hom_k(m: AInfBimodule, n: AInfBimodule) -> AInfBimodule:
     s_alg, r_alg = m.left, n.left
     base = m.base
     mg, ng = m.kmodule.gens, n.kmodule.gens
-    kmodule = FreeKModule(base, hom_generators(mg, ng), _hom_twist(m, n))
+    kmodule = FreeKModule(base, hom_generators(mg, ng),
+                          hom_twist(base, mg, m.kmodule.d_gen, ng, n.kmodule.d_gen))
     n_max = max((x.n_max for x in (s_alg, r_alg) if x is not None), default=1)
     tables = {}
 
@@ -578,9 +571,7 @@ def hom_k(m: AInfBimodule, n: AInfBimodule) -> AInfBimodule:
                         e_deg = ng.degree[w] - mg.degree[v]
                         add((0, r), (hom_label(v, w),) + ys, (c, hom_label(v2, w)),
                             coeff if (e_deg * (1 + base.degree(c))) % 2 else -coeff)
-    return AInfBimodule(r_alg, s_alg, kmodule, tables, n_max,
-                        unital=(m.unital if s_alg else True)
-                        and (n.unital if r_alg else True))
+    return AInfBimodule(r_alg, s_alg, kmodule, tables, n_max)
 
 
 def trivial_module(base: BaseCDGA) -> AInfBimodule:
@@ -593,8 +584,7 @@ def left_module_from_algebra(alg: AInfAlgebra) -> AInfBimodule:
     """sR as a left R-module (forget the right actions of the diagonal)."""
     diag = diagonal_bimodule(alg)
     tables = {k: t for k, t in diag.tables.items() if k[1] == 0}
-    return AInfBimodule(alg, None, diag.kmodule, tables, diag.n_max,
-                        unital=diag.unital)
+    return AInfBimodule(alg, None, diag.kmodule, tables, diag.n_max)
 
 
 def dual_module(m: AInfBimodule) -> AInfBimodule:
@@ -630,8 +620,7 @@ def end_algebra(module: FreeKModule) -> KAlgebra:
                     if v == w2:  # E_{v,w} o E_{v2,w2} = delta_{v,w2} E_{v2,w}
                         prod = {(base.unit, hom_label(v2, w)): ONE}
                     mult[(hom_label(v, w), hom_label(v2, w2))] = prod
-    trivial = AInfBimodule(None, None, module, {}, 0)
-    d_gen = _hom_twist(trivial, trivial)
+    d_gen = hom_twist(base, module.gens, module.d_gen, module.gens, module.d_gen)
     unit = {(base.unit, hom_label(v, v)): ONE for v in module.gens.labels()}
     return KAlgebra(base, gens, mult, unit, d_gen)
 

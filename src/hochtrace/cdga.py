@@ -21,6 +21,10 @@ non-unit coefficient, so assembly reads the structure tables by
 generator word (``AInfAlgebra.mu_word``, ``AInfBimodule.mu_word``);
 ``eval_k_multilinear`` serves the general (b, v) inputs of the
 validators, the actions and the transfer layer.
+
+``total_differential`` is the one Leibniz rule
+d(b, v) = (d_k b, v) + (-1)^{|b|} b * d_gen(v): ``FreeKModule`` and the
+flattened modules of ``transfer.module_flat`` both read it.
 """
 from __future__ import annotations
 
@@ -109,14 +113,37 @@ def kvec_scale(vec: Kvec, c) -> Kvec:
     return {k: c * x for k, x in vec.items()}
 
 
+def total_differential(base: BaseCDGA, gens: GradedSpace, d_gen) -> dict:
+    """The entries of the Leibniz total differential of k (x) V,
+
+        d(b, v) = (d_k b, v) + (-1)^{|b|} b * d_gen(v),
+
+    on the basis pairs (b, v), read from generator data alone: ``d_gen``
+    maps a generator label to a kvec.  ``FreeKModule`` and
+    ``transfer.module_flat`` both build their differential here."""
+    entries = {}
+    for b in base.space.labels():
+        db = base.d.column(b)
+        sign = -ONE if base.degree(b) % 2 else ONE
+        for v in gens.labels():
+            col = {}
+            for bb, c in db.items():
+                col[(bb, v)] = c
+            for (cb, w), c in d_gen.get(v, {}).items():
+                for bb, x in base.mul_basis(b, cb).items():
+                    vec_add(col, {(bb, w): sign * c * x})
+            if col:
+                entries[(b, v)] = col
+    return entries
+
+
 class FreeKModule:
     """k (x) V for a finite generator space V, with a k-linear differential.
 
     ``d_gen`` maps each generator label to a kvec of degree |v| + 1,
     stored through ``int_first`` (zeros dropped, integral coefficients
-    int).  The total differential is
-    d(b, v) = (d_k b, v) + (-1)^{|b|} b * d_gen(v); d*d = 0 on the total
-    space is asserted on construction.
+    int).  Its differential is ``total_differential``; d*d = 0 on the
+    total space is asserted on construction.
     """
 
     def __init__(self, base: BaseCDGA, gens: GradedSpace, d_gen=None, check=True):
@@ -128,20 +155,8 @@ class FreeKModule:
             ((b, v), base.degree(b) + gens.degree[v])
             for b, _ in base.space.basis for v, _ in gens.basis
         )
-        entries = {}
-        for b in base.space.labels():
-            db = base.d.column(b)
-            sign = -ONE if base.degree(b) % 2 else ONE
-            for v in gens.labels():
-                col = {}
-                for bb, c in db.items():
-                    col[(bb, v)] = c
-                for (cb, w), c in self.d_gen.get(v, {}).items():
-                    for bb, x in base.mul_basis(b, cb).items():
-                        vec_add(col, {(bb, w): sign * c * x})
-                if col:
-                    entries[(b, v)] = col
-        self.d = GradedMap(self.total, self.total, 1, entries)
+        self.d = GradedMap(self.total, self.total, 1,
+                           total_differential(base, gens, self.d_gen))
         self.complex = Complex(self.total, self.d, check=check)
 
     @property
@@ -335,15 +350,6 @@ class KAlgebra:
                     pz = (self.base.unit, z)
                     if self.mul(xy, {pz: ONE}) != self.mul({px: ONE}, self.mul_pairs(py, pz)):
                         raise ValueError(f"not associative at ({x!r}, {y!r}, {z!r})")
-
-    def is_graded_commutative(self) -> bool:
-        for x in self.gens.labels():
-            for y in self.gens.labels():
-                px, py = (self.base.unit, x), (self.base.unit, y)
-                sign = -ONE if (self.gens.degree[x] * self.gens.degree[y]) % 2 else ONE
-                if self.mul_pairs(px, py) != kvec_scale(self.mul_pairs(py, px), sign):
-                    return False
-        return True
 
     def __repr__(self):
         return f"KAlgebra(rank={self.gens.dim}, base_dim={self.base.space.dim})"

@@ -241,11 +241,7 @@ def _rand_two_exterior(rng):
         ("x", "xy"): {}, ("xy", "x"): {}, ("y", "xy"): {}, ("xy", "y"): {},
         ("xy", "xy"): {},
     }
-    d_gen = None
-    if rng.random() < 0.5:
-        # d(xy) = d(x) y - x d(y) = 0 stays consistent with d = 0 on x, y
-        d_gen = None
-    return _kalg([("1", 0), ("x", dx), ("y", dy), ("xy", dx + dy)], products, d_gen)
+    return _kalg([("1", 0), ("x", dx), ("y", dy), ("xy", dx + dy)], products)
 
 
 def _rand_sphere_like(rng):

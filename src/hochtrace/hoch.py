@@ -10,6 +10,11 @@ unchanged, no signs).
 
 The differential never raises the Hochschild degree, so truncation at
 H_max is an honest subcomplex and d^2 = 0 holds exactly there.
+
+``cyclic_quotient`` is the one quotient by signed cyclic rotation
+(representatives from ``cyclic_representative``, the projection p, the
+differential p o d and the chain-map certificate), behind
+``ConnesComplex`` and ``BarConnesComplex``.
 """
 from __future__ import annotations
 
@@ -257,30 +262,54 @@ def filtration_report(hh: HochschildComplex) -> Report:
 # --- cyclic quotients ---------------------------------------------------------
 
 
-class CyclicWords:
-    """The quotient of tuples-of-factors by signed cyclic rotation.
+def cyclic_representative(items, degrees):
+    """The canonical representative of a tuple of graded factors under
+    signed cyclic rotation: (the rotation with the least repr, its Koszul
+    sign), or (None, 0) when the orbit dies (a rotation fixes the tuple
+    with an odd sign)."""
+    items = tuple(items)
+    best = None
+    seen_parities = {}
+    for _l, rotated, parity in cyclic_rotations(items, degrees):
+        if seen_parities.setdefault(rotated, parity) != parity:
+            return None, 0
+        key = repr(rotated)
+        if best is None or key < best[0]:
+            best = (key, rotated, parity)
+    return best[1], -ONE if best[2] else ONE
 
-    ``degree_of``: factor label -> degree.  Each basis tuple is sent to a
-    canonical rotation representative with a Koszul sign; orbits with a
-    sign-reversing stabilizer die.
+
+def cyclic_quotient(space: GradedSpace, d: GradedMap, reduce, check):
+    """The quotient of the complex (space, d) by signed cyclic rotation.
+
+    ``reduce(label)`` gives (representative label, sign), the label None
+    for a dead orbit.  Returns (projection p, quotient Complex) with the
+    quotient differential p o d on the representatives.  The one
+    certificate: p must be a chain map, p d = d p, else CertificateError
+    with ``check`` and witness (label, its column of p d - d p).  Behind
+    ``ConnesComplex`` and ``BarConnesComplex``.
     """
-
-    def __init__(self, degree_of):
-        self.degree_of = degree_of
-
-    def reduce(self, items):
-        """Return (canonical tuple, sign) or (None, 0) for a dead orbit."""
-        items = tuple(items)
-        degs = [self.degree_of(x) for x in items]
-        best = None
-        seen_parities = {}
-        for _l, rotated, parity in cyclic_rotations(items, degs):
-            if seen_parities.setdefault(rotated, parity) != parity:
-                return None, 0
-            key = repr(rotated)
-            if best is None or key < best[0]:
-                best = (key, rotated, parity)
-        return best[1], -ONE if best[2] else ONE
+    reps = {}
+    proj_entries = {}
+    for label, deg in space.basis:
+        rep, sign = reduce(label)
+        if rep is None:
+            continue
+        reps[rep] = deg
+        proj_entries[label] = {rep: sign}
+    quotient = GradedSpace(reps.items())
+    projection = GradedMap(space, quotient, 0, proj_entries)
+    entries = {}
+    for rep in quotient.labels():
+        col = projection(d.entries.get(rep, {}))
+        if col:
+            entries[rep] = col
+    quotient_d = GradedMap(quotient, quotient, 1, entries)
+    complex_ = Complex(quotient, quotient_d)
+    lhs, rhs = projection.compose(d), quotient_d.compose(projection)
+    if lhs != rhs:
+        raise CertificateError(check, next(iter((lhs - rhs).entries.items())))
+    return projection, complex_
 
 
 class ConnesComplex:
@@ -290,29 +319,19 @@ class ConnesComplex:
         if hh.bimodule.kmodule.gens != hh.algebra.gens:
             raise ValueError("Connes quotient needs the diagonal bimodule")
         self.hh = hh
-        alg = hh.algebra
-        self.cyclic = CyclicWords(lambda x: alg.gens.degree[x])
-        basis = {}
-        proj_entries = {}
-        for (label, deg) in hh.space.basis:
+        degree = hh.algebra.gens.degree
+
+        def reduce(label):
             b, vm, xs = label
-            rep, sign = self.cyclic.reduce((vm,) + xs)
+            factors = (vm,) + xs
+            rep, sign = cyclic_representative(factors, [degree[x] for x in factors])
             if rep is None:
-                continue
-            rep_label = (b, rep[0], rep[1:])
-            basis[rep_label] = deg
-            proj_entries[label] = {rep_label: sign}
-        self.space = GradedSpace(basis.items())
-        self.projection = GradedMap(hh.space, self.space, 0, proj_entries)
-        entries = {}
-        for rep_label in self.space.labels():
-            col = self.projection(hh.d.column(rep_label))
-            if col:
-                entries[rep_label] = col
-        self.d = GradedMap(self.space, self.space, 1, entries)
-        self.complex = Complex(self.space, self.d)
-        require_chain_map("HC projection failed to be a chain map", self.projection,
-                          hh.complex, self.complex)
+                return None, 0
+            return (b, rep[0], rep[1:]), sign
+
+        self.projection, self.complex = cyclic_quotient(
+            hh.space, hh.d, reduce, "HC projection failed to be a chain map")
+        self.space, self.d = self.complex.space, self.complex.d
 
     def __repr__(self):
         return f"HC(rank={self.space.dim}, h_max={self.hh.h_max})"
@@ -745,7 +764,6 @@ class BarConnesComplex:
         self.letter_max = int(letter_max)
         base = algebra.base
         self.base = base
-        self.cyclic = CyclicWords(self._factor_degree)
         if word_tuples is None:
             word_tuples = self._word_tuples()
         full = {}
@@ -753,24 +771,7 @@ class BarConnesComplex:
             for b in base.space.labels():
                 deg = base.degree(b) + sum(self._factor_degree(w) for w in words)
                 full[(b, words)] = deg
-        reps = {}
-        proj_entries = {}
-        for (b, words), deg in full.items():
-            rep, sign = self.cyclic.reduce(words)
-            if rep is None:
-                continue
-            reps[(b, rep)] = deg
-            proj_entries[(b, words)] = {(b, rep): sign}
         self.full_space = GradedSpace(full.items())
-        self.space = GradedSpace(reps.items())
-        self.projection = GradedMap(self.full_space, self.space, 0, proj_entries)
-        entries = {}
-        for label in self.space.labels():
-            col = self.projection(self._differential(label))
-            if col:
-                entries[label] = col
-        self.d = GradedMap(self.space, self.space, 1, entries)
-        self.complex = Complex(self.space, self.d)
         full_d_entries = {}
         for label in self.full_space.labels():
             col = self._differential(label)
@@ -780,10 +781,10 @@ class BarConnesComplex:
             if col:
                 full_d_entries[label] = col
         full_d = GradedMap(self.full_space, self.full_space, 1, full_d_entries)
-        lhs, rhs = self.projection.compose(full_d), self.d.compose(self.projection)
-        if lhs != rhs:
-            raise CertificateError("cyclic projection is not a chain map",
-                                   next(iter((lhs - rhs).entries.items())))
+        self.projection, self.complex = cyclic_quotient(
+            self.full_space, full_d, lambda label: self.reduce_label(*label),
+            "cyclic projection is not a chain map")
+        self.space, self.d = self.complex.space, self.complex.d
 
     def _factor_degree(self, word):
         return sum(self.algebra.gens.degree[x] for x in word) + 1
@@ -832,7 +833,9 @@ class BarConnesComplex:
         return out
 
     def reduce_label(self, b, words):
-        rep, sign = self.cyclic.reduce(words)
+        """(b, representative of words) with its sign; (None, 1) for a
+        dead orbit."""
+        rep, sign = cyclic_representative(words, [self._factor_degree(w) for w in words])
         if rep is None:
             return None, ONE
         return (b, rep), sign

@@ -12,6 +12,12 @@ one format: ``bimod.action`` builds them from the module structure maps
 becker_gottlieb and the closed-form transfer blocks), ``end_algebra``
 composes them and ``module_trace`` takes their graded trace.
 
+The flat modules over Q reuse the base-layer rules: ``module_flat``
+builds its differential with ``cdga.total_differential``, the dual
+module twists by ``bimod.hom_twist``, both one-sided actions go through
+``bimod.dga_module_bimodule``, and ``SimpModel`` signs its sorted words
+with ``grdlin.koszul_sign``.
+
 Every trace-type map ships with an exact chain-map certificate.
 """
 from __future__ import annotations
@@ -22,28 +28,34 @@ from .ainf import (
     AInfAlgebra,
     AInfMorphism,
     compositions,
+    flat_tables,
     from_dga,
     to_rational_algebra,
 )
 from .bimod import (
     AInfBimodule,
     action,
+    dga_module_bimodule,
     end_algebra,
+    hom_generators,
     hom_label,
+    hom_twist,
     left_module_from_algebra,
     tensor_inf,
     v_map,
 )
-from .cdga import BaseCDGA, FreeKModule, cdga_as_kalgebra
+from .cdga import BaseCDGA, FreeKModule, cdga_as_kalgebra, total_differential
 from .grdlin import (
     Complex,
     GradedMap,
     GradedSpace,
     HomologyBasis,
     ONE,
+    SignedPermutation,
     chain_map_defect,
     cyclic_rotations,
     is_chain_map,
+    koszul_sign,
     solve,
     vec_add,
 )
@@ -100,50 +112,6 @@ def graded_trace_cyclicity_report(module: FreeKModule, rng, samples=20) -> Repor
     return report
 
 
-class DualityData:
-    """Evaluation/coevaluation for a free finite module over a cdga,
-    with the triangle identities checked exactly."""
-
-    def __init__(self, module: FreeKModule):
-        self.module = module
-        base = module.base
-        self.dual_gens = GradedSpace(
-            ((hom_label(v, "1"), -module.gens.degree[v])
-             for v in module.gens.labels()))
-        # coev(1) = sum_i m_i (x) m_i^dual; ev(m_i^dual (x) m_j) = delta_ij
-        self.coev = [ (v, hom_label(v, "1")) for v in module.gens.labels() ]
-        report = Report("triangle identities")
-        # (id (x) ev)(coev (x) id) = id on generators
-        ok = True
-        for m in module.gens.labels():
-            acc = {}
-            for (mi, phi) in self.coev:
-                # ev(m_i^dual (x) m) = delta
-                if phi == hom_label(m, "1"):
-                    vec_add(acc, {mi: ONE})
-            if acc != {m: ONE}:
-                ok = False
-                break
-        report.record("(id (x) ev)(coev (x) id) = id", ok)
-        ok2 = True
-        for phi_gen in self.dual_gens.labels():
-            _tag, v, _one = phi_gen
-            acc = {}
-            for (mi, phi) in self.coev:
-                if mi == v:
-                    vec_add(acc, {phi: ONE})
-            if acc != {phi_gen: ONE}:
-                ok2 = False
-                break
-        report.record("(ev (x) id)(id (x) coev) = id", ok2)
-        self.report = report
-
-    def trace_of_identity(self) -> dict:
-        unit = self.module.base.unit
-        return module_trace(self.module, {(unit, hom_label(v, v)): ONE
-                                          for v in self.module.gens.labels()})
-
-
 # --- modules over R as one-sided A-infinity modules over R-as-Q-algebra --------
 
 
@@ -152,37 +120,32 @@ def base_algebra_over_q(base: BaseCDGA) -> AInfAlgebra:
     return from_dga(cdga_as_kalgebra(base), n_max=4)
 
 
-def module_flat(module: FreeKModule) -> FreeKModule:
-    """The underlying Q-module of a free R-module: generators (r, v)."""
-    rationals = BaseCDGA.rationals()
-    gens = GradedSpace(
-        (((r, v), module.base.degree(r) + module.gens.degree[v])
-         for r in module.base.space.labels() for v in module.gens.labels()))
-    d_gen = {}
-    for (r, v) in gens.labels():
-        col = module.d.column((r, v))
-        if col:
-            d_gen[(r, v)] = {("1", pair): c for pair, c in col.items()}
-    return FreeKModule(rationals, gens, d_gen)
+def module_flat(base: BaseCDGA, gens: GradedSpace, d_gen) -> FreeKModule:
+    """The underlying Q-module of the free R-module R (x) V with generator
+    differential ``d_gen``: generators (r, v), differential the total
+    differential of ``cdga.total_differential``."""
+    flat_gens = GradedSpace(
+        (((r, v), base.degree(r) + gens.degree[v])
+         for r in base.space.labels() for v in gens.labels()))
+    d_flat = {pair: {("1", target): c for target, c in col.items()}
+              for pair, col in total_differential(base, gens, d_gen).items()}
+    return FreeKModule(BaseCDGA.rationals(), flat_gens, d_flat)
 
 
 def module_as_right(module: FreeKModule, r_alg: AInfAlgebra) -> AInfBimodule:
-    """A free R-module as a right module over R-as-Q-algebra (diagonal
-    unitality flavor: mu_{0,1}(m (x) sr) = (-1)^{|m|+1} m r)."""
-    flat = module_flat(module)
+    """A free R-module as a right dg-module over R-as-Q-algebra, through
+    ``dga_module_bimodule`` (diagonal unitality flavor).  The flat
+    generator (r, v) is r v, so (r v) r2 = (-1)^{|v||r2|} (r r2) v."""
     base = module.base
+    flat = module_flat(base, module.gens, module.d_gen)
     table = {}
     for (r, v) in flat.gens.labels():
-        mdeg = flat.gens.degree[(r, v)]
-        sign = -ONE if (mdeg + 1) % 2 else ONE
         for r2 in r_alg.gens.labels():
-            col = {}
-            for r3, q in base.mul_basis(r, r2).items():
-                col[("1", (r3, v))] = sign * q
+            sign = -ONE if (module.gens.degree[v] * base.degree(r2)) % 2 else ONE
+            col = {("1", (r3, v)): sign * q for r3, q in base.mul_basis(r, r2).items()}
             if col:
                 table[((r, v), r2)] = col
-    return AInfBimodule(None, r_alg, flat, {(0, 1): table}, r_alg.n_max,
-                        unital=True)
+    return dga_module_bimodule(None, r_alg, flat, right_action=table)
 
 
 # --- derived coevaluation -------------------------------------------------------
@@ -244,47 +207,23 @@ def find_derived_coev(base: BaseCDGA, module: FreeKModule, b_max=3) -> DerivedCo
 
 
 def _dual_as_left(module: FreeKModule, r_alg) -> AInfBimodule:
-    """M^dual = Hom_R(M, R) as a left module over R-as-Q-algebra.
+    """M^dual = Hom_R(M, R) as a left dg-module over R-as-Q-algebra.
 
-    Flat generators (r, hom(v, "1")) of degree |r| - |v|; the left action
-    is multiplication into the coefficient: (r2 . phi)(m) = r2 phi(m)."""
+    Flat generators (r, hom(v, "1")) of degree |r| - |v|, with the Hom
+    differential ``bimod.hom_twist`` (target R, no twist of its own)
+    flattened by ``module_flat``; the left action is multiplication into
+    the coefficient: (r2 . phi)(m) = r2 phi(m)."""
     base = module.base
-    rationals = BaseCDGA.rationals()
-    gens = GradedSpace(
-        (((r, hom_label(v, "1")), base.degree(r) - module.gens.degree[v])
-         for r in base.space.labels() for v in module.gens.labels()))
-    # differential: dual of d_M plus d_R on the coefficient:
-    # d(phi) = d_R o phi - (-1)^{|phi|} phi o d_M on the free basis
-    d_gen = {}
-    for (r, lbl) in gens.labels():
-        _tag, v, _one = lbl
-        col = {}
-        for r2, c in base.d.column(r).items():
-            vec_add(col, {("1", (r2, lbl)): c})
-        phi_deg = gens.degree[(r, lbl)]
-        sign = -ONE if phi_deg % 2 else ONE
-        for v2 in module.gens.labels():
-            for (r3, u), c in module.d_gen.get(v2, {}).items():
-                if u != v:
-                    continue
-                esign = (-ONE if ((phi_deg - base.degree(r))
-                                  * base.degree(r3)) % 2 else ONE)
-                for r4, q in base.mul_basis(r, r3).items():
-                    vec_add(col, {("1", (r4, hom_label(v2, "1"))):
-                                  -sign * esign * c * q})
-        if col:
-            d_gen[(r, lbl)] = col
-    flat = FreeKModule(rationals, gens, d_gen)
+    one = GradedSpace([("1", 0)])
+    flat = module_flat(base, hom_generators(module.gens, one),
+                       hom_twist(base, module.gens, module.d_gen, one, {}))
     table = {}
     for r2 in r_alg.gens.labels():
-        for (r, lbl) in gens.labels():
-            col = {}
-            for r3, q in base.mul_basis(r2, r).items():
-                col[("1", (r3, lbl))] = q
+        for (r, lbl) in flat.gens.labels():
+            col = {("1", (r3, lbl)): q for r3, q in base.mul_basis(r2, r).items()}
             if col:
                 table[(r2, (r, lbl))] = col
-    return AInfBimodule(r_alg, None, flat, {(1, 0): table}, r_alg.n_max,
-                        unital=True)
+    return dga_module_bimodule(r_alg, None, flat, left_action=table)
 
 
 def _eps_level0(base: BaseCDGA, module: FreeKModule, label) -> dict:
@@ -633,22 +572,6 @@ def generalized_trace(coev: DerivedCoevaluation, h_max,
 # --- the explicit transfer (Thm-4.2.5 / Obs-4.2.6 shape) --------------------------
 
 
-def flatten_morphism(f: AInfMorphism, src_flat: AInfAlgebra,
-                     tgt_flat: AInfAlgebra) -> AInfMorphism:
-    """Re-express a morphism of algebras over R on the flattened (over-Q)
-    generator spaces."""
-    tables = {}
-    for n in range(1, f.n_max + 1):
-        table = {}
-        for pair_tuple in product(src_flat.gens.labels(), repeat=n):
-            value = f.eval_f(pair_tuple)
-            if value:
-                table[pair_tuple] = {("1", pair): c for pair, c in value.items()}
-        if table:
-            tables[n] = table
-    return AInfMorphism(src_flat, tgt_flat, tables, n_max=f.n_max, check=False)
-
-
 class TransferReport:
     """The explicit transfer HH_Q(S) -> HH_Q(R): the composite
     tr_R^c o v_* and the closed-form expansion, compared term by term."""
@@ -668,9 +591,11 @@ class TransferReport:
         target_h = max(h_max * max(coev.b_max, 1) + 2, _output_tail_bound(coev, h_max))
         self.hh_target = hh_of_algebra(coev.r_alg, target_h)
         self.trace = GeneralizedTrace(coev, self.hh_end, self.hh_target)
-        # v_*: HH(S) -> HH(End)
+        # v_*: HH(S) -> HH(End), v re-expressed on the flattened generators
         v = v_map(s_alg, m, end_ainf=e_alg)
-        v_flat = v if s_flat is s_alg else flatten_morphism(v, s_flat, e_flat)
+        v_flat = v if s_flat is s_alg else AInfMorphism(
+            s_flat, e_flat, flat_tables(v.eval_f, s_flat.gens.labels(), range(1, v.n_max + 1)),
+            n_max=v.n_max, check=False)
         self.v_star = hh_algebra_induced_map(v_flat, self.hh_s, self.hh_end)
         self.composite = self.trace.map.compose(self.v_star)
 
@@ -871,25 +796,19 @@ class SimpModel:
         self.complex = Complex(self.space, self.d)
 
     def _sort_word(self, word):
-        """Sort a generator word with Koszul signs; None if it dies."""
-        word = list(word)
-        sign = ONE
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(word) - 1):
-                a, b = word[i], word[i + 1]
-                if repr(a) > repr(b):
-                    da = self.gen_space.degree[a]
-                    db = self.gen_space.degree[b]
-                    if (da * db) % 2:
-                        sign = -sign
-                    word[i], word[i + 1] = b, a
-                    changed = True
-        for i in range(len(word) - 1):
-            if word[i] == word[i + 1] and self.gen_space.degree[word[i]] % 2:
+        """Sort a generator word stably by repr, with the Koszul sign of the
+        sorting permutation; (None, 0) if it dies on a repeated odd
+        generator."""
+        degree = self.gen_space.degree
+        order = sorted(range(len(word)), key=lambda i: repr(word[i]))
+        word = tuple(word[i] for i in order)
+        # ``order`` sends the sorted word back; a permutation and its
+        # inverse invert the same pairs of factors, so they share the sign
+        sign = koszul_sign(SignedPermutation(order), [degree[x] for x in word])
+        for a, b in zip(word, word[1:]):
+            if a == b and degree[a] % 2:
                 return None, ZERO
-        return tuple(word), sign
+        return word, sign
 
     def _d_word(self, word, hhn, tr) -> dict:
         out = {}

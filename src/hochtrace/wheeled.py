@@ -258,7 +258,7 @@ def free_multilinear_algebra(n) -> AInfAlgebra:
                     table[combo] = {("1", t2): c for t2, c in value.items()}
         if table:
             mu[k] = table
-    return AInfAlgebra(base, gens, mu, n_max=n, cinfty=True)
+    return AInfAlgebra(base, gens, mu, n_max=n)
 
 
 # --- the loop-order-one graph complex ---------------------------------------------

@@ -109,13 +109,11 @@ def test_unital_morphism_fails_on_an_s1_slot():
 def test_cinfty_commutative_passes():
     for name in ("s2", "s3", "cp2"):
         alg = fixture_algebra(name)
-        assert alg.cinfty
         assert check_cinfty(alg, 4).ok
 
 
 def test_cinfty_noncommutative_fails_at_11():
     alg = from_dga(noncommutative_dga())
-    assert not alg.cinfty
     report = check_cinfty(alg, 2)
     assert not report.ok
     name, witness = report.first_failure

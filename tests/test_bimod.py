@@ -47,7 +47,6 @@ def test_diagonal_bimodule_validates():
     for name in ("s2", "s3", "cp2", "dual"):
         alg = fixture_algebra(name)
         diag = diagonal_bimodule(alg)
-        assert diag.unital and diag.symmetric
         assert check_bimodule(diag, 3).ok
 
 
@@ -306,7 +305,7 @@ def test_hom_bimodule_with_differential():
     m = AInfBimodule(alg, None, kmod,
                      {(1, 0): {("1", "u"): {("1", "u"): ONE},
                                ("1", "w"): {("1", "w"): ONE}}},
-                     2, unital=True)
+                     2)
     assert check_bimodule(m, 2).ok
     hom = hom_k(m, m)
     assert check_bimodule(hom, 2).ok

@@ -146,8 +146,7 @@ def _right_module_from_algebra(alg):
     from hochtrace.bimod import AInfBimodule
     diag = diagonal_bimodule(alg)
     tables = {k: t for k, t in diag.tables.items() if k[0] == 0}
-    return AInfBimodule(None, alg, diag.kmodule, tables, diag.n_max,
-                        unital=diag.unital)
+    return AInfBimodule(None, alg, diag.kmodule, tables, diag.n_max)
 
 
 def test_window_stability_certificate():

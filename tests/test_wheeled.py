@@ -125,6 +125,22 @@ def test_word_tuples_are_the_multilinear_part_of_all_tuples(n):
     assert labels == {("1", words) for words in multilinear}
 
 
+def test_bar_connes_differential_runs_once_per_full_label(monkeypatch):
+    # the quotient differential is projected from the full one, so each
+    # word tuple's differential is built once, representatives included
+    labels = []
+    differential = BarConnesComplex._differential
+
+    def counted(self, label):
+        labels.append(label)
+        return differential(self, label)
+
+    monkeypatch.setattr(BarConnesComplex, "_differential", counted)
+    cx = gc1_complex(3)
+    assert sorted(labels, key=repr) == sorted(cx.full_space.labels(), key=repr)
+    assert len(labels) == 41
+
+
 def test_word_tuples_must_be_closed_under_the_differential():
     # deconcatenation splits a one-word tuple into two words
     one_word = [words for words in multilinear_word_tuples(3) if len(words) == 1]
