@@ -416,11 +416,13 @@ def to_rational_algebra(alg: AInfAlgebra) -> AInfAlgebra:
     """Collapse the base: the same algebra as an A-infinity algebra over Q.
 
     The new generator space is the total space k (x) V; its labels are the
-    (b, v) pairs of the original module.
+    (b, v) pairs of the original module.  Every arity in ``alg.arities``
+    is flattened, so mu_1 is the full module differential, the base
+    differential included, also where ``alg.mu`` has no arity-1 table.
     """
     gens = alg.module.total
     unit = (alg.base.unit, alg.unit) if alg.unit is not None else None
     return AInfAlgebra(BaseCDGA.rationals(), gens,
-                       flat_tables(alg.eval_mu, gens.labels(), alg.mu), alg.n_max,
+                       flat_tables(alg.eval_mu, gens.labels(), alg.arities), alg.n_max,
                        unit=unit, check=False)
 

@@ -10,10 +10,14 @@ Python int: ``ONE`` is the int 1, structure tables are stored through
 ``int_first``, and ``vec_add``, ``GradedMap`` and the d^2 and chain-map
 checks keep int input int.  A Fraction appears only where elimination
 divides by a pivot other than +-1 (``_Eliminator._insert``); int and
-Fraction values go through the same code.  Each degree block d^t of a
-``Complex`` is eliminated once per complex and the result cached on it,
-read-only: ``homology_window`` reads ranks from it and ``HomologyBasis``
-its cycles and its boundary pivots.  Inside ``_Eliminator`` rows are
+Fraction values go through the same code, and an integral quotient is
+stored as int.  Each degree block d^t of a ``Complex`` is eliminated
+once per complex, upward from its lowest degree, and cached on it,
+read-only.  The elimination clears (Chen-Kerber): a column whose label
+leads a boundary pivot of block t-1 is never inserted, and the kernel
+combos left span a complement of the boundaries in the cycles.
+``homology_window`` counts them, and ``HomologyBasis`` takes them as its
+representatives against a fork of block t-1.  Inside ``_Eliminator`` rows are
 keyed by the repr string of each label, so that every dict operation of
 a reduction hashes a string that caches its hash; the pivot is still the
 least-repr label, the order ``hoch.ClassicalHochschild`` relies on.
@@ -73,7 +77,8 @@ class GradedSpace:
         return label in self.degree
 
     def __eq__(self, other):
-        return isinstance(other, GradedSpace) and set(self.basis) == set(other.basis)
+        return self is other or (isinstance(other, GradedSpace)
+                                 and set(self.basis) == set(other.basis))
 
     def __hash__(self):
         return hash(frozenset(self.basis))
@@ -212,9 +217,6 @@ class GradedMap:
                           for v, col in self.entries.items()},
                          check=False)
 
-    def is_zero(self):
-        return not self.entries
-
     def __eq__(self, other):
         return (isinstance(other, GradedMap)
                 and self.source == other.source and self.target == other.target
@@ -344,16 +346,26 @@ def cyclic_rotations(items, degrees):
 class Complex:
     """A cochain complex: graded space plus a degree +1 differential.
 
-    d o d = 0 is asserted on construction; a failure raises
-    CertificateError("d*d != 0") with witness (basis label, its d*d column).
+    d o d = 0 is asserted on construction, one column d(d(v)) at a time;
+    a failure raises CertificateError("d*d != 0") with witness (the first
+    label v in ``d.entries`` order, its d*d column).  With check=False the
+    caller vouches for d o d = 0, which the elimination relies on.
 
     Each degree block d^t is eliminated at most once per complex, when
-    ``homology_window`` or ``HomologyBasis`` first needs it: its columns
-    go in basis order through one ``_Eliminator`` that tracks {i: 1}
-    combos.  The complex keeps that eliminator with the combos of its
-    pivot rows dropped (rank d^t is the number of pivots) and the kernel
-    combos, over the indices of ``space.by_degree[t]``.  The cache is
-    read-only once filled, so ``d`` must not change after the first use.
+    ``homology_window`` or ``HomologyBasis`` first needs it.  Blocks are
+    filled upward from the lowest degree of the space, so the result does
+    not depend on the order of the calls, and block t clears: a column
+    whose label leads a pivot row z_j of block t-1 is never inserted.
+    The z_j are boundaries, so d(z_j) = 0, and with the uncleared basis
+    vectors they form a unitriangular basis of C^t.  So the uncleared
+    columns span the image of d^t (rank d^t is unchanged), and their
+    kernel combos span a complement of the boundaries in the cycles, one
+    combo per class of H^t.  The uncleared columns go in basis order
+    through one ``_Eliminator`` that tracks {i: 1} combos.  The complex
+    keeps that eliminator with the combos of its pivot rows dropped
+    (rank d^t is the number of pivots) and the kernel combos, over the
+    indices of ``space.by_degree[t]``.  The cache is read-only once
+    filled, so ``d`` must not change after the first use.
     """
 
     __slots__ = ("space", "d", "_blocks")
@@ -367,22 +379,36 @@ class Complex:
         self.d = d
         self._blocks = {}
         if check:
-            dd = d.compose(d)
-            if not dd.is_zero():
-                raise CertificateError("d*d != 0", next(iter(dd.entries.items())))
+            for v, col in d.entries.items():
+                ddv = d(col)
+                if ddv:
+                    raise CertificateError("d*d != 0", (v, ddv))
 
     def __repr__(self):
         return f"Complex(dim={self.space.dim}, degrees={self.space.degrees()})"
 
     def _block(self, t):
-        """(eliminator of the columns of d^t, kernel combos of d^t), cached."""
-        block = self._blocks.get(t)
+        """(eliminator of the uncleared columns of d^t, their kernel
+        combos), cached; every uncached block from the lowest degree of
+        the space up to t is filled first."""
+        blocks = self._blocks
+        block = blocks.get(t)
         if block is None:
+            start = t
+            lowest = min(self.space.by_degree, default=t)
+            while start > lowest and start - 1 not in blocks:
+                start -= 1
             entries = self.d.entries
-            elim, kernel = _eliminate(
-                [entries.get(v, {}) for v in self.space.by_degree.get(t, ())])
-            elim.pivots = {col: (row, None) for col, (row, _) in elim.pivots.items()}
-            block = self._blocks[t] = (elim, kernel)
+            for s in range(start, t + 1):
+                below = blocks.get(s - 1)
+                cleared = ({below[0]._labels[key] for key in below[0].pivots}
+                           if below else ())
+                elim, kernel = _eliminate(
+                    (i, entries.get(v, {}))
+                    for i, v in enumerate(self.space.by_degree.get(s, ()))
+                    if v not in cleared)
+                elim.pivots = {col: (row, None) for col, (row, _) in elim.pivots.items()}
+                block = blocks[s] = (elim, kernel)
         return block
 
 
@@ -520,10 +546,9 @@ class _Eliminator:
             col = min(row)
             p = row[col]
             if p != 1:
-                inv = -1 if p == -1 else Fraction(1, p)
-                row = {k: c * inv for k, c in row.items()}
+                row = _normalized(row, p)
                 if combo is not None:
-                    combo = {k: c * inv for k, c in combo.items()}
+                    combo = _normalized(combo, p)
             self.pivots[col] = (row, combo)
         return row, combo
 
@@ -551,12 +576,21 @@ class _Eliminator:
         return other
 
 
-def _eliminate(rows):
-    """Insert rows[i] with combo {i: 1} into one new eliminator; returns
-    it and the combos of the rows that reduced to zero."""
+def _normalized(vec, p):
+    """vec scaled by the inverse of a pivot p other than 1: negated for
+    p = -1, else multiplied by Fraction(1, p), with each integral
+    quotient stored as int."""
+    if p == -1:
+        return {k: -c for k, c in vec.items()}
+    return int_first({k: c * Fraction(1, p) for k, c in vec.items()})
+
+
+def _eliminate(indexed_rows):
+    """Insert each (i, row) with combo {i: 1} into one new eliminator;
+    returns it and the combos of the rows that reduced to zero."""
     elim = _Eliminator()
     kernel = []
-    for i, r in enumerate(rows):
+    for i, r in indexed_rows:
         row, combo = elim._insert(r, {i: 1})
         if not row:
             kernel.append(combo)
@@ -565,7 +599,7 @@ def _eliminate(rows):
 
 def kernel_basis(rows):
     """Basis of {x : sum_i x_i * rows[i] = 0}, as dicts over row indices."""
-    return _eliminate(rows)[1]
+    return _eliminate(enumerate(rows))[1]
 
 
 def solve(rows, rhs):
@@ -573,7 +607,7 @@ def solve(rows, rhs):
 
     ``rows`` are dict rows; ``rhs`` a dict over the same column labels.
     """
-    elim, _ = _eliminate(rows)
+    elim, _ = _eliminate(enumerate(rows))
     residue, neg_solution = elim._reduce(rhs, {})
     if residue:
         return None
@@ -581,42 +615,36 @@ def solve(rows, rhs):
 
 
 def homology_window(cx: Complex, t_min, t_max) -> dict:
-    """dim H^t for t in [t_min, t_max]: dim ker d^t - rank d^{t-1}, each
-    rank the pivot count of the complex's eliminated block."""
-    ranks = {t: len(cx._block(t)[0].pivots) for t in range(t_min - 1, t_max + 1)}
-    return {t: cx.space.dim_in_degree(t) - ranks[t] - ranks[t - 1]
-            for t in range(t_min, t_max + 1)}
+    """dim H^t for t in [t_min, t_max]: the number of kernel combos of
+    the complex's cleared block d^t, which is dim ker d^t - rank d^{t-1}."""
+    return {t: len(cx._block(t)[1]) for t in range(t_min, t_max + 1)}
 
 
 class HomologyBasis:
     """Representatives of H^t plus exact projection to homology coordinates.
 
-    The cycles are the kernel combos of the complex's eliminated block
-    d^t, in order.  The boundaries are a fork of its eliminated block
-    d^{t-1}: those pivot rows are the ones inserting the d^{t-1} columns
-    would build, so pivots stay least-repr first.  A cycle becomes a
-    representative when it is independent of the boundaries and of the
-    representatives before it; its pivot goes into the fork only, and
-    the complex's cache is never written to.  The scan stops once it has
-    dim H^t = len(kernel of d^t) - rank d^{t-1} representatives: every
-    later cycle would reduce to zero against the fork.
+    The representatives are the kernel combos of the complex's cleared
+    block d^t, in order: they span a complement of the boundaries in the
+    cycles (see ``Complex``).  The boundaries are a fork of its block
+    d^{t-1}, whose pivot rows span the image of d^{t-1} with least-repr
+    pivots.  Each representative is inserted into the fork, never into
+    the complex's cache, so that ``coords`` reads its coordinate; one
+    that reduces to zero there is a boundary and raises
+    CertificateError with that cycle as witness.
     """
 
     def __init__(self, cx: Complex, t):
         self.t = t
         labels = cx.space.by_degree.get(t, [])
-        boundaries, _ = cx._block(t - 1)
         cycles = cx._block(t)[1]
-        dim = len(cycles) - len(boundaries.pivots)
-        self._elim = boundaries.fork()
+        self._elim = cx._block(t - 1)[0].fork()
         self.representatives = []
-        for combo in cycles:
-            if len(self.representatives) == dim:
-                break
+        for k, combo in enumerate(cycles):
             z = {labels[i]: c for i, c in combo.items()}
-            row, _ = self._elim._insert(z, {len(self.representatives): 1})
-            if row:
-                self.representatives.append(z)
+            row, _ = self._elim._insert(z, {k: 1})
+            if not row:
+                raise CertificateError("homology representative is a boundary", z)
+            self.representatives.append(z)
 
     @property
     def dim(self):

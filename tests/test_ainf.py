@@ -23,6 +23,7 @@ from hochtrace.fixtures import (
     noncommutative_dga,
     odd_coefficient_dga,
     random_dga,
+    sphere3_with_differential,
     sphere_cohomology,
 )
 from hochtrace.grdlin import ONE, GradedSpace
@@ -206,6 +207,18 @@ def test_to_rational_base_roundtrip_on_nontrivial_base():
     assert check_stasheff(flat, 3).ok
     assert check_unital(flat).ok
     assert flat.gens.dim == 2
+
+
+def test_to_rational_algebra_keeps_the_base_differential():
+    # over sphere3_with_differential (d y = x) the unit algebra has no
+    # mu_1 table; its one differential entry comes from the base
+    alg = unit_algebra(sphere3_with_differential())
+    assert 1 not in alg.mu and len(alg.module.d.entries) == 1
+    flat = to_rational_algebra(alg)
+    want = {("1", pair): {("1", q): c for q, c in col.items()}
+            for pair, col in alg.module.d.entries.items()}
+    assert flat.module.d.entries == want == {("1", ("y", "1")): {("1", ("x", "1")): 1}}
+    assert check_stasheff(flat, 3).ok
 
 
 def test_unshifted_maps_are_a_relabeling():

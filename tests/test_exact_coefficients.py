@@ -62,4 +62,12 @@ def test_a_non_unit_pivot_builds_a_fraction():
     row = elim._labelled(row)
     assert elim._labels[key] == "a"
     assert row == {"a": 1, "b": Fraction(1, 3)} and combo is None
-    assert type(row["b"]) is Fraction
+    assert type(row["a"]) is int and type(row["b"]) is Fraction
+    # integral quotients of a non-unit pivot are stored as int, in the
+    # row and in its combo
+    elim = _Eliminator()
+    elim.insert({"a": 2, "b": 4}, {0: 6})
+    (_key, (row, combo)), = elim.pivots.items()
+    row = elim._labelled(row)
+    assert row == {"a": 1, "b": 2} and combo == {0: 3}
+    assert [type(c) for c in (row["a"], row["b"], combo[0])] == [int, int, int]

@@ -5,7 +5,9 @@ through ``Fraction``, so no float is reachable; and no ``X if n else [()]``
 outside ``bimod.bimodule_inputs``, the one place that decides how a zero
 algebra (None) enumerates its words; and no function but ``bimod.action``
 that calls both a structure-map ``eval`` and ``hom_label``, so every
-End-valued operator built from structure maps comes from one place."""
+End-valued operator built from structure maps comes from one place; and
+``Complex`` is built with a ``check`` argument only at the listed sites,
+each of which vouches for d*d = 0 that elimination relies on."""
 import ast
 from pathlib import Path
 
@@ -90,6 +92,36 @@ def end_operator_builders(source, allowed=()):
     return sorted(found)
 
 
+def unchecked_complexes(source):
+    """Qualified names of the functions that build a ``Complex`` with a
+    ``check`` argument other than the literal True: each skips, or may
+    skip, the d*d = 0 certificate."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id == "Complex"
+                  and any(k.arg == "check" and not (isinstance(k.value, ast.Constant)
+                                                    and k.value.value is True)
+                          for k in child.keywords)):
+                found.append(".".join(scope))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+# where each one's d*d = 0 comes from is listed in CHANGES.md
+UNCHECKED_COMPLEXES = {
+    "cdga.py": ["BaseCDGA.__init__", "FreeKModule.__init__"],
+    "hoch.py": ["HochschildComplex.coefficient_complex"],
+}
+
+
 def test_the_scan_sees_the_sources():
     assert {p.name for p in SOURCES} >= {"grdlin.py", "hoch.py", "transfer.py"}
 
@@ -122,6 +154,11 @@ def test_one_end_valued_action(path):
     assert end_operator_builders(path.read_text(), allowed) == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_unchecked_complexes_are_the_listed_sites(path):
+    assert unchecked_complexes(path.read_text()) == UNCHECKED_COMPLEXES.get(path.name, [])
+
+
 def test_the_checks_fire():
     source = "from itertools import product, permutations\nassert product\n"
     assert unused_imports(source) == [("permutations", 1)]
@@ -139,3 +176,7 @@ def test_the_checks_fire():
               "def builtin(v, w):\n    return {hom_label(v, w): eval(v)}\n")
     assert end_operator_builders(source) == ["action", "by_hand"]
     assert end_operator_builders(source, ("action",)) == ["by_hand"]
+    source = ("class A:\n    def f(self, c):\n        return Complex(s, d, check=c)\n"
+              "def g():\n    return Complex(s, d, check=False)\n"
+              "def h():\n    return Complex(s, d, check=True), Complex(s, d)\n")
+    assert unchecked_complexes(source) == ["A.f", "g"]
