@@ -629,6 +629,12 @@ def compare_classical(classical: ClassicalHochschild,
     if set(classical.space.basis) != set(ainf_hh.space.basis):
         raise ValueError("the two complexes do not share a labeled basis")
     labels = classical.space.labels()
+    classical_d, ainf_d = classical.d.entries, ainf_hh.d.entries
+    # each label's incoming edges (w2, c), w2 in the order of classical_d
+    incoming = {}
+    for w2, col in classical_d.items():
+        for v, c in col.items():
+            incoming.setdefault(v, []).append((w2, c))
     sign = {}
     # propagate signs along the differential graph; an edge (w, x, y) asks
     # sign[w] = sign[v] * x / y, compared exactly without dividing
@@ -641,18 +647,17 @@ def compare_classical(classical: ClassicalHochschild,
         while stack:
             v = stack.pop()
             neighbours = []
-            for w, c in classical.d.column(v).items():
-                a = ainf_hh.d.column(v).get(w)
+            ainf_col = ainf_d.get(v, {})
+            for w, c in classical_d.get(v, {}).items():
+                a = ainf_col.get(w)
                 if a is None:
                     raise ValueError(f"sparsity mismatch at {v!r} -> {w!r}")
                 neighbours.append((w, a, c))
-            for w2, col in classical.d.entries.items():
-                c = col.get(v)
-                if c is not None:
-                    a = ainf_hh.d.column(w2).get(v)
-                    if a is None:
-                        raise ValueError(f"sparsity mismatch at {w2!r} -> {v!r}")
-                    neighbours.append((w2, c, a))
+            for w2, c in incoming.get(v, ()):
+                a = ainf_d.get(w2, {}).get(v)
+                if a is None:
+                    raise ValueError(f"sparsity mismatch at {w2!r} -> {v!r}")
+                neighbours.append((w2, c, a))
             for w, x, y in neighbours:
                 if x == y:
                     value = sign[v]

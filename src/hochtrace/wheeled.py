@@ -11,7 +11,13 @@ Koszul; d^2 = 0 is asserted by construction.
 Tree normal form (the (k-1)!-basis of Q[Sigma_k]/shuffles): at every
 vertex the child containing the smallest letter sits in the last slot;
 the remaining children are ordered, and distinct orders are distinct
-basis elements.
+basis elements.  A vertex whose smallest letter sits in child c_j of
+c_0 .. c_{k-1} has the closed form of the shuffle antipode
+S(v) = (-1)^{|v|} v-reversed (Reutenauer, Free Lie Algebras, 1993):
+the sum over the shuffles t of c_0 .. c_{j-1} with c_{k-1} .. c_{j+1}
+of (t, c_j), each with coefficient (-1)^{k-1-j} times the Koszul sign
+of the move; the exponent counts the children after c_j, not their
+degrees.
 
 A tree's support, its set of letters, is a bitmask with bit i for letter
 i.  Bases and tables are generated support by support, so a support is
@@ -27,6 +33,7 @@ from .grdlin import (
     GradedSpace,
     HomologyBasis,
     ONE,
+    SignedPermutation,
     enumerate_shuffles,
     koszul_sign,
     vec_add,
@@ -64,27 +71,26 @@ def tree_degree(tree):
 
 def _normalize_children(children, supports, degrees) -> dict:
     """Rewrite a child tuple so the child holding the smallest letter is
-    last, using the shuffle relations; ``supports`` and ``degrees`` are the
-    children's (disjoint) supports and degrees.  Returns {child tuple:
-    int coefficient}."""
+    last, by the closed form in the module docstring; ``supports`` and
+    ``degrees`` are the children's (disjoint) supports and degrees.
+    Returns {child tuple: int coefficient}."""
     k = len(children)
     # the lowest set bit of a support is its smallest letter
     j = min(range(k), key=lambda i: supports[i] & -supports[i])
     if j == k - 1:
         return {children: 1}
-    # shuffle relation with p = j + 1: the identity shuffle keeps the
-    # designated child at position j; all other (p, q)-shuffles push it right
-    p = j + 1
-    q = k - p
+    # the children before c_j shuffled with those after it in reverse
+    # order, then c_j; ``move`` sends each original slot to its slot in
+    # the term
+    front = list(range(j)) + list(range(k - 1, j, -1))
+    sign = -1 if (k - 1 - j) % 2 else 1
     out = {}
-    for sigma in enumerate_shuffles(p, q):
-        if sigma.perm == tuple(range(k)):
-            continue
-        sign = koszul_sign(sigma, degrees)
-        permuted = _normalize_children(sigma.apply_to(children), sigma.apply_to(supports),
-                                       sigma.apply_to(degrees))
-        for child_tuple, c in permuted.items():
-            vec_add_term(out, child_tuple, -sign * c)
+    for sigma in enumerate_shuffles(j, k - 1 - j):
+        slots = [k - 1] * k
+        for i, dest in zip(front, sigma.perm):
+            slots[i] = dest
+        move = SignedPermutation(slots)
+        out[move.apply_to(children)] = sign * koszul_sign(move, degrees)
     return out
 
 
@@ -128,19 +134,31 @@ def tree_differential(tree) -> dict:
     children); expanding the vertex at prefix degree P into
     mu_{r+1+t} o_{r+1} mu_s moves the odd inner symbol past the first r
     children, so the term carries (-1)^{P + |c_1| + .. + |c_r| + 1}.
+
+    Only the inner vertex mu_s is normalized (by ``graft``).  The subtree
+    it is spliced into keeps its support, so every ancestor stays normal;
+    and the child holding the smallest letter stays last at the vertex,
+    either itself or inside the inner vertex, which is then last.
     """
     out = {}
-    entries = []   # (path, prefix degree of the vertex symbol)
+    # (path, children, prefix degree of the vertex symbol, the children's
+    # supports and degrees)
+    entries = []
 
     def walk(t, path, prefix):
+        """Record the vertices of t; return its support and degree."""
         kind, payload = t
         if kind == "leaf":
-            return prefix - 1
-        entries.append((path, prefix))
-        prefix = prefix + 1
+            return 1 << payload, -1
+        supports, degrees = [], []
+        entries.append((path, payload, prefix, supports, degrees))
+        prefix += 1
         for i, child in enumerate(payload):
-            prefix = walk(child, path + (i,), prefix)
-        return prefix
+            child_support, child_degree = walk(child, path + (i,), prefix)
+            supports.append(child_support)
+            degrees.append(child_degree)
+            prefix += child_degree
+        return sum(supports), 1 + sum(degrees)
 
     walk(tree, (), 0)
 
@@ -152,24 +170,17 @@ def tree_differential(tree) -> dict:
         return node(payload[:i] + (replace(payload[i], path[1:], value_tree),)
                     + payload[i + 1:])
 
-    def subtree(t, path):
-        if not path:
-            return t
-        return subtree(t[1][path[0]], path[1:])
-
-    for path, prefix in entries:
-        payload = subtree(tree, path)[1]
+    for path, payload, prefix, supports, degrees in entries:
         k = len(payload)
-        child_degs = [tree_degree(c) for c in payload]
         for s in range(2, k):
             for r in range(0, k - s + 1):
-                exponent = prefix + sum(child_degs[:r]) + 1
+                exponent = prefix + sum(degrees[:r]) + 1
                 sign = -1 if exponent % 2 else 1
-                inner = node(payload[r:r + s])
-                expanded = node(payload[:r] + (inner,) + payload[r + s:])
-                rebuilt = replace(tree, path, expanded)
-                for t2, c in normalize_tree(rebuilt)[0].items():
-                    vec_add_term(out, t2, sign * c)
+                window = slice(r, r + s)
+                for inner, c in graft(payload[window], supports[window],
+                                      degrees[window]).items():
+                    expanded = node(payload[:r] + (inner,) + payload[r + s:])
+                    vec_add_term(out, replace(tree, path, expanded), sign * c)
     return out
 
 

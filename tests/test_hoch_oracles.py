@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,21 @@ def test_classical_comparison_has_teeth():
     iso = compare_classical(classical_hh(dga, diag, 3), hh_complex(alg, diag, 3))
     flips = sum(1 for v, col in iso.entries.items() if col.get(v) == -ONE)
     assert flips > 0
+
+
+def test_classical_comparison_names_the_edge_it_cannot_match():
+    dga = cdga_as_kalgebra(fixture_cdga("cp2"))
+    alg = from_dga(dga)
+    diag = diagonal_bimodule(alg)
+    cl, ai = classical_hh(dga, diag, 2), hh_complex(alg, diag, 2)
+    v, col = next((v, col) for v, col in ai.d.entries.items() if col)
+    w = next(iter(col))
+    c = col.pop(w)
+    with pytest.raises(ValueError, match=re.escape(f"sparsity mismatch at {v!r} -> {w!r}")):
+        compare_classical(cl, ai)
+    col[w] = 3 * c
+    with pytest.raises(ValueError, match="non-sign ratio"):
+        compare_classical(cl, ai)
 
 
 def test_classical_hochschild_names_a_relation_that_hits_the_basis():

@@ -1,7 +1,9 @@
 """The one-loop wheeled graph complex and the free multilinear algebra.
 The n <= 3 values and the free algebra's table hash were measured before
 the bases were generated by letter support; the n = 4 values are checked
-against the character theory of Sigma_4."""
+against the character theory of Sigma_4.  The n = 5 table hash and
+homology dimensions were measured with the recursive shuffle rewrite that
+the closed-form normal form replaced."""
 import hashlib
 from collections import Counter
 from fractions import Fraction
@@ -9,13 +11,19 @@ from itertools import permutations, product
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hochtrace import wheeled
 from hochtrace.ainf import check_stasheff, compositions
+from hochtrace.grdlin import enumerate_shuffles, koszul_sign, vec_add_term
 from hochtrace.hoch import BarConnesComplex
 from hochtrace.wheeled import (
+    _normalize_children,
     free_multilinear_algebra,
     gc1_complex,
     gc1_homology,
+    leaf,
     multilinear_word_tuples,
     trees_by_support,
 )
@@ -26,6 +34,7 @@ from hochtrace.wheeled import (
     (2, {0: 1, 1: 1}),
     (3, {0: 1, 1: 2, 2: 1}),
     (4, {0: 1, 1: 3, 2: 3, 3: 1}),
+    (5, {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}),
 ])
 def test_gc1_homology_dims(n, dims):
     assert gc1_homology(n) == dims
@@ -161,6 +170,66 @@ def _table_hash(tables):
 
 def test_free_multilinear_algebra_tables_are_unchanged():
     assert _table_hash(free_multilinear_algebra(4).mu) == "5469b686558d5808"
+    assert _table_hash(free_multilinear_algebra(5).mu) == "8bc4b5fdbb7d0f07"
+
+
+def _recursive_normal_form(children, supports, degrees):
+    """The shuffle-relation rewrite the closed form replaced: move the child
+    holding the smallest letter right by every non-identity (j+1, k-j-1)
+    shuffle, negated, and recurse until it is last."""
+    k = len(children)
+    j = min(range(k), key=lambda i: supports[i] & -supports[i])
+    if j == k - 1:
+        return {children: 1}
+    out = {}
+    for sigma in enumerate_shuffles(j + 1, k - j - 1):
+        if sigma.perm == tuple(range(k)):
+            continue
+        sign = koszul_sign(sigma, degrees)
+        permuted = _recursive_normal_form(sigma.apply_to(children), sigma.apply_to(supports),
+                                          sigma.apply_to(degrees))
+        for child_tuple, c in permuted.items():
+            vec_add_term(out, child_tuple, -sign * c)
+    return out
+
+
+@st.composite
+def _leaf_children(draw):
+    """Up to six leaf children with the smallest letter anywhere and
+    degrees of either parity."""
+    k = draw(st.integers(min_value=2, max_value=6))
+    smallest = draw(st.integers(min_value=0, max_value=k - 1))
+    others = draw(st.permutations(range(2, k + 1)))
+    letters = others[:smallest] + [1] + others[smallest:]
+    degrees = draw(st.lists(st.integers(min_value=-2, max_value=3), min_size=k, max_size=k))
+    return tuple(leaf(x) for x in letters), tuple(1 << x for x in letters), tuple(degrees)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_leaf_children())
+def test_closed_form_normal_form_matches_the_shuffle_recursion(case):
+    assert _normalize_children(*case) == _recursive_normal_form(*case)
+
+
+def test_normalizing_runs_once_per_grafted_vertex(monkeypatch):
+    # each graft (a mu_k table entry or an inner vertex of the differential)
+    # normalizes one vertex once; re-normalizing every rebuilt tree by
+    # recursion made 759 calls at n = 4
+    grafts, normalized = [], []
+    real_graft, real_normalize = wheeled.graft, wheeled._normalize_children
+
+    def counted_graft(subtrees, supports, degrees):
+        grafts.append(subtrees)
+        return real_graft(subtrees, supports, degrees)
+
+    def counted_normalize(children, supports, degrees):
+        normalized.append(children)
+        return real_normalize(children, supports, degrees)
+
+    monkeypatch.setattr(wheeled, "graft", counted_graft)
+    monkeypatch.setattr(wheeled, "_normalize_children", counted_normalize)
+    free_multilinear_algebra(4)
+    assert 0 < len(normalized) <= len(grafts)
 
 
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 11), (4, 71), (5, 739)])
