@@ -16,9 +16,9 @@ once per complex, upward from its lowest degree, and cached on it,
 read-only.  The elimination clears (Chen-Kerber): a column whose label
 leads a boundary pivot of block t-1 is never inserted, and the kernel
 combos left span a complement of the boundaries in the cycles.
-``homology_window`` counts them, and ``HomologyBasis`` takes them as its
-representatives against a fork of block t-1.  Inside ``_Eliminator`` rows are
-keyed by the repr string of each label, so that every dict operation of
+``homology_window`` counts them, and ``HomologyBasis`` reads homology
+coordinates off them with no second elimination.  Inside ``_Eliminator`` rows
+are keyed by the repr string of each label, so that every dict operation of
 a reduction hashes a string that caches its hash; the pivot is still the
 least-repr label, the order ``hoch.ClassicalHochschild`` relies on.
 Koszul signs are the ints +1 and -1.
@@ -305,9 +305,6 @@ class SignedPermutation:
             out[self.perm[i]] = x
         return tuple(out)
 
-    def sign(self, degrees) -> int:
-        return koszul_sign(self, degrees)
-
 
 def koszul_sign(perm: SignedPermutation, degrees) -> int:
     """(-1)^(sum of |x_i||x_j| over pairs i<j that the permutation
@@ -365,7 +362,8 @@ class Complex:
     keeps that eliminator with the combos of its pivot rows dropped
     (rank d^t is the number of pivots) and the kernel combos, over the
     indices of ``space.by_degree[t]``.  The cache is read-only once
-    filled, so ``d`` must not change after the first use.
+    filled, so ``d`` must not change after the first use.  ``HomologyBasis``
+    reads coordinates off the kernel combos and the leads of block t-1.
     """
 
     __slots__ = ("space", "d", "_blocks")
@@ -474,8 +472,8 @@ class _Eliminator:
     a string compare, and every dict operation hashes a string that caches
     its hash.  Two labels with one repr would share a column and raise
     ValueError instead.  ``insert`` and ``reduce`` take and return rows
-    keyed by label; the repr -> label map that translates them back is
-    shared with every ``fork``.  Combos stay keyed by the caller's index.
+    keyed by label, as does ``clear``.  Combos stay keyed by the caller's
+    index.
 
     Rows and combos are copied on entry, with zero entries dropped and
     integral Fractions turned into int.  Pivot rows and their combos are
@@ -564,16 +562,18 @@ class _Eliminator:
         row, combo = self._insert(row, None if combo is None else int_first(combo))
         return self._labelled(row), combo
 
-    def fork(self):
-        """A new eliminator that starts from a copy of this pivot dict and
-        shares these repr keys and labels.  The pivot rows are shared too:
-        reduce and insert change only copies, and the fork adds its own
-        pivots to its own dict."""
-        other = _Eliminator()
-        other.pivots = dict(self.pivots)
-        other._keys = self._keys
-        other._labels = self._labels
-        return other
+    def clear(self, row):
+        """A label-keyed copy of row, zeros dropped, with every entry at a
+        pivot's lead reduced away, least lead first.  The eliminator does
+        not change: a label it has not seen leads no pivot."""
+        keys, labels, pivots = self._keys, self._labels, self.pivots
+        row = {label: c for label, c in row.items() if c}
+        while leads := [key for key in map(keys.get, row) if key in pivots]:
+            key = min(leads)
+            c = row[labels[key]]
+            for k, p in pivots[key][0].items():
+                vec_add_term(row, labels[k], -c * p)
+        return row
 
 
 def _normalized(vec, p):
@@ -623,27 +623,32 @@ def homology_window(cx: Complex, t_min, t_max) -> dict:
 class HomologyBasis:
     """Representatives of H^t plus exact projection to homology coordinates.
 
-    The representatives are the kernel combos of the complex's cleared
+    The representatives z_k are the kernel combos of the complex's cleared
     block d^t, in order: they span a complement of the boundaries in the
-    cycles (see ``Complex``).  The boundaries are a fork of its block
-    d^{t-1}, whose pivot rows span the image of d^{t-1} with least-repr
-    pivots.  Each representative is inserted into the fork, never into
-    the complex's cache, so that ``coords`` reads its coordinate; one
-    that reduces to zero there is a boundary and raises
-    CertificateError with that cycle as witness.
+    cycles (see ``Complex``).  Coordinates are read off them by three facts:
+    - z_k has coefficient 1 at its own label, that of its index
+      ``max(combo)``, and no other z_j holds it: a kernel combo holds
+      only its own index and indices of pivot columns;
+    - no z_k holds a lead of a pivot row of block d^{t-1}, a cleared label;
+    - every nonzero boundary holds such a lead, its least-repr label.
+    Construction certifies the first two, which make the z_k independent
+    modulo the boundaries, and raises CertificateError with witness z_k
+    where one fails.
     """
 
     def __init__(self, cx: Complex, t):
-        self.t = t
         labels = cx.space.by_degree.get(t, [])
         cycles = cx._block(t)[1]
-        self._elim = cx._block(t - 1)[0].fork()
+        self._boundaries = below = cx._block(t - 1)[0]
+        self._own = {labels[max(combo)]: k for k, combo in enumerate(cycles)}
+        keys, pivots = below._keys, below.pivots
         self.representatives = []
         for k, combo in enumerate(cycles):
             z = {labels[i]: c for i, c in combo.items()}
-            row, _ = self._elim._insert(z, {k: 1})
-            if not row:
-                raise CertificateError("homology representative is a boundary", z)
+            if (z[labels[max(combo)]] != 1 or len(self._own.keys() & z.keys()) > 1
+                    or not pivots.keys().isdisjoint(map(keys.get, z))):
+                raise CertificateError(
+                    "homology representative is not read off the cleared kernel", z)
             self.representatives.append(z)
 
     @property
@@ -651,11 +656,17 @@ class HomologyBasis:
         return len(self.representatives)
 
     def coords(self, vec: dict):
-        """Homology coordinates of a cycle (boundaries project to zero)."""
-        residue, neg = self._elim._reduce(vec, {})
+        """Homology coordinates of a cycle (boundaries project to zero): the
+        residue of vec with the boundary leads cleared is sum a_k z_k, a_k
+        its coefficient at the own label of z_k, or vec is no cycle."""
+        residue = self._boundaries.clear(vec)
+        own = self._own
+        coords = int_first({own[v]: c for v, c in residue.items() if v in own})
+        for k, c in coords.items():
+            vec_add(residue, self.representatives[k], -c)
         if residue:
             raise ValueError("vector is not a cycle modulo boundaries")
-        return {k: -c for k, c in neg.items() if c}
+        return coords
 
 
 def is_chain_map(f: GradedMap, source: Complex, target: Complex) -> bool:
@@ -684,10 +695,7 @@ def is_quasi_iso_window(f: GradedMap, source: Complex, target: Complex,
         ht = HomologyBasis(target, t)
         if hs.dim != ht.dim:
             return False
-        rows = []
-        for rep in hs.representatives:
-            rows.append(ht.coords(f(rep)))
-        if sparse_rank(rows) != ht.dim:
+        if sparse_rank([ht.coords(f(rep)) for rep in hs.representatives]) != ht.dim:
             return False
     return True
 
@@ -696,13 +704,6 @@ def enumerate_shuffles(p, q):
     """All (p,q)-shuffles: destinations of block 1 increasing, likewise block 2."""
     if p < 0 or q < 0:
         raise ValueError("p, q must be nonnegative")
-    shuffles = []
-    for first_block in combinations(range(p + q), p):
-        perm = [0] * (p + q)
-        rest = [i for i in range(p + q) if i not in first_block]
-        for i, dest in enumerate(first_block):
-            perm[i] = dest
-        for i, dest in enumerate(rest):
-            perm[p + i] = dest
-        shuffles.append(SignedPermutation(perm))
-    return shuffles
+    slots = set(range(p + q))
+    return [SignedPermutation(first + tuple(sorted(slots.difference(first))))
+            for first in combinations(range(p + q), p)]

@@ -234,13 +234,9 @@ def stabilized_normalization_report(algebra: AInfAlgebra, h_max, t_min, t_max) -
         hb = HomologyBasis(big.complex, t)
         hn = HomologyBasis(norm.complex, t)
         hn_small = HomologyBasis(norm_small.complex, t)
-        rows_big, rows_comp = [], []
-        for rep in hs.representatives:
-            rows_big.append(hb.coords(rep))
-            projected = {lbl: c for lbl, c in rep.items() if unit not in lbl[2]}
-            rows_comp.append(hn.coords(projected))
-        r_inc = sparse_rank(rows_big)
-        r_comp = sparse_rank(rows_comp)
+        r_inc = sparse_rank([hb.coords(rep) for rep in hs.representatives])
+        r_comp = sparse_rank([hn.coords({lbl: c for lbl, c in rep.items() if unit not in lbl[2]})
+                              for rep in hs.representatives])
         report.record(f"t={t} normalized stability", hn_small.dim == hn.dim,
                       (hn_small.dim, hn.dim))
         report.record(f"t={t} stabilized iso", r_inc == r_comp == hn.dim,

@@ -612,13 +612,14 @@ class TransferReport:
         proj = self.hh_target.project_to_coefficients()
         lhs = proj.compose(self.composite)
         rhs = tr_degree0(self.hh_s, m, self.module)
-        # identify R-space labels: proj target uses (b, v)-pairs of the
-        # rank-one module over R; collapse to R labels
+        # identify R-space labels: proj target uses the (b, v)-pairs over Q
+        # of the rank-one module R; collapse (unit, v) to the R label v
+        unit = self.hh_target.bimodule.kmodule.base.unit
         collapsed = {}
         for src, col in lhs.entries.items():
             out = {}
             for (b, v), c in col.items():
-                vec_add(out, {b if v == "1" else (b, v): c})
+                vec_add(out, {v if b == unit else (b, v): c})
             if out:
                 collapsed[src] = out
         report.record_first_defect(

@@ -39,6 +39,7 @@ from hochtrace.grdlin import (
     vec_add,
 )
 from hochtrace.hoch import hh_of_algebra
+from hochtrace.report import CertificateError
 
 # labels are nested tuples mixing str and int, like the library's own
 atoms = st.one_of(st.sampled_from(["a", "z", "ab", ""]), st.integers(-3, 12))
@@ -446,11 +447,13 @@ def test_homology_bases_span_the_homology():
             assert len(hb.representatives) == hb.dim == window[t]
             for rep in hb.representatives:
                 assert cx.d(rep) == {}
-            # independent modulo the boundaries, eliminated anew
-            boundaries = _Eliminator()
+            # independent modulo the boundaries, eliminated anew: the
+            # boundary columns, then the representatives, into a fresh
+            # eliminator
+            boundaries, independent = _Eliminator(), _Eliminator()
             for v in cx.space.by_degree.get(t - 1, ()):
                 boundaries.insert(cx.d.column(v))
-            independent = boundaries.fork()
+                independent.insert(cx.d.column(v))
             for rep in hb.representatives:
                 assert independent.insert(rep)[0]
             # and spanning: every cycle is its coords on them plus a boundary
@@ -460,3 +463,94 @@ def test_homology_bases_span_the_homology():
                 for k, c in hb.coords(z).items():
                     vec_add(residue, hb.representatives[k], -c)
                 assert boundaries.reduce(residue)[0] == {}
+
+
+# --- coordinates read off the cleared kernel -----------------------------------
+
+
+def boundary_leads(cx, t):
+    """Indices into ``space.by_degree[t]`` of the labels that lead a pivot
+    row of the cached block d^{t-1}."""
+    below = cx._block(t - 1)[0]
+    return [i for i, v in enumerate(cx.space.by_degree[t])
+            if below._keys.get(v) in below.pivots]
+
+
+def test_homology_bases_eliminate_nothing(monkeypatch):
+    # once the blocks are cached, the bases of every degree and the coords
+    # of every representative make no reduction and no insertion
+    cx = hh_of_algebra(fixture_algebra("cp2"), 9, normalized=True).complex
+    degrees = cx.space.degrees()
+    window = homology_window(cx, degrees[0], degrees[-1])
+    calls = []
+    real_reduce, real_insert = _Eliminator._reduce, _Eliminator._insert
+
+    def reduce(self, row, combo):
+        calls.append("reduce")
+        return real_reduce(self, row, combo)
+
+    def insert(self, row, combo):
+        calls.append("insert")
+        return real_insert(self, row, combo)
+
+    monkeypatch.setattr(_Eliminator, "_reduce", reduce)
+    monkeypatch.setattr(_Eliminator, "_insert", insert)
+    reps = 0
+    for t in degrees:
+        hb = HomologyBasis(cx, t)
+        assert [hb.coords(z) for z in hb.representatives] == [{k: 1} for k in range(hb.dim)]
+        reps += hb.dim
+    assert calls == []
+    assert reps == sum(window.values()) == 1045
+
+
+@pytest.mark.parametrize("tamper", ["own coefficient", "boundary lead", "other own label"])
+def test_a_broken_kernel_combo_names_its_representative(tamper):
+    t = 5
+    cx = hh_of_algebra(fixture_algebra("cp2"), 5).complex
+    kernel = cx._block(t)[1]
+    lead = boundary_leads(cx, t)[0]
+    k = next(k for k, combo in enumerate(kernel) if max(combo) > lead and k)
+    combo = dict(kernel[k])
+    if tamper == "own coefficient":
+        combo[max(combo)] = 2
+    elif tamper == "boundary lead":
+        combo[lead] = 1
+    else:
+        combo[max(kernel[0])] = 1
+    assert max(combo) == max(kernel[k])
+    kernel[k] = combo
+    labels = cx.space.by_degree[t]
+    with pytest.raises(CertificateError) as caught:
+        HomologyBasis(cx, t)
+    assert caught.value.witness == {labels[i]: c for i, c in combo.items()}
+
+
+def boundary_meeting_every_lead(cx, t):
+    """d of a combination of every label of degree t - 1, with distinct
+    coefficients; it holds every lead of the cached block d^{t-1}."""
+    boundary = {}
+    for j, w in enumerate(cx.space.by_degree.get(t - 1, ())):
+        vec_add(boundary, cx.d.column(w), j + 1)
+    leads = {cx.space.by_degree[t][i] for i in boundary_leads(cx, t)}
+    assert leads and leads <= set(boundary)
+    return boundary
+
+
+def test_coords_clear_boundary_leads():
+    # s3: H^2 = 0, and x = dy is the one boundary of degree 2
+    cp2 = hh_of_algebra(fixture_algebra("cp2"), 5).complex
+    s3 = sphere3_with_differential().complex
+    for cx, t in ((cp2, 5), (s3, 2)):
+        hb = HomologyBasis(cx, t)
+        boundary = boundary_meeting_every_lead(cx, t)
+        assert hb.coords(boundary) == {}
+        for k, z in enumerate(hb.representatives):
+            assert hb.coords(vec_add(dict(z), boundary, -3)) == hb.coords(z) == {k: 1}
+    # a vector that is no cycle raises, also with a boundary added
+    boundary = boundary_meeting_every_lead(cp2, 5)
+    for cx, t, vec in ((cp2, 5, boundary), (s3, 1, {})):
+        v = next(v for v in cx.space.by_degree[t] if cx.d.column(v))
+        for non_cycle in ({v: 1}, vec_add({v: 1}, vec)):
+            with pytest.raises(ValueError, match="not a cycle"):
+                HomologyBasis(cx, t).coords(non_cycle)

@@ -14,6 +14,7 @@ from hochtrace.fixtures import (
     fixture_algebra,
     mu3_algebra,
     sphere3_with_differential,
+    sphere_cohomology,
 )
 from hochtrace.grdlin import GradedMap, GradedSpace, ONE, homology_window
 from hochtrace.hoch import hh_of_algebra
@@ -273,6 +274,33 @@ def test_explicit_transfer_consistency():
         m = left_module_from_algebra(alg)
         coev = find_derived_coev(BaseCDGA.rationals(), alg.module, b_max=2)
         rep = transfer_explicit(alg, m, alg.module, coev, 2)
+        assert rep.chain_report().ok
+        assert rep.degree_zero_report(m).ok
+        assert closed_form_transfer(rep, m) == rep.composite
+
+
+def s4_bundle(e_squared):
+    """S = H*(S^4)[e]/(e^2 - e_squared) with |e| = 2, free over R = H*(S^4)
+    on 1 and e, fibre CP^1 with chi = 2: the twistor bundle CP^3 -> S^4 for
+    e^2 = z, the product bundle for e^2 = 0."""
+    gens = GradedSpace([("1", 0), ("e", 2)])
+    mult = {(a, b): {("1", b if a == "1" else a): ONE}
+            for a in ("1", "e") for b in ("1", "e") if "1" in (a, b)}
+    mult[("e", "e")] = e_squared
+    return from_dga(KAlgebra(sphere_cohomology(4), gens, mult, "1"))
+
+
+@pytest.mark.parametrize("e_squared", [{("x", "1"): ONE}, {}], ids=["twistor", "product"])
+def test_explicit_transfer_over_s4_bundles(e_squared):
+    # over a base R other than Q, the degree-0 output of the composite is
+    # labelled by the pairs (1, r) over Q; each must collapse to r, not
+    # stay (1, r): witness (('1', ('x','1'), ()), {('1','x'): -2, 'x': 2})
+    alg = s4_bundle(e_squared)
+    assert becker_gottlieb(alg).entries == {("1", "1"): {"1": 2}, ("x", "1"): {"x": 2}}
+    m = left_module_from_algebra(alg)
+    coev = find_derived_coev(alg.base, alg.module, b_max=2)
+    for h in (1, 2):
+        rep = transfer_explicit(alg, m, alg.module, coev, h)
         assert rep.chain_report().ok
         assert rep.degree_zero_report(m).ok
         assert closed_form_transfer(rep, m) == rep.composite
