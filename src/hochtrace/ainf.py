@@ -13,7 +13,17 @@ by generator word through ``AInfAlgebra.mu_word``.
 ``insert_at`` is the one insertion rule on (b, v) pairs, behind the
 Stasheff, morphism and bimodule equations; ``flat_tables`` is the one
 flattening of tables over the base into tables over Q, behind
-``to_rational_algebra`` and the flattened transfer v map.
+``to_rational_algebra`` and ``flatten_morphism``.
+
+The flattening rule: ``flatten(A)`` is A itself over Q, else
+``to_rational_algebra(A)``.  HH of ``flatten(A)`` for A over R != Q has
+the (b, v) pairs as letters; HH of A itself (over Q, or relative over R)
+has bare generators, a letter v standing for (unit, v).  The function
+pair ``letter_to_pair`` / ``pair_to_letter`` is the one place that tells
+them apart, keyed on the complex's algebra and R (``transfer`` says which
+construction uses which).  It reads (b, v) as b times v: the Koszul sign
+(b, sv) = (-1)^{|b|} s(bv) matching it with s(bv) in R's own HH is not
+applied yet, and belongs in this pair.
 """
 from __future__ import annotations
 
@@ -426,3 +436,37 @@ def to_rational_algebra(alg: AInfAlgebra) -> AInfAlgebra:
                        flat_tables(alg.eval_mu, gens.labels(), alg.arities), alg.n_max,
                        unit=unit, check=False)
 
+
+def flatten(alg: AInfAlgebra) -> AInfAlgebra:
+    """``alg`` over Q: itself when its base is Q, else ``to_rational_algebra``."""
+    return alg if alg.base.is_rational else to_rational_algebra(alg)
+
+
+def flatten_morphism(f: AInfMorphism, source: AInfAlgebra,
+                     target: AInfAlgebra) -> AInfMorphism:
+    """f from ``source`` = flatten(f.source) to ``target`` = flatten(f.target):
+    f itself over Q, else f re-expressed on the flattened generators."""
+    if f.source.base.is_rational:
+        return f
+    tables = flat_tables(f.eval_f, source.gens.labels(), range(1, f.n_max + 1))
+    return AInfMorphism(source, target, tables, n_max=f.n_max, check=False)
+
+
+def _is_flattening(alg: AInfAlgebra, base: BaseCDGA) -> bool:
+    """Whether the HH letters of ``alg`` are (b, v) pairs over R = ``base``."""
+    return alg.base.is_rational and not base.is_rational
+
+
+def letter_to_pair(alg: AInfAlgebra, base: BaseCDGA, letter):
+    """The (b, v) pair over ``base`` that an HH letter of ``alg`` stands for."""
+    return letter if _is_flattening(alg, base) else (base.unit, letter)
+
+
+def pair_to_letter(alg: AInfAlgebra, base: BaseCDGA, pair):
+    """The HH letter of ``alg`` for a (b, v) pair over ``base``; without
+    flattening only b = unit has one."""
+    if _is_flattening(alg, base):
+        return pair
+    if pair[0] != base.unit:
+        raise ValueError(f"{pair!r} is no letter of {alg!r}: its coefficient is not the unit")
+    return pair[1]

@@ -292,16 +292,21 @@ def compose_bimodule_maps(f2: BimoduleMap, f1: BimoduleMap) -> BimoduleMap:
 # constructions
 
 
+def split_arities(tables) -> dict:
+    """{(l, r): table} from arity-n tables {n: table}, each copied to every
+    split l + 1 + r = n: the one rule behind mu_{l,r} = mu_{l+1+r} of the
+    diagonal bimodule and f'_{l,r} = f_{l+1+r} of an algebra map."""
+    components = {}
+    for n, table in tables.items():
+        for l in range(0, n):
+            components.setdefault((l, n - 1 - l), {}).update(table)
+    return components
+
+
 def diagonal_bimodule(alg: AInfAlgebra) -> AInfBimodule:
     """sR as an R-R-bimodule: mu_{l,r} = mu_{l+1+r}; symmetric when C-infinity
     (``check_symmetric``)."""
-    tables = {}
-    for n, table in alg.mu.items():
-        if n < 2:
-            continue
-        for l in range(0, n):
-            r = n - 1 - l
-            tables.setdefault((l, r), {}).update(table)
+    tables = split_arities({n: table for n, table in alg.mu.items() if n >= 2})
     return AInfBimodule(alg, alg, alg.module, tables, max(alg.n_max - 1, 0))
 
 
@@ -368,12 +373,7 @@ def algebra_map_bimodule_map(f: AInfMorphism) -> BimoduleMap:
     """f': sR -> (f,f)^*(sS) with f'_{l,r} = f_{l+1+r} (Lemma 3.3.10)."""
     source = diagonal_bimodule(f.source)
     target = restrict_scalars(f, f, diagonal_bimodule(f.target))
-    components = {}
-    for n, table in f.components.items():
-        for l in range(0, n):
-            r = n - 1 - l
-            components.setdefault((l, r), {}).update(table)
-    return BimoduleMap(source, target, 0, components, check=False)
+    return BimoduleMap(source, target, 0, split_arities(f.components), check=False)
 
 
 # --- infinity tensor product ------------------------------------------------

@@ -26,6 +26,7 @@ from .bimod import (
     BimoduleMap,
     dga_module_bimodule,
     diagonal_bimodule,
+    split_arities,
     tensor_inf,
 )
 from .cdga import BaseCDGA, KAlgebra, collect_coefficients, insertions
@@ -727,13 +728,8 @@ def hh_induced_map(f, g, source_hh: HochschildComplex,
 def hh_algebra_induced_map(f, source_hh: HochschildComplex,
                            target_hh: HochschildComplex) -> GradedMap:
     """HH_k(R) -> HH_k(S) induced by an algebra morphism (pair (f, f'))."""
-    components = {}
-    for n, table in f.components.items():
-        for l in range(0, n):
-            r = n - 1 - l
-            components.setdefault((l, r), {}).update(table)
-    fprime = BimoduleMap(source_hh.bimodule, target_hh.bimodule, 0, components,
-                         check=False)
+    fprime = BimoduleMap(source_hh.bimodule, target_hh.bimodule, 0,
+                         split_arities(f.components), check=False)
     return hh_induced_map(f, fprime, source_hh, target_hh)
 
 

@@ -4,7 +4,13 @@ trace, and the Hochschild-homology transfer formulas.
 The base tower is k = Q for the Hochschild side and R = the algebra's
 base cdga for the module/trace side: an algebra S over the finite cdga R
 is flattened to an algebra over Q for HH, while its modules stay free
-finite over R and traces land in R.
+finite over R and traces land in R.  ``TransferReport`` and
+``GeneralizedTrace`` work on HH of ``ainf.flatten(S)``, whose letters
+over R != Q are the pairs (b, v); ``SimpModel``, ``vanishing_check`` and
+``corollary_tr`` work on the relative HH of S itself over R, whose
+letters are bare generators.  ``ainf.letter_to_pair`` and
+``ainf.pair_to_letter`` are the one rule between the two; the Koszul
+sign (b, sv) = (-1)^{|b|} s(bv) is not applied yet.
 
 Operators on a module are End_k(M) kvecs {(r, hom(v, w)): coeff}, the
 one format: ``bimod.action`` builds them from the module structure maps
@@ -26,11 +32,12 @@ from itertools import product
 
 from .ainf import (
     AInfAlgebra,
-    AInfMorphism,
     compositions,
-    flat_tables,
+    flatten,
+    flatten_morphism,
     from_dga,
-    to_rational_algebra,
+    letter_to_pair,
+    pair_to_letter,
 )
 from .bimod import (
     AInfBimodule,
@@ -44,7 +51,7 @@ from .bimod import (
     tensor_inf,
     v_map,
 )
-from .cdga import BaseCDGA, FreeKModule, cdga_as_kalgebra, total_differential
+from .cdga import BaseCDGA, FreeKModule, cdga_as_kalgebra, migration_parity, total_differential
 from .grdlin import (
     Complex,
     GradedMap,
@@ -141,7 +148,7 @@ def module_as_right(module: FreeKModule, r_alg: AInfAlgebra) -> AInfBimodule:
     table = {}
     for (r, v) in flat.gens.labels():
         for r2 in r_alg.gens.labels():
-            sign = -ONE if (module.gens.degree[v] * base.degree(r2)) % 2 else ONE
+            sign = -ONE if migration_parity(module.gens.degree[v], 0, base.degree(r2)) else ONE
             col = {("1", (r3, v)): sign * q for r3, q in base.mul_basis(r, r2).items()}
             if col:
                 table[((r, v), r2)] = col
@@ -232,12 +239,8 @@ def _eps_level0(base: BaseCDGA, module: FreeKModule, label) -> dict:
     one, ((r, v), ys, (r2, lbl)) = label
     if ys:
         return {}
-    vdeg = module.gens.degree[v]
-    sign = -ONE if (base.degree(r2) * vdeg) % 2 else ONE
-    out = {}
-    for r3, q in base.mul_basis(r, r2).items():
-        out[(r3, v, lbl)] = sign * q
-    return out
+    sign = -ONE if migration_parity(module.gens.degree[v], 0, base.degree(r2)) else ONE
+    return {(r3, v, lbl): sign * q for r3, q in base.mul_basis(r, r2).items()}
 
 
 # --- the degree-zero transfer formulas ------------------------------------------
@@ -265,22 +268,13 @@ def tr_degree0(hh: HochschildComplex, m: AInfBimodule,
     entries = {}
     for label in hh.space.labels():
         letters, degs = _letters_and_degrees(hh, label)
-        pairs = tuple(_letter_to_pair(hh.algebra, m.left, x) for x in letters)
+        pairs = tuple(letter_to_pair(hh.algebra, m.base, x) for x in letters)
         out = {}
         for _l, rotated, parity in cyclic_rotations(pairs, degs):
             vec_add(out, module_trace(module, action(m, rotated)), -1 if parity else 1)
         if out:
             entries[label] = out
     return GradedMap(hh.space, module.base.space, 0, entries)
-
-
-def _letter_to_pair(hh_alg: AInfAlgebra, rel_alg: AInfAlgebra, letter):
-    """Convert an HH letter to a (coefficient, generator) pair for the
-    relative algebra's structure maps: over Q the letter is the generator
-    itself; in the flattened presentation it is already the pair (r, v)."""
-    if hh_alg.gens == rel_alg.gens:
-        return (rel_alg.base.unit, letter)
-    return letter
 
 
 def corollary_tr(hh: HochschildComplex, s_alg: AInfAlgebra) -> GradedMap:
@@ -351,15 +345,11 @@ def becker_gottlieb_report(s_alg: AInfAlgebra) -> Report:
     return report
 
 
-def assembly_projection(hh: HochschildComplex) -> GradedMap:
-    """HH_Q(R) -> R: project to Hochschild degree 0 (and unshift).  A chain
-    map exactly when the coefficients are symmetric (C-infinity R)."""
-    return hh.project_to_coefficients()
-
-
 def assembly_projection_report(hh: HochschildComplex) -> Report:
+    """HH_Q(R) -> R, the projection to Hochschild degree 0 (unshifted), is
+    a chain map exactly when the coefficients are symmetric (C-infinity R)."""
     report = Report("assembly projection")
-    proj = assembly_projection(hh)
+    proj = hh.project_to_coefficients()
     ok = is_chain_map(proj, hh.complex, hh.coefficient_complex())
     report.record("projection is a chain map", ok)
     return report
@@ -373,40 +363,28 @@ def end_algebra_over_base(module: FreeKModule) -> AInfAlgebra:
     return from_dga(end_algebra(module), n_max=4)
 
 
-def _apply_end(base: BaseCDGA, module: FreeKModule, alpha_pair, m_pair) -> dict:
-    """Apply an End-generator pair (r, hom(v,w)) to a module pair (r2, v2):
-    (r E)(r2 v2) = (-1)^{|E||r2|} (r r2) E(v2)."""
-    r_a, lbl = alpha_pair
-    _tag, v, w = lbl
-    r_m, v_m = m_pair
-    if v != v_m:
+def _apply_hom(base: BaseCDGA, hom_degree, hom_pair, m_pair) -> dict:
+    """A pair (r, E), E = hom(v, w) of degree ``hom_degree``, on a module
+    pair (r2, v2): (r E)(r2 v2) = (-1)^{|E||r2|} (r r2) E(v2), as
+    {(r3, w): coeff}.  End letters and dual letters (w = "1") alike; the
+    caller knows |E|, since a dual's "1" is no generator of the module."""
+    r, (_tag, v, w) = hom_pair
+    r2, v2 = m_pair
+    if v != v2:
         return {}
-    e_deg = module.gens.degree[w] - module.gens.degree[v]
-    sign = -ONE if (e_deg * base.degree(r_m)) % 2 else ONE
-    out = {}
-    for r3, q in base.mul_basis(r_a, r_m).items():
-        out[(r3, w)] = sign * q
-    return out
-
-
-def _apply_dual(base: BaseCDGA, module: FreeKModule, phi_pair, m_pair) -> dict:
-    """Evaluate a dual pair (r, hom(v,"1")) on a module pair: an R-value."""
-    r_p, lbl = phi_pair
-    _tag, v, _one = lbl
-    r_m, v_m = m_pair
-    if v != v_m:
-        return {}
-    phi_deg = -module.gens.degree[v]
-    sign = -ONE if (phi_deg * base.degree(r_m)) % 2 else ONE
-    out = {}
-    for r3, q in base.mul_basis(r_p, r_m).items():
-        out[r3] = sign * q
-    return out
+    sign = -ONE if migration_parity(base.degree(r2), hom_degree, 0) else ONE
+    return {(r3, w): sign * q for r3, q in base.mul_basis(r, r2).items()}
 
 
 class GeneralizedTrace:
     """tr_R^c: HH_Q(End_R(M)) -> HH_Q(R) assembled from a derived
     coevaluation (Def-4.2.4 shape).
+
+    Builds End_R(M) (``end``), the source HH_Q(flatten(End_R(M)))
+    (``hh_end``) in Hochschild degrees <= h_max and the target HH_Q(R)
+    (``hh_target``) in degrees <= target_h.  The default target window
+    holds every output tail; an explicit ``target_h`` that is too small
+    raises ValueError naming an output label outside it.
 
     For each assignment of a c-term (m_i, y_i, phi_i) to the slot after
     each alpha_i: the leading block (alpha_0, m_0) moves to the back (one
@@ -428,14 +406,16 @@ class GeneralizedTrace:
     would have reached them.
     """
 
-    def __init__(self, coev: DerivedCoevaluation, hh_end: HochschildComplex,
-                 hh_target: HochschildComplex):
+    def __init__(self, coev: DerivedCoevaluation, h_max, target_h=None):
         self.coev = coev
-        self.hh_end = hh_end
-        self.hh_target = hh_target
         self.base = coev.base
         self.module = coev.module
         self.r_alg = coev.r_alg
+        self.end = end_algebra_over_base(coev.module)
+        self.hh_end = hh_end = hh_of_algebra(flatten(self.end), h_max)
+        if target_h is None:
+            target_h = max(h_max * max(coev.b_max, 1), _output_tail_bound(coev, h_max))
+        self.hh_target = hh_target = hh_of_algebra(coev.r_alg, target_h)
         self._cterms = list(coev.terms())
         self._folds = {
             letter: [[self._fold(phi, letter, m) for m, _ys, _phi, _c in self._cterms]
@@ -466,14 +446,14 @@ class GeneralizedTrace:
         (-1)^{|phi|} phi(letter(m)); {} when it vanishes.  The fold sign is
         calibrated by the chain certificate and the degree-0 anchors, and
         discriminated on a twisted-differential module."""
-        base, module = self.base, self.module
-        end_pair = (letter if isinstance(letter, tuple) and len(letter) == 2
-                    else (base.unit, letter))    # flat pair (r, hom(..))
-        phi_deg = base.degree(phi[0]) - module.gens.degree[phi[1][1]]
-        fsign = -ONE if phi_deg % 2 else ONE
+        base, degree = self.base, self.module.gens.degree
+        end_pair = letter_to_pair(self.hh_end.algebra, base, letter)
+        _tag, v, w = end_pair[1]
+        dual_degree = -degree[phi[1][1]]
+        fsign = -ONE if (base.degree(phi[0]) + dual_degree) % 2 else ONE
         rho = {}
-        for m2, c2 in _apply_end(base, module, end_pair, m).items():
-            for r4, c4 in _apply_dual(base, module, phi, m2).items():
+        for m2, c2 in _apply_hom(base, degree[w] - degree[v], end_pair, m).items():
+            for (r4, _one), c4 in _apply_hom(base, dual_degree, phi, m2).items():
                 vec_add(rho, {r4: fsign * c2 * c4})
         return rho
 
@@ -554,21 +534,6 @@ def _output_tail_bound(coev: DerivedCoevaluation, h_max) -> int:
     return h_max + (h_max + 1) * longest
 
 
-def generalized_trace(coev: DerivedCoevaluation, h_max,
-                      target_h=None) -> GeneralizedTrace:
-    """Materialize tr_R^c with its source HH_Q(End_R(M)).  The default
-    target window holds every output tail; an explicit ``target_h`` that
-    is too small raises ValueError naming an output label outside it."""
-    module = coev.module
-    e_alg = end_algebra_over_base(module)
-    e_flat = to_rational_algebra(e_alg) if not coev.base.is_rational else e_alg
-    hh_end = hh_of_algebra(e_flat, h_max)
-    target_h = target_h if target_h is not None else max(
-        h_max * max(coev.b_max, 1), _output_tail_bound(coev, h_max))
-    hh_target = hh_of_algebra(coev.r_alg, target_h)
-    return GeneralizedTrace(coev, hh_end, hh_target)
-
-
 # --- the explicit transfer (Thm-4.2.5 / Obs-4.2.6 shape) --------------------------
 
 
@@ -581,47 +546,32 @@ class TransferReport:
         self.s_alg = s_alg
         self.module = module
         self.coev = coev
-        base = module.base
-        s_flat = (s_alg if base.is_rational and s_alg.base.is_rational
-                  else to_rational_algebra(s_alg))
-        self.hh_s = hh_of_algebra(s_flat, h_max)
-        e_alg = end_algebra_over_base(module)
-        e_flat = e_alg if base.is_rational else to_rational_algebra(e_alg)
-        self.hh_end = hh_of_algebra(e_flat, h_max)
-        target_h = max(h_max * max(coev.b_max, 1) + 2, _output_tail_bound(coev, h_max))
-        self.hh_target = hh_of_algebra(coev.r_alg, target_h)
-        self.trace = GeneralizedTrace(coev, self.hh_end, self.hh_target)
+        self.hh_s = hh_of_algebra(flatten(s_alg), h_max)
+        self.trace = trace = GeneralizedTrace(coev, h_max, max(
+            h_max * max(coev.b_max, 1) + 2, _output_tail_bound(coev, h_max)))
         # v_*: HH(S) -> HH(End), v re-expressed on the flattened generators
-        v = v_map(s_alg, m, end_ainf=e_alg)
-        v_flat = v if s_flat is s_alg else AInfMorphism(
-            s_flat, e_flat, flat_tables(v.eval_f, s_flat.gens.labels(), range(1, v.n_max + 1)),
-            n_max=v.n_max, check=False)
-        self.v_star = hh_algebra_induced_map(v_flat, self.hh_s, self.hh_end)
+        v = flatten_morphism(v_map(s_alg, m, end_ainf=trace.end),
+                             self.hh_s.algebra, trace.hh_end.algebra)
+        self.v_star = hh_algebra_induced_map(v, self.hh_s, trace.hh_end)
         self.composite = self.trace.map.compose(self.v_star)
 
     def chain_report(self) -> Report:
         return _chain_report("explicit transfer chain certificate",
                              "tr^c o v_* commutes with differentials",
                              self.composite, self.hh_s.complex,
-                             self.hh_target.complex)
+                             self.trace.hh_target.complex)
 
     def degree_zero_report(self, m: AInfBimodule) -> Report:
         """Thm-4.2.5 vs Thm-4.2.7 coherence: the Hochschild-degree-0 output
         of the composite equals the direct tr_degree0 formula."""
         report = Report("degree-0 consistency")
-        proj = self.hh_target.project_to_coefficients()
-        lhs = proj.compose(self.composite)
+        hh_target = self.trace.hh_target
+        lhs = hh_target.project_to_coefficients().compose(self.composite)
         rhs = tr_degree0(self.hh_s, m, self.module)
-        # identify R-space labels: proj target uses the (b, v)-pairs over Q
-        # of the rank-one module R; collapse (unit, v) to the R label v
-        unit = self.hh_target.bimodule.kmodule.base.unit
-        collapsed = {}
-        for src, col in lhs.entries.items():
-            out = {}
-            for (b, v), c in col.items():
-                vec_add(out, {v if b == unit else (b, v): c})
-            if out:
-                collapsed[src] = out
+        # the projection lands on the pairs (unit, r) of HH_Q(R)'s coefficients
+        r_q = hh_target.algebra
+        collapsed = {src: {pair_to_letter(r_q, r_q.base, pair): c for pair, c in col.items()}
+                     for src, col in lhs.entries.items()}
         report.record_first_defect(
             "pr_0 o tr^c o v_* = tr_degree0",
             sorted(set(collapsed) | set(rhs.entries), key=repr),
@@ -654,7 +604,7 @@ def closed_form_transfer(report: TransferReport, m: AInfBimodule) -> GradedMap:
     entries = {}
     for label in hh_s.space.labels():
         letters, degs = _letters_and_degrees(hh_s, label)
-        pairs = tuple(_letter_to_pair(hh_s.algebra, m.left, x) for x in letters)
+        pairs = tuple(letter_to_pair(hh_s.algebra, m.base, x) for x in letters)
         out = {}
         # rotated = (x_{n-np_+1}, .., x_n, x_0, x_1, .., x_{n-np_}): the
         # wrapping operator eats the tail block, x_0 and n0 head letters;
@@ -678,24 +628,18 @@ def closed_form_transfer(report: TransferReport, m: AInfBimodule) -> GradedMap:
                         _accumulate_closed(report, out, tensor, -1 if parity else 1)
         if out:
             entries[label] = out
-    return GradedMap(hh_s.space, report.hh_target.space, 0, entries)
+    return GradedMap(hh_s.space, report.trace.hh_target.space, 0, entries)
 
 
 def _accumulate_closed(report, out, ops, eps_sign):
     """Feed the End-valued tensor (op_0, .., op_{p-1}) to tr^c."""
-    base = report.module.base
-    choices = [list(op.items()) for op in ops]
+    end, base = report.trace.hh_end.algebra, report.module.base
+    choices = [[(pair_to_letter(end, base, pair), c) for pair, c in op.items()] for op in ops]
     for combo in product(*choices):
         coeff = eps_sign
-        flat_letters = []
-        for (pair, c) in combo:
+        for _letter, c in combo:
             coeff *= c
-            if base.is_rational:
-                r, lbl = pair
-                flat_letters.append(lbl if r == base.unit else pair)
-            else:
-                flat_letters.append(pair)
-        label = ("1", flat_letters[0], tuple(flat_letters[1:]))
+        label = ("1", combo[0][0], tuple(letter for letter, _c in combo[1:]))
         col = report.trace.map.column(label)
         for lbl2, c2 in col.items():
             vec_add(out, {lbl2: coeff * c2})

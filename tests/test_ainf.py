@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from hochtrace.ainf import (
     AInfAlgebra,
     AInfMorphism,
@@ -11,7 +13,10 @@ from hochtrace.ainf import (
     check_unital_morphism,
     compose_morphisms,
     eta_morphism,
+    flatten,
     from_dga,
+    letter_to_pair,
+    pair_to_letter,
     to_rational_algebra,
     unit_algebra,
 )
@@ -219,6 +224,25 @@ def test_to_rational_algebra_keeps_the_base_differential():
             for pair, col in alg.module.d.entries.items()}
     assert flat.module.d.entries == want == {("1", ("y", "1")): {("1", ("x", "1")): 1}}
     assert check_stasheff(flat, 3).ok
+
+
+def test_the_flat_letter_rule_keys_on_the_complex_algebra():
+    # over R = H*(S^3) != Q, HH of the algebra itself (relative over R)
+    # has bare letters and HH of its flattening has the pairs; over Q the
+    # algebra is its own flattening and its letters are bare
+    base = sphere_cohomology(3)
+    alg = unit_algebra(base)
+    flat = flatten(alg)
+    assert flat.base.is_rational and flat.gens.labels() == [("1", "1"), ("x", "1")]
+    assert letter_to_pair(alg, base, "1") == ("1", "1") == pair_to_letter(flat, base, ("1", "1"))
+    assert letter_to_pair(flat, base, ("x", "1")) == ("x", "1")
+    assert pair_to_letter(alg, base, ("1", "1")) == "1"
+    with pytest.raises(ValueError, match="not the unit"):
+        pair_to_letter(alg, base, ("x", "1"))
+    over_q = fixture_algebra("s2")
+    assert flatten(over_q) is over_q
+    assert letter_to_pair(over_q, over_q.base, "x") == ("1", "x")
+    assert pair_to_letter(over_q, over_q.base, ("1", "x")) == "x"
 
 
 def test_unshifted_maps_are_a_relabeling():

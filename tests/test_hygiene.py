@@ -7,7 +7,10 @@ algebra (None) enumerates its words; and no function but ``bimod.action``
 that calls both a structure-map ``eval`` and ``hom_label``, so every
 End-valued operator built from structure maps comes from one place; and
 ``Complex`` is built with a ``check`` argument only at the listed sites,
-each of which vouches for d*d = 0 that elimination relies on."""
+each of which vouches for d*d = 0 that elimination relies on; and only
+``ainf`` flattens (``to_rational_algebra``, ``flat_tables``), while
+``transfer`` reads no ``.is_rational`` and calls no ``isinstance``, so
+whether an HH letter is a pair (b, v) is decided by the ``ainf`` rule."""
 import ast
 from pathlib import Path
 
@@ -92,6 +95,19 @@ def end_operator_builders(source, allowed=()):
     return sorted(found)
 
 
+def calls_to(source, names):
+    """Lines of every call, by bare or attribute name, to one of ``names``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) in names)
+
+
+def attribute_reads(source, attr):
+    """Lines of every ``.attr`` in ``source``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == attr)
+
+
 def unchecked_complexes(source):
     """Qualified names of the functions that build a ``Complex`` with a
     ``check`` argument other than the literal True: each skips, or may
@@ -155,6 +171,16 @@ def test_one_end_valued_action(path):
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_flattening_rule(path):
+    source = path.read_text()
+    flatteners = () if path.name == "ainf.py" else ("to_rational_algebra", "flat_tables")
+    assert calls_to(source, flatteners) == []
+    if path.name == "transfer.py":
+        assert calls_to(source, ("isinstance",)) == []
+        assert attribute_reads(source, "is_rational") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_unchecked_complexes_are_the_listed_sites(path):
     assert unchecked_complexes(path.read_text()) == UNCHECKED_COMPLEXES.get(path.name, [])
 
@@ -180,3 +206,9 @@ def test_the_checks_fire():
               "def g():\n    return Complex(s, d, check=False)\n"
               "def h():\n    return Complex(s, d, check=True), Complex(s, d)\n")
     assert unchecked_complexes(source) == ["A.f", "g"]
+    source = ("a = ainf.to_rational_algebra(s)\nb = flat_tables(f, l, n)\n"
+              "c = to_rational_algebra\nd = isinstance(x, tuple) and base.is_rational\n"
+              "e = is_rational(base)\n")
+    assert calls_to(source, ("to_rational_algebra", "flat_tables")) == [1, 2]
+    assert calls_to(source, ("isinstance",)) == [4]
+    assert attribute_reads(source, "is_rational") == [4]

@@ -19,6 +19,7 @@ from hochtrace.fixtures import (
 from hochtrace.grdlin import GradedMap, GradedSpace, ONE, homology_window
 from hochtrace.hoch import hh_of_algebra
 from hochtrace.transfer import (
+    GeneralizedTrace,
     SimpModel,
     assembly_projection_report,
     becker_gottlieb,
@@ -27,7 +28,6 @@ from hochtrace.transfer import (
     corollary_tr,
     cyclic_factorization_report,
     find_derived_coev,
-    generalized_trace,
     graded_trace_cyclicity_report,
     module_trace,
     tr0_tr1_evaluate,
@@ -189,7 +189,7 @@ def test_derived_coev_twisted():
 def test_generalized_trace_s2():
     alg = fixture_algebra("s2")
     coev = find_derived_coev(BaseCDGA.rationals(), alg.module, b_max=2)
-    gt = generalized_trace(coev, 2)
+    gt = GeneralizedTrace(coev, 2)
     assert gt.chain_report().ok
     # degree-0 values are the graded traces of the matrix units
     for v in alg.module.gens.labels():
@@ -203,7 +203,7 @@ def test_generalized_trace_twisted_module():
     m = FreeKModule(q, GradedSpace([("u", 0), ("w", 1)]),
                     {"u": {("1", "w"): ONE}})
     coev = find_derived_coev(q, m, b_max=3)
-    gt = generalized_trace(coev, 2)
+    gt = GeneralizedTrace(coev, 2)
     assert gt.chain_report().ok
 
 
@@ -224,13 +224,13 @@ def entries_digest(entries):
 def _trace_s2():
     alg = fixture_algebra("s2")
     coev = find_derived_coev(BaseCDGA.rationals(), alg.module, b_max=2)
-    return generalized_trace(coev, 2).map
+    return GeneralizedTrace(coev, 2).map
 
 
 def _trace_twisted_over_q():
     q = BaseCDGA.rationals()
     m = FreeKModule(q, GradedSpace([("u", 0), ("w", 1)]), {"u": {("1", "w"): ONE}})
-    return generalized_trace(find_derived_coev(q, m, b_max=3), 2).map
+    return GeneralizedTrace(find_derived_coev(q, m, b_max=3), 2).map
 
 
 def _trace_mu3_transfer():
@@ -242,9 +242,29 @@ def _trace_mu3_transfer():
 
 def _trace_dual_numbers():
     R, M = _twisted_dual_numbers_module()
-    gt = generalized_trace(find_derived_coev(R, M, b_max=2), 2, target_h=5)
+    gt = GeneralizedTrace(find_derived_coev(R, M, b_max=2), 2, target_h=5)
     assert gt.chain_report().ok
     return gt.map
+
+
+def _trace_over_odd_base(gens, d_gen, h):
+    """Over Lambda(x), |x| = 1, the End letters carry the odd coefficient x:
+    a fold sign that also counts the End letter's coefficient breaks the
+    chain certificate.  With the module generator "1", a dual letter
+    hom(u, "1") has the target label of a module generator but degree -|u|."""
+    R = exterior_odd(1)
+    M = FreeKModule(R, GradedSpace(gens), d_gen)
+    gt = GeneralizedTrace(find_derived_coev(R, M, b_max=2), h)
+    assert gt.chain_report().ok
+    return gt.map
+
+
+def _trace_odd_base_even_module(h):
+    return lambda: _trace_over_odd_base([("u", 0), ("w", 0)], {"u": {("x", "w"): ONE}}, h)
+
+
+def _trace_odd_base_one_module(h):
+    return lambda: _trace_over_odd_base([("1", -1), ("u", -1)], {"u": {("x", "1"): ONE}}, h)
 
 
 # (number of nonzero columns, entries_digest) of GeneralizedTrace.map
@@ -253,7 +273,12 @@ def _trace_dual_numbers():
     (_trace_twisted_over_q, 14, "1e81febaa861036c"),
     (_trace_mu3_transfer, 39, "0aaca200a7d8662f"),
     (_trace_dual_numbers, 258, "4f15fec0b8eef014"),
-], ids=["s2", "twisted_over_q", "mu3_transfer", "dual_numbers"])
+    (_trace_odd_base_even_module(1), 42, "5e3d092d751a578d"),
+    (_trace_odd_base_even_module(2), 258, "f014db48f7e3858b"),
+    (_trace_odd_base_one_module(1), 42, "cb47a09795faa3c1"),
+    (_trace_odd_base_one_module(2), 258, "7fb629daa6847216"),
+], ids=["s2", "twisted_over_q", "mu3_transfer", "dual_numbers", "odd_base_uw_h1",
+        "odd_base_uw_h2", "odd_base_1u_h1", "odd_base_1u_h2"])
 def test_generalized_trace_pinned(build, columns, pinned):
     entries = build().entries
     assert (len(entries), entries_digest(entries)) == (columns, pinned)
@@ -263,9 +288,9 @@ def test_generalized_trace_window_holds_bar_letters():
     # tails reach h + (h + 1) * max|ys| = 3 letters at h = 1
     R, M = _twisted_dual_numbers_module()
     coev = find_derived_coev(R, M, b_max=2)
-    assert generalized_trace(coev, 1).chain_report().ok
+    assert GeneralizedTrace(coev, 1).chain_report().ok
     with pytest.raises(ValueError, match=r"\('1', '1', \('x', '1', 'x'\)\).*target_h >= 3"):
-        generalized_trace(coev, 1, target_h=2)
+        GeneralizedTrace(coev, 1, target_h=2)
 
 
 def test_explicit_transfer_consistency():
@@ -279,15 +304,16 @@ def test_explicit_transfer_consistency():
         assert closed_form_transfer(rep, m) == rep.composite
 
 
-def s4_bundle(e_squared):
-    """S = H*(S^4)[e]/(e^2 - e_squared) with |e| = 2, free over R = H*(S^4)
-    on 1 and e, fibre CP^1 with chi = 2: the twistor bundle CP^3 -> S^4 for
-    e^2 = z, the product bundle for e^2 = 0."""
+def s4_bundle(e_squared, base=None):
+    """S = R[e]/(e^2 - e_squared) with |e| = 2, free over R on 1 and e,
+    fibre CP^1 with chi = 2; R = H*(S^4) unless ``base`` is given.  Over
+    H*(S^4): the twistor bundle CP^3 -> S^4 for e^2 = z, the product bundle
+    for e^2 = 0."""
     gens = GradedSpace([("1", 0), ("e", 2)])
     mult = {(a, b): {("1", b if a == "1" else a): ONE}
             for a in ("1", "e") for b in ("1", "e") if "1" in (a, b)}
     mult[("e", "e")] = e_squared
-    return from_dga(KAlgebra(sphere_cohomology(4), gens, mult, "1"))
+    return from_dga(KAlgebra(base or sphere_cohomology(4), gens, mult, "1"))
 
 
 @pytest.mark.parametrize("e_squared", [{("x", "1"): ONE}, {}], ids=["twistor", "product"])
@@ -304,6 +330,21 @@ def test_explicit_transfer_over_s4_bundles(e_squared):
         assert rep.chain_report().ok
         assert rep.degree_zero_report(m).ok
         assert closed_form_transfer(rep, m) == rep.composite
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="flat letters (b, sv) are read without the sign "
+                   "(-1)^{|b|} that matches them with s(bv) in HH(R) (ROADMAP item 14)")
+def test_explicit_transfer_over_a_product_bundle_on_a_base_with_differential():
+    # the product bundle S = R[e]/(e^2) over R = sphere3_with_differential()
+    # (odd y, dy = x): at h = 1 the chain certificate fails with witness
+    # (('1', ('y', '1'), ()), {('1', 'x', ()): -4}), and the closed form
+    # differs from the composite
+    alg = s4_bundle({}, sphere3_with_differential())
+    m = left_module_from_algebra(alg)
+    coev = find_derived_coev(alg.base, alg.module, b_max=2)
+    rep = transfer_explicit(alg, m, alg.module, coev, 1)
+    assert rep.chain_report().ok
+    assert closed_form_transfer(rep, m) == rep.composite
 
 
 def test_closed_form_acts_once_per_block(monkeypatch):
