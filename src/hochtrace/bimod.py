@@ -734,13 +734,13 @@ def nu_map(alg: AInfAlgebra, m: AInfBimodule) -> BimoduleMap:
 # --- symmetry ----------------------------------------------------------------
 
 
-def _symmetry_defect(bim: AInfBimodule, structure_map, vm, xs) -> dict:
-    """sum_{i=0..n} structure_map_{i,n-i} o t_{n+1}^i on m (x) x_1 .. x_n,
-    for structure maps on the R-R-bimodule ``bim``."""
-    base = bim.base
-    n = len(xs)
-    pairs = ((base.unit, vm),) + tuple((base.unit, x) for x in xs)
-    degs = [bim.kmodule.gens.degree[vm]] + [bim.left.gens.degree[x] for x in xs]
+def _symmetry_defect(bim: AInfBimodule, structure_map, key) -> dict:
+    """sum_{i=0..n} structure_map_{i,n-i} o t_{n+1}^i on the generator
+    tuple key = (m, x_1, .., x_n), for structure maps on the R-R-bimodule
+    ``bim``."""
+    n = len(key) - 1
+    pairs = tuple((bim.base.unit, v) for v in key)
+    degs = [bim.kmodule.gens.degree[key[0]]] + [bim.left.gens.degree[x] for x in key[1:]]
     total = {}
     for i, rotated, parity in cyclic_rotations(pairs, degs):
         vec_add(total, structure_map(i, n - i, rotated), -1 if parity else 1)
@@ -748,14 +748,13 @@ def _symmetry_defect(bim: AInfBimodule, structure_map, vm, xs) -> dict:
 
 
 def _symmetry_report(title, bim: AInfBimodule, structure_map, up_to) -> Report:
-    """First witness, per arity n, of a nonzero rotation sum."""
+    """First witness (m, x_1, .., x_n), per arity n, of a nonzero rotation
+    sum."""
     report = Report(title)
     for n in range(1, up_to + 1):
-        candidates = ((vm, xs) for vm in bim.kmodule.gens.labels()
-                      for xs in product(bim.left.gens.labels(), repeat=n))
         report.record_first_defect(
-            f"n={n}", candidates,
-            lambda c: _symmetry_defect(bim, structure_map, *c))
+            f"n={n}", bimodule_inputs(None, bim.kmodule, bim.left, 0, n),
+            lambda key: _symmetry_defect(bim, structure_map, key))
     return report
 
 

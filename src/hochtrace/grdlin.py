@@ -26,6 +26,9 @@ Koszul signs are the ints +1 and -1.
 ``cyclic_rotations`` is the one implementation of the cyclic Koszul
 rotation and its sign: every Hochschild, Connes, trace and symmetry
 formula that rotates a word of graded factors goes through it.
+``chain_map_witness`` is the one chain-map certificate, f d = (-1)^{|f|}
+d f with its first failing label: every quotient, comparison, trace and
+transfer check of a map of complexes goes through it.
 
 Conventions: cohomological grading; s^n shifts degrees by -n (so the
 shift s lowers degrees by 1).  Shifts are pure relabelings of bases and
@@ -669,27 +672,31 @@ class HomologyBasis:
         return coords
 
 
-def is_chain_map(f: GradedMap, source: Complex, target: Complex) -> bool:
-    return f.compose(source.d) == target.d.compose(f)
-
-
-def chain_map_defect(f: GradedMap, source: Complex, target: Complex) -> GradedMap:
-    return f.compose(source.d) - target.d.compose(f)
-
-
-def require_chain_map(check, f: GradedMap, source: Complex, target: Complex):
-    """Raise CertificateError(check) unless f is a chain map, with witness
-    (source label, its column of f d - d f) at the first defect."""
-    if not is_chain_map(f, source, target):
-        raise CertificateError(check, next(iter(chain_map_defect(f, source, target)
-                                                .entries.items())))
+def chain_map_witness(f: GradedMap, d_source: GradedMap, d_target: GradedMap):
+    """The one chain-map certificate: None when f d = (-1)^{|f|} d f, the
+    rule for a map of complexes of degree |f|, else (v, its column of
+    f d - (-1)^{|f|} d f) at the first label v of ``f.source``, in basis
+    order.  Checked one column at a time, with no composite map built;
+    ValueError when f and the differentials do not share their spaces."""
+    if d_source.target != f.source or f.target != d_target.source:
+        raise ValueError("chain map and differentials do not share their spaces")
+    sign = -1 if f.degree % 2 else 1
+    for v, _deg in f.source.basis:
+        col = f(d_source.entries.get(v, {}))
+        fv = f.entries.get(v)
+        if fv:
+            vec_add(col, d_target(fv), -sign)
+        if col:
+            return v, col
+    return None
 
 
 def is_quasi_iso_window(f: GradedMap, source: Complex, target: Complex,
                         t_min, t_max) -> bool:
-    """True iff the chain map f induces isomorphisms on H^t for all t in window."""
-    if not is_chain_map(f, source, target):
-        raise ValueError("not a chain map")
+    """True iff the chain map f induces isomorphisms on H^t for all t in
+    window; CertificateError with the chain-map witness when f is none."""
+    if witness := chain_map_witness(f, source.d, target.d):
+        raise CertificateError("not a chain map", witness)
     for t in range(t_min, t_max + 1):
         hs = HomologyBasis(source, t)
         ht = HomologyBasis(target, t)

@@ -37,9 +37,8 @@ from .grdlin import (
     GradedSpace,
     HomologyBasis,
     _Eliminator,
+    chain_map_witness,
     cyclic_rotations,
-    is_chain_map,
-    require_chain_map,
     sparse_rank,
     vec_add,
     vec_add_term,
@@ -208,8 +207,8 @@ def normalized_hh(algebra: AInfAlgebra, bimodule: AInfBimodule, h_max):
         if unit not in label[2]:
             entries[label] = {label: ONE}
     quotient = GradedMap(full.space, reduced.space, 0, entries)
-    require_chain_map("normalized quotient failed to be a chain map", quotient,
-                      full.complex, reduced.complex)
+    if witness := chain_map_witness(quotient, full.d, reduced.d):
+        raise CertificateError("normalized quotient failed to be a chain map", witness)
     return full, reduced, quotient
 
 
@@ -283,7 +282,7 @@ def cyclic_quotient(space: GradedSpace, d: GradedMap, reduce, check):
     for a dead orbit.  Returns (projection p, quotient Complex) with the
     quotient differential p o d on the representatives.  The one
     certificate: p must be a chain map, p d = d p, else CertificateError
-    with ``check`` and witness (label, its column of p d - d p).  Behind
+    with ``check`` and the witness of ``grdlin.chain_map_witness``.  Behind
     ``ConnesComplex`` and ``BarConnesComplex``.
     """
     reps = {}
@@ -303,9 +302,8 @@ def cyclic_quotient(space: GradedSpace, d: GradedMap, reduce, check):
             entries[rep] = col
     quotient_d = GradedMap(quotient, quotient, 1, entries)
     complex_ = Complex(quotient, quotient_d)
-    lhs, rhs = projection.compose(d), quotient_d.compose(projection)
-    if lhs != rhs:
-        raise CertificateError(check, next(iter((lhs - rhs).entries.items())))
+    if witness := chain_map_witness(projection, d, quotient_d):
+        raise CertificateError(check, witness)
     return projection, complex_
 
 
@@ -473,10 +471,6 @@ class BarConstruction:
             if col:
                 entries[label] = col
         return GradedMap(self.space, target, 0, entries)
-
-    def augmentation_is_chain_map(self) -> bool:
-        eps = self.augmentation()
-        return is_chain_map(eps, self.complex, self.dga.module.complex)
 
     def __repr__(self):
         return f"BarConstruction(levels<={self.b_max}, dim={self.space.dim})"
@@ -670,8 +664,8 @@ def compare_classical(classical: ClassicalHochschild,
                     stack.append(w)
     iso = GradedMap(classical.space, ainf_hh.space, 0,
                     {v: {v: sign[v]} for v in labels})
-    require_chain_map("diagonal sign map failed the chain-map check", iso,
-                      classical.complex, ainf_hh.complex)
+    if witness := chain_map_witness(iso, classical.d, ainf_hh.d):
+        raise CertificateError("diagonal sign map failed the chain-map check", witness)
     return iso
 
 

@@ -24,7 +24,10 @@ module twists by ``bimod.hom_twist``, both one-sided actions go through
 ``bimod.dga_module_bimodule``, and ``SimpModel`` signs its sorted words
 with ``grdlin.koszul_sign``.
 
-Every trace-type map ships with an exact chain-map certificate.
+Every trace-type map ships with an exact chain-map certificate: one
+``chain_report`` on ``grdlin.chain_map_witness`` behind the generalized
+trace, the explicit transfer, the Becker-Gottlieb model and the assembly
+projection, each with its first failing label as witness.
 """
 from __future__ import annotations
 
@@ -59,9 +62,8 @@ from .grdlin import (
     HomologyBasis,
     ONE,
     SignedPermutation,
-    chain_map_defect,
+    chain_map_witness,
     cyclic_rotations,
-    is_chain_map,
     koszul_sign,
     solve,
     vec_add,
@@ -264,7 +266,7 @@ def tr_degree0(hh: HochschildComplex, m: AInfBimodule,
     with eps = (|x_0|+..+|x_{i-1}|)(|x_i|+..+|x_n|), the rotation sign.
     ``hh`` is the (flattened) Hochschild complex of S; ``m`` the left
     S-module over the base R; ``module`` its underlying free R-module.
-    Certified as a chain map by the caller via trace_chain_report."""
+    Certified as a chain map by the caller via ``chain_report``."""
     entries = {}
     for label in hh.space.labels():
         letters, degs = _letters_and_degrees(hh, label)
@@ -286,19 +288,13 @@ def corollary_tr(hh: HochschildComplex, s_alg: AInfAlgebra) -> GradedMap:
     return tr_degree0(hh, left_module_from_algebra(s_alg), s_alg.module).scale(-ONE)
 
 
-def _chain_report(title, check_name, f: GradedMap, source: Complex,
-                  target: Complex) -> Report:
+def chain_report(title, f: GradedMap, d_source: GradedMap, d_target: GradedMap) -> Report:
+    """The chain certificate f d = (-1)^{|f|} d f as a report, with the
+    witness of ``grdlin.chain_map_witness``."""
     report = Report(title)
-    defect = chain_map_defect(f, source, target)
-    witness = next(iter(defect.entries.items()), None)
-    report.record(check_name, witness is None, witness)
+    witness = chain_map_witness(f, d_source, d_target)
+    report.record("commutes with differentials", witness is None, witness)
     return report
-
-
-def trace_chain_report(name, tr_map: GradedMap, hh: HochschildComplex,
-                       base: BaseCDGA) -> Report:
-    return _chain_report(f"{name} chain certificate", "commutes with differentials",
-                         tr_map, hh.complex, base.complex)
 
 
 def cyclic_factorization_report(name, tr_map: GradedMap,
@@ -332,27 +328,17 @@ def becker_gottlieb(s_alg: AInfAlgebra) -> GradedMap:
 
 def becker_gottlieb_report(s_alg: AInfAlgebra) -> Report:
     """The Becker-Gottlieb model is a map of cochain complexes from the
-    unshifted S to R; on the shifted presentation the certificate is
-    d_R o bg = - bg o d_{sS} (the shift twists the sign)."""
-    report = Report("becker-gottlieb chain certificate")
-    bg = becker_gottlieb(s_alg)
-    base = s_alg.base
-    lhs = base.d.compose(bg)
-    rhs = bg.compose(s_alg.module.d)
-    ok = lhs == rhs.scale(-ONE)
-    report.record("commutes with differentials (up to the shift sign)", ok,
-                  None if ok else (lhs.entries, rhs.entries))
-    return report
+    unshifted S to R; on the shifted presentation sS it has degree 1, so
+    its certificate is bg o d_{sS} = -d_R o bg."""
+    return chain_report("becker-gottlieb chain certificate", becker_gottlieb(s_alg),
+                        s_alg.module.d, s_alg.base.d)
 
 
 def assembly_projection_report(hh: HochschildComplex) -> Report:
     """HH_Q(R) -> R, the projection to Hochschild degree 0 (unshifted), is
     a chain map exactly when the coefficients are symmetric (C-infinity R)."""
-    report = Report("assembly projection")
-    proj = hh.project_to_coefficients()
-    ok = is_chain_map(proj, hh.complex, hh.coefficient_complex())
-    report.record("projection is a chain map", ok)
-    return report
+    return chain_report("assembly projection", hh.project_to_coefficients(),
+                        hh.d, hh.coefficient_complex().d)
 
 
 # --- the generalized trace (Def-4.2.4 shape) -------------------------------------
@@ -435,9 +421,8 @@ class GeneralizedTrace:
         self.map = GradedMap(hh_end.space, hh_target.space, 0, entries)
 
     def chain_report(self) -> Report:
-        return _chain_report("generalized trace chain certificate",
-                             "commutes with differentials", self.map,
-                             self.hh_end.complex, self.hh_target.complex)
+        return chain_report("generalized trace chain certificate", self.map,
+                            self.hh_end.d, self.hh_target.d)
 
     # -- internals ---------------------------------------------------------
 
@@ -556,10 +541,8 @@ class TransferReport:
         self.composite = self.trace.map.compose(self.v_star)
 
     def chain_report(self) -> Report:
-        return _chain_report("explicit transfer chain certificate",
-                             "tr^c o v_* commutes with differentials",
-                             self.composite, self.hh_s.complex,
-                             self.trace.hh_target.complex)
+        return chain_report("explicit transfer chain certificate", self.composite,
+                            self.hh_s.d, self.trace.hh_target.d)
 
     def degree_zero_report(self, m: AInfBimodule) -> Report:
         """Thm-4.2.5 vs Thm-4.2.7 coherence: the Hochschild-degree-0 output

@@ -11,6 +11,7 @@ from hochtrace.grdlin import (
     GradedSpace,
     HomologyBasis,
     SignedPermutation,
+    chain_map_witness,
     cyclic_rotations,
     dense_rank,
     enumerate_shuffles,
@@ -33,6 +34,29 @@ def test_d_squared_failure_names_its_witness():
         Complex(space, d)
     assert caught.value.check == "d*d != 0"
     assert caught.value.witness == ("a", {"c": 3})
+    assert isinstance(caught.value, ValueError)
+
+
+def test_chain_map_failure_names_its_witness():
+    # a(0) -> b(1) and c(1) -> e(2), each with d = 1; a degree-1 map of
+    # complexes satisfies f d = -d f, so it must send b to -e
+    source = GradedSpace([("a", 0), ("b", 1)])
+    target = GradedSpace([("c", 1), ("e", 2)])
+    d_source = GradedMap(source, source, 1, {"a": {"b": 1}})
+    d_target = GradedMap(target, target, 1, {"c": {"e": 1}})
+    odd = GradedMap(source, target, 1, {"a": {"c": 1}, "b": {"e": -1}})
+    assert chain_map_witness(odd, d_source, d_target) is None
+    unsigned = GradedMap(source, target, 1, {"a": {"c": 1}, "b": {"e": 1}})
+    assert chain_map_witness(unsigned, d_source, d_target) == ("a", {"e": 2})
+    with pytest.raises(ValueError):
+        chain_map_witness(odd, d_target, d_source)
+    # the degree-0 map a -> a is none: f d (a) = 0 but d f (a) = b
+    cx = Complex(source, d_source)
+    keep_a = GradedMap(source, source, 0, {"a": {"a": 1}})
+    assert chain_map_witness(keep_a, d_source, d_source) == ("a", {"b": -1})
+    with pytest.raises(CertificateError) as caught:
+        is_quasi_iso_window(keep_a, cx, cx, 0, 1)
+    assert caught.value.witness == ("a", {"b": -1})
     assert isinstance(caught.value, ValueError)
 
 

@@ -10,7 +10,9 @@ End-valued operator built from structure maps comes from one place; and
 each of which vouches for d*d = 0 that elimination relies on; and only
 ``ainf`` flattens (``to_rational_algebra``, ``flat_tables``), while
 ``transfer`` reads no ``.is_rational`` and calls no ``isinstance``, so
-whether an HH letter is a pair (b, v) is decided by the ``ainf`` rule."""
+whether an HH letter is a pair (b, v) is decided by the ``ainf`` rule; and
+no function both calls ``.compose`` and compares with ``==`` or ``!=``, so
+every chain-map check goes through ``grdlin.chain_map_witness``."""
 import ast
 from pathlib import Path
 
@@ -108,6 +110,19 @@ def attribute_reads(source, attr):
                   if isinstance(node, ast.Attribute) and node.attr == attr)
 
 
+def compose_comparers(source):
+    """Names of the functions that call ``.compose`` and compare with ``==``
+    or ``!=``: each checks a chain map by hand."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef) and "compose" in _calls(fn)[0]:
+            if any(isinstance(node, ast.Compare)
+                   and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                   for node in ast.walk(fn)):
+                found.append(fn.name)
+    return sorted(found)
+
+
 def unchecked_complexes(source):
     """Qualified names of the functions that build a ``Complex`` with a
     ``check`` argument other than the literal True: each skips, or may
@@ -181,6 +196,11 @@ def test_one_flattening_rule(path):
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_chain_map_certificate(path):
+    assert compose_comparers(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_unchecked_complexes_are_the_listed_sites(path):
     assert unchecked_complexes(path.read_text()) == UNCHECKED_COMPLEXES.get(path.name, [])
 
@@ -212,3 +232,8 @@ def test_the_checks_fire():
     assert calls_to(source, ("to_rational_algebra", "flat_tables")) == [1, 2]
     assert calls_to(source, ("isinstance",)) == [4]
     assert attribute_reads(source, "is_rational") == [4]
+    source = ("def by_hand(f, d, e):\n    return f.compose(d) == e.compose(f)\n"
+              "def differs(f, d, e):\n    return f.compose(d) != e\n"
+              "def summed(d, h):\n    return d.compose(h) + h.compose(d)\n"
+              "def compared(a, b):\n    return a == b\n")
+    assert compose_comparers(source) == ["by_hand", "differs"]

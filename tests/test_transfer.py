@@ -24,6 +24,7 @@ from hochtrace.transfer import (
     assembly_projection_report,
     becker_gottlieb,
     becker_gottlieb_report,
+    chain_report,
     closed_form_transfer,
     corollary_tr,
     cyclic_factorization_report,
@@ -32,7 +33,6 @@ from hochtrace.transfer import (
     module_trace,
     tr0_tr1_evaluate,
     tr_degree0,
-    trace_chain_report,
     transfer_explicit,
     vanishing_check,
 )
@@ -84,7 +84,7 @@ def test_euler_traces():
         hh = hh_of_algebra(alg, 3)
         tr = corollary_tr(hh, alg)
         assert tr.column(("1", "1", ())).get("1", 0) == chi
-        assert trace_chain_report("tr", tr, hh, alg.base).ok
+        assert chain_report("tr chain certificate", tr, hh.d, alg.base.d).ok
         assert cyclic_factorization_report("tr", tr, hh).ok
 
 
@@ -101,7 +101,7 @@ def test_tr_degree0_chain_certificate_mu3():
     hh = hh_of_algebra(alg, 3)
     m = left_module_from_algebra(alg)
     tr = tr_degree0(hh, m, alg.module)
-    assert trace_chain_report("tr0", tr, hh, alg.base).ok
+    assert chain_report("tr0 chain certificate", tr, hh.d, alg.base.d).ok
     assert cyclic_factorization_report("tr0", tr, hh).ok
 
 
@@ -334,16 +334,21 @@ def test_explicit_transfer_over_s4_bundles(e_squared):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="flat letters (b, sv) are read without the sign "
                    "(-1)^{|b|} that matches them with s(bv) in HH(R) (ROADMAP item 14)")
-def test_explicit_transfer_over_a_product_bundle_on_a_base_with_differential():
-    # the product bundle S = R[e]/(e^2) over R = sphere3_with_differential()
-    # (odd y, dy = x): at h = 1 the chain certificate fails with witness
-    # (('1', ('y', '1'), ()), {('1', 'x', ()): -4}), and the closed form
-    # differs from the composite
-    alg = s4_bundle({}, sphere3_with_differential())
+@pytest.mark.parametrize("base", [sphere3_with_differential, lambda: exterior_odd(1)],
+                         ids=["d_nonzero", "exterior"])
+def test_explicit_transfer_over_a_product_bundle_on_an_odd_base(base):
+    # the product bundle S = R[e]/(e^2) at h = 1 over an odd base R.  Over
+    # sphere3_with_differential() (odd y, dy = x) the chain certificate
+    # fails with witness (('1', ('y', '1'), ()), {('1', 'x', ()): -4}).
+    # Over Lambda(x), d = 0, it passes, but the degree-0 report fails with
+    # witness (('1', ('x', '1'), ()), {'x': -4}) and the closed form sends
+    # ('1', ('x', '1'), ()) to +2 ('1', 'x', ()), the composite to -2
+    alg = s4_bundle({}, base())
     m = left_module_from_algebra(alg)
     coev = find_derived_coev(alg.base, alg.module, b_max=2)
     rep = transfer_explicit(alg, m, alg.module, coev, 1)
     assert rep.chain_report().ok
+    assert rep.degree_zero_report(m).ok
     assert closed_form_transfer(rep, m) == rep.composite
 
 
