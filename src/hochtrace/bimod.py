@@ -404,6 +404,8 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
                            + sum(middle.gens.degree[y] for y in ys))
                     gen_list.append(((vm, ys, vn), deg))
     gens = GradedSpace(gen_list)
+    if middle is not None:
+        middle_terms = insertions(base, middle.mu_word, 1, middle.arities, middle.gens.degree)
 
     def expand(l, r, key):
         """mu_{l,r} of the tensor bimodule on a generator tuple
@@ -433,9 +435,7 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
                     vec_add_term(out, (b2, (vm2, new_ys, vn)), c)
         if l == 0 and r == 0 and middle is not None:
             # id^{1+n1} (x) mu^S_{n2} (x) id, moving past vm, y_1..y_n1
-            for _n1, new_ys, b2, c, parity in insertions(base, middle.mu_word, 1,
-                                                         middle.arities, ys, y_degs,
-                                                         deg_m):
+            for _n1, new_ys, b2, c, parity in middle_terms(ys, deg_m):
                 vec_add_term(out, (b2, (vm, new_ys, vn)), -c if parity else c)
         if l == 0:
             # id^{1+n1} (x) mu^N_{n2,r}, moving past vm, y_1..y_n1; ascending

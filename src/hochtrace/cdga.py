@@ -15,9 +15,11 @@ past the collected coefficient.
 ``insertions`` is the one insertion and coefficient-migration rule:
 every complex assembled from structure maps (Hochschild, bar, bar
 Connes, the infinity tensor product) applies id^r (x) f (x) id^t to a
-word of unit-coefficient generators through it, and ``migration_parity``
-is the one place its sign is computed.  Those words never carry a
-non-unit coefficient, so assembly reads the structure tables by
+word of unit-coefficient generators through the one enumerator it
+builds per construction, which looks f up once per word and arity (a
+word's terms are its r = 0 windows plus those of word[1:]), and
+``migration_parity`` is the one place its sign is computed.  Those
+words never carry a non-unit coefficient, so assembly reads the tables by
 generator word (``AInfAlgebra.mu_word``, ``AInfBimodule.mu_word``);
 ``eval_k_multilinear`` serves the general (b, v) inputs of the
 validators, the actions and the transfer layer.
@@ -206,36 +208,59 @@ def migration_parity(prefix_degree, map_degree, coeff_degree):
     return prefix_degree * (map_degree + coeff_degree) % 2
 
 
-def insertions(base: BaseCDGA, f, map_degree, arities, word, degrees, prefix_degree=0):
-    """id^r (x) f (x) id^t at every window word[r:r+s] of a word of
-    generators that all carry the unit coefficient, for each width s in
-    ``arities``.
+def insertions(base: BaseCDGA, f, map_degree, arities, degree):
+    """The enumerator of id^r (x) f (x) id^t at every window word[r:r+s]
+    of a word of generators that all carry the unit coefficient, for each
+    width s in ``arities``; one per construction.
 
-    ``arities`` lists, ascending and without repeats, the widths at which
-    f can be nonzero; windows of any other width are not evaluated.  ``f``
-    takes the window as a tuple of generator labels (the unit coefficient
-    is implied) and returns a kvec, falsy where it does not act; it is
-    read, never mutated, so a stored table column will do.  ``degrees``
-    are the |v|, and ``prefix_degree`` the degree of what stands before
-    the word.  Yields (r, word[:r] + (y,) + word[r+s:], c, coeff, parity)
-    for each entry (c, y): coeff of f's value, with migration_parity at
-    M = prefix_degree + |word[:r]|.  The caller multiplies the coefficient
-    c into its own.
+    ``arities`` lists the widths at which f can be nonzero, ascending and
+    without repeats (ValueError otherwise).  ``f`` takes the window as a
+    tuple of generator labels (the unit coefficient is implied) and
+    returns a kvec, falsy where it does not act; it is read, never
+    mutated, so a stored table column will do.  ``degree`` maps a
+    generator to |v|.  ``terms(word, prefix_degree=0)`` yields, s
+    ascending and then r ascending, (r, word[:r] + (y,) + word[r+s:], c,
+    coeff, parity) for each entry (c, y): coeff of f's value, with
+    migration_parity at M = prefix_degree + |word[:r]|, the prefix degree
+    being that of what stands before the word.  The caller multiplies the
+    coefficient c into its own.
+
+    A word's terms are memoized without their parity: per arity s, the
+    window at r = 0 is one lookup f(word[:s]), and the rest are the terms
+    of word[1:] with word[0] prepended, r + 1 and |word[:r]| raised by
+    |word[0]|.  The memo lives as long as the enumerator.
     """
+    if any(s >= t for s, t in zip(arities, arities[1:])):
+        raise ValueError(f"insertion arities {arities!r} are not ascending and distinct")
     coeff_degree = base.space.degree
-    prefix = [prefix_degree]
-    for d in degrees:
-        prefix.append(prefix[-1] + d)
-    n = len(word)
-    for s in arities:
-        for r in range(n - s + 1):
-            value = f(word[r:r + s])
-            if value:
-                m = prefix[r]
-                head, tail = word[:r], word[r + s:]
-                for (c, y), coeff in value.items():
-                    yield (r, head + (y,) + tail, c, coeff,
-                           migration_parity(m, map_degree, coeff_degree[c]))
+    memo = {}
+
+    def table(word):
+        # per arity, the (r, new word, c, coeff, |word[:r]|) of every window
+        found = memo.get(word)
+        if found is None:
+            n = len(word)
+            rest = table(word[1:]) if arities and n > arities[0] else None
+            found = []
+            for i, s in enumerate(arities):
+                value = f(word[:s]) if n >= s else None
+                terms = [(0, (y,) + word[s:], c, coeff, 0)
+                         for (c, y), coeff in value.items()] if value else []
+                if rest and rest[i]:
+                    head, shift = word[:1], degree[word[0]]
+                    terms += [(r + 1, head + w, c, coeff, rel + shift)
+                              for r, w, c, coeff, rel in rest[i]]
+                found.append(terms)
+            memo[word] = found
+        return found
+
+    def terms(word, prefix_degree=0):
+        for per_arity in table(word):
+            for r, new_word, c, coeff, rel in per_arity:
+                yield (r, new_word, c, coeff,
+                       migration_parity(prefix_degree + rel, map_degree, coeff_degree[c]))
+
+    return terms
 
 
 def eval_k_multilinear(base: BaseCDGA, table, map_degree, pairs, gen_degrees) -> Kvec:

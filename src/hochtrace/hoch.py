@@ -11,6 +11,9 @@ unchanged, no signs).
 The differential never raises the Hochschild degree, so truncation at
 H_max is an honest subcomplex and d^2 = 0 holds exactly there.
 
+Each construction builds one ``cdga.insertions`` enumerator per inserted
+map, which looks each word up once per arity, and drops it once built.
+
 ``cyclic_quotient`` is the one quotient by signed cyclic rotation
 (representatives from ``cyclic_representative``, the projection p, the
 differential p o d and the chain-map certificate), behind
@@ -84,26 +87,27 @@ class HochschildComplex:
                       if not (normalized and x == unit)]
         if normalized and unit is None:
             raise ValueError("normalization needs a unital algebra")
+        m_degree = bimodule.kmodule.gens.degree
         basis = []
         for n in range(0, self.h_max + 1):
             for xs in product(gen_labels, repeat=n):
+                deg_xs = sum(algebra.gens.degree[x] for x in xs) + self.shift
                 for b in base.space.labels():
+                    deg_bxs = base.degree(b) + deg_xs
                     for vm in bimodule.kmodule.gens.labels():
-                        deg = (base.degree(b)
-                               + bimodule.kmodule.gens.degree[vm]
-                               + sum(algebra.gens.degree[x] for x in xs)
-                               + self.shift)
-                        basis.append(((b, vm, xs), deg))
+                        basis.append(((b, vm, xs), deg_bxs + m_degree[vm]))
         self.space = GradedSpace(basis)
         # the bimodule maps that exist: fold l -> ascending r
         self._folds = {}
         for l, r in bimodule.arities:
             self._folds.setdefault(l, []).append(r)
+        self._terms = insertions(base, algebra.mu_word, 1, algebra.arities, algebra.gens.degree)
         entries = {}
         for (label, _deg) in basis:
             col = self.differential_column(label)
             if col:
                 entries[label] = col
+        del self._terms
         self.d = GradedMap(self.space, self.space, 1, entries)
         self.complex = Complex(self.space, self.d)
 
@@ -119,7 +123,8 @@ class HochschildComplex:
 
     def differential_column(self, label) -> dict:
         """d_HH per Obs-3.7.2 shape: algebra insertions plus rotated
-        bimodule folds; the k-coefficient is handled by migration.
+        bimodule folds; the k-coefficient is handled by migration.  Called
+        during construction, while ``self._terms`` holds mu's enumerator.
 
         Signs are kept as parity bits and applied by negation."""
         b, vm, xs = label
@@ -131,8 +136,7 @@ class HochschildComplex:
         out = {}
         # (a) id^{1+r} (x) mu_s (x) id^t on the x-string, s in alg.arities; mu moves
         # past b, then past m, x_1..x_r together with its coefficient c
-        for _r, new_xs, c, coeff, parity in insertions(base, alg.mu_word, 1, alg.arities,
-                                                       xs, x_degs, deg_m):
+        for _r, new_xs, c, coeff, parity in self._terms(xs, deg_m):
             _add_times_base(out, base, b, c, (vm, new_xs), coeff, deg_b ^ parity)
         # (b) (mu_{l,r}^M (x) id^s) o t_{1+n}^l, for the (l, r) that exist
         folds = self._folds
@@ -420,18 +424,22 @@ class BarConstruction:
                     deg = base.degree(b) + sum(gens.degree[v] for v in vs) - n
                     basis.append((("bar", n, b, vs), deg))
         self.space = GradedSpace(basis)
+        # the horizontal faces insert mu, the twist inserts d
+        self._faces = insertions(base, dga.mult.get, 0, (2,), gens.degree)
+        self._twists = insertions(base, lambda window: dga.module.d_gen.get(window[0]), 1,
+                                  (1,), gens.degree)
         entries = {}
         for (label, _deg) in basis:
             col = self._differential(label)
             if col:
                 entries[label] = col
+        del self._faces, self._twists
         self.d = GradedMap(self.space, self.space, 1, entries)
         self.complex = Complex(self.space, self.d)
 
     def _differential(self, label) -> dict:
         _tag, n, b, vs = label
-        dga, base = self.dga, self.base
-        degs = [dga.gens.degree[v] for v in vs]
+        base = self.base
         out = {}
 
         def add(level, c, new_vs, coeff, negate):
@@ -439,19 +447,16 @@ class BarConstruction:
             for b2, q in base.mul_basis(b, c).items():
                 vec_add_term(out, ("bar", level, b2, new_vs), coeff * q)
 
-        def twist(window):
-            return dga.module.d_gen.get(window[0])
-
         # horizontal faces: sum (-1)^i id^i (x) mu (x) id^{n-i}; level 0 has
         # none (its face is the augmentation, not part of the differential)
         if n >= 1:
-            for i, new_vs, c, coeff, parity in insertions(base, dga.mult.get, 0, (2,), vs, degs):
+            for i, new_vs, c, coeff, parity in self._faces(vs):
                 add(n - 1, c, new_vs, coeff, (i + parity) % 2)
         # internal differential and the twist, with the totalization sign (-1)^n
         for b2, q in base.d.column(b).items():
             vec_add_term(out, ("bar", n, b2, vs), -q if n % 2 else q)
         tot_b = n + base.degree(b)
-        for _i, new_vs, c, coeff, parity in insertions(base, twist, 1, (1,), vs, degs):
+        for _i, new_vs, c, coeff, parity in self._twists(vs):
             add(n, c, new_vs, coeff, (tot_b + parity) % 2)
         return out
 
@@ -763,6 +768,7 @@ class BarConnesComplex:
                 deg = base.degree(b) + sum(self._factor_degree(w) for w in words)
                 full[(b, words)] = deg
         self.full_space = GradedSpace(full.items())
+        self._terms = insertions(base, algebra.mu_word, 1, algebra.arities, algebra.gens.degree)
         full_d_entries = {}
         for label in self.full_space.labels():
             col = self._differential(label)
@@ -771,6 +777,7 @@ class BarConnesComplex:
                 raise ValueError(f"word tuples not closed under d: {label!r} -> {outside[0]!r}")
             if col:
                 full_d_entries[label] = col
+        del self._terms
         full_d = GradedMap(self.full_space, self.full_space, 1, full_d_entries)
         self.projection, self.complex = cyclic_quotient(
             self.full_space, full_d, lambda label: self.reduce_label(*label),
@@ -801,7 +808,6 @@ class BarConnesComplex:
     def _differential(self, label) -> dict:
         b, words = label
         base = self.base
-        degree = self.algebra.gens.degree
         out = {}
         deg_b = base.degree(b) % 2
         before = 0  # the degree of the factors before w
@@ -810,9 +816,7 @@ class BarConnesComplex:
             # wordwise bar differential: mu moves past b, then past the
             # factors before w and w's own prefix together with its
             # coefficient c
-            for _r, new_word, c, coeff, parity in insertions(
-                    base, self.algebra.mu_word, 1, self.algebra.arities, w,
-                    [degree[x] for x in w], before):
+            for _r, new_word, c, coeff, parity in self._terms(w, before):
                 _add_times_base(out, base, b, c, (head + (new_word,) + tail,), coeff,
                                 deg_b ^ parity)
             # deconcatenations, sign (-1)^{deg s^{-1} w_1}

@@ -1,11 +1,12 @@
 """Structure maps are evaluated only at the arities where they exist.
 
 ``AInfAlgebra.arities`` lists the mu_n that can be nonzero on words of
-unit-coefficient generators, and ``cdga.insertions`` evaluates windows of
-those widths only.  The differentials below have mu_1 != 0 and were hashed
-before any width was skipped, so skipping a live arity, or counting mu_1
-twice, changes them.  (The odd-coefficient algebra itself, with mu_1 = 0,
-is pinned in test_coefficient_migration.py.)
+unit-coefficient generators, and the ``cdga.insertions`` enumerator looks
+a word up at those widths only, once per word and width.  The
+differentials below have mu_1 != 0 and were hashed before any width was
+skipped, so skipping a live arity, or counting mu_1 twice, changes them.
+(The odd-coefficient algebra itself, with mu_1 = 0, is pinned in
+test_coefficient_migration.py.)
 """
 import hashlib
 import random
