@@ -13,6 +13,10 @@ H_max is an honest subcomplex and d^2 = 0 holds exactly there.
 
 Each construction builds one ``cdga.insertions`` enumerator per inserted
 map, which looks each word up once per arity, and drops it once built.
+``HochschildComplex`` builds a word's columns together: the term
+(d_R b, vm, xs), the insertions, less those that output the unit when
+normalized, and the rotated bimodule folds, read from one ``fold_table``
+per construction with one lookup per word and (l, r).
 
 ``cyclic_quotient`` is the one quotient by signed cyclic rotation
 (representatives from ``cyclic_representative``, the projection p, the
@@ -21,7 +25,7 @@ differential p o d and the chain-map certificate), behind
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 
 from .ainf import AInfAlgebra, compositions, from_dga
 from .bimod import (
@@ -63,12 +67,29 @@ def _add_times_base(out, base, b, c, tail, coeff, negate):
         vec_add_term(out, (b2,) + tail, -term if negate else term)
 
 
+def fold_table(bimodule: AInfBimodule) -> dict:
+    """The bimodule folds by window: {(l, r): {(tail, head): [(vm, column)]}}
+    in ``bimodule.arities`` order, for each stored input tail + (vm,) + head
+    of mu_{l,r}; the (0, 0) entries, at ((), ()), are the module
+    differential.  The columns are the stored ones: read, never mutate."""
+    table = {}
+    for l, r in bimodule.arities:
+        inputs = ([((vm,), bimodule.mu_word(0, 0, (vm,))) for vm in bimodule.kmodule.gens.labels()]
+                  if (l, r) == (0, 0) else bimodule.tables[(l, r)].items())
+        windows = table[(l, r)] = {}
+        for key, column in inputs:
+            if column:
+                windows.setdefault((key[:l], key[l + 1:]), []).append((key[l], column))
+    return table
+
+
 class HochschildComplex:
     """HH_k(R, M) truncated at Hochschild degree h_max.
 
     ``shift``: added to every total degree (s^{-1} for HH_k(R) means
     shift=+1); labels are unchanged and no signs are introduced.
     ``normalized``: drop basis elements whose x-part contains s1.
+    Columns are built per word; the enumerator and fold table then go.
     """
 
     def __init__(self, algebra: AInfAlgebra, bimodule: AInfBimodule, h_max,
@@ -80,108 +101,90 @@ class HochschildComplex:
         self.h_max = int(h_max)
         self.shift = int(shift)
         self.normalized = normalized
-        base = algebra.base
-        self.base = base
+        self.base = base = algebra.base
         unit = algebra.unit
         gen_labels = [x for x in algebra.gens.labels()
                       if not (normalized and x == unit)]
         if normalized and unit is None:
             raise ValueError("normalization needs a unital algebra")
-        m_degree = bimodule.kmodule.gens.degree
-        basis = []
+        terms = insertions(base, algebra.mu_word, 1, algebra.arities, algebra.gens.degree)
+        folds = fold_table(bimodule)
+        basis, entries = [], {}
         for n in range(0, self.h_max + 1):
             for xs in product(gen_labels, repeat=n):
-                deg_xs = sum(algebra.gens.degree[x] for x in xs) + self.shift
-                for b in base.space.labels():
-                    deg_bxs = base.degree(b) + deg_xs
-                    for vm in bimodule.kmodule.gens.labels():
-                        basis.append(((b, vm, xs), deg_bxs + m_degree[vm]))
+                for label, deg, col in self._word_columns(xs, terms, folds):
+                    basis.append((label, deg))
+                    if col:
+                        entries[label] = col
+        del terms, folds
         self.space = GradedSpace(basis)
-        # the bimodule maps that exist: fold l -> ascending r
-        self._folds = {}
-        for l, r in bimodule.arities:
-            self._folds.setdefault(l, []).append(r)
-        self._terms = insertions(base, algebra.mu_word, 1, algebra.arities, algebra.gens.degree)
-        entries = {}
-        for (label, _deg) in basis:
-            col = self.differential_column(label)
-            if col:
-                entries[label] = col
-        del self._terms
         self.d = GradedMap(self.space, self.space, 1, entries)
         self.complex = Complex(self.space, self.d)
 
     def hochschild_degree(self, label):
         return len(label[2])
 
-    def _project(self, col):
-        if not self.normalized:
-            return col
-        unit = self.algebra.unit
-        return {label: c for label, c in col.items()
-                if unit not in label[2]}
-
-    def differential_column(self, label) -> dict:
-        """d_HH per Obs-3.7.2 shape: algebra insertions plus rotated
-        bimodule folds; the k-coefficient is handled by migration.  Called
-        during construction, while ``self._terms`` holds mu's enumerator.
-
-        Signs are kept as parity bits and applied by negation."""
-        b, vm, xs = label
-        alg, bim, base = self.algebra, self.bimodule, self.base
+    def _word_columns(self, xs, terms, folds):
+        """Yield (label, degree, d label) for the labels (b, vm, xs) in basis
+        order: (d_R b, vm, xs), mu's insertions ``terms``, then the rotated
+        ``folds``.  A normalized complex skips each insertion that outputs the
+        unit, the only way in for it: a fold outputs a sub-word of xs."""
+        alg, base, m_degree = self.algebra, self.base, self.bimodule.kmodule.gens.degree
         n = len(xs)
-        deg_b = base.degree(b) % 2
-        deg_m = bim.kmodule.gens.degree[vm]
-        x_degs = [alg.gens.degree[x] for x in xs]
-        out = {}
-        # (a) id^{1+r} (x) mu_s (x) id^t on the x-string, s in alg.arities; mu moves
-        # past b, then past m, x_1..x_r together with its coefficient c
-        for _r, new_xs, c, coeff, parity in self._terms(xs, deg_m):
-            _add_times_base(out, base, b, c, (vm, new_xs), coeff, deg_b ^ parity)
-        # (b) (mu_{l,r}^M (x) id^s) o t_{1+n}^l, for the (l, r) that exist
-        folds = self._folds
-        top = max(folds, default=-1)
-        factors = (vm,) + xs
-        degrees = [deg_m] + x_degs
-        for l, rotated, rot_parity in cyclic_rotations(factors, degrees):
-            if l > top:
-                break
-            if l not in folds:
-                continue
-            # rotated = (x_{n-l+1}, .., x_n, vm, x_1, .., x_{n-l})
-            negate = rot_parity ^ deg_b
-            for r in folds[l]:
-                if r > n - l:
-                    break
-                value = bim.mu_word(l, r, rotated[:l + 1 + r])
-                new_xs = rotated[l + 1 + r:]
-                for (c, vm2), coeff in value.items():
-                    _add_times_base(out, base, b, c, (vm2, new_xs), coeff, negate)
-        return self._project(out)
+        # (b) (mu_{l,r}^M (x) id^s) o t_{1+n}^l reads the window (xs[n-l:], vm,
+        # xs[:r]) and leaves xs[r:n-l]: one lookup per (l, r) for every vm
+        hits, top = {}, -1
+        for (l, r), windows in folds.items():
+            if l + r <= n and (found := windows.get((xs[n - l:], xs[:r]))):
+                top = l
+                for vm, column in found:
+                    hits.setdefault(vm, []).append((l, xs[r:n - l], column))
+        x_degrees = [alg.gens.degree[x] for x in xs]
+        deg_xs = sum(x_degrees) + self.shift
+        unit = alg.unit if self.normalized else None
+        inserted, rotation = {}, {}
+        for p in {deg % 2 for deg in m_degree.values()}:
+            # (a) id^{1+r} (x) mu_s (x) id^t on the x-string; mu moves past b,
+            # then past m, x_1..x_r together with its coefficient c
+            inserted[p] = [(w, c, coeff, parity) for r, w, c, coeff, parity in terms(xs, p)
+                           if w[r] != unit]
+            # the parities of the rotations l = 0..top, the largest fold l found
+            rotation[p] = [parity for _l, _rotated, parity in
+                           islice(cyclic_rotations((None,) + xs, [p] + x_degrees), top + 1)]
+        for b in base.space.labels():
+            deg_b, db = base.degree(b), base.d.column(b)
+            odd_b = deg_b % 2
+            for vm in self.bimodule.kmodule.gens.labels():
+                p = m_degree[vm] % 2
+                out = {(b2, vm, xs): c for b2, c in db.items()}
+                for new_xs, c, coeff, parity in inserted[p]:
+                    _add_times_base(out, base, b, c, (vm, new_xs), coeff, odd_b ^ parity)
+                for l, new_xs, column in hits.get(vm, ()):
+                    negate = rotation[p][l] ^ odd_b
+                    for (c, vm2), coeff in column.items():
+                        _add_times_base(out, base, b, c, (vm2, new_xs), coeff, negate)
+                yield (b, vm, xs), deg_b + m_degree[vm] + deg_xs, out
 
     def project_to_coefficients(self) -> GradedMap:
         """The Hochschild-degree-0 projection onto M (a chain map when the
         coefficients are symmetric, Lemma 3.7.11 shape)."""
-        target = self.bimodule.kmodule.total
-        shifted_target = GradedSpace(
-            (label, deg + self.shift) for label, deg in target.basis)
-        entries = {}
-        for (b, vm, xs) in self.space.labels():
-            if not xs:
-                entries[(b, vm, xs)] = {(b, vm): ONE}
-        return GradedMap(self.space, shifted_target, 0, entries)
+        entries = {(b, vm, xs): {(b, vm): ONE} for (b, vm, xs) in self.space.labels()
+                   if not xs}
+        return GradedMap(self.space, self._coefficient_space(), 0, entries)
+
+    def _coefficient_space(self) -> GradedSpace:
+        return GradedSpace((label, deg + self.shift)
+                           for label, deg in self.bimodule.kmodule.total.basis)
 
     def coefficient_complex(self) -> Complex:
-        target = self.bimodule.kmodule.total
-        shifted_target = GradedSpace(
-            (label, deg + self.shift) for label, deg in target.basis)
+        shifted_target = self._coefficient_space()
         d = GradedMap(shifted_target, shifted_target, 1,
                       self.bimodule.kmodule.d.entries, check=False)
         return Complex(shifted_target, d, check=False)
 
     def include_coefficients(self) -> GradedMap:
         """M -> HH as the Hochschild-degree-0 part."""
-        source = self.coefficient_complex().space
+        source = self._coefficient_space()
         entries = {(b, vm): {(b, vm, ()): ONE} for (b, vm) in source.labels()}
         return GradedMap(source, self.space, 0, entries)
 
@@ -205,11 +208,8 @@ def normalized_hh(algebra: AInfAlgebra, bimodule: AInfBimodule, h_max):
     """The normalized complex together with the quotient chain map."""
     full = HochschildComplex(algebra, bimodule, h_max)
     reduced = HochschildComplex(algebra, bimodule, h_max, normalized=True)
-    entries = {}
-    unit = algebra.unit
-    for label in full.space.labels():
-        if unit not in label[2]:
-            entries[label] = {label: ONE}
+    entries = {label: {label: ONE} for label in full.space.labels()
+               if algebra.unit not in label[2]}
     quotient = GradedMap(full.space, reduced.space, 0, entries)
     if witness := chain_map_witness(quotient, full.d, reduced.d):
         raise CertificateError("normalized quotient failed to be a chain map", witness)
