@@ -406,6 +406,13 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
     gens = GradedSpace(gen_list)
     if middle is not None:
         middle_terms = insertions(base, middle.mu_word, 1, middle.arities, middle.gens.degree)
+    # the factors' arities by side, once: ascending n1 of mu^M_{l,n1} per l,
+    # descending n2 of mu^N_{n2,r} (ascending n1 = k - n2) per r
+    m_arities, n_arities = {}, {}
+    for l1, n1 in m.arities:
+        m_arities.setdefault(l1, []).append(n1)
+    for n2, r2 in reversed(n.arities):
+        n_arities.setdefault(r2, []).append(n2)
 
     def expand(l, r, key):
         """mu_{l,r} of the tensor bimodule on a generator tuple
@@ -418,35 +425,32 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
         """
         vm, ys, vn = key[l]
         k = len(ys)
-        # x_1..x_l, vm, ys, vn, y_1..y_r: the factors' windows
-        word = key[:l] + (vm,) + ys + (vn,) + key[l + 1:]
         deg_m = m.kmodule.gens.degree[vm]
-        y_degs = [middle.gens.degree[y] for y in ys]
         out = {}
-        if r == 0:
-            # mu^M_{l,n1} (x) id^{(k-n1)+1}: window starts at the far left;
-            # ascending n1
-            for l1, n1 in m.arities:
-                if l1 != l or n1 > k:
-                    continue
-                value = m.mu_word(l, n1, word[:l + 1 + n1])
+        if r == 0 and l in m_arities:
+            # mu^M_{l,n1} (x) id^{(k-n1)+1}: the window x_1..x_l, vm, y_1..y_n1
+            head = key[:l] + (vm,) + ys
+            for n1 in m_arities[l]:
+                if n1 > k:
+                    break
                 new_ys = ys[n1:]
-                for (b2, vm2), c in value.items():
+                for (b2, vm2), c in m.mu_word(l, n1, head[:l + 1 + n1]).items():
                     vec_add_term(out, (b2, (vm2, new_ys, vn)), c)
         if l == 0 and r == 0 and middle is not None:
             # id^{1+n1} (x) mu^S_{n2} (x) id, moving past vm, y_1..y_n1
             for _n1, new_ys, b2, c, parity in middle_terms(ys, deg_m):
                 vec_add_term(out, (b2, (vm, new_ys, vn)), -c if parity else c)
-        if l == 0:
-            # id^{1+n1} (x) mu^N_{n2,r}, moving past vm, y_1..y_n1; ascending
-            # n1 = k - n2
-            for n2, r2 in reversed(n.arities):
-                if r2 != r or n2 > k:
+        if l == 0 and r in n_arities:
+            # id^{1+n1} (x) mu^N_{n2,r} on the window y_{n1+1}..y_k, vn, y_1..y_r,
+            # moving past vm, y_1..y_n1
+            tail = (vn,) + key[1:]
+            y_degs = [middle.gens.degree[y] for y in ys]
+            for n2 in n_arities[r]:
+                if n2 > k:
                     continue
                 n1 = k - n2
                 left_deg = deg_m + sum(y_degs[:n1])
-                value = n.mu_word(n2, r, word[1 + n1:])
-                for (b2, vn2), c in value.items():
+                for (b2, vn2), c in n.mu_word(n2, r, ys[n1:] + tail).items():
                     negate = migration_parity(left_deg, 1, base.degree(b2))
                     vec_add_term(out, (b2, (vm, ys[:n1], vn2)), -c if negate else c)
         return out
@@ -461,7 +465,7 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
     out_nmax = max(m.n_max, n.n_max)
     # tensor structure maps vanish unless one side is 0; table (l, 0) only
     # applies mu^M_{l, .} and table (0, r) only mu^N_{., r}
-    live = {(l, 0) for l, _r in m.arities} | {(0, r) for _l, r in n.arities}
+    live = {(l, 0) for l in m_arities} | {(0, r) for r in n_arities}
     tables = {}
     for l, r in shapes(m.left, n.right, 1, out_nmax):
         if (l, r) not in live:

@@ -361,10 +361,13 @@ class KAlgebra:
                 raise ValueError(f"unit fails on the right of {x!r}")
         if d(self.unit_kvec):
             raise ValueError("d(1) != 0")
+        # each generator pair's product, once, for Leibniz and associativity
+        products = {(x, y): self.mul_pairs((self.base.unit, x), (self.base.unit, y))
+                    for x in gens for y in gens}
         for x in gens:
             for y in gens:
                 px, py = (self.base.unit, x), (self.base.unit, y)
-                xy = self.mul_pairs(px, py)
+                xy = products[x, y]
                 got = d(xy)
                 expect = self.mul(d.column(px), {py: ONE})
                 sign = -ONE if self.gens.degree[x] % 2 else ONE
@@ -373,7 +376,7 @@ class KAlgebra:
                     raise ValueError(f"Leibniz fails at ({x!r}, {y!r})")
                 for z in gens:
                     pz = (self.base.unit, z)
-                    if self.mul(xy, {pz: ONE}) != self.mul({px: ONE}, self.mul_pairs(py, pz)):
+                    if self.mul(xy, {pz: ONE}) != self.mul({px: ONE}, products[y, z]):
                         raise ValueError(f"not associative at ({x!r}, {y!r}, {z!r})")
 
     def __repr__(self):

@@ -146,6 +146,11 @@ class GradedMap:
     given with zeros dropped: an int for every integral coefficient, a
     Fraction only where elimination divided by a non-unit pivot.  Every
     entry must raise degrees by exactly ``degree``.
+
+    The map takes the caller's column dicts: one pass scans each column
+    for zeros (and checks its degrees when ``check``), and only a column
+    holding a zero is copied.  A caller must not mutate a column after
+    handing it over.
     """
 
     __slots__ = ("source", "target", "degree", "entries")
@@ -153,20 +158,20 @@ class GradedMap:
     def __init__(self, source, target, degree, entries, check=True):
         self.source = source
         self.target = target
-        self.degree = int(degree)
-        self.entries = {
-            v: {w: c for w, c in col.items() if c}
-            for v, col in entries.items()
-            if any(col.values())
-        }
-        if check:
-            for v, col in self.entries.items():
-                dv = source.degree[v]
+        self.degree = degree = int(degree)
+        self.entries = kept = {}
+        target_degree = target.degree
+        for v, col in entries.items():
+            if not all(col.values()):
+                col = {w: c for w, c in col.items() if c}
+            if not col:
+                continue
+            if check:
+                dw = source.degree[v] + degree
                 for w in col:
-                    if target.degree[w] != dv + self.degree:
-                        raise ValueError(
-                            f"entry {v!r} -> {w!r} violates degree {self.degree}"
-                        )
+                    if target_degree[w] != dw:
+                        raise ValueError(f"entry {v!r} -> {w!r} violates degree {degree}")
+            kept[v] = col
 
     @classmethod
     def zero(cls, source, target, degree=0):
@@ -467,7 +472,8 @@ class _Eliminator:
 
     The pivot of a row is its leading column: the label with the least
     repr (``lead``).  ``hoch.ClassicalHochschild`` relies on this order
-    to keep its "a"-tagged relation labels ahead of its "z"-tagged basis.
+    to keep its "a"-tagged relation labels ahead of its "z"-tagged basis;
+    it inserts through ``_insert`` and reads a lead as ``_labels[min(row)]``.
 
     Inside, rows are keyed by the repr string of each label, computed
     once when a row brings the label in, and ``pivots`` maps the repr of

@@ -18,6 +18,10 @@ map, which looks each word up once per arity, and drops it once built.
 normalized, and the rotated bimodule folds, read from one ``fold_table``
 per construction with one lookup per word and (l, r).
 
+``ClassicalHochschild`` reads mu^M once per (vm, x), mu^B once per (beta,
+x) and each bar generator's tag once, and keeps its relation rows keyed
+by repr.
+
 ``cyclic_quotient`` is the one quotient by signed cyclic rotation
 (representatives from ``cyclic_representative``, the projection p, the
 differential p o d and the chain-map certificate), behind
@@ -501,6 +505,12 @@ class ClassicalHochschild:
     and certified by D-stability of the span; the quotient retracts onto
     the canonical basis (s1 (x) xs (x) s1) (x) m = m (x) xs.  Restricted
     to the rational base (the comparison oracle's habitat).
+
+    Each generator is read once: a bar generator's tag ("z" on the
+    canonical basis, "a" off it), mu^M_{0,1}(m, sx) and mu^M_{1,0}(sx, m)
+    per (m, x), mu^B_{1,0}(sx, b) and mu^B_{0,1}(b, sx) per (b, x).  The
+    relations go in in (b, m, x, u1/u2) order; only a row that hits the
+    basis is keyed by label again, for its witness.
     """
 
     def __init__(self, dga: KAlgebra, bimodule: AInfBimodule, h_max):
@@ -519,91 +529,65 @@ class ClassicalHochschild:
         mg = bimodule.kmodule.gens
         sdeg = alg.gens.degree
         unit = alg.unit
+        # each bar generator's tag, once: "z" on the canonical basis, "a" off it
+        tag = {beta: "z" if beta[0] == unit and beta[2] == unit else "a" for beta in bg.labels()}
+        xs = [x for x in alg.gens.labels() if x != unit]  # the unit relations vanish identically
 
-        def tensor_d(lab):
-            beta, vm = lab
+        def row(beta, vm, bar_col, m_col, negate):
+            """bar_col (x) vm + (-1)^negate beta (x) m_col, keyed by tagged label."""
             out = {}
-            for (_1, b2), c in bar.mu_word(0, 0, (beta,)).items():
-                vec_add_term(out, (b2, vm), c)
-            negate = bg.degree[beta] % 2
-            for (_1, vm2), c in bimodule.mu_word(0, 0, (vm,)).items():
-                vec_add_term(out, (beta, vm2), -c if negate else c)
+            for (_1, b2), c in bar_col.items():
+                vec_add_term(out, (tag[b2], (b2, vm)), c)
+            for (_1, vm2), c in m_col.items():
+                vec_add_term(out, (tag[beta], (beta, vm2)), -c if negate else c)
             return out
-
-        def canonical(lab):
-            (vb, _ys, vb2), _vm = lab
-            return vb == unit and vb2 == unit
-
-        def wrap(lab):
-            return ("z" if canonical(lab) else "a"), lab
 
         elim = _Eliminator()
         self._relation_count = 0
 
-        def relate(row, witness):
+        def relate(witness, bar_col, m_col, negate):
             """Insert one relation row; it must not reduce onto the basis."""
-            if row:
+            if relation := row(*witness[2:], bar_col, m_col, negate):
                 self._relation_count += 1
-                rrow, _ = elim.insert({wrap(k): c for k, c in row.items()})
-                if rrow and elim.lead(rrow)[0] == "z":
-                    raise CertificateError("relation span hit the basis",
-                                           (witness, {k: c for (_, k), c in rrow.items()}))
+                rrow, _ = elim._insert(relation, None)
+                if rrow and elim._labels[min(rrow)][0] == "z":
+                    raise CertificateError("relation span hit the basis", (witness, {
+                        k: c for (_, k), c in elim._labelled(rrow).items()}))
 
+        m_cols = {vm: [(x, bimodule.mu_word(0, 1, (vm, x)), bimodule.mu_word(1, 0, (x, vm)))
+                       for x in xs] for vm in mg.labels()}
         for beta in bg.labels():
             beta_deg = bg.degree[beta]
-            for vm in mg.labels():
+            b_cols = [(bar.mu_word(1, 0, (x, beta)), bar.mu_word(0, 1, (beta, x))) for x in xs]
+            for vm, cols in m_cols.items():
                 m_deg = mg.degree[vm]
-                for x in alg.gens.labels():
-                    if x == unit:
-                        continue  # the unit relations vanish identically
-                    row = {}
-                    for (_1, b2), c in bar.mu_word(1, 0, (x, beta)).items():
-                        vec_add_term(row, (b2, vm), c)
-                    # subtracted with the sign (-1)^exp
+                for (x, right_m, left_m), (left_b, right_b) in zip(cols, b_cols):
+                    # u1 subtracts with the sign (-1)^exp, u2 with (-1)^{|beta| + 1}
                     exp = (sdeg[x] + 1) * (beta_deg + m_deg) + m_deg + 1
-                    for (_1, vm2), c in bimodule.mu_word(0, 1, (vm, x)).items():
-                        vec_add_term(row, (beta, vm2), c if exp % 2 else -c)
-                    relate(row, ("u1", x, beta, vm))
-                    row = {}
-                    for (_1, b2), c in bar.mu_word(0, 1, (beta, x)).items():
-                        vec_add_term(row, (b2, vm), c)
-                    # subtracted with the sign (-1)^{|beta| + 1}
-                    for (_1, vm2), c in bimodule.mu_word(1, 0, (x, vm)).items():
-                        vec_add_term(row, (beta, vm2), -c if beta_deg % 2 else c)
-                    relate(row, ("u2", x, beta, vm))
+                    relate(("u1", x, beta, vm), left_b, right_m, not exp % 2)
+                    relate(("u2", x, beta, vm), right_b, left_m, beta_deg % 2)
 
-        def quotient_d(lab):
-            """D(lab) in the quotient, on the canonical basis."""
-            rem, _ = elim.reduce({wrap(k): c for k, c in tensor_d(lab).items()})
-            residue = {k: c for (tag, k), c in rem.items() if tag != "z"}
+        def quotient_d(beta, vm):
+            """D(beta (x) vm) in the quotient, on the canonical basis."""
+            rem, _ = elim.reduce(row(beta, vm, bar.mu_word(0, 0, (beta,)),
+                                     bimodule.mu_word(0, 0, (vm,)), bg.degree[beta] % 2))
+            residue = {k: c for (kind, k), c in rem.items() if kind != "z"}
             if residue:
-                raise CertificateError("balanced reduction left a residue", (lab, residue))
-            out = {}
-            for (_tag, ((_vb, ys, _vb2), vm)), c in rem.items():
-                out[(u, vm, ys)] = c
-            return out
+                raise CertificateError("balanced reduction left a residue", ((beta, vm), residue))
+            return {(u, vm2, ys): c for (_tag, ((_vb, ys, _vb2), vm2)), c in rem.items()}
 
         # the shifted presentation sR (x)~_R sR is s^2 times the classical
         # two-sided bar; the +2 undoes that relabeling so the quotient lands
         # on M (x) (sR)^{(x)n} with its natural degrees
-        basis = []
+        basis, entries = [], {}
         for beta in bg.labels():
-            vb, ys, vb2 = beta
-            if vb != unit or vb2 != unit:
-                continue
-            for vm in mg.labels():
-                deg = bg.degree[beta] + 2 + mg.degree[vm]
-                basis.append(((u, vm, ys), deg))
+            if tag[beta] == "z":
+                for vm in mg.labels():
+                    basis.append(((u, vm, beta[1]), bg.degree[beta] + 2 + mg.degree[vm]))
+                    if col := quotient_d(beta, vm):
+                        entries[(u, vm, beta[1])] = col
+        del bar, elim, m_cols
         self.space = GradedSpace(basis)
-        entries = {}
-        for beta in bg.labels():
-            vb, ys, vb2 = beta
-            if vb != unit or vb2 != unit:
-                continue
-            for vm in mg.labels():
-                col = quotient_d((beta, vm))
-                if col:
-                    entries[(u, vm, ys)] = col
         self.d = GradedMap(self.space, self.space, 1, entries)
         self.complex = Complex(self.space, self.d)
 

@@ -118,6 +118,22 @@ def test_classical_hochschild_names_a_relation_that_hits_the_basis():
     assert isinstance(caught.value, ValueError)
 
 
+def test_classical_hochschild_names_a_u1_relation_that_hits_the_basis():
+    # x acting by 2x on the right: the relations u1 come first at each
+    # (beta, m, x), and u1 on (x, sx (x) s1, 1) reduces to a canonical label
+    dga = cdga_as_kalgebra(fixture_cdga("cp2"))
+    alg = from_dga(dga)
+    doubled = {(a, b): col if b == dga.unit_gen else {k: 2 * c for k, c in col.items()}
+               for (a, b), col in dga.mult.items()}
+    bim = dga_module_bimodule(alg, alg, dga.module, left_action=dga.mult,
+                              right_action=doubled)
+    with pytest.raises(CertificateError) as caught:
+        classical_hh(dga, bim, 1)
+    assert caught.value.check == "relation span hit the basis"
+    assert caught.value.witness == (("u1", "x", ("x", (), "1"), "1"),
+                                    {(("1", (), "1"), "x2"): 1})
+
+
 def test_classical_comparison_of_an_int_table_dga_is_exact():
     # int tables keep both differentials int; the diagonal iso must still
     # hold exact signs, not int / int quotients

@@ -5,7 +5,8 @@ coefficient, so ``AInfAlgebra.mu_word`` and ``AInfBimodule.mu_word``
 return the stored column instead of evaluating (unit, v) pairs.  These
 tests check that each lookup equals the pair evaluator on every word up
 to arity 4, that no construction mutates the tables the lookups hand
-out, and that assembly makes no pair-evaluator call at all.
+out, that assembly makes no pair-evaluator call at all, and that the
+classical oracle reads each structure map once per generator pair.
 """
 import copy
 from collections import Counter
@@ -13,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from hochtrace import ainf, bimod, cdga
+from hochtrace import ainf, bimod, cdga, grdlin
 from hochtrace.ainf import AInfAlgebra, check_stasheff, from_dga, unit_algebra
 from hochtrace.bimod import (
     AInfBimodule,
@@ -178,3 +179,30 @@ def test_the_counters_see_pair_evaluator_calls(pair_calls):
     bim = diagonal_bimodule(fixture_algebra("cp2"))
     bim.eval(1, 0, (("1", "x"), ("1", "x")))
     assert set(pair_calls) == {"eval_mu", "eval", "eval_k_multilinear"}
+
+
+def test_classical_hochschild_reads_each_structure_map_once_per_pair(monkeypatch):
+    # per (beta, vm, x) relation pass the oracle read mu^B and mu^M again
+    # (11,742 mu_word calls, 2,862 in tensor_inf) and turned each of its
+    # 3,120 reduced relation rows back into labels (3,240 copies with the
+    # 120 quotient reductions)
+    calls = Counter()
+    mu_word, labelled = AInfBimodule.mu_word, grdlin._Eliminator._labelled
+
+    def counted_mu_word(self, l, r, word):
+        calls["mu_word"] += 1
+        return mu_word(self, l, r, word)
+
+    def counted_labelled(self, row):
+        calls["labelled"] += 1
+        return labelled(self, row)
+
+    dga, _alg, diag = _cp2_classical()
+    monkeypatch.setattr(AInfBimodule, "mu_word", counted_mu_word)
+    monkeypatch.setattr(grdlin._Eliminator, "_labelled", counted_labelled)
+    cl = classical_hh(dga, diag, 3)
+    assert cl._relation_count == 3120
+    # 2,862 in tensor_inf, 1,440 + 12 relation reads, 240 quotient reads
+    assert calls["mu_word"] <= 4554
+    # one per quotient reduction, none per relation row
+    assert calls["labelled"] <= cl.space.dim == 120
