@@ -24,13 +24,16 @@ generator word (``AInfAlgebra.mu_word``, ``AInfBimodule.mu_word``);
 ``eval_k_multilinear`` serves the general (b, v) inputs of the
 validators, the actions and the transfer layer.
 
-``total_differential`` is the one Leibniz rule
-d(b, v) = (d_k b, v) + (-1)^{|b|} b * d_gen(v): ``FreeKModule`` and the
-flattened modules of ``transfer.module_flat`` both read it.
+``times_base`` is the one k-linear extension b * column, for a column
+keyed (c,) + tail, and ``leibniz_column`` the one Leibniz rule
+d(b, tail) = (d_k b, tail) + (-1)^{|b|} b * d(unit, tail): every dg
+k-module here (``total_differential``, the Hochschild and bar Connes
+complexes, the induced Hochschild maps) builds its unit-coefficient
+columns alone and extends them through these two.
 """
 from __future__ import annotations
 
-from .grdlin import Complex, GradedMap, GradedSpace, ONE, int_first, vec_add
+from .grdlin import Complex, GradedMap, GradedSpace, ONE, int_first, vec_add, vec_add_term
 
 Kvec = dict  # (k_basis_label, gen_label) -> int, or Fraction if not integral
 
@@ -115,28 +118,41 @@ def kvec_scale(vec: Kvec, c) -> Kvec:
     return {k: c * x for k, x in vec.items()}
 
 
+def times_base(base: BaseCDGA, b, column, negate) -> dict:
+    """(-1)^negate b * column for a column keyed (c,) + tail, each b * c
+    expanded in the base's basis: the one k-linear extension.  For b = unit
+    and negate false this is ``column`` itself (the validated unit axiom):
+    read it, never mutate it."""
+    if b == base.unit and not negate:
+        return column
+    out = {}
+    for key, x in column.items():
+        tail = key[1:]
+        for b2, q in base.mul_basis(b, key[0]).items():
+            vec_add_term(out, (b2,) + tail, -x * q if negate else x * q)
+    return out
+
+
+def leibniz_column(base: BaseCDGA, b, tail, unit_column) -> dict:
+    """d((b,) + tail) = ((d_k b,) + tail) + (-1)^{|b|} b * unit_column, given
+    the column ``unit_column`` of (unit,) + tail: the one Leibniz rule.  The
+    d_k b entries come first; for b = unit (d_k unit = 0) this is
+    ``unit_column`` itself: read it, never mutate it."""
+    column = times_base(base, b, unit_column, base.degree(b) % 2)
+    db = base.d.entries.get(b)
+    if not db:
+        return column
+    return vec_add({(b2,) + tail: c for b2, c in db.items()}, column)
+
+
 def total_differential(base: BaseCDGA, gens: GradedSpace, d_gen) -> dict:
-    """The entries of the Leibniz total differential of k (x) V,
-
-        d(b, v) = (d_k b, v) + (-1)^{|b|} b * d_gen(v),
-
-    on the basis pairs (b, v), read from generator data alone: ``d_gen``
-    maps a generator label to a kvec.  ``FreeKModule`` and
-    ``transfer.module_flat`` both build their differential here."""
-    entries = {}
-    for b in base.space.labels():
-        db = base.d.column(b)
-        sign = -ONE if base.degree(b) % 2 else ONE
-        for v in gens.labels():
-            col = {}
-            for bb, c in db.items():
-                col[(bb, v)] = c
-            for (cb, w), c in d_gen.get(v, {}).items():
-                for bb, x in base.mul_basis(b, cb).items():
-                    vec_add(col, {(bb, w): sign * c * x})
-            if col:
-                entries[(b, v)] = col
-    return entries
+    """The entries of the total differential of k (x) V on the basis pairs
+    (b, v), through ``leibniz_column`` from generator data alone:
+    ``d_gen`` maps a generator label to a kvec, the column of (unit, v).
+    ``FreeKModule`` and ``transfer.module_flat`` both build their
+    differential here."""
+    return {(b, v): col for b in base.space.labels() for v in gens.labels()
+            if (col := leibniz_column(base, b, (v,), d_gen.get(v, {})))}
 
 
 class FreeKModule:

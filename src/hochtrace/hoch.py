@@ -13,8 +13,10 @@ H_max is an honest subcomplex and d^2 = 0 holds exactly there.
 
 Each construction builds one ``cdga.insertions`` enumerator per inserted
 map, which looks each word up once per arity, and drops it once built.
-``HochschildComplex`` builds a word's columns together: the term
-(d_R b, vm, xs), the insertions, less those that output the unit when
+The complexes over the base R build their unit-coefficient columns alone
+and extend them over b by ``cdga.leibniz_column`` (``hh_induced_map`` by
+``cdga.times_base``).  ``HochschildComplex`` builds a word's unit columns
+together: the insertions, less those that output the unit when
 normalized, and the rotated bimodule folds, read from one ``fold_table``
 per construction with one lookup per word and (l, r).
 
@@ -40,7 +42,7 @@ from .bimod import (
     split_arities,
     tensor_inf,
 )
-from .cdga import BaseCDGA, KAlgebra, collect_coefficients, insertions
+from .cdga import BaseCDGA, KAlgebra, collect_coefficients, insertions, leibniz_column, times_base
 from .grdlin import (
     ONE,
     Complex,
@@ -55,20 +57,6 @@ from .grdlin import (
     vec_add_term,
 )
 from .report import CertificateError, Report
-
-
-def _add_times_base(out, base, b, c, tail, coeff, negate):
-    """out[(b*c,) + tail] += (-1)^negate coeff, with the product b*c of
-    base basis labels expanded in the base's basis.
-
-    b = unit skips the product (the validated unit axiom).
-    """
-    if b == base.unit:
-        vec_add_term(out, (c,) + tail, -coeff if negate else coeff)
-        return
-    for b2, q in base.mul_basis(b, c).items():
-        term = coeff * q
-        vec_add_term(out, (b2,) + tail, -term if negate else term)
 
 
 def fold_table(bimodule: AInfBimodule) -> dict:
@@ -93,7 +81,8 @@ class HochschildComplex:
     ``shift``: added to every total degree (s^{-1} for HH_k(R) means
     shift=+1); labels are unchanged and no signs are introduced.
     ``normalized``: drop basis elements whose x-part contains s1.
-    Columns are built per word; the enumerator and fold table then go.
+    Columns are built per word, one per (unit, vm, xs), and extended over
+    b by ``cdga.leibniz_column``; the enumerator and fold table then go.
     """
 
     def __init__(self, algebra: AInfAlgebra, bimodule: AInfBimodule, h_max,
@@ -130,9 +119,11 @@ class HochschildComplex:
 
     def _word_columns(self, xs, terms, folds):
         """Yield (label, degree, d label) for the labels (b, vm, xs) in basis
-        order: (d_R b, vm, xs), mu's insertions ``terms``, then the rotated
-        ``folds``.  A normalized complex skips each insertion that outputs the
-        unit, the only way in for it: a fold outputs a sub-word of xs."""
+        order, b outer and vm inner.  One unit column per vm holds mu's
+        insertions ``terms`` and the rotated ``folds``; ``cdga.leibniz_column``
+        extends it over b.  A normalized complex skips each insertion that
+        outputs the unit, the only way in for it: a fold outputs a sub-word
+        of xs."""
         alg, base, m_degree = self.algebra, self.base, self.bimodule.kmodule.gens.degree
         n = len(xs)
         # (b) (mu_{l,r}^M (x) id^s) o t_{1+n}^l reads the window (xs[n-l:], vm,
@@ -148,26 +139,28 @@ class HochschildComplex:
         unit = alg.unit if self.normalized else None
         inserted, rotation = {}, {}
         for p in {deg % 2 for deg in m_degree.values()}:
-            # (a) id^{1+r} (x) mu_s (x) id^t on the x-string; mu moves past b,
-            # then past m, x_1..x_r together with its coefficient c
+            # (a) id^{1+r} (x) mu_s (x) id^t on the x-string; mu moves past m,
+            # x_1..x_r together with its coefficient c
             inserted[p] = [(w, c, coeff, parity) for r, w, c, coeff, parity in terms(xs, p)
                            if w[r] != unit]
             # the parities of the rotations l = 0..top, the largest fold l found
             rotation[p] = [parity for _l, _rotated, parity in
                            islice(cyclic_rotations((None,) + xs, [p] + x_degrees), top + 1)]
+        unit_columns = {}
+        for vm in self.bimodule.kmodule.gens.labels():
+            p = m_degree[vm] % 2
+            out = unit_columns[vm] = {}
+            for new_xs, c, coeff, parity in inserted[p]:
+                vec_add_term(out, (c, vm, new_xs), -coeff if parity else coeff)
+            for l, new_xs, column in hits.get(vm, ()):
+                negate = rotation[p][l]
+                for (c, vm2), coeff in column.items():
+                    vec_add_term(out, (c, vm2, new_xs), -coeff if negate else coeff)
         for b in base.space.labels():
-            deg_b, db = base.degree(b), base.d.column(b)
-            odd_b = deg_b % 2
-            for vm in self.bimodule.kmodule.gens.labels():
-                p = m_degree[vm] % 2
-                out = {(b2, vm, xs): c for b2, c in db.items()}
-                for new_xs, c, coeff, parity in inserted[p]:
-                    _add_times_base(out, base, b, c, (vm, new_xs), coeff, odd_b ^ parity)
-                for l, new_xs, column in hits.get(vm, ()):
-                    negate = rotation[p][l] ^ odd_b
-                    for (c, vm2), coeff in column.items():
-                        _add_times_base(out, base, b, c, (vm2, new_xs), coeff, negate)
-                yield (b, vm, xs), deg_b + m_degree[vm] + deg_xs, out
+            deg_b = base.degree(b)
+            for vm, unit_column in unit_columns.items():
+                yield ((b, vm, xs), deg_b + m_degree[vm] + deg_xs,
+                       leibniz_column(base, b, (vm, xs), unit_column))
 
     def project_to_coefficients(self) -> GradedMap:
         """The Hochschild-degree-0 projection onto M (a chain map when the
@@ -472,12 +465,7 @@ class BarConstruction:
             _tag, n, b, vs = label
             if n != 0:
                 continue
-            prod = self.dga.mult.get((vs[0], vs[1]), {})
-            col = {}
-            for (c, w), coeff in prod.items():
-                for b2, q in self.base.mul_basis(b, c).items():
-                    vec_add(col, {(b2, w): coeff * q})
-            if col:
+            if col := times_base(self.base, b, self.dga.mult.get((vs[0], vs[1]), {}), 0):
                 entries[label] = col
         return GradedMap(self.space, target, 0, entries)
 
@@ -676,9 +664,8 @@ def hh_induced_map(f, g, source_hh: HochschildComplex,
     unit = base.unit
     tgt_mgens = target_hh.bimodule.kmodule.gens
     tgt_agens = target_hh.algebra.gens
-    entries = {}
-    for label in source_hh.space.labels():
-        b, vm, xs = label
+
+    def unit_column(vm, xs):
         pairs = ((unit, vm),) + tuple((unit, x) for x in xs)
         degs = [source_hh.bimodule.kmodule.gens.degree[vm]] + \
             [alg.gens.degree[x] for x in xs]
@@ -701,10 +688,17 @@ def hh_induced_map(f, g, source_hh: HochschildComplex,
                             sign, bvec, vs = collect_coefficients(base, word_degs,
                                                                   (pair,) + blocks)
                             for bb, cc in (bvec or {}).items():
-                                _add_times_base(out, base, b, bb, (vs[0], vs[1:]),
-                                                gc * fc * cc, parity ^ (sign < 0))
-        if out:
-            entries[label] = out
+                                term = gc * fc * cc
+                                vec_add_term(out, (bb, vs[0], vs[1:]),
+                                             -term if parity ^ (sign < 0) else term)
+        return out
+
+    # one column per (vm, xs), extended over b: the map has degree 0, so b
+    # passes it without a sign
+    labels = source_hh.space.labels()
+    columns = {(vm, xs): unit_column(vm, xs) for b, vm, xs in labels if b == unit}
+    entries = {label: col for label in labels
+               if (col := times_base(base, label[0], columns[label[1:]], 0))}
     return GradedMap(source_hh.space, target_hh.space, 0, entries)
 
 
@@ -726,13 +720,14 @@ class BarConnesComplex:
     generators, up to signed cyclic rotation of the factors; the factor
     carrying w has degree deg(w) + 1 (an s^{-1}-letter), and there is no
     further overall shift -- this makes the Lemma-3.7.9 rotation map
-    degree 0.  The differential is wordwise bar differential plus
-    deconcatenation of one factor into two adjacent factors; the
-    deconcatenation sign is (-1)^{deg s^{-1}w'} on the split w -> (w', w''),
-    the unique choice (together with ambient Koszul signs on shifted
-    factor degrees) that squares to zero and makes the rotation map a
-    chain map.  Letters are truncated at ``letter_max`` in total (a
-    subcomplex: the differential never raises the letter count).
+    degree 0.  The differential d(b, words) = (d_R b, words) + (-1)^{|b|}
+    b * d(unit, words) comes from ``cdga.leibniz_column``; d(unit, words) is
+    the wordwise bar differential plus deconcatenation of one factor into
+    two adjacent factors.  The deconcatenation sign is (-1)^{deg s^{-1}w'}
+    on the split w -> (w', w''), the unique choice (together with ambient
+    Koszul signs on shifted factor degrees) that squares to zero and makes
+    the rotation map a chain map.  Letters are truncated at ``letter_max``
+    in total (a subcomplex: the differential never raises the letter count).
     """
 
     def __init__(self, algebra: AInfAlgebra, letter_max, word_tuples=None):
@@ -790,26 +785,25 @@ class BarConnesComplex:
             yield from rec(total, [])
 
     def _differential(self, label) -> dict:
+        """d(b, words): the column of (unit, words), extended over b by
+        ``cdga.leibniz_column``."""
         b, words = label
-        base = self.base
+        unit = self.base.unit
         out = {}
-        deg_b = base.degree(b) % 2
         before = 0  # the degree of the factors before w
         for i, w in enumerate(words):
             head, tail = words[:i], words[i + 1:]
-            # wordwise bar differential: mu moves past b, then past the
-            # factors before w and w's own prefix together with its
-            # coefficient c
+            # wordwise bar differential: mu moves past the factors before w
+            # and w's own prefix together with its coefficient c
             for _r, new_word, c, coeff, parity in self._terms(w, before):
-                _add_times_base(out, base, b, c, (head + (new_word,) + tail,), coeff,
-                                deg_b ^ parity)
+                vec_add_term(out, (c, head + (new_word,) + tail), -coeff if parity else coeff)
             # deconcatenations, sign (-1)^{deg s^{-1} w_1}
             for cut in range(1, len(w)):
                 w1, w2 = w[:cut], w[cut:]
-                negate = (deg_b + before + self._factor_degree(w1)) % 2
-                vec_add_term(out, (b, head + (w1, w2) + tail), -1 if negate else 1)
+                negate = (before + self._factor_degree(w1)) % 2
+                vec_add_term(out, (unit, head + (w1, w2) + tail), -1 if negate else 1)
             before += self._factor_degree(w)
-        return out
+        return leibniz_column(self.base, b, (words,), out)
 
     def reduce_label(self, b, words):
         """(b, representative of words) with its sign; (None, 1) for a

@@ -31,7 +31,7 @@ projection, each with its first failing label as witness.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 
 from .ainf import (
     AInfAlgebra,
@@ -67,6 +67,7 @@ from .grdlin import (
     koszul_sign,
     solve,
     vec_add,
+    vec_add_term,
 )
 from .hoch import HochschildComplex, hh_algebra_induced_map, hh_of_algebra
 from .report import Report
@@ -476,36 +477,22 @@ class GeneralizedTrace:
         return out
 
     def _assemble(self, words, rhos) -> dict:
-        """Output groups (s(rho_{i-1}), ys_i) for i = 0..n: the last scalar
-        letter wraps to the front with a Koszul transport; the output label
-        is (coefficient letter, remaining letters)."""
+        """Output groups (s(rho_{i-1}), ys_i) for i = 0..n, one term per
+        choice of an entry of every scalar: the last scalar letter wraps to
+        the front with a Koszul transport; the output label is (coefficient
+        letter, remaining letters)."""
         gd = self.r_alg.gens.degree
-        n1 = len(words)
-        rho_n = rhos[-1]
-        # degree of s(rho_n) and of the rest of the output
-        rho_n_deg = next(gd[r] for r in rho_n)
-        rest_deg = 0
-        for i in range(n1):
-            rest_deg += sum(gd[y] for y in words[i])
-            if i < n1 - 1:
-                rest_deg += next(gd[r] for r in rhos[i])
-        sign = -ONE if (rho_n_deg * rest_deg) % 2 else ONE
-        # expand the interior scalar letters
-        def expand():
-            results = [((), ONE)]
-            for i in range(n1):
-                results = [(acc + words[i], c) for acc, c in results]
-                if i < n1 - 1:
-                    new = []
-                    for acc, c in results:
-                        for r, q in rhos[i].items():
-                            new.append((acc + (r,), c * q))
-                    results = new
-            return results
+        # the scalars are homogeneous; s(rho_n) wraps past the rest of the output
+        rest = sum(gd[y] for y in chain(*words, (next(iter(rho)) for rho in rhos[:-1])))
+        wrap = -ONE if gd[next(iter(rhos[-1]))] * rest % 2 else ONE
         out = {}
-        for tail, c in expand():
-            for r0, q0 in rho_n.items():
-                vec_add(out, {("1", r0, tail): sign * c * q0})
+        for choice in product(*(rho.items() for rho in rhos)):
+            tail, c = words[0], wrap
+            for (r, q), ys in zip(choice, words[1:]):
+                tail += (r,) + ys
+                c *= q
+            r0, q0 = choice[-1]
+            vec_add_term(out, ("1", r0, tail), c * q0)
         return out
 
     def __repr__(self):

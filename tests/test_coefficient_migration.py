@@ -10,6 +10,7 @@ differential is pinned by a digest.
 import hashlib
 
 import pytest
+from test_hochschild_assembly import ordered_digest
 
 from hochtrace import bimod, cdga
 from hochtrace.ainf import AInfMorphism, check_morphism, check_stasheff, check_unital, from_dga
@@ -142,4 +143,7 @@ def test_induced_map_with_an_odd_coefficient_output(dga):
     assert check_morphism(phi, 3).ok
     hh = hh_of_algebra(alg, 2)
     assert hh.space.dim == 168
-    assert chain_map_witness(hh_algebra_induced_map(phi, hh, hh), hh.d, hh.d) is None
+    induced = hh_algebra_induced_map(phi, hh, hh)
+    assert chain_map_witness(induced, hh.d, hh.d) is None
+    # taken while the map was built per label (b, vm, xs)
+    assert ordered_digest(induced) == "36f5fdef4862ebb3"

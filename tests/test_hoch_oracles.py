@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hochtrace.ainf import AInfMorphism, check_morphism, from_dga
+from hochtrace.ainf import AInfMorphism, check_morphism, from_dga, unit_algebra
 from hochtrace.bimod import (
     dga_module_bimodule,
     diagonal_bimodule,
@@ -19,6 +19,7 @@ from hochtrace.fixtures import (
     fixture_cdga,
     mu3_algebra,
     random_dga,
+    sphere3_with_differential,
     _kalg,
 )
 from hochtrace.grdlin import (
@@ -204,13 +205,19 @@ def test_induced_map_quasi_iso():
     assert is_quasi_iso_window(induced, hh_big.complex, hh_s2.complex, -1, 3)
 
 
-def test_rotation_map_is_chain_map():
-    for name in ("dual", "s2", "s3"):
-        alg = fixture_algebra(name)
-        hc = ConnesComplex(hh_of_algebra(alg, 3))
-        target = BarConnesComplex(alg, 4)
-        rot = rotation_to_bar_hc(hc, target)
-        assert chain_map_witness(rot, hc.d, target.d) is None
+@pytest.mark.parametrize("make, h", [
+    *[(lambda name=name: fixture_algebra(name), 3) for name in ("dual", "s2", "s3")],
+    *[(lambda: unit_algebra(sphere3_with_differential()), h) for h in (1, 2, 3)],
+], ids=["dual", "s2", "s3", "over_s3_with_d_h1", "over_s3_with_d_h2", "over_s3_with_d_h3"])
+def test_rotation_map_is_chain_map(make, h):
+    # over sphere3_with_differential() this failed with witness
+    # (('y', '1', ()), {('x', (('1',),)): 1}) while the bar Connes
+    # complex dropped its (d_R b, words) term
+    alg = make()
+    hc = ConnesComplex(hh_of_algebra(alg, h))
+    target = BarConnesComplex(alg, h + 1)
+    rot = rotation_to_bar_hc(hc, target)
+    assert chain_map_witness(rot, hc.d, target.d) is None
 
 
 def test_rotation_map_single_element():

@@ -1,13 +1,16 @@
-"""Per-word assembly of the Hochschild differential.
+"""Per-word assembly of the Hochschild differential, and the one Leibniz
+rule over the base.
 
-``HochschildComplex`` builds the columns of a word's labels (b, vm, xs)
-together: the term (d_R b, vm, xs), the algebra insertions, and the
-rotated bimodule folds, read from one ``hoch.fold_table`` per
-construction.  These tests pin d bit for bit (entries, coefficient types
-and each column's key order) on fixtures that cover every fold shape,
-count the structure-map and fold-table lookups, check the base
-differential over a base with d != 0, and check the normalized complex of
-Q[C2], whose product outputs the unit from reduced letters.
+``HochschildComplex`` builds the unit-coefficient columns of a word's
+labels (unit, vm, xs) together: the algebra insertions and the rotated
+bimodule folds, read from one ``hoch.fold_table`` per construction; and
+``cdga.leibniz_column`` extends each over b, adding (d_R b, vm, xs).
+These tests pin d bit for bit (entries, coefficient types and each
+column's key order) on fixtures that cover every fold shape and over a
+base with d != 0, count the structure-map and fold-table lookups, check
+that the Hochschild and bar Connes complexes of R over a base R with
+d != 0 read H(R), and check the normalized complex of Q[C2], whose
+product outputs the unit from reduced letters.
 """
 import hashlib
 from collections import Counter
@@ -27,7 +30,7 @@ from hochtrace.fixtures import (
     twisted_odd_coefficient_dga,
 )
 from hochtrace.grdlin import ONE, homology_window
-from hochtrace.hoch import hh_complex, hh_of_algebra, normalized_hh
+from hochtrace.hoch import BarConnesComplex, hh_complex, hh_of_algebra, normalized_hh
 from hochtrace.transfer import assembly_projection_report
 
 
@@ -82,6 +85,33 @@ def test_differential_is_bit_identical(name):
     assert hh.space.dim == dim
     assert sum(len(col) for col in hh.d.entries.values()) == nnz
     assert ordered_digest(hh.d) == digest
+
+
+# ordered digests of d over sphere3_with_differential(), taken while each
+# label's (d_R b, vm, xs) term was written apart from cdga's Leibniz rule
+OVER_S3_WITH_D = {1: "f2668e95cabad949", 2: "4c8f4dfa7448c4a8", 3: "6b2464d393b472b0"}
+
+
+@pytest.mark.parametrize("h", sorted(OVER_S3_WITH_D))
+def test_differential_over_a_base_with_d_is_bit_identical(h):
+    hh = hh_of_algebra(unit_algebra(sphere3_with_differential()), h)
+    assert hh.base.d.entries
+    assert ordered_digest(hh.d) == OVER_S3_WITH_D[h]
+
+
+def test_bar_connes_differential_is_bit_identical():
+    # over Lambda(x), d = 0: taken before the bar Connes complex went
+    # through cdga's Leibniz rule
+    cx = BarConnesComplex(from_dga(twisted_odd_coefficient_dga()), 3)
+    assert not cx.base.d.entries
+    assert ordered_digest(cx.d) == "6046d6a6ac2fc347"
+
+
+def test_bar_connes_over_a_base_with_d_is_its_cohomology():
+    # H(R) for sphere3_with_differential(): 1 and xy.  Without the term
+    # (d_R b, words) degrees 0 to 3 read 1 each
+    cx = BarConnesComplex(unit_algebra(sphere3_with_differential()), 2)
+    assert homology_window(cx.complex, -1, 3) == {-1: 0, 0: 1, 1: 0, 2: 0, 3: 1}
 
 
 def test_the_pins_cover_every_fold_shape():

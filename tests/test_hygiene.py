@@ -15,7 +15,10 @@ no function both calls ``.compose`` and compares with ``==`` or ``!=``, so
 every chain-map check goes through ``grdlin.chain_map_witness``; and no
 function is decorated with ``functools.cache`` or ``lru_cache``: a memo
 lives only as long as the object or construction that fills it, since an
-unbounded structure-map memo raised peak RSS by 31-84%."""
+unbounded structure-map memo raised peak RSS by 31-84%; and in ``hoch``,
+``bimod``, ``ainf`` and ``wheeled`` only ``BarConstruction._differential``
+calls ``mul_basis``, so every other product by a base label goes through
+``cdga.times_base`` and ``cdga.leibniz_column``."""
 import ast
 from pathlib import Path
 
@@ -101,10 +104,25 @@ def end_operator_builders(source, allowed=()):
 
 
 def calls_to(source, names):
-    """Lines of every call, by bare or attribute name, to one of ``names``."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+    """Lines of every call, by bare or attribute name, to one of ``names``;
+    ``source`` is text or a parsed node."""
+    tree = ast.parse(source) if isinstance(source, str) else source
+    return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
                   and getattr(node.func, "attr", getattr(node.func, "id", None)) in names)
+
+
+def callers_of(source, names):
+    """Qualified names (``Class.method``, ``function``, or ``<module>`` for
+    a statement outside any) of the top-level definitions that call one of
+    ``names``; a nested function counts for the definition it sits in."""
+    found = set()
+    for node in ast.parse(source).body:
+        prefix = node.name + "." if isinstance(node, ast.ClassDef) else ""
+        for member in node.body if prefix else [node]:
+            if calls_to(member, names):
+                found.add(prefix + getattr(member, "name", "<module>"))
+    return sorted(found)
 
 
 def attribute_reads(source, attr):
@@ -161,6 +179,12 @@ def unchecked_complexes(source):
 
     visit(ast.parse(source), ())
     return found
+
+
+# the one site left multiplying by a base label by hand: its labels put b
+# after the bar level, and its d_R term carries the sign (-1)^n
+MUL_BASIS_CALLERS = {"hoch.py": ["BarConstruction._differential"]}
+OVER_THE_BASE = [p for p in SOURCES if p.name in ("ainf.py", "bimod.py", "hoch.py", "wheeled.py")]
 
 
 # where each one's d*d = 0 comes from is listed in CHANGES.md
@@ -227,6 +251,11 @@ def test_unchecked_complexes_are_the_listed_sites(path):
     assert unchecked_complexes(path.read_text()) == UNCHECKED_COMPLEXES.get(path.name, [])
 
 
+@pytest.mark.parametrize("path", OVER_THE_BASE, ids=lambda p: p.name)
+def test_one_k_linear_extension(path):
+    assert callers_of(path.read_text(), ("mul_basis",)) == MUL_BASIS_CALLERS.get(path.name, [])
+
+
 def test_the_checks_fire():
     source = "from itertools import product, permutations\nassert product\n"
     assert unused_imports(source) == [("permutations", 1)]
@@ -265,3 +294,9 @@ def test_the_checks_fire():
               "    @property\n    def d(self):\n        return cache(1)\n"
               "@cache\nasync def e():\n    return 1\n")
     assert memo_decorated(source) == ["a", "b", "c", "e"]
+    source = ("class B:\n    def _differential(self, b, c):\n"
+              "        def add():\n            return base.mul_basis(b, c)\n"
+              "        return add()\n    def mul(self, c):\n        return base.mul(c, c)\n"
+              "def extend(base, b, c):\n    return mul_basis(b, c)\n"
+              "x = base.mul_basis(1, 2)\n")
+    assert callers_of(source, ("mul_basis",)) == ["<module>", "B._differential", "extend"]
