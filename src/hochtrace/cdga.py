@@ -367,22 +367,22 @@ class KAlgebra:
 
     def _validate(self):
         gens = self.gens.labels()
-        unit = self.unit_kvec
-        d = self.module.d
+        unit, base, d = self.unit_kvec, self.base, self.module.d
         for x in gens:
-            px = (self.base.unit, x)
+            px = (base.unit, x)
             if self.mul(unit, {px: ONE}) != {px: ONE}:
                 raise ValueError(f"unit fails on the left of {x!r}")
             if self.mul({px: ONE}, unit) != {px: ONE}:
                 raise ValueError(f"unit fails on the right of {x!r}")
         if d(self.unit_kvec):
             raise ValueError("d(1) != 0")
-        # each generator pair's product, once, for Leibniz and associativity
-        products = {(x, y): self.mul_pairs((self.base.unit, x), (self.base.unit, y))
+        # each generator pair's product, once, for Leibniz and associativity;
+        # by the unit axiom (b w) z = b (w z) and x (b w) = (-1)^{|b||x|} b (x w)
+        products = {(x, y): self.mul_pairs((base.unit, x), (base.unit, y))
                     for x in gens for y in gens}
         for x in gens:
             for y in gens:
-                px, py = (self.base.unit, x), (self.base.unit, y)
+                px, py = (base.unit, x), (base.unit, y)
                 xy = products[x, y]
                 got = d(xy)
                 expect = self.mul(d.column(px), {py: ONE})
@@ -391,8 +391,13 @@ class KAlgebra:
                 if got != expect:
                     raise ValueError(f"Leibniz fails at ({x!r}, {y!r})")
                 for z in gens:
-                    pz = (self.base.unit, z)
-                    if self.mul(xy, {pz: ONE}) != self.mul({px: ONE}, products[y, z]):
+                    left, right = {}, {}
+                    for (b, w), c in xy.items():
+                        vec_add(left, times_base(base, b, products[w, z], 0), c)
+                    for (b, w), c in products[y, z].items():
+                        negate = base.degree(b) * self.gens.degree[x] % 2
+                        vec_add(right, times_base(base, b, products[x, w], negate), c)
+                    if left != right:
                         raise ValueError(f"not associative at ({x!r}, {y!r}, {z!r})")
 
     def __repr__(self):

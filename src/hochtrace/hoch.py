@@ -741,22 +741,20 @@ class BarConnesComplex:
         self.base = base
         if word_tuples is None:
             word_tuples = self._word_tuples()
-        full = {}
-        for words in word_tuples:
-            for b in base.space.labels():
-                deg = base.degree(b) + sum(self._factor_degree(w) for w in words)
-                full[(b, words)] = deg
-        self.full_space = GradedSpace(full.items())
         self._terms = insertions(base, algebra.mu_word, 1, algebra.arities, algebra.gens.degree)
-        full_d_entries = {}
-        for label in self.full_space.labels():
-            col = self._differential(label)
+        full, full_d_entries = {}, {}
+        for words in word_tuples:
+            unit_column = self._differential(words)
+            for b in base.space.labels():
+                full[(b, words)] = base.degree(b) + sum(self._factor_degree(w) for w in words)
+                if col := leibniz_column(base, b, (words,), unit_column):
+                    full_d_entries[(b, words)] = col
+        del self._terms
+        self.full_space = GradedSpace(full.items())
+        for label, col in full_d_entries.items():
             outside = [w for w in col if w not in full]
             if outside:
                 raise ValueError(f"word tuples not closed under d: {label!r} -> {outside[0]!r}")
-            if col:
-                full_d_entries[label] = col
-        del self._terms
         full_d = GradedMap(self.full_space, self.full_space, 1, full_d_entries)
         self.projection, self.complex = cyclic_quotient(
             self.full_space, full_d, lambda label: self.reduce_label(*label),
@@ -784,10 +782,9 @@ class BarConnesComplex:
         for total in range(1, self.letter_max + 1):
             yield from rec(total, [])
 
-    def _differential(self, label) -> dict:
-        """d(b, words): the column of (unit, words), extended over b by
-        ``cdga.leibniz_column``."""
-        b, words = label
+    def _differential(self, words) -> dict:
+        """The column of (unit, words), once per word tuple; the constructor
+        extends it over b by ``cdga.leibniz_column``."""
         unit = self.base.unit
         out = {}
         before = 0  # the degree of the factors before w
@@ -803,7 +800,7 @@ class BarConnesComplex:
                 negate = (before + self._factor_degree(w1)) % 2
                 vec_add_term(out, (unit, head + (w1, w2) + tail), -1 if negate else 1)
             before += self._factor_degree(w)
-        return leibniz_column(self.base, b, (words,), out)
+        return out
 
     def reduce_label(self, b, words):
         """(b, representative of words) with its sign; (None, 1) for a

@@ -24,6 +24,11 @@ module twists by ``bimod.hom_twist``, both one-sided actions go through
 ``bimod.dga_module_bimodule``, and ``SimpModel`` signs its sorted words
 with ``grdlin.koszul_sign``.
 
+``GeneralizedTrace`` reaches only the composable words of HH(End), as
+Loday's matrix trace does: the closed walks of nonzero folds between
+c-terms, enumerated so that each label meets its walks in
+``itertools.product`` order (its docstring gives the argument).
+
 Every trace-type map ships with an exact chain-map certificate: one
 ``chain_report`` on ``grdlin.chain_map_witness`` behind the generalized
 trace, the explicit transfer, the Becker-Gottlieb model and the assembly
@@ -386,11 +391,15 @@ class GeneralizedTrace:
     A fold depends only on the c-term before it, the End letter and the
     c-term after it, so every fold is computed once, into a table
     ``letter -> [c-term j][c-term k] -> rho`` over the End generators.
-    The assignments of a label are enumerated depth first in
-    ``itertools.product`` order, descending only through nonzero folds;
-    the c-term coefficients, the block-move sign and ``_assemble`` are
-    applied to the live assignments alone, in the order the full product
-    would have reached them.
+    A live assignment of (unit, x_0, (x_1, .., x_n)) is a closed walk k_0
+    -> k_1 -> .. -> k_n -> k_0 of c-terms in the fold graph, whose edges
+    j -> k carry the letters x with folds[x][j][k] != 0, through x_1, ..,
+    x_n and back through x_0 (Loday's matrix trace, to which this reduces
+    for a strict coevaluation, likewise lives on composable words).
+    ``_closed_walks`` enumerates these walks alone, from each k_0 in
+    ascending order and through each letter's targets in ascending order:
+    a label's walks then arrive in ``itertools.product`` order, so each
+    column keeps the key order of a label-by-label evaluation.
     """
 
     def __init__(self, coev: DerivedCoevaluation, h_max, target_h=None):
@@ -403,16 +412,19 @@ class GeneralizedTrace:
         if target_h is None:
             target_h = max(h_max * max(coev.b_max, 1), _output_tail_bound(coev, h_max))
         self.hh_target = hh_target = hh_of_algebra(coev.r_alg, target_h)
-        self._cterms = list(coev.terms())
-        self._folds = {
-            letter: [[self._fold(phi, letter, m) for m, _ys, _phi, _c in self._cterms]
-                     for _m, _ys, phi, _c in self._cterms]
-            for letter in hh_end.algebra.gens.labels()}
-        entries = {}
-        for label in hh_end.space.labels():
-            col = self._evaluate(label)
-            if col:
-                entries[label] = col
+        self._cterms = cterms = list(coev.terms())
+        m_degree, x_degree = hh_end.bimodule.kmodule.gens.degree, hh_end.algebra.gens.degree
+        columns = {}
+        for label, path, rhos, coeff in self._closed_walks():
+            _unit, x0, xs = label
+            # (alpha_0, m_0) moves to the back (c-terms are degree 0)
+            r0, v0 = cterms[path[0]][0]
+            block = m_degree[x0] + self.base.degree(r0) + self.module.gens.degree[v0]
+            if block % 2 and (m_degree[x0] + sum(x_degree[x] for x in xs) - block) % 2:
+                coeff = -coeff
+            vec_add(columns.setdefault(label, {}),
+                    self._assemble([cterms[k][1] for k in path], rhos), coeff)
+        entries = {label: col for label in hh_end.space.labels() if (col := columns.get(label))}
         for col in entries.values():
             for out_label in col:
                 if out_label not in hh_target.space:
@@ -443,38 +455,29 @@ class GeneralizedTrace:
                 vec_add(rho, {r4: fsign * c2 * c4})
         return rho
 
-    def _evaluate(self, label) -> dict:
-        letters, adegs = _letters_and_degrees(self.hh_end, label)
-        n1 = len(letters)
-        cterms = self._cterms
-        # folds[i] joins slot i to slot i + 1 (mod n1) through letter i + 1
-        folds = [self._folds[x] for x in letters[1:] + letters[:1]]
-        total_deg = sum(adegs)
-        out = {}
+    def _closed_walks(self):
+        """Yield, for each closed walk of nonzero folds of at most h_max + 1
+        steps, the label (unit, x_0, xs) it spells, its c-terms k_0, .., k_n,
+        its folds rho_0, .., rho_n (rho_n closing through x_0) and the
+        product of its c-term coefficients."""
+        cterms, unit, h_max = self._cterms, self.hh_end.base.unit, self.hh_end.h_max
+        letters = self.hh_end.algebra.gens.labels()
+        folds = {x: [[self._fold(phi, x, m) for m, _ys, _phi, _c in cterms]
+                     for _m, _ys, phi, _c in cterms] for x in letters}
+        edges = [[(x, k, rho) for x in letters for k, rho in enumerate(folds[x][j]) if rho]
+                 for j in range(len(cterms))]
 
-        def descend(path, rhos, coeff):
-            last = path[-1]
-            if len(path) == n1:
-                rho = folds[-1][last][path[0]]
-                if not rho:
-                    return
-                # (alpha_0, m_0) moves to the back (c-terms are degree 0)
-                r0, v0 = cterms[path[0]][0]
-                block = adegs[0] + self.base.degree(r0) + self.module.gens.degree[v0]
-                if block % 2 and (total_deg - block) % 2:
-                    coeff = -coeff
-                words = [tuple(cterms[k][1]) for k in path]
-                for lbl2, c2 in self._assemble(words, rhos + [rho]).items():
-                    vec_add(out, {lbl2: coeff * c2})
-                return
-            fold = folds[len(path) - 1][last]
-            for k, rho in enumerate(fold):
-                if rho:
-                    descend(path + (k,), rhos + [rho], coeff * cterms[k][3])
+        def walk(path, xs, rhos, coeff):
+            last, k0 = path[-1], path[0]
+            for x0 in letters:
+                if rho := folds[x0][last][k0]:
+                    yield (unit, x0, xs), path, rhos + [rho], coeff
+            if len(xs) < h_max:
+                for x, k, rho in edges[last]:
+                    yield from walk(path + (k,), xs + (x,), rhos + [rho], coeff * cterms[k][3])
 
-        for k, term in enumerate(cterms):
-            descend((k,), [], term[3])
-        return out
+        for k0, term in enumerate(cterms):
+            yield from walk((k0,), (), [], term[3])
 
     def _assemble(self, words, rhos) -> dict:
         """Output groups (s(rho_{i-1}), ys_i) for i = 0..n, one term per

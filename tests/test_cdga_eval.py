@@ -5,16 +5,19 @@ Complex assembly only ever passes unit coefficients, which
 ``eval_k_multilinear`` answers by copying the table column.  The general
 formula below is kept as the reference: it collects every coefficient in
 the base with its Koszul sign, whatever the coefficient is, and is
-compared with the library on every pair tuple of arity <= 3.
+compared with the library on every pair tuple of arity <= 3.  The last
+test pins ``KAlgebra``'s associativity check, which reads both sides off
+its product table, on products with an odd coefficient.
 """
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from hochtrace.ainf import unit_algebra
-from hochtrace.cdga import collect_coefficients, eval_k_multilinear
+from hochtrace.cdga import KAlgebra, collect_coefficients, eval_k_multilinear
 from hochtrace.fixtures import cp2_cohomology, exterior_odd, sphere_cohomology
 from hochtrace.grdlin import ONE, GradedSpace, vec_add
 from hochtrace.hoch import hh_of_algebra
@@ -146,3 +149,29 @@ PINNED_HH_UNIT = {
 def test_hh_of_unit_algebra_pinned(name):
     hh = hh_of_algebra(unit_algebra(BASES[name]()), 3)
     assert hh.d.entries == PINNED_HH_UNIT[name]
+
+
+def _matrix_units_over_odd_base(flip=None):
+    """2x2 graded matrix units over Lambda(x), |E12| = 1, |E21| = -1, in the
+    basis 1, p = E11 + x E21, q = E21, r = E12: products like p r = r + x 1
+    - x p carry the odd coefficient x, and associativity holds only with
+    the sign of x (b w) = (-1)^{|b||x|} b (x w): without it the check
+    fails at (q, r, p).  ``flip`` negates one product."""
+    gens = GradedSpace([("1", 0), ("p", 0), ("q", -1), ("r", 1)])
+    mult = {("p", "p"): {("1", "p"): 1}, ("p", "q"): {}, ("q", "p"): {("1", "q"): 1},
+            ("p", "r"): {("1", "r"): 1, ("x", "1"): 1, ("x", "p"): -1},
+            ("r", "p"): {("x", "p"): -1}, ("q", "q"): {}, ("r", "r"): {},
+            ("q", "r"): {("1", "1"): 1, ("1", "p"): -1, ("x", "q"): 1},
+            ("r", "q"): {("1", "p"): 1, ("x", "q"): -1}}
+    for v in gens.labels():
+        mult[("1", v)] = mult[(v, "1")] = {("1", v): 1}
+    if flip:
+        mult[flip] = {key: -c for key, c in mult[flip].items()}
+    return KAlgebra(exterior_odd(1), gens, mult, "1")
+
+
+def test_associativity_reads_the_odd_coefficient_sign():
+    assert _matrix_units_over_odd_base().gens.dim == 4
+    # the first failing triple, as the check through KAlgebra.mul found it
+    with pytest.raises(ValueError, match=re.escape("not associative at ('p', 'p', 'r')")):
+        _matrix_units_over_odd_base(flip=("p", "r"))

@@ -135,6 +135,21 @@ def test_classical_hochschild_names_a_u1_relation_that_hits_the_basis():
                                     {(("1", (), "1"), "x2"): 1})
 
 
+def test_classical_hochschild_inserts_u1_before_u2():
+    # only x x = 2 x2 on the right, the unit kept: at (x, sx (x) s1, 1), the
+    # first failing triple, u1 and u2 each reduce to the canonical label
+    # (1 (x) 1) (x) x2, so the witness names whichever goes in first
+    dga = cdga_as_kalgebra(fixture_cdga("cp2"))
+    alg = from_dga(dga)
+    right = dict(dga.mult)
+    right[("x", "x")] = {("1", "x2"): 2}
+    bim = dga_module_bimodule(alg, alg, dga.module, left_action=dga.mult, right_action=right)
+    with pytest.raises(CertificateError) as caught:
+        classical_hh(dga, bim, 1)
+    assert caught.value.witness == (("u1", "x", ("x", (), "1"), "1"),
+                                    {(("1", (), "1"), "x2"): 1})
+
+
 def test_classical_comparison_of_an_int_table_dga_is_exact():
     # int tables keep both differentials int; the diagonal iso must still
     # hold exact signs, not int / int quotients

@@ -12,11 +12,10 @@ that the Hochschild and bar Connes complexes of R over a base R with
 d != 0 read H(R), and check the normalized complex of Q[C2], whose
 product outputs the unit from reduced letters.
 """
-import hashlib
 from collections import Counter
 
 import pytest
-from test_transfer import s4_bundle
+from test_transfer import ordered_digest, s4_bundle
 
 from hochtrace import hoch
 from hochtrace.ainf import from_dga, unit_algebra
@@ -32,14 +31,6 @@ from hochtrace.fixtures import (
 from hochtrace.grdlin import ONE, homology_window
 from hochtrace.hoch import BarConnesComplex, hh_complex, hh_of_algebra, normalized_hh
 from hochtrace.transfer import assembly_projection_report
-
-
-def ordered_digest(gmap):
-    """Hash of a GradedMap's columns as stored: source labels and each
-    column's keys in insertion order, coefficients by repr (so an int and
-    an equal Fraction differ)."""
-    entries = [(src, list(col.items())) for src, col in gmap.entries.items()]
-    return hashlib.sha256(repr(entries).encode()).hexdigest()[:16]
 
 
 def group_algebra_c2():
@@ -105,6 +96,19 @@ def test_bar_connes_differential_is_bit_identical():
     cx = BarConnesComplex(from_dga(twisted_odd_coefficient_dga()), 3)
     assert not cx.base.d.entries
     assert ordered_digest(cx.d) == "6046d6a6ac2fc347"
+
+
+# ordered digests of (d, projection) over sphere3_with_differential(), taken
+# while d(unit, words) was built once per label (b, words)
+BAR_CONNES_OVER_S3_WITH_D = {2: ("b7fe563f1ef869e3", "fc7785fbce90b2c4"),
+                             3: ("ad8edd8e6763085d", "d0a148f54dd3f1c4")}
+
+
+@pytest.mark.parametrize("letters", sorted(BAR_CONNES_OVER_S3_WITH_D))
+def test_bar_connes_differential_over_a_base_with_d_is_bit_identical(letters):
+    cx = BarConnesComplex(unit_algebra(sphere3_with_differential()), letters)
+    assert (ordered_digest(cx.d), ordered_digest(cx.projection)) == \
+        BAR_CONNES_OVER_S3_WITH_D[letters]
 
 
 def test_bar_connes_over_a_base_with_d_is_its_cohomology():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,14 @@ def entries_digest(entries):
     return h.hexdigest()[:16]
 
 
+def ordered_digest(gmap):
+    """Hash of a GradedMap's columns as stored: source labels and each
+    column's keys in insertion order, coefficients by repr (so an int and
+    an equal Fraction differ)."""
+    entries = [(src, list(col.items())) for src, col in gmap.entries.items()]
+    return hashlib.sha256(repr(entries).encode()).hexdigest()[:16]
+
+
 def _trace_s2():
     alg = fixture_algebra("s2")
     coev = find_derived_coev(BaseCDGA.rationals(), alg.module, b_max=2)
@@ -267,21 +276,47 @@ def _trace_odd_base_one_module(h):
     return lambda: _trace_over_odd_base([("1", -1), ("u", -1)], {"u": {("x", "1"): ONE}}, h)
 
 
-# (number of nonzero columns, entries_digest) of GeneralizedTrace.map
-@pytest.mark.parametrize("build, columns, pinned", [
-    (_trace_s2, 14, "40e0cdd79bff142f"),
-    (_trace_twisted_over_q, 14, "1e81febaa861036c"),
-    (_trace_mu3_transfer, 39, "0aaca200a7d8662f"),
-    (_trace_dual_numbers, 258, "4f15fec0b8eef014"),
-    (_trace_odd_base_even_module(1), 42, "5e3d092d751a578d"),
-    (_trace_odd_base_even_module(2), 258, "f014db48f7e3858b"),
-    (_trace_odd_base_one_module(1), 42, "cb47a09795faa3c1"),
-    (_trace_odd_base_one_module(2), 258, "7fb629daa6847216"),
+# (number of nonzero columns, entries_digest, ordered_digest) of
+# GeneralizedTrace.map; the ordered digests, which also see each column's
+# key order, were taken while the trace was evaluated label by label
+@pytest.mark.parametrize("build, columns, pinned, ordered", [
+    (_trace_s2, 14, "40e0cdd79bff142f", "a1f6a5c118004da9"),
+    (_trace_twisted_over_q, 14, "1e81febaa861036c", "e3877dcd92572532"),
+    (_trace_mu3_transfer, 39, "0aaca200a7d8662f", "e3f4c157544fb702"),
+    (_trace_dual_numbers, 258, "4f15fec0b8eef014", "4b99af6581f27576"),
+    (_trace_odd_base_even_module(1), 42, "5e3d092d751a578d", "cc6c003c9b6edc17"),
+    (_trace_odd_base_even_module(2), 258, "f014db48f7e3858b", "0d490a56f20f5b29"),
+    (_trace_odd_base_one_module(1), 42, "cb47a09795faa3c1", "a9357a65ef613e47"),
+    (_trace_odd_base_one_module(2), 258, "7fb629daa6847216", "f3f716a619dc3a78"),
 ], ids=["s2", "twisted_over_q", "mu3_transfer", "dual_numbers", "odd_base_uw_h1",
         "odd_base_uw_h2", "odd_base_1u_h1", "odd_base_1u_h2"])
-def test_generalized_trace_pinned(build, columns, pinned):
-    entries = build().entries
-    assert (len(entries), entries_digest(entries)) == (columns, pinned)
+def test_generalized_trace_pinned(build, columns, pinned, ordered):
+    gmap = build()
+    assert (len(gmap.entries), entries_digest(gmap.entries)) == (columns, pinned)
+    assert ordered_digest(gmap) == ordered
+
+
+def test_generalized_trace_walks_only_the_composable_words(monkeypatch):
+    # label by label, mu3 at h = 2 read the letters of all 819 HH(End)
+    # labels for 39 nonzero columns, one closed walk of nonzero folds each
+    calls = Counter()
+    letters_and_degrees = transfer._letters_and_degrees
+    assemble = GeneralizedTrace._assemble
+
+    def counted_letters(*args):
+        calls["letters"] += 1
+        return letters_and_degrees(*args)
+
+    def counted_assemble(self, *args):
+        calls["assemble"] += 1
+        return assemble(self, *args)
+
+    monkeypatch.setattr(transfer, "_letters_and_degrees", counted_letters)
+    monkeypatch.setattr(GeneralizedTrace, "_assemble", counted_assemble)
+    alg = mu3_algebra()
+    gt = GeneralizedTrace(find_derived_coev(BaseCDGA.rationals(), alg.module, b_max=2), 2)
+    assert (gt.hh_end.space.dim, len(gt.map.entries)) == (819, 39)
+    assert calls == {"assemble": 39}
 
 
 def test_generalized_trace_window_holds_bar_letters():

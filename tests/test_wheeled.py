@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hochtrace import wheeled
-from hochtrace.ainf import check_stasheff, compositions
+from hochtrace.ainf import check_stasheff, compositions, unit_algebra
+from hochtrace.fixtures import sphere3_with_differential
 from hochtrace.grdlin import enumerate_shuffles, koszul_sign, vec_add_term
 from hochtrace.hoch import BarConnesComplex
 from hochtrace.wheeled import (
@@ -134,20 +135,25 @@ def test_word_tuples_are_the_multilinear_part_of_all_tuples(n):
     assert labels == {("1", words) for words in multilinear}
 
 
-def test_bar_connes_differential_runs_once_per_full_label(monkeypatch):
-    # the quotient differential is projected from the full one, so each
-    # word tuple's differential is built once, representatives included
-    labels = []
+def test_bar_connes_differential_runs_once_per_word_tuple(monkeypatch):
+    # the quotient differential is projected from the full one, and the
+    # full one extends each word tuple's unit column over b, so each word
+    # tuple's differential is built once, representatives included
+    tuples = []
     differential = BarConnesComplex._differential
 
-    def counted(self, label):
-        labels.append(label)
-        return differential(self, label)
+    def counted(self, words):
+        tuples.append(words)
+        return differential(self, words)
 
     monkeypatch.setattr(BarConnesComplex, "_differential", counted)
     cx = gc1_complex(3)
-    assert sorted(labels, key=repr) == sorted(cx.full_space.labels(), key=repr)
-    assert len(labels) == 41
+    assert sorted(tuples, key=repr) == sorted((w for _b, w in cx.full_space.labels()), key=repr)
+    assert len(tuples) == 41
+    # over a four-dimensional base: once per word tuple, not per (b, words)
+    tuples.clear()
+    cx = BarConnesComplex(unit_algebra(sphere3_with_differential()), 3)
+    assert (len(tuples), len(set(tuples)), cx.full_space.dim) == (7, 7, 28)
 
 
 def test_word_tuples_must_be_closed_under_the_differential():
