@@ -37,7 +37,7 @@ from .cdga import (
     eval_k_multilinear,
     kvec_scale,
 )
-from .grdlin import ONE, GradedSpace, enumerate_shuffles, int_first, koszul_sign, vec_add
+from .grdlin import ONE, GradedSpace, enumerate_shuffles, int_first, koszul_sign, permute, vec_add
 from .report import Report
 
 
@@ -231,7 +231,7 @@ def check_cinfty(alg: AInfAlgebra, up_to) -> Report:
                 total = {}
                 for sigma in shuffles:
                     sign = koszul_sign(sigma, degs)
-                    permuted = sigma.apply_to(vs)
+                    permuted = permute(sigma, vs)
                     pairs = tuple((alg.base.unit, v) for v in permuted)
                     vec_add(total, alg.eval_mu(pairs), sign)
                 return total

@@ -42,6 +42,7 @@ from .grdlin import (
     ONE,
     GradedMap,
     GradedSpace,
+    compose_perms,
     cyclic_rotations,
     enumerate_shuffles,
     int_first,
@@ -778,11 +779,6 @@ def check_symmetric_map(f: BimoduleMap, up_to) -> Report:
 # --- cyclic permutations inside the shuffle span (Lemma 3.4.9) ---------------
 
 
-def _perm_compose(sigma, tau):
-    """Destination-convention composition: apply tau first."""
-    return tuple(sigma[tau[i]] for i in range(len(sigma)))
-
-
 def cyclic_in_shuffle_span(n) -> dict:
     """Exact coefficients expressing the sum of the n cyclic rotations in
     the left Sigma_n-span of the shuffle sums; None if no certificate
@@ -794,16 +790,16 @@ def cyclic_in_shuffle_span(n) -> dict:
     current = tuple(range(n))
     for _ in range(n):
         c_n[current] = c_n.get(current, 0) + ONE
-        current = _perm_compose(rot, current)
+        current = compose_perms(rot, current)
+    shuffles = {p: enumerate_shuffles(p, n - p) for p in range(1, n)}
     rows = []
     index = []
     for p in range(1, n):
         q = n - p
-        sh_sum = [s.perm for s in enumerate_shuffles(p, q)]
         for tau in permutations(range(n)):
             row = {}
-            for sigma in sh_sum:
-                key = _perm_compose(tau, sigma)
+            for sigma in shuffles[p]:
+                key = compose_perms(tau, sigma)
                 row[key] = row.get(key, 0) + ONE
             rows.append(row)
             index.append((p, q, tau))
@@ -814,8 +810,8 @@ def cyclic_in_shuffle_span(n) -> dict:
     # verify by substitution
     acc = {}
     for (p, q, tau), coeff in certificate.items():
-        for s in enumerate_shuffles(p, q):
-            key = _perm_compose(tau, s.perm)
+        for sigma in shuffles[p]:
+            key = compose_perms(tau, sigma)
             acc[key] = acc.get(key, 0) + coeff
     defect = vec_add({k: v for k, v in acc.items() if v}, c_n, -1)
     if defect:

@@ -23,6 +23,11 @@ a reduction hashes a string that caches its hash; the pivot is still the
 least-repr label, the order ``hoch.ClassicalHochschild`` relies on.
 Koszul signs are the ints +1 and -1.
 
+A permutation is a plain tuple of destination slots: perm[i] is the
+slot that factor i moves to.  ``permute`` is the one action on a tuple,
+``compose_perms`` the one composition, ``koszul_sign`` the one sign and
+``enumerate_shuffles`` lists the (p, q)-shuffles in this format.
+
 ``cyclic_rotations`` is the one implementation of the cyclic Koszul
 rotation and its sign: every Hochschild, Connes, trace and symmetry
 formula that rotates a word of graded factors goes through it.
@@ -258,75 +263,31 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
     return GradedMap(source, target, degree, entries, check=False)
 
 
-class SignedPermutation:
-    """A permutation acting on graded tensor factors with Koszul signs.
-
-    ``perm[i]`` is the destination slot of the factor at slot i, so the
-    action matches Def-style left actions: the new tuple holds the old
-    factor i at position perm[i].
-    """
-
-    __slots__ = ("perm",)
-
-    def __init__(self, perm):
-        self.perm = tuple(perm)
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError(f"not a permutation: {perm}")
-
-    def __len__(self):
-        return len(self.perm)
-
-    def __eq__(self, other):
-        return isinstance(other, SignedPermutation) and self.perm == other.perm
-
-    def __hash__(self):
-        return hash(self.perm)
-
-    def __repr__(self):
-        return f"SignedPermutation{self.perm}"
-
-    @classmethod
-    def identity(cls, n):
-        return cls(range(n))
-
-    @classmethod
-    def rotation(cls, n):
-        """t_n: last factor moved to the front."""
-        if n == 0:
-            return cls(())
-        return cls([(i + 1) % n for i in range(n)])
-
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """self o other: apply other first."""
-        return SignedPermutation(self.perm[other.perm[i]] for i in range(len(self)))
-
-    def inverse(self) -> "SignedPermutation":
-        inv = [0] * len(self)
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return SignedPermutation(inv)
-
-    def apply_to(self, items):
-        """Reorder a tuple: result[perm[i]] = items[i]. No sign."""
-        out = [None] * len(self)
-        for i, x in enumerate(items):
-            out[self.perm[i]] = x
-        return tuple(out)
+def permute(perm, items):
+    """Reorder a tuple by a permutation: result[perm[i]] = items[i].  No sign."""
+    out = [None] * len(perm)
+    for i, x in enumerate(items):
+        out[perm[i]] = x
+    return tuple(out)
 
 
-def koszul_sign(perm: SignedPermutation, degrees) -> int:
+def compose_perms(sigma, tau):
+    """sigma o tau: apply tau first."""
+    return tuple(sigma[t] for t in tau)
+
+
+def koszul_sign(perm, degrees) -> int:
     """(-1)^(sum of |x_i||x_j| over pairs i<j that the permutation
-    inverts), as the int +1 or -1."""
+    inverts), as the int +1 or -1; ``perm`` is a destination tuple."""
     degrees = list(degrees)
     if len(degrees) != len(perm):
         raise ValueError("degree list does not match permutation size")
     exponent = 0
-    p = perm.perm
-    for i in range(len(p)):
+    for i in range(len(perm)):
         if degrees[i] % 2 == 0:
             continue
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j] and degrees[j] % 2:
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j] and degrees[j] % 2:
                 exponent += 1
     return -1 if exponent % 2 else 1
 
@@ -336,8 +297,8 @@ def cyclic_rotations(items, degrees):
 
     Yields (l, items[n-l:] + items[:n-l], parity) for l = 0..n-1: the
     last l factors moved to the front, whose Koszul sign is (-1)^parity
-    with parity = |moved block| * |rest| mod 2.  This is the sign of
-    SignedPermutation.rotation(n) applied l times.
+    with parity = |moved block| * |rest| mod 2.  This is the sign of the
+    rotation (1, 2, .., n - 1, 0) composed l times.
     """
     items = tuple(items)
     n = len(items)
@@ -714,9 +675,9 @@ def is_quasi_iso_window(f: GradedMap, source: Complex, target: Complex,
 
 
 def enumerate_shuffles(p, q):
-    """All (p,q)-shuffles: destinations of block 1 increasing, likewise block 2."""
+    """All (p,q)-shuffles as destination tuples: destinations of block 1
+    increasing, likewise block 2, in the lexicographic order of block 1."""
     if p < 0 or q < 0:
         raise ValueError("p, q must be nonnegative")
-    slots = set(range(p + q))
-    return [SignedPermutation(first + tuple(sorted(slots.difference(first))))
+    return [first + tuple(i for i in range(p + q) if i not in first)
             for first in combinations(range(p + q), p)]

@@ -14,8 +14,8 @@ H_max is an honest subcomplex and d^2 = 0 holds exactly there.
 Each construction builds one ``cdga.insertions`` enumerator per inserted
 map, which looks each word up once per arity, and drops it once built.
 The complexes over the base R build their unit-coefficient columns alone
-and extend them over b by ``cdga.leibniz_column`` (``hh_induced_map`` by
-``cdga.times_base``).  ``HochschildComplex`` builds a word's unit columns
+and extend them over b by ``cdga.leibniz_column`` (``hh_algebra_induced_map``
+by ``cdga.times_base``).  ``HochschildComplex`` builds a word's unit columns
 together: the insertions, less those that output the unit when
 normalized, and the rotated bimodule folds, read from one ``fold_table``
 per construction with one lookup per word and (l, r).
@@ -36,10 +36,8 @@ from itertools import islice, product
 from .ainf import AInfAlgebra, compositions, from_dga
 from .bimod import (
     AInfBimodule,
-    BimoduleMap,
     dga_module_bimodule,
     diagonal_bimodule,
-    split_arities,
     tensor_inf,
 )
 from .cdga import BaseCDGA, KAlgebra, collect_coefficients, insertions, leibniz_column, times_base
@@ -649,13 +647,13 @@ def compare_classical(classical: ClassicalHochschild,
 # --- functoriality (Obs 3.7.6) -------------------------------------------------
 
 
-def hh_induced_map(f, g, source_hh: HochschildComplex,
-                   target_hh: HochschildComplex) -> GradedMap:
-    """The map HH(R, M) -> HH(S, N) induced by a pair (f, g) with
-    f: R -> S an algebra morphism and g: M -> (f,f)^* N of degree 0.
+def hh_algebra_induced_map(f, source_hh: HochschildComplex,
+                           target_hh: HochschildComplex) -> GradedMap:
+    """HH_k(R) -> HH_k(S) induced by an algebra morphism f: R -> S, through
+    the pair (f, f') with f'_{l,r} = f_{l+1+r} on the diagonal bimodules.
 
     On Hochschild degree n, for each split n_i + n_1 + (middle) = n the
-    last n_i letters are rotated to the front (Koszul signs), g eats
+    last n_i letters are rotated to the front (Koszul signs), f eats
     (front block, m, first block), and the middle letters are distributed
     over f-blocks; the summand lands in Hochschild degree (#f-blocks).
     """
@@ -673,15 +671,13 @@ def hh_induced_map(f, g, source_hh: HochschildComplex,
         for ni, rotated, parity in cyclic_rotations(pairs, degs):
             # rotated = (x_{n-ni+1}, .., x_n, m, x_1, .., x_{n-ni})
             for n1 in range(0, len(rotated) - ni):
-                if (ni, n1) not in g.components:
-                    continue
-                g_val = g.eval(ni, n1, rotated[:ni + 1 + n1])
-                if not g_val:
+                f_val = f.eval_f(rotated[:ni + 1 + n1])
+                if not f_val:
                     continue
                 rest = rotated[ni + 1 + n1:]
                 for comp in compositions(len(rest)):
                     partials = f.blocks_apply(rest, comp)
-                    for pair, gc in g_val.items():
+                    for pair, gc in f_val.items():
                         for blocks, fc in partials:
                             word_degs = [tgt_mgens.degree[pair[1]]] + \
                                 [tgt_agens.degree[y] for _, y in blocks]
@@ -700,14 +696,6 @@ def hh_induced_map(f, g, source_hh: HochschildComplex,
     entries = {label: col for label in labels
                if (col := times_base(base, label[0], columns[label[1:]], 0))}
     return GradedMap(source_hh.space, target_hh.space, 0, entries)
-
-
-def hh_algebra_induced_map(f, source_hh: HochschildComplex,
-                           target_hh: HochschildComplex) -> GradedMap:
-    """HH_k(R) -> HH_k(S) induced by an algebra morphism (pair (f, f'))."""
-    fprime = BimoduleMap(source_hh.bimodule, target_hh.bimodule, 0,
-                         split_arities(f.components), check=False)
-    return hh_induced_map(f, fprime, source_hh, target_hh)
 
 
 # --- the Connes complex of the bar coalgebra (Lemma 3.7.9 shape) ---------------

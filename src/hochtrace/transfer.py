@@ -66,7 +66,6 @@ from .grdlin import (
     GradedSpace,
     HomologyBasis,
     ONE,
-    SignedPermutation,
     chain_map_witness,
     cyclic_rotations,
     koszul_sign,
@@ -722,7 +721,7 @@ class SimpModel:
         word = tuple(word[i] for i in order)
         # ``order`` sends the sorted word back; a permutation and its
         # inverse invert the same pairs of factors, so they share the sign
-        sign = koszul_sign(SignedPermutation(order), [degree[x] for x in word])
+        sign = koszul_sign(order, [degree[x] for x in word])
         for a, b in zip(word, word[1:]):
             if a == b and degree[a] % 2:
                 return None, ZERO

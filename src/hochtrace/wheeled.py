@@ -33,9 +33,9 @@ from .grdlin import (
     GradedSpace,
     HomologyBasis,
     ONE,
-    SignedPermutation,
     enumerate_shuffles,
     koszul_sign,
+    permute,
     vec_add,
     vec_add_term,
 )
@@ -80,17 +80,16 @@ def _normalize_children(children, supports, degrees) -> dict:
     if j == k - 1:
         return {children: 1}
     # the children before c_j shuffled with those after it in reverse
-    # order, then c_j; ``move`` sends each original slot to its slot in
+    # order, then c_j; ``slots`` sends each original slot to its slot in
     # the term
     front = list(range(j)) + list(range(k - 1, j, -1))
     sign = -1 if (k - 1 - j) % 2 else 1
     out = {}
     for sigma in enumerate_shuffles(j, k - 1 - j):
         slots = [k - 1] * k
-        for i, dest in zip(front, sigma.perm):
+        for i, dest in zip(front, sigma):
             slots[i] = dest
-        move = SignedPermutation(slots)
-        out[move.apply_to(children)] = sign * koszul_sign(move, degrees)
+        out[permute(slots, children)] = sign * koszul_sign(slots, degrees)
     return out
 
 

@@ -5,9 +5,10 @@ Complex assembly only ever passes unit coefficients, which
 ``eval_k_multilinear`` answers by copying the table column.  The general
 formula below is kept as the reference: it collects every coefficient in
 the base with its Koszul sign, whatever the coefficient is, and is
-compared with the library on every pair tuple of arity <= 3.  The last
-test pins ``KAlgebra``'s associativity check, which reads both sides off
-its product table, on products with an odd coefficient.
+compared with the library on every pair tuple of arity <= 3.  Then
+``KAlgebra``'s associativity check, which reads both sides off its
+product table, is pinned on products with an odd coefficient, and
+``BaseCDGA``'s validator on one bad table per axiom.
 """
 import random
 import re
@@ -17,9 +18,9 @@ from itertools import product
 import pytest
 
 from hochtrace.ainf import unit_algebra
-from hochtrace.cdga import KAlgebra, collect_coefficients, eval_k_multilinear
+from hochtrace.cdga import BaseCDGA, KAlgebra, collect_coefficients, eval_k_multilinear
 from hochtrace.fixtures import cp2_cohomology, exterior_odd, sphere_cohomology
-from hochtrace.grdlin import ONE, GradedSpace, vec_add
+from hochtrace.grdlin import ONE, GradedMap, GradedSpace, vec_add
 from hochtrace.hoch import hh_of_algebra
 
 BASES = {
@@ -175,3 +176,47 @@ def test_associativity_reads_the_odd_coefficient_sign():
     # the first failing triple, as the check through KAlgebra.mul found it
     with pytest.raises(ValueError, match=re.escape("not associative at ('p', 'p', 'r')")):
         _matrix_units_over_odd_base(flip=("p", "r"))
+
+
+def _base_cdga(basis, products, diff=None, unit_acts=True):
+    """A BaseCDGA on ``basis`` with exactly the products given, plus
+    1 * a = a * 1 = a for every a when ``unit_acts``."""
+    space = GradedSpace(basis)
+    mult = dict(products)
+    if unit_acts:
+        for a in space.labels():
+            mult[("1", a)] = mult[(a, "1")] = {a: 1}
+    return BaseCDGA(space, GradedMap(space, space, 1, diff or {}), mult, "1")
+
+
+# One table per axiom, each breaking that axiom alone, with the message of
+# the first failure the validator reports.
+BAD_BASE_TABLES = {
+    # 1 * x = x * 1 = 0: the unit fails on both sides, commutativity holds
+    "unit": (lambda: _base_cdga([("1", 0), ("x", 0)], {("1", "1"): {"1": 1}},
+                                unit_acts=False),
+             "unit fails on the left of 'x'"),
+    # x * x = y with |x| odd: graded commutativity asks x * x = -x * x
+    "graded commutativity": (lambda: _base_cdga([("1", 0), ("x", 1), ("y", 2)],
+                                                {("x", "x"): {"y": 1}}),
+                             "not graded-commutative at ('x', 'x')"),
+    # x idempotent with dx = y: d(x x) = y but dx x + x dx = 0
+    "Leibniz": (lambda: _base_cdga([("1", 0), ("x", 0), ("y", 1)],
+                                   {("x", "x"): {"x": 1}}, diff={"x": {"y": 1}}),
+                "Leibniz fails at ('x', 'x')"),
+    # x x = y, x y = y x = x, y y = 0: (x x) y = 0 but x (x y) = y
+    "associativity": (lambda: _base_cdga([("1", 0), ("x", 0), ("y", 0)],
+                                         {("x", "x"): {"y": 1}, ("x", "y"): {"x": 1},
+                                          ("y", "x"): {"x": 1}}),
+                      "not associative at ('x', 'x', 'y')"),
+    # d(1) = x: Leibniz fails at (1, 1) alone, named by the rule d(1) = 0
+    "d(1) = 0": (lambda: _base_cdga([("1", 0), ("x", 1)], {}, diff={"1": {"x": 1}}),
+                 "d(1) != 0"),
+}
+
+
+@pytest.mark.parametrize("axiom", list(BAD_BASE_TABLES))
+def test_base_cdga_rejects_a_table_breaking_one_axiom(axiom):
+    build, message = BAD_BASE_TABLES[axiom]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

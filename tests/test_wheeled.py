@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hochtrace import wheeled
 from hochtrace.ainf import check_stasheff, compositions, unit_algebra
 from hochtrace.fixtures import sphere3_with_differential
-from hochtrace.grdlin import enumerate_shuffles, koszul_sign, vec_add_term
+from hochtrace.grdlin import enumerate_shuffles, koszul_sign, permute, vec_add_term
 from hochtrace.hoch import BarConnesComplex
 from hochtrace.wheeled import (
     _normalize_children,
@@ -189,11 +189,11 @@ def _recursive_normal_form(children, supports, degrees):
         return {children: 1}
     out = {}
     for sigma in enumerate_shuffles(j + 1, k - j - 1):
-        if sigma.perm == tuple(range(k)):
+        if sigma == tuple(range(k)):
             continue
         sign = koszul_sign(sigma, degrees)
-        permuted = _recursive_normal_form(sigma.apply_to(children), sigma.apply_to(supports),
-                                          sigma.apply_to(degrees))
+        permuted = _recursive_normal_form(permute(sigma, children), permute(sigma, supports),
+                                          permute(sigma, degrees))
         for child_tuple, c in permuted.items():
             vec_add_term(out, child_tuple, -sign * c)
     return out
