@@ -406,7 +406,7 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
                     gen_list.append(((vm, ys, vn), deg))
     gens = GradedSpace(gen_list)
     if middle is not None:
-        middle_terms = insertions(base, middle.mu_word, 1, middle.arities, middle.gens.degree)
+        middle_terms = insertions(base, middle.mu_word, middle.arities, middle.gens.degree)
     # the factors' arities by side, once: ascending n1 of mu^M_{l,n1} per l,
     # descending n2 of mu^N_{n2,r} (ascending n1 = k - n2) per r
     m_arities, n_arities = {}, {}
@@ -710,14 +710,14 @@ def homotopy_identity_report(alg: AInfAlgebra, m: AInfBimodule, h_max) -> Report
     h = contraction_h(alg, tensor_module)
     d = tensor_module.kmodule.d
     pi = pi_map(alg, m, h_max, source=tensor_module)
+    iota = iota_map(alg, m, h_max, target=tensor_module)
     lhs = d.compose(h) + h.compose(d)
 
     def defect(label):
-        """(d h + h d - id + iota_0 pi_0)(label), where iota_0 pi_0 is
-        mu_{1+n}(x, y .. y, m) followed by s1 (x) (-)."""
+        """(d h + h d - id + iota_0 pi_0)(label)."""
         total = vec_add(lhs.column(label), {label: ONE}, -1)
-        for (c, w), coeff in pi.eval(0, 0, (label,)).items():
-            vec_add(total, {(c, (alg.unit, (), w)): coeff})
+        for pair, coeff in pi.eval(0, 0, (label,)).items():
+            vec_add(total, iota.eval(0, 0, (pair,)), coeff)
         return total
 
     labels = (label for label in tensor_module.kmodule.total.labels()

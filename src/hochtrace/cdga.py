@@ -211,10 +211,11 @@ def migration_parity(prefix_degree, map_degree, coeff_degree):
     return prefix_degree * (map_degree + coeff_degree) % 2
 
 
-def insertions(base: BaseCDGA, f, map_degree, arities, degree):
+def insertions(base: BaseCDGA, f, arities, degree):
     """The enumerator of id^r (x) f (x) id^t at every window word[r:r+s]
     of a word of generators that all carry the unit coefficient, for each
-    width s in ``arities``; one per construction.
+    width s in ``arities``; one per construction.  f has degree 1, as every
+    structure map on shifted generators does.
 
     ``arities`` lists the widths at which f can be nonzero, ascending and
     without repeats (ValueError otherwise).  ``f`` takes the window as a
@@ -223,10 +224,10 @@ def insertions(base: BaseCDGA, f, map_degree, arities, degree):
     mutated, so a stored table column will do.  ``degree`` maps a
     generator to |v|.  ``terms(word, prefix_degree=0)`` yields, s
     ascending and then r ascending, (r, word[:r] + (y,) + word[r+s:], c,
-    coeff, parity) for each entry (c, y): coeff of f's value, with
-    migration_parity at M = prefix_degree + |word[:r]|, the prefix degree
-    being that of what stands before the word.  The caller multiplies the
-    coefficient c into its own.
+    coeff, parity) for each entry (c, y): coeff of f's value, with the
+    parity M (1 + |c|) of ``migration_parity`` at M = prefix_degree +
+    |word[:r]|, the prefix degree being that of what stands before the
+    word.  The caller multiplies the coefficient c into its own.
 
     A word's terms are memoized without their parity: per arity s, the
     window at r = 0 is one lookup f(word[:s]), and the rest are the terms
@@ -261,7 +262,7 @@ def insertions(base: BaseCDGA, f, map_degree, arities, degree):
         for per_arity in table(word):
             for r, new_word, c, coeff, rel in per_arity:
                 yield (r, new_word, c, coeff,
-                       migration_parity(prefix_degree + rel, map_degree, coeff_degree[c]))
+                       migration_parity(prefix_degree + rel, 1, coeff_degree[c]))
 
     return terms
 

@@ -1,6 +1,6 @@
 """Hochschild, Connes, and normalized complexes of A-infinity algebras,
-bar constructions, the classical-dga comparison oracle, and the Connes
-complex of the bar coalgebra.
+the classical-dga comparison oracle, and the Connes complex of the bar
+coalgebra.
 
 Labels: a Hochschild basis element is (b, vm, xs) with b a base-cdga
 basis label, vm a coefficient-module generator, xs a tuple of shifted
@@ -36,11 +36,10 @@ from itertools import islice, product
 from .ainf import AInfAlgebra, compositions, from_dga
 from .bimod import (
     AInfBimodule,
-    dga_module_bimodule,
     diagonal_bimodule,
     tensor_inf,
 )
-from .cdga import BaseCDGA, KAlgebra, collect_coefficients, insertions, leibniz_column, times_base
+from .cdga import KAlgebra, collect_coefficients, insertions, leibniz_column, times_base
 from .grdlin import (
     ONE,
     Complex,
@@ -98,7 +97,7 @@ class HochschildComplex:
                       if not (normalized and x == unit)]
         if normalized and unit is None:
             raise ValueError("normalization needs a unital algebra")
-        terms = insertions(base, algebra.mu_word, 1, algebra.arities, algebra.gens.degree)
+        terms = insertions(base, algebra.mu_word, algebra.arities, algebra.gens.degree)
         folds = fold_table(bimodule)
         basis, entries = [], {}
         for n in range(0, self.h_max + 1):
@@ -394,83 +393,6 @@ class DegeneratePiece:
         return report
 
 
-# --- the classical two-sided bar construction (unshifted levels) --------------
-
-
-class BarConstruction:
-    """B_k(R, R, R) for a dga R: levels R^{(x)(n+2)} with the alternating
-    face differential, totalized with the sign (-1)^n on the internal
-    differential; d^2 = 0 is asserted.
-
-    Labels: ("bar", n, b, (v_0, .., v_{n+1})) with unshifted generator
-    labels; total degree |b| + sum |v_i| - n.
-    """
-
-    def __init__(self, dga: KAlgebra, b_max):
-        self.dga = dga
-        self.b_max = int(b_max)
-        base = dga.base
-        self.base = base
-        gens = dga.gens
-        basis = []
-        for n in range(0, self.b_max + 1):
-            for vs in product(gens.labels(), repeat=n + 2):
-                for b in base.space.labels():
-                    deg = base.degree(b) + sum(gens.degree[v] for v in vs) - n
-                    basis.append((("bar", n, b, vs), deg))
-        self.space = GradedSpace(basis)
-        # the horizontal faces insert mu, the twist inserts d
-        self._faces = insertions(base, dga.mult.get, 0, (2,), gens.degree)
-        self._twists = insertions(base, lambda window: dga.module.d_gen.get(window[0]), 1,
-                                  (1,), gens.degree)
-        entries = {}
-        for (label, _deg) in basis:
-            col = self._differential(label)
-            if col:
-                entries[label] = col
-        del self._faces, self._twists
-        self.d = GradedMap(self.space, self.space, 1, entries)
-        self.complex = Complex(self.space, self.d)
-
-    def _differential(self, label) -> dict:
-        _tag, n, b, vs = label
-        base = self.base
-        out = {}
-
-        def add(level, c, new_vs, coeff, negate):
-            coeff = -coeff if negate else coeff
-            for b2, q in base.mul_basis(b, c).items():
-                vec_add_term(out, ("bar", level, b2, new_vs), coeff * q)
-
-        # horizontal faces: sum (-1)^i id^i (x) mu (x) id^{n-i}; level 0 has
-        # none (its face is the augmentation, not part of the differential)
-        if n >= 1:
-            for i, new_vs, c, coeff, parity in self._faces(vs):
-                add(n - 1, c, new_vs, coeff, (i + parity) % 2)
-        # internal differential and the twist, with the totalization sign (-1)^n
-        for b2, q in base.d.column(b).items():
-            vec_add_term(out, ("bar", n, b2, vs), -q if n % 2 else q)
-        tot_b = n + base.degree(b)
-        for _i, new_vs, c, coeff, parity in self._twists(vs):
-            add(n, c, new_vs, coeff, (tot_b + parity) % 2)
-        return out
-
-    def augmentation(self) -> GradedMap:
-        """eps: level 0 -> R, a_0 (x) a_1 -> a_0 a_1 (a chain map)."""
-        target = self.dga.module.total
-        entries = {}
-        for label in self.space.labels():
-            _tag, n, b, vs = label
-            if n != 0:
-                continue
-            if col := times_base(self.base, b, self.dga.mult.get((vs[0], vs[1]), {}), 0):
-                entries[label] = col
-        return GradedMap(self.space, target, 0, entries)
-
-    def __repr__(self):
-        return f"BarConstruction(levels<={self.b_max}, dim={self.space.dim})"
-
-
 # --- the classical Hochschild complex via B (x)_{R^e} M -----------------------
 
 
@@ -729,7 +651,7 @@ class BarConnesComplex:
         self.base = base
         if word_tuples is None:
             word_tuples = self._word_tuples()
-        self._terms = insertions(base, algebra.mu_word, 1, algebra.arities, algebra.gens.degree)
+        self._terms = insertions(base, algebra.mu_word, algebra.arities, algebra.gens.degree)
         full, full_d_entries = {}, {}
         for words in word_tuples:
             unit_column = self._differential(words)
@@ -822,93 +744,3 @@ def rotation_to_bar_hc(hc: ConnesComplex, target: BarConnesComplex) -> GradedMap
         if out:
             entries[label] = out
     return GradedMap(hc.space, target.space, 0, entries)
-
-
-# --- Hochschild homology of the bar monoid (Def 2.2.13 shape) -------------------
-
-
-class BimonoidHochschild:
-    """HH_R(A) of Def-2.2.13 shape for a monoid A in k-modules (R = k).
-
-    Def 2.2.13 recovers the Hochschild complex of the non-unital k-algebra
-    A when R = k; that case is realized here through the certified
-    A-infinity machinery (A's multiplication as a shifted mu_2, the cyclic
-    tensor powers as the Hochschild complex of the diagonal bimodule).
-    For Lemma 2.2.14, A is the two-sided bar construction of a dga with
-    the augmentation multiplication b . b' = b eps(b').
-
-    The R != k case of Def 2.2.13 needs the genuinely bimodule-theoretic
-    cyclic tensor (the two R-actions of B differ, so R is not central) and
-    is out of reach of the k-central evaluation machinery here; see the
-    decisions ledger for the blocking analysis.  B^{(*)_R 1}, the source
-    of Lemma 2.2.14's inclusion, equals the classical Hochschild complex
-    HH_k(R, R) and is available for every dga via ClassicalHochschild.
-    """
-
-    def __init__(self, dga: KAlgebra, b_max, n_limit):
-        if not dga.base.is_rational:
-            raise ValueError("implemented over Q")
-        if dga.gens.dim != 1:
-            raise NotImplementedError(
-                "Def 2.2.13 over a noncentral base dga is not mechanized; "
-                "see the decisions ledger")
-        self.dga = dga
-        self.b_max = int(b_max)
-        self.n_limit = int(n_limit)
-        self.algebra = bar_epsilon_algebra_rational(dga, b_max)
-        self.hh = HochschildComplex(self.algebra,
-                                    diagonal_bimodule(self.algebra),
-                                    max(n_limit - 1, 0), shift=1)
-        self.space = self.hh.space
-        self.d = self.hh.d
-        self.complex = self.hh.complex
-
-    def inclusion_of_level_one(self):
-        """inc: A = B^{(*) 1} -> HH(A), the Hochschild-degree-0 subcomplex."""
-        sub = self.hh.coefficient_complex()
-        inc = self.hh.include_coefficients()
-        return sub, inc
-
-    def __repr__(self):
-        return (f"BimonoidHochschild(rank={self.space.dim}, "
-                f"b_max={self.b_max}, n<={self.n_limit})")
-
-
-def bar_epsilon_algebra_rational(dga: KAlgebra, b_max) -> AInfAlgebra:
-    """The bar construction of a rank-one dga (i.e. of k itself) with the
-    multiplication b . b' = b eps(b'), as a non-unital A-infinity algebra
-    over Q.  Generators are the bar basis elements, shifted by one."""
-    bar = BarConstruction(dga, b_max)
-    base = BaseCDGA.rationals()
-    gen_list = [(label, deg - 1) for label, deg in bar.space.basis]
-    gens = GradedSpace(gen_list)
-    eps = bar.augmentation()
-    mu1 = {}
-    for label, _deg in gen_list:
-        col = bar.d.column(label)
-        if col:
-            mu1[(label,)] = {("1", l2): -c for l2, c in col.items()}
-    mu2 = {}
-    for label, dega in gen_list:
-        a_classical = dega + 1
-        sign = -ONE if a_classical % 2 else ONE
-        for label2, _d2 in gen_list:
-            eps_val = eps.column(label2)
-            if not eps_val:
-                continue
-            scalar = sum(eps_val.values())  # rank-one dga: eps lands on 1
-            if not scalar:
-                continue
-            mu2[(label, label2)] = {("1", label): sign * scalar}
-    return AInfAlgebra(base, gens, {1: mu1, 2: mu2}, 3)
-
-
-def bimonoid_level_one(dga: KAlgebra, h_max) -> ClassicalHochschild:
-    """B^{(*)_R 1} = B (x)_{R^e} R = the classical Hochschild complex
-    HH_k(R, R) (Lemma 2.2.14's source), for any dga over Q."""
-    alg = from_dga(dga)
-    # R itself as a classical R-R-bimodule (Obs 3.3.6 with M = R): both
-    # actions are the multiplication table
-    bim = dga_module_bimodule(alg, alg, dga.module, left_action=dga.mult,
-                              right_action=dga.mult)
-    return ClassicalHochschild(dga, bim, h_max)

@@ -95,14 +95,14 @@ def module_trace(module: FreeKModule, operator) -> dict:
 
 
 def graded_trace_cyclicity_report(module: FreeKModule, rng, samples=20) -> Report:
-    """tr(f g) = (-1)^{|f||g|} tr(g f) on random homogeneous operators."""
+    """tr(f g) = (-1)^{|f||g|} tr(g f) on random homogeneous operators;
+    the witness is the first draw (|f|, |g|, f, g) with its defect."""
     report = Report("trace cyclic invariance")
     gens = module.gens.labels()
     base = module.base
     end = end_algebra(module)
-    ok = True
-    witness = None
-    for _ in range(samples):
+
+    def draw():
         fdeg = rng.choice([-2, -1, 0, 1, 2])
         gdeg = rng.choice([-2, -1, 0, 1, 2])
         f, g = {}, {}
@@ -115,14 +115,15 @@ def graded_trace_cyclicity_report(module: FreeKModule, rng, samples=20) -> Repor
                     if (base.degree(r) + module.gens.degree[w]
                             - module.gens.degree[v]) == gdeg and rng.random() < 0.5:
                         g[(r, hom_label(v, w))] = rng.randint(-3, 3)
-        lhs = module_trace(module, end.mul(f, g))
-        rhs = module_trace(module, end.mul(g, f))
-        sign = -ONE if (fdeg * gdeg) % 2 else ONE
-        rhs = {k: sign * c for k, c in rhs.items()}
-        if lhs != rhs:
-            ok, witness = False, (fdeg, gdeg, lhs, rhs)
-            break
-    report.record("tr(fg) = (-1)^{|f||g|} tr(gf)", ok, witness)
+        return fdeg, gdeg, f, g
+
+    def defect(drawn):
+        fdeg, gdeg, f, g = drawn
+        return vec_add(module_trace(module, end.mul(f, g)), module_trace(module, end.mul(g, f)),
+                       1 if fdeg * gdeg % 2 else -1)
+
+    report.record_first_defect("tr(fg) = (-1)^{|f||g|} tr(gf)",
+                               (draw() for _ in range(samples)), defect)
     return report
 
 
@@ -271,7 +272,14 @@ def tr_degree0(hh: HochschildComplex, m: AInfBimodule,
     with eps = (|x_0|+..+|x_{i-1}|)(|x_i|+..+|x_n|), the rotation sign.
     ``hh`` is the (flattened) Hochschild complex of S; ``m`` the left
     S-module over the base R; ``module`` its underlying free R-module.
-    Certified as a chain map by the caller via ``chain_report``."""
+    Certified as a chain map by the caller via ``chain_report``.
+
+    The map is R-linear: a label's coefficient b, a basis label of the
+    base of ``hh.algebra``, multiplies its value (degree 0, so no sign).
+    That base is R for the relative HH of S; for HH of the flattened S it
+    is Q, whose only label is its unit, the case ``letter_to_pair`` reads
+    as (b, v) letters.  A unit b is skipped."""
+    base, unit = module.base, hh.algebra.base.unit
     entries = {}
     for label in hh.space.labels():
         letters, degs = _letters_and_degrees(hh, label)
@@ -279,9 +287,11 @@ def tr_degree0(hh: HochschildComplex, m: AInfBimodule,
         out = {}
         for _l, rotated, parity in cyclic_rotations(pairs, degs):
             vec_add(out, module_trace(module, action(m, rotated)), -1 if parity else 1)
+        if label[0] != unit:
+            out = base.mul({label[0]: 1}, out)
         if out:
             entries[label] = out
-    return GradedMap(hh.space, module.base.space, 0, entries)
+    return GradedMap(hh.space, base.space, 0, entries)
 
 
 def corollary_tr(hh: HochschildComplex, s_alg: AInfAlgebra) -> GradedMap:
@@ -615,50 +625,6 @@ def _accumulate_closed(report, out, ops, eps_sign):
         col = report.trace.map.column(label)
         for lbl2, c2 in col.items():
             vec_add(out, {lbl2: coeff * c2})
-
-
-# --- the Lie-model trace evaluator (Prop-5.3.5 shape) ----------------------------
-
-
-def tr0_tr1_evaluate(hh: HochschildComplex, s_alg: AInfAlgebra, action):
-    """Evaluate the two components of the restricted transfer for a
-    C-infinity algebra H over Q with supplied outer-action data.
-
-    ``action``: {"theta_degrees": {name: degree},
-                 "phi": {name: {e_i: [(word tuple over sH-gens, coeff)]}},
-                 "xi": {name: [(word, coeff)]}}.
-    tr_0 is the Euler-characteristic composite (the direct transfer of H);
-    tr_1 evaluates the cyclic pairing formula
-
-      x_0 (x) .. (x) x_n (x) theta ->
-        sum_{j,i} (-1)^{eps + 1 + |theta||e_i|}
-                  < x_j (x) .. (x) x_{j-1} (x) e_i , phi(theta)(e_i^dual) >
-
-    with the strictly diagonal pairing of tensor words (the action data
-    must be supplied in the same convention).
-    """
-    tr0 = corollary_tr(hh, s_alg)
-    unit = s_alg.unit
-    e_basis = [v for v in s_alg.gens.labels() if v != unit]
-    theta_deg = action.get("theta_degrees", {})
-    phi = action.get("phi", {})
-    tr1 = {}
-    for label in hh.space.labels():
-        letters, degs = _letters_and_degrees(hh, label)
-        for theta, assignments in phi.items():
-            td = theta_deg.get(theta, 0)
-            total = ZERO
-            for _j, rotated, eps in cyclic_rotations(letters, degs):
-                for e_i in e_basis:
-                    sign_exp = eps + 1 + td * s_alg.gens.degree[e_i]
-                    sign = -ONE if sign_exp % 2 else ONE
-                    word = rotated + (e_i,)
-                    for (target, coeff) in assignments.get(e_i, []):
-                        if tuple(target) == tuple(word):
-                            total += sign * coeff
-            if total:
-                tr1[(label, theta)] = total
-    return tr0, tr1
 
 
 # --- the free-cdga model of THH-simple structures (Thm-6.2.3 shape) --------------

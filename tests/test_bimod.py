@@ -33,11 +33,13 @@ from hochtrace.bimod import (
     trivial_module,
     v_map,
 )
-from hochtrace.cdga import FreeKModule
+from hochtrace.cdga import BaseCDGA, FreeKModule, base_as_algebra, cdga_as_kalgebra
 from hochtrace.fixtures import (
+    dual_numbers,
     fixture_algebra,
     mu3_algebra,
     odd_coefficient_dga,
+    sphere3_with_differential,
     twisted_odd_coefficient_dga,
 )
 from hochtrace.grdlin import ONE, GradedSpace, is_quasi_iso_window
@@ -380,6 +382,28 @@ def test_pi_iota_and_contraction():
     assert composite.degree == 0
     assert composite.components == ident.components
     report = homotopy_identity_report(alg, m, h_max)
+    assert report.ok, report.summary()
+
+
+# the bar resolution sR (x)~_R R over Q, the dual numbers, an odd
+# coefficient (plain and twisted), Q with mu_1 != 0, and a base with d != 0
+RESOLVED = {
+    "rationals": lambda: from_dga(base_as_algebra(BaseCDGA.rationals())),
+    "dual_numbers": lambda: from_dga(cdga_as_kalgebra(dual_numbers())),
+    "odd_coefficient": lambda: from_dga(odd_coefficient_dga()),
+    "twisted_odd_coefficient": lambda: from_dga(twisted_odd_coefficient_dga()),
+    "sphere3_dga": lambda: from_dga(cdga_as_kalgebra(sphere3_with_differential())),
+    "over_sphere3": lambda: unit_algebra(sphere3_with_differential()),
+}
+
+
+@pytest.mark.parametrize("name", RESOLVED)
+def test_the_bar_resolution_contracts(name):
+    # iota_0 pi_0 moves the output coefficient c of pi past s1: without
+    # (-1)^{|c|} the odd coefficients fail at ('1', ('e', (), 'f')), and the
+    # base with d != 0 at ('y', ('1', (), '1'))
+    alg = RESOLVED[name]()
+    report = homotopy_identity_report(alg, left_module_from_algebra(alg), 3)
     assert report.ok, report.summary()
 
 

@@ -15,16 +15,13 @@ from test_hochschild_assembly import ordered_digest
 from hochtrace import bimod, cdga
 from hochtrace.ainf import AInfMorphism, check_morphism, check_stasheff, check_unital, from_dga
 from hochtrace.bimod import bar_resolution_module, left_module_from_algebra
-from hochtrace.cdga import cdga_as_kalgebra
 from hochtrace.fixtures import (
     odd_coefficient_dga,
-    sphere3_with_differential,
     twisted_odd_coefficient_dga,
 )
 from hochtrace.grdlin import chain_map_witness, homology_window
 from hochtrace.hoch import (
     BarConnesComplex,
-    BarConstruction,
     hh_algebra_induced_map,
     hh_of_algebra,
 )
@@ -108,25 +105,6 @@ def test_dropping_the_coefficient_term_breaks_d_squared(alg, build, monkeypatch)
         monkeypatch.setattr(module, "migration_parity", _parity_without_the_coefficient)
     with pytest.raises(ValueError, match=r"d\*d != 0"):
         build(alg)
-
-
-def test_bar_construction_on_an_odd_coefficient():
-    # d^2 = 0 and the augmentation chain map survive dropping the face or
-    # the twist migration sign here; only the digests, taken before the
-    # shared kernel, catch it
-    for alg, digest in ((odd_coefficient_dga(), "d582e90688361047"),
-                        (twisted_odd_coefficient_dga(), "128db305ee383113")):
-        bar = BarConstruction(alg, 2)
-        assert chain_map_witness(bar.augmentation(), bar.d, bar.dga.module.d) is None
-        assert _digest(bar.d) == digest
-
-
-def test_bar_construction_twist_sign_over_a_base_with_differential():
-    # dy = x with |y| = 1: the twist's insertion parity moves d past an odd
-    # prefix letter, so dropping it breaks d^2 = 0 at ('bar', 0, '1', ('y', 'y'))
-    bar = BarConstruction(cdga_as_kalgebra(sphere3_with_differential()), 2)
-    assert bar.space.dim == 336
-    assert chain_map_witness(bar.augmentation(), bar.d, bar.dga.module.d) is None
 
 
 @pytest.mark.parametrize("dga", [odd_coefficient_dga, twisted_odd_coefficient_dga],

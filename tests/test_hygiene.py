@@ -15,16 +15,21 @@ no function both calls ``.compose`` and compares with ``==`` or ``!=``, so
 every chain-map check goes through ``grdlin.chain_map_witness``; and no
 function is decorated with ``functools.cache`` or ``lru_cache``: a memo
 lives only as long as the object or construction that fills it, since an
-unbounded structure-map memo raised peak RSS by 31-84%; and in ``hoch``,
-``bimod``, ``ainf`` and ``wheeled`` only ``BarConstruction._differential``
-calls ``mul_basis``, so every other product by a base label goes through
-``cdga.times_base`` and ``cdga.leibniz_column``."""
+unbounded structure-map memo raised peak RSS by 31-84%; and no function
+in ``hoch``, ``bimod``, ``ainf`` or ``wheeled`` calls ``mul_basis``, so
+every product by a base label there goes through ``cdga.times_base`` and
+``cdga.leibniz_column``; and every module-level function, class or
+constant is named somewhere in ``src``, ``bench`` or ``tests`` outside its
+own definition."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "hochtrace").glob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
+SOURCES = sorted((REPO / "src" / "hochtrace").glob("*.py"))
+NAMING = sorted(p for top in ("src", "bench", "tests") for p in (REPO / top).rglob("*.py"))
 
 
 def _imported_names(tree):
@@ -181,9 +186,6 @@ def unchecked_complexes(source):
     return found
 
 
-# the one site left multiplying by a base label by hand: its labels put b
-# after the bar level, and its d_R term carries the sign (-1)^n
-MUL_BASIS_CALLERS = {"hoch.py": ["BarConstruction._differential"]}
 OVER_THE_BASE = [p for p in SOURCES if p.name in ("ainf.py", "bimod.py", "hoch.py", "wheeled.py")]
 
 
@@ -192,6 +194,46 @@ UNCHECKED_COMPLEXES = {
     "cdga.py": ["BaseCDGA.__init__", "FreeKModule.__init__"],
     "hoch.py": ["HochschildComplex.coefficient_complex"],
 }
+
+
+def _named(tree):
+    """Every identifier ``tree`` names: bare names, attributes, imported
+    names and string constants (as in ``monkeypatch.setattr(m, "name", v)``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def names_in(sources):
+    """How often the texts ``sources`` name each identifier."""
+    named = Counter()
+    for text in sources:
+        named.update(_named(ast.parse(text)))
+    return named
+
+
+def orphans(source, named):
+    """Names of the module-level functions, classes and constants of
+    ``source`` that ``named``, the ``names_in`` count of sources that hold
+    ``source``, names only inside the definition itself."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        own = Counter(_named(node))
+        found += [name for name in names if named[name] == own[name]]
+    return found
 
 
 def test_the_scan_sees_the_sources():
@@ -253,7 +295,17 @@ def test_unchecked_complexes_are_the_listed_sites(path):
 
 @pytest.mark.parametrize("path", OVER_THE_BASE, ids=lambda p: p.name)
 def test_one_k_linear_extension(path):
-    assert callers_of(path.read_text(), ("mul_basis",)) == MUL_BASIS_CALLERS.get(path.name, [])
+    assert callers_of(path.read_text(), ("mul_basis",)) == []
+
+
+@pytest.fixture(scope="module")
+def named():
+    return names_in(p.read_text() for p in NAMING)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_orphan_definition(path, named):
+    assert orphans(path.read_text(), named) == []
 
 
 def test_the_checks_fire():
@@ -300,3 +352,7 @@ def test_the_checks_fire():
               "def extend(base, b, c):\n    return mul_basis(b, c)\n"
               "x = base.mul_basis(1, 2)\n")
     assert callers_of(source, ("mul_basis",)) == ["<module>", "B._differential", "extend"]
+    source = ("X = 1\nY: int = X\ndef f(n):\n    return f(n - 1)\n"
+              "class C:\n    pass\ndef g():\n    return C\n")
+    assert orphans(source, names_in([source])) == ["Y", "f", "g"]
+    assert orphans(source, names_in([source, "from m import g\nsetattr(m, 'Y', 2)\n"])) == ["f"]

@@ -25,10 +25,10 @@ from hochtrace.fixtures import (
 from hochtrace.hoch import hh_of_algebra
 
 
-def direct_scan(base, f, map_degree, arities, word, prefix_degree, degree):
+def direct_scan(base, f, arities, word, prefix_degree, degree):
     """Every window word[r:r+s], s in arities ascending, then r ascending,
-    each looked up on its own; the parity is M (|f| + |c|) with M the
-    degree before the window."""
+    each looked up on its own; the parity is M (1 + |c|) with M the degree
+    before the window, for a map f of degree 1."""
     for s in arities:
         for r in range(len(word) - s + 1):
             value = f(word[r:r + s])
@@ -36,17 +36,12 @@ def direct_scan(base, f, map_degree, arities, word, prefix_degree, degree):
                 continue
             before = prefix_degree + sum(degree[x] for x in word[:r])
             for (c, y), coeff in value.items():
-                parity = before * (map_degree + base.degree(c)) % 2
+                parity = before * (1 + base.degree(c)) % 2
                 yield r, word[:r] + (y,) + word[r + s:], c, coeff, parity
 
 
 def _algebra_case(alg):
-    return alg.base, alg.mu_word, 1, alg.arities, alg.gens
-
-
-def _face_case(dga):
-    # the bar construction's horizontal faces: mu of the dga, map degree 0
-    return dga.base, dga.mult.get, 0, (2,), dga.gens
+    return alg.base, alg.mu_word, alg.arities, alg.gens
 
 
 CASES = {
@@ -55,22 +50,20 @@ CASES = {
     "s3_with_d": lambda: _algebra_case(from_dga(cdga_as_kalgebra(sphere3_with_differential()))),
     "unit_over_s3_with_d": lambda: _algebra_case(unit_algebra(sphere3_with_differential())),
     "odd_coefficient": lambda: _algebra_case(from_dga(odd_coefficient_dga())),
-    "bar_faces_odd_coefficient": lambda: _face_case(odd_coefficient_dga()),
-    "bar_faces_s3_with_d": lambda: _face_case(cdga_as_kalgebra(sphere3_with_differential())),
 }
 BUILT = {name: make() for name, make in CASES.items()}
 
 
 def test_the_cases_cover_mu1_mu3_and_other_bases():
-    assert BUILT["mu3"][3] == (2, 3)
-    assert BUILT["s3_with_d"][3] == (1, 2)
+    assert BUILT["mu3"][2] == (2, 3)
+    assert BUILT["s3_with_d"][2] == (1, 2)
     assert not BUILT["unit_over_s3_with_d"][0].is_rational
 
 
 @st.composite
 def draws(draw):
     name = draw(st.sampled_from(sorted(BUILT)))
-    labels = BUILT[name][4].labels()
+    labels = BUILT[name][3].labels()
     words = st.lists(st.sampled_from(labels), max_size=6).map(tuple)
     calls = draw(st.lists(st.tuples(words, st.integers(min_value=-3, max_value=3)),
                           min_size=1, max_size=6))
@@ -82,20 +75,19 @@ def draws(draw):
 def test_enumerator_equals_the_direct_scan(drawn):
     # one enumerator over several words, so later words reuse the memo
     name, calls = drawn
-    base, f, map_degree, arities, gens = BUILT[name]
-    terms = insertions(base, f, map_degree, arities, gens.degree)
+    base, f, arities, gens = BUILT[name]
+    terms = insertions(base, f, arities, gens.degree)
     for word, prefix_degree in calls:
-        expect = list(direct_scan(base, f, map_degree, arities, word, prefix_degree, gens.degree))
+        expect = list(direct_scan(base, f, arities, word, prefix_degree, gens.degree))
         assert list(terms(word, prefix_degree)) == expect
 
 
-@pytest.mark.parametrize("name, prefix_degree", [
-    ("odd_coefficient", 1), ("bar_faces_odd_coefficient", 0)])
+@pytest.mark.parametrize("name, prefix_degree", [("odd_coefficient", 1)])
 def test_the_direct_scan_is_not_vacuous(name, prefix_degree):
     # odd letters and the odd coefficient x of e f = x g give terms at
     # r > 0 with both parities, so a dropped degree shift shows
-    base, f, map_degree, arities, gens = BUILT[name]
-    found = list(direct_scan(base, f, map_degree, arities, ("1", "g", "e", "f", "1"),
+    base, f, arities, gens = BUILT[name]
+    found = list(direct_scan(base, f, arities, ("1", "g", "e", "f", "1"),
                              prefix_degree, gens.degree))
     assert {r for r, *_ in found} == {0, 2, 3}
     assert {parity for *_, parity in found} == {0, 1}
@@ -103,10 +95,10 @@ def test_the_direct_scan_is_not_vacuous(name, prefix_degree):
 
 
 def test_repeated_or_descending_arities_raise():
-    base, f, _, _, gens = BUILT["mu3"]
+    base, f, _, gens = BUILT["mu3"]
     for arities in ((2, 2), (3, 2), (1, 2, 2)):
         with pytest.raises(ValueError, match=re.escape(repr(arities))):
-            insertions(base, f, 1, arities, gens.degree)
+            insertions(base, f, arities, gens.degree)
 
 
 @pytest.fixture

@@ -32,7 +32,6 @@ from hochtrace.transfer import (
     find_derived_coev,
     graded_trace_cyclicity_report,
     module_trace,
-    tr0_tr1_evaluate,
     tr_degree0,
     transfer_explicit,
     vanishing_check,
@@ -77,6 +76,25 @@ def test_trace_cyclicity():
     for name in ("s2", "dual"):
         alg = fixture_algebra(name)
         assert graded_trace_cyclicity_report(alg.module, rng, samples=30).ok
+
+
+def test_trace_cyclicity_needs_the_supertrace_sign(monkeypatch):
+    # over Lambda(x), |x| = 1, odd operators swap 1 and x; the plain trace
+    # (no (-1)^{|v|}) fails at the first odd pair drawn
+    module = from_dga(cdga_as_kalgebra(exterior_odd(1))).module
+    assert graded_trace_cyclicity_report(module, random.Random(3), samples=30).ok
+
+    def plain_trace(_module, operator):
+        out = Counter()
+        for (r, (_hom, v, w)), c in operator.items():
+            if v == w:
+                out[r] += c
+        return {r: c for r, c in out.items() if c}
+
+    monkeypatch.setattr(transfer, "module_trace", plain_trace)
+    report = graded_trace_cyclicity_report(module, random.Random(3), samples=30)
+    _name, ((fdeg, gdeg, _f, _g), defect) = report.first_failure
+    assert fdeg % 2 and gdeg % 2 and defect
 
 
 def test_euler_traces():
@@ -472,25 +490,29 @@ def test_vanishing_check_names_a_class_with_a_nonzero_value(monkeypatch):
     assert report.first_failure == ("t=0 (3 classes)", ({label: 1}, {"1": 1}))
 
 
-def test_tr0_tr1():
-    s2 = fixture_algebra("s2")
-    hh = hh_of_algebra(s2, 3)
-    tr0, tr1 = tr0_tr1_evaluate(
-        hh, s2, {"theta_degrees": {"t": 0}, "phi": {"t": {}}, "xi": {}})
-    assert not tr1
-    assert tr0.column(("1", "1", ())).get("1") == 2
-    # a nontrivial phi pairing needs distinct letters so the rotations do
-    # not cancel: use CP^2 and pair (x, x2, x) against phi(t)(e_x^dual)
-    cp2 = fixture_algebra("cp2")
-    hh2 = hh_of_algebra(cp2, 3)
-    action = {"theta_degrees": {"t": 1},
-              "phi": {"t": {"x": [(("x", "x2", "x"), Fraction(1))]}},
-              "xi": {}}
-    _tr0b, tr1b = tr0_tr1_evaluate(hh2, cp2, action)
-    v1 = tr1b.get((("1", "x", ("x2",)), "t"))
-    v2 = tr1b.get((("1", "x2", ("x",)), "t"))
-    assert v1 and v2
-    # cyclic invariance: both rotations of the same cyclic word carry the
-    # same pairing value up to the Koszul rotation sign (odd here: degrees
-    # 1 and 3 -> sign -1... both shifted degrees odd: (-1)^{1*3} = -1)
-    assert v1 == -v2
+
+@pytest.mark.parametrize("base", [dual_numbers, sphere3_with_differential],
+                         ids=["dual_numbers", "sphere3_with_d"])
+def test_corollary_tr_is_linear_over_the_base(base):
+    # S = R[e]/(e^2): the value at (b, vm, xs) is b times the value at
+    # (unit, vm, xs); reading the letters alone sent ('x', '1', ()) over the
+    # dual numbers to {'1': 2}, and raised a degree error over H*(S^4)
+    alg = s4_bundle({}, base())
+    r = alg.base
+    hh = hh_of_algebra(alg, 2)
+    tr = corollary_tr(hh, alg)
+    assert chain_report("tr chain certificate", tr, hh.d, r.d).ok
+    for b, vm, xs in hh.space.labels():
+        assert tr.column((b, vm, xs)) == r.mul({b: 1}, tr.column((r.unit, vm, xs)))
+    if base is dual_numbers:
+        assert tr.column(("1", "1", ())) == {"1": 2}
+        assert tr.column(("x", "1", ())) == {"x": 2}
+
+
+def test_vanishing_check_on_the_twistor_bundle():
+    # CP^3 -> S^4 is a smooth bundle of closed manifolds, so the check
+    # must pass; its window holds classes in degrees 1 and 8
+    report = vanishing_check(s4_bundle({("x", "1"): ONE}), 2, -2, 8)
+    assert report.ok, report.summary()
+    assert [name for name, _ok, _w in report.checks if "0 classes" not in name] == [
+        "t=1 (1 classes)", "t=8 (1 classes)"]

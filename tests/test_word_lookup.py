@@ -35,7 +35,6 @@ from hochtrace.fixtures import (
 )
 from hochtrace.hoch import (
     BarConnesComplex,
-    BarConstruction,
     classical_hh,
     hh_complex,
     hh_of_algebra,
@@ -118,7 +117,6 @@ def test_classical_hochschild_leaves_the_tables_unchanged():
     before = _tables(dga, alg, diag)
     classical_hh(dga, diag, 3)
     hh_complex(alg, diag, 3)
-    BarConstruction(dga, 2)
     assert _tables(dga, alg, diag) == before
 
 
@@ -160,8 +158,6 @@ ASSEMBLY = {
     "tensor_inf": (lambda: (_cp2_classical()[2],), lambda diag: tensor_inf(diag, diag, 3)),
     "bar_connes": (lambda: (from_dga(twisted_odd_coefficient_dga()),),
                    lambda alg: BarConnesComplex(alg, 3)),
-    "bar": (lambda: (cdga_as_kalgebra(sphere3_with_differential()),),
-            lambda dga: BarConstruction(dga, 2)),
 }
 
 
