@@ -9,19 +9,25 @@ Coefficients are exact rationals, and an integral coefficient is a
 Python int: ``ONE`` is the int 1, structure tables are stored through
 ``int_first``, and ``vec_add``, ``GradedMap`` and the d^2 and chain-map
 checks keep int input int.  A Fraction appears only where elimination
-divides by a pivot other than +-1 (``_Eliminator._insert``); int and
+divides by a pivot other than +-1 (``_normalized``); int and
 Fraction values go through the same code, and an integral quotient is
 stored as int.  Each degree block d^t of a ``Complex`` is eliminated
 once per complex, upward from its lowest degree, and cached on it,
 read-only.  The elimination clears (Chen-Kerber): a column whose label
 leads a boundary pivot of block t-1 is never inserted, and the kernel
-combos left span a complement of the boundaries in the cycles.
-``homology_window`` counts them, and ``HomologyBasis`` reads homology
-coordinates off them with no second elimination.  Inside ``_Eliminator`` rows
-are keyed by the repr string of each label, so that every dict operation of
-a reduction hashes a string that caches its hash; the pivot is still the
-least-repr label, the order ``hoch.ClassicalHochschild`` relies on.
-Koszul signs are the ints +1 and -1.
+combos left span a complement of the boundaries in the cycles.  It takes
+two passes (see ``Complex``): a kernel pass over the uncleared columns,
+keyed by target position and pivoting on the target latest in the basis,
+finds the kernel combos and the independent columns; an echelon pass
+puts only those columns into a least-repr ``_Eliminator``, whose leads
+clear block t+1.  ``homology_window`` counts the kernel combos, and
+``HomologyBasis`` reads homology coordinates off them with no second
+elimination.  Inside ``_Eliminator`` rows are keyed by the repr string of
+each label, so that every dict operation of a reduction hashes a string
+that caches its hash; its pivot is the least-repr label.  Every lead set,
+``hoch.ClassicalHochschild``, ``solve`` and ``sparse_rank`` keep that
+order; only the kernel pass, whose output does not depend on it, pivots
+otherwise.  Koszul signs are the ints +1 and -1.
 
 A permutation is a plain tuple of destination slots: perm[i] is the
 slot that factor i moves to.  ``permute`` is the one action on a tuple,
@@ -326,13 +332,32 @@ class Complex:
     vectors they form a unitriangular basis of C^t.  So the uncleared
     columns span the image of d^t (rank d^t is unchanged), and their
     kernel combos span a complement of the boundaries in the cycles, one
-    combo per class of H^t.  The uncleared columns go in basis order
-    through one ``_Eliminator`` that tracks {i: 1} combos.  The complex
-    keeps that eliminator with the combos of its pivot rows dropped
-    (rank d^t is the number of pivots) and the kernel combos, over the
-    indices of ``space.by_degree[t]``.  The cache is read-only once
-    filled, so ``d`` must not change after the first use.  ``HomologyBasis``
-    reads coordinates off the kernel combos and the leads of block t-1.
+    combo per class of H^t.
+
+    A block takes two passes, ``_kernel_pass`` and ``_echelon``:
+    - the kernel pass puts the uncleared columns in, in basis order, each
+      with the combo {i: 1}, keyed by the position of each target in
+      ``space.by_degree[t + 1]`` and pivoting on the greatest.  The
+      columns that do not reduce to zero are the independent set P, the
+      greedy basis in insertion order, whatever the pivot order; and a
+      column i that reduces to zero has exactly one combo of the form
+      e_i - sum_{j in P, j < i} a_j e_j, since the columns of P are
+      independent.  So the kernel combos are those of any elimination in
+      basis order, the least-repr one included;
+    - the echelon pass puts only the columns of P, last first, into a
+      least-repr ``_Eliminator`` with no combos.  They span the image of
+      d^t, and the least-repr lead set of a subspace does not depend on
+      the rows that span it, so the cleared labels of block t+1, the
+      representatives, their coordinates and every window are those of a
+      single least-repr pass.
+    Both passes key rows by target index, so a label is hashed once per
+    entry, as one pass did; block t+1 skips its cleared columns by index.
+    The complex keeps that eliminator (rank d^t is the number of its
+    pivots), the kernel combos over the indices of ``space.by_degree[t]``
+    and the indices of the leads in ``space.by_degree[t + 1]``.  The
+    cache is read-only once filled, so ``d`` must not change after the
+    first use.  ``HomologyBasis`` reads coordinates off the kernel combos
+    and the leads of block t-1.
     """
 
     __slots__ = ("space", "d", "_blocks")
@@ -355,9 +380,11 @@ class Complex:
         return f"Complex(dim={self.space.dim}, degrees={self.space.degrees()})"
 
     def _block(self, t):
-        """(eliminator of the uncleared columns of d^t, their kernel
-        combos), cached; every uncached block from the lowest degree of
-        the space up to t is filled first."""
+        """(least-repr eliminator of the independent columns of d^t, the
+        kernel combos of its uncleared columns, the indices of its leads
+        in ``space.by_degree[t + 1]``: the labels block t+1 clears),
+        cached; every uncached block from the lowest degree of the space
+        up to t is filled first."""
         blocks = self._blocks
         block = blocks.get(t)
         if block is None:
@@ -365,18 +392,111 @@ class Complex:
             lowest = min(self.space.by_degree, default=t)
             while start > lowest and start - 1 not in blocks:
                 start -= 1
-            entries = self.d.entries
+            entries, by_degree = self.d.entries, self.space.by_degree
             for s in range(start, t + 1):
                 below = blocks.get(s - 1)
-                cleared = ({below[0]._labels[key] for key in below[0].pivots}
-                           if below else ())
-                elim, kernel = _eliminate(
-                    (i, entries.get(v, {}))
-                    for i, v in enumerate(self.space.by_degree.get(s, ()))
-                    if v not in cleared)
-                elim.pivots = {col: (row, None) for col, (row, _) in elim.pivots.items()}
-                block = blocks[s] = (elim, kernel)
+                targets = by_degree.get(s + 1, ())
+                kernel, independent = _kernel_pass(
+                    by_degree.get(s, ()), below[2] if below else (), entries, targets)
+                boundaries, leads = _echelon(reversed(independent), targets)
+                block = blocks[s] = (boundaries, kernel, leads)
         return block
+
+
+def _kernel_pass(labels, cleared, entries, targets):
+    """(kernel combos, independent columns) of the columns entries[v] of
+    the labels v of ``labels`` whose index i is not in ``cleared``.
+
+    The columns go in in order, each with the combo {i: 1} and keyed by
+    the index of each target in ``targets``; the pivot of a row is its
+    greatest index, the target latest in the basis.  An empty column goes
+    straight to the kernel.  A pivot row led by +-1 is stored as it is,
+    with that sign, any other normalized to lead 1.  The independent
+    columns are returned in order, keyed by target index, with the
+    coefficients the columns hold.  One loop, with no call per row or per
+    reduction step."""
+    position = {w: j for j, w in enumerate(targets)}
+    pivots = {}  # index of the leading target -> (row, combo, inverse of the lead)
+    kernel, independent = [], []
+    for i, v in enumerate(labels):
+        if i in cleared:
+            continue
+        col = entries.get(v)
+        if not col:
+            kernel.append({i: 1})
+            continue
+        row = {position[w]: c for w, c in col.items()}
+        column = row.copy()
+        combo = {i: 1}
+        while row:
+            j = max(row)
+            hit = pivots.get(j)
+            if hit is None:
+                p = row[j]
+                if p == 1 or p == -1:
+                    pivots[j] = (row, combo, p)
+                else:
+                    pivots[j] = (_normalized(row, p), _normalized(combo, p), 1)
+                independent.append(column)
+                break
+            pivot_row, pivot_combo, inverse = hit
+            factor = -inverse * row[j]
+            for k, c in pivot_row.items():
+                c = row.get(k, 0) + factor * c
+                if c:
+                    row[k] = c
+                else:
+                    del row[k]
+            for k, c in pivot_combo.items():
+                c = combo.get(k, 0) + factor * c
+                if c:
+                    combo[k] = c
+                else:
+                    del combo[k]
+        else:
+            kernel.append(combo)
+    return kernel, independent
+
+
+def _echelon(rows, targets):
+    """(least-repr ``_Eliminator`` of rows keyed by index into ``targets``,
+    the indices of its leads), inserted in turn with no combos.
+
+    Each target's repr is computed once, when a row first holds it, and
+    the pivots are those ``_Eliminator._insert`` would store from the
+    rows keyed by label.  One loop, with no call per row or per reduction
+    step."""
+    elim = _Eliminator()
+    keys, labels, pivots = elim._keys, elim._labels, elim.pivots
+    reprs = [None] * len(targets)
+    index = {}  # repr key -> index of its target
+    for column in rows:
+        row = {}
+        for j, c in column.items():
+            key = reprs[j]
+            if key is None:
+                w = targets[j]
+                key = reprs[j] = repr(w)
+                if labels.setdefault(key, w) is not w:
+                    elim._key(w)  # raises: another label holds the repr
+                keys[w] = key
+                index[key] = j
+            row[key] = c
+        while row:
+            col = min(row)
+            hit = pivots.get(col)
+            if hit is None:
+                p = row[col]
+                pivots[col] = (row if p == 1 else _normalized(row, p), None)
+                break
+            factor = -row[col]
+            for k, c in hit[0].items():
+                c = row.get(k, 0) + factor * c
+                if c:
+                    row[k] = c
+                else:
+                    del row[k]
+    return elim, {index[key] for key in pivots}
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +507,7 @@ def sparse_rank(rows) -> int:
     """Rank of a sparse matrix given as a list of dict rows (not modified)."""
     elim = _Eliminator()
     for row in rows:
-        elim._insert(row, None)
+        elim._insert(elim._keyed(row), None)
     return len(elim.pivots)
 
 
@@ -434,7 +554,8 @@ class _Eliminator:
     The pivot of a row is its leading column: the label with the least
     repr (``lead``).  ``hoch.ClassicalHochschild`` relies on this order
     to keep its "a"-tagged relation labels ahead of its "z"-tagged basis;
-    it inserts through ``_insert`` and reads a lead as ``_labels[min(row)]``.
+    it writes its rows under ``_key``, inserts them through ``_insert``
+    and reads a lead as ``_labels[min(row)]``.
 
     Inside, rows are keyed by the repr string of each label, computed
     once when a row brings the label in, and ``pivots`` maps the repr of
@@ -442,15 +563,17 @@ class _Eliminator:
     a string compare, and every dict operation hashes a string that caches
     its hash.  Two labels with one repr would share a column and raise
     ValueError instead.  ``insert`` and ``reduce`` take and return rows
-    keyed by label, as does ``clear``.  Combos stay keyed by the caller's
-    index.
+    keyed by label, as does ``clear``; ``_reduce`` and ``_insert`` take a
+    repr-keyed row and reduce it in place.  Combos stay keyed by the
+    caller's index.
 
-    Rows and combos are copied on entry, with zero entries dropped and
-    integral Fractions turned into int.  Pivot rows and their combos are
-    stored normalized to leading coefficient 1, so a reduction step
-    multiplies but never divides, and integral input stays int unless a
-    pivot p is not +-1: ``_insert`` then scales by Fraction(1, p), the one
-    division in the library outside the ``dense_rank`` oracle.  Returned
+    Label-keyed rows and combos are copied on entry, with zero entries
+    dropped and integral Fractions turned into int.  Pivot rows and their
+    combos are stored normalized to leading coefficient 1, so a reduction
+    step multiplies but never divides, and integral input stays int unless
+    a pivot p is not +-1: ``_normalized`` then scales by Fraction(1, p),
+    the one division in the library outside the ``dense_rank`` oracle (the
+    two passes of ``Complex`` normalize through it too).  Returned
     rows, combos and the results built from them may therefore hold int
     as well as Fraction coefficients.
     """
@@ -460,6 +583,18 @@ class _Eliminator:
         self._keys = {}  # label -> repr(label)
         self._labels = {}  # repr(label) -> label
 
+    def _key(self, label):
+        """The repr key of a label, computed once per label; ValueError
+        when another label already holds that repr."""
+        key = self._keys.get(label)
+        if key is None:
+            key = repr(label)
+            other = self._labels.setdefault(key, label)
+            if other is not label:
+                raise ValueError(f"labels {other!r} and {label!r} share the repr {key}")
+            self._keys[label] = key
+        return key
+
     def _keyed(self, row):
         """A copy of a label-keyed row keyed by repr, zeros dropped and
         integral Fractions turned into int (as ``int_first``)."""
@@ -467,15 +602,8 @@ class _Eliminator:
         out = {}
         for label, c in row.items():
             if c:
-                key = keys.get(label)
-                if key is None:
-                    key = repr(label)
-                    other = self._labels.setdefault(key, label)
-                    if other is not label:
-                        raise ValueError(
-                            f"labels {other!r} and {label!r} share the repr {key}")
-                    keys[label] = key
-                out[key] = c.numerator if c.denominator == 1 else c
+                out[keys.get(label) or self._key(label)] = (
+                    c.numerator if c.denominator == 1 else c)
         return out
 
     def _labelled(self, row):
@@ -489,10 +617,9 @@ class _Eliminator:
         return min(row, key=self._keys.__getitem__)
 
     def _reduce(self, row, combo):
-        """Reduce a repr-keyed copy of row, which is keyed by label, against
-        the pivots; returns (row, combo), the pivot combos subtracted
-        being added to combo in place (None: not tracked)."""
-        row = self._keyed(row)
+        """Reduce a repr-keyed row in place against the pivots; returns
+        (row, combo), the pivot combos subtracted being added to combo in
+        place (None: not tracked)."""
         pivots = self.pivots
         while row:
             col = min(row)
@@ -507,8 +634,8 @@ class _Eliminator:
         return row, combo
 
     def _insert(self, row, combo):
-        """``_reduce``, then store the surviving row, normalized, as a
-        pivot.  Returns the repr-keyed (row, combo)."""
+        """``_reduce`` a repr-keyed row, then store what survives,
+        normalized, as a pivot.  Returns the repr-keyed (row, combo)."""
         row, combo = self._reduce(row, combo)
         if row:
             col = min(row)
@@ -523,13 +650,13 @@ class _Eliminator:
     def reduce(self, row, combo=None):
         """Reduce a copy of row against the pivots; returns (row, combo),
         combo tracking the pivot combos subtracted (None: not tracked)."""
-        row, combo = self._reduce(row, None if combo is None else int_first(combo))
+        row, combo = self._reduce(self._keyed(row), None if combo is None else int_first(combo))
         return self._labelled(row), combo
 
     def insert(self, row, combo=None):
         """Reduce and insert if independent. Returns the surviving (row,
         combo), normalized when the row is nonzero."""
-        row, combo = self._insert(row, None if combo is None else int_first(combo))
+        row, combo = self._insert(self._keyed(row), None if combo is None else int_first(combo))
         return self._labelled(row), combo
 
     def clear(self, row):
@@ -561,7 +688,7 @@ def _eliminate(indexed_rows):
     elim = _Eliminator()
     kernel = []
     for i, r in indexed_rows:
-        row, combo = elim._insert(r, {i: 1})
+        row, combo = elim._insert(elim._keyed(r), {i: 1})
         if not row:
             kernel.append(combo)
     return elim, kernel
@@ -578,7 +705,7 @@ def solve(rows, rhs):
     ``rows`` are dict rows; ``rhs`` a dict over the same column labels.
     """
     elim, _ = _eliminate(enumerate(rows))
-    residue, neg_solution = elim._reduce(rhs, {})
+    residue, neg_solution = elim._reduce(elim._keyed(rhs), {})
     if residue:
         return None
     return {i: -c for i, c in neg_solution.items()}
@@ -598,9 +725,10 @@ class HomologyBasis:
     cycles (see ``Complex``).  Coordinates are read off them by three facts:
     - z_k has coefficient 1 at its own label, that of its index
       ``max(combo)``, and no other z_j holds it: a kernel combo holds
-      only its own index and indices of pivot columns;
+      only its own index and indices of independent columns before it;
     - no z_k holds a lead of a pivot row of block d^{t-1}, a cleared label;
-    - every nonzero boundary holds such a lead, its least-repr label.
+    - every nonzero boundary holds such a lead, its least-repr label: the
+      echelon pass of block t-1 pivots in least-repr order.
     Construction certifies the first two, which make the z_k independent
     modulo the boundaries, and raises CertificateError with witness z_k
     where one fails.

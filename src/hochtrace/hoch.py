@@ -49,6 +49,7 @@ from .grdlin import (
     _Eliminator,
     chain_map_witness,
     cyclic_rotations,
+    int_first,
     sparse_rank,
     vec_add,
     vec_add_term,
@@ -417,8 +418,10 @@ class ClassicalHochschild:
     Each generator is read once: a bar generator's tag ("z" on the
     canonical basis, "a" off it), mu^M_{0,1}(m, sx) and mu^M_{1,0}(sx, m)
     per (m, x), mu^B_{1,0}(sx, b) and mu^B_{0,1}(b, sx) per (b, x).  The
-    relations go in in (b, m, x, u1/u2) order; only a row that hits the
-    basis is keyed by label again, for its witness.
+    relations go in in (b, m, x, u1/u2) order, each written straight
+    under the eliminator's repr keys (``_Eliminator._key``) and inserted
+    as it is; only a row that hits the basis is keyed by label again, for
+    its witness.
     """
 
     def __init__(self, dga: KAlgebra, bimodule: AInfBimodule, h_max):
@@ -441,17 +444,29 @@ class ClassicalHochschild:
         tag = {beta: "z" if beta[0] == unit and beta[2] == unit else "a" for beta in bg.labels()}
         xs = [x for x in alg.gens.labels() if x != unit]  # the unit relations vanish identically
 
+        elim = _Eliminator()
+        keys, key_of = elim._keys, elim._key
+        self._relation_count = 0
+
         def row(beta, vm, bar_col, m_col, negate):
-            """bar_col (x) vm + (-1)^negate beta (x) m_col, keyed by tagged label."""
+            """bar_col (x) vm + (-1)^negate beta (x) m_col, keyed by the
+            eliminator's repr key of each tagged label, as ``_keyed`` would
+            key it.  The columns hold no zero and no integral Fraction, and
+            over Q the labels of each part are distinct, so only a sum at a
+            label of both parts is dropped or turned into int."""
             out = {}
             for (_1, b2), c in bar_col.items():
-                vec_add_term(out, (tag[b2], (b2, vm)), c)
+                label = (tag[b2], (b2, vm))
+                out[keys.get(label) or key_of(label)] = c
             for (_1, vm2), c in m_col.items():
-                vec_add_term(out, (tag[beta], (beta, vm2)), -c if negate else c)
+                label = (tag[beta], (beta, vm2))
+                key = keys.get(label) or key_of(label)
+                c = out.get(key, 0) + (-c if negate else c)
+                if c:
+                    out[key] = c.numerator if c.denominator == 1 else c
+                else:
+                    del out[key]
             return out
-
-        elim = _Eliminator()
-        self._relation_count = 0
 
         def relate(witness, bar_col, m_col, negate):
             """Insert one relation row; it must not reduce onto the basis."""
@@ -477,8 +492,10 @@ class ClassicalHochschild:
 
         def quotient_d(beta, vm):
             """D(beta (x) vm) in the quotient, on the canonical basis."""
-            rem, _ = elim.reduce(row(beta, vm, bar.mu_word(0, 0, (beta,)),
-                                     bimodule.mu_word(0, 0, (vm,)), bg.degree[beta] % 2))
+            rem, _ = elim._reduce(row(beta, vm, int_first(bar.mu_word(0, 0, (beta,))),
+                                      int_first(bimodule.mu_word(0, 0, (vm,))),
+                                      bg.degree[beta] % 2), None)
+            rem = elim._labelled(rem)
             residue = {k: c for (kind, k), c in rem.items() if kind != "z"}
             if residue:
                 raise CertificateError("balanced reduction left a residue", ((beta, vm), residue))

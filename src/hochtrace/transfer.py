@@ -96,25 +96,30 @@ def module_trace(module: FreeKModule, operator) -> dict:
 
 def graded_trace_cyclicity_report(module: FreeKModule, rng, samples=20) -> Report:
     """tr(f g) = (-1)^{|f||g|} tr(g f) on random homogeneous operators;
-    the witness is the first draw (|f|, |g|, f, g) with its defect."""
+    the witness is the first draw (|f|, |g|, f, g) with its defect.  The
+    degrees are those of the module's elementary operators r hom(v, w),
+    |r| + |w| - |v|, so an odd operator between generators far apart in
+    degree is drawn too: |f| from all of them, |g| from those that put
+    |f| + |g|, the degree of tr(fg), on a degree of the base."""
     report = Report("trace cyclic invariance")
-    gens = module.gens.labels()
+    degree = module.gens.degree
     base = module.base
     end = end_algebra(module)
+    elementary = [((r, hom_label(v, w)), base.degree(r) + degree[w] - degree[v])
+                  for v in module.gens.labels() for w in module.gens.labels()
+                  for r in base.space.labels()]
+    degrees = sorted({deg for _op, deg in elementary})
+    base_degrees = {base.degree(r) for r in base.space.labels()}
 
     def draw():
-        fdeg = rng.choice([-2, -1, 0, 1, 2])
-        gdeg = rng.choice([-2, -1, 0, 1, 2])
+        fdeg = rng.choice(degrees)
+        gdeg = rng.choice([deg for deg in degrees if fdeg + deg in base_degrees])
         f, g = {}, {}
-        for v in gens:
-            for w in gens:
-                for r in base.space.labels():
-                    if (base.degree(r) + module.gens.degree[w]
-                            - module.gens.degree[v]) == fdeg and rng.random() < 0.5:
-                        f[(r, hom_label(v, w))] = rng.randint(-3, 3)
-                    if (base.degree(r) + module.gens.degree[w]
-                            - module.gens.degree[v]) == gdeg and rng.random() < 0.5:
-                        g[(r, hom_label(v, w))] = rng.randint(-3, 3)
+        for op, deg in elementary:
+            if deg == fdeg and rng.random() < 0.5:
+                f[op] = rng.randint(-3, 3)
+            if deg == gdeg and rng.random() < 0.5:
+                g[op] = rng.randint(-3, 3)
         return fdeg, gdeg, f, g
 
     def defect(drawn):
@@ -278,15 +283,26 @@ def tr_degree0(hh: HochschildComplex, m: AInfBimodule,
     base of ``hh.algebra``, multiplies its value (degree 0, so no sign).
     That base is R for the relative HH of S; for HH of the flattened S it
     is Q, whose only label is its unit, the case ``letter_to_pair`` reads
-    as (b, v) letters.  A unit b is skipped."""
+    as (b, v) letters.  The rotation sum is evaluated once per (vm, xs)
+    and multiplied by each b other than the unit, and the trace of each
+    rotated word is taken once: the rotations of one word are the words
+    of other labels."""
     base, unit = module.base, hh.algebra.base.unit
+    sums = {}  # (vm, xs) -> the rotation sum at (unit, vm, xs)
+    traces = {}  # rotated pairs -> tr_R of their action
     entries = {}
     for label in hh.space.labels():
-        letters, degs = _letters_and_degrees(hh, label)
-        pairs = tuple(letter_to_pair(hh.algebra, m.base, x) for x in letters)
-        out = {}
-        for _l, rotated, parity in cyclic_rotations(pairs, degs):
-            vec_add(out, module_trace(module, action(m, rotated)), -1 if parity else 1)
+        word = label[1:]
+        out = sums.get(word)
+        if out is None:
+            letters, degs = _letters_and_degrees(hh, label)
+            pairs = tuple(letter_to_pair(hh.algebra, m.base, x) for x in letters)
+            out = sums[word] = {}
+            for _l, rotated, parity in cyclic_rotations(pairs, degs):
+                trace = traces.get(rotated)
+                if trace is None:
+                    trace = traces[rotated] = module_trace(module, action(m, rotated))
+                vec_add(out, trace, -1 if parity else 1)
         if label[0] != unit:
             out = base.mul({label[0]: 1}, out)
         if out:

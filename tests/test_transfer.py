@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hochtrace import transfer
-from hochtrace.ainf import from_dga, unit_algebra
+from hochtrace.ainf import from_dga, letter_to_pair, unit_algebra
 from hochtrace.bimod import check_bimodule, hom_label, left_module_from_algebra
 from hochtrace.cdga import BaseCDGA, FreeKModule, KAlgebra, cdga_as_kalgebra
 from hochtrace.fixtures import (
@@ -17,7 +17,7 @@ from hochtrace.fixtures import (
     sphere3_with_differential,
     sphere_cohomology,
 )
-from hochtrace.grdlin import GradedMap, GradedSpace, ONE, homology_window
+from hochtrace.grdlin import GradedMap, GradedSpace, ONE, cyclic_rotations, homology_window, vec_add
 from hochtrace.hoch import hh_of_algebra
 from hochtrace.transfer import (
     GeneralizedTrace,
@@ -71,9 +71,18 @@ def test_module_as_right_moves_r2_past_an_odd_generator():
     assert coev.vector and not coev.tensor.kmodule.d(coev.vector)
 
 
+def plain_trace(_module, operator):
+    """module_trace without the supertrace sign (-1)^{|v|}."""
+    out = Counter()
+    for (r, (_hom, v, w)), c in operator.items():
+        if v == w:
+            out[r] += c
+    return {r: c for r, c in out.items() if c}
+
+
 def test_trace_cyclicity():
     rng = random.Random(3)
-    for name in ("s2", "dual"):
+    for name in ("s2", "s3", "dual"):
         alg = fixture_algebra(name)
         assert graded_trace_cyclicity_report(alg.module, rng, samples=30).ok
 
@@ -83,18 +92,21 @@ def test_trace_cyclicity_needs_the_supertrace_sign(monkeypatch):
     # (no (-1)^{|v|}) fails at the first odd pair drawn
     module = from_dga(cdga_as_kalgebra(exterior_odd(1))).module
     assert graded_trace_cyclicity_report(module, random.Random(3), samples=30).ok
-
-    def plain_trace(_module, operator):
-        out = Counter()
-        for (r, (_hom, v, w)), c in operator.items():
-            if v == w:
-                out[r] += c
-        return {r: c for r, c in out.items() if c}
-
     monkeypatch.setattr(transfer, "module_trace", plain_trace)
     report = graded_trace_cyclicity_report(module, random.Random(3), samples=30)
     _name, ((fdeg, gdeg, _f, _g), defect) = report.first_failure
     assert fdeg % 2 and gdeg % 2 and defect
+
+
+def test_trace_cyclicity_draws_odd_operators_across_a_degree_gap(monkeypatch):
+    # sS for S = H*(S^3) has generators in degrees -1 and 2: the odd
+    # operators between them have degree +-3, outside [-2, 2], and the
+    # plain trace fails only on them
+    module = fixture_algebra("s3").module
+    monkeypatch.setattr(transfer, "module_trace", plain_trace)
+    report = graded_trace_cyclicity_report(module, random.Random(3), samples=30)
+    _name, ((fdeg, gdeg, _f, _g), defect) = report.first_failure
+    assert {fdeg, gdeg} == {-3, 3} and defect
 
 
 def test_euler_traces():
@@ -422,6 +434,36 @@ def test_closed_form_acts_once_per_block(monkeypatch):
     monkeypatch.setattr(transfer, "action", counted)
     assert closed_form_transfer(rep, m) == rep.composite
     assert len(blocks) == len(set(blocks)) == 39
+
+
+def test_tr_degree0_traces_each_rotated_word_once(monkeypatch):
+    # one action per distinct rotated word; evaluating the rotation sum at
+    # every label made 68 calls on 14 words on the twistor bundle at h = 2
+    alg = s4_bundle({("x", "1"): ONE})
+    hh = hh_of_algebra(alg, 2)
+    m = left_module_from_algebra(alg)
+    base = alg.module.base
+    # the rotation sum of every label, evaluated label by label
+    want = {}
+    for b, vm, xs in hh.space.labels():
+        letters, degs = transfer._letters_and_degrees(hh, (b, vm, xs))
+        pairs = tuple(letter_to_pair(hh.algebra, m.base, x) for x in letters)
+        value = {}
+        for _l, rotated, parity in cyclic_rotations(pairs, degs):
+            vec_add(value, module_trace(alg.module, transfer.action(m, rotated)),
+                    -1 if parity else 1)
+        if value := base.mul({b: 1}, value):
+            want[(b, vm, xs)] = value
+    words = []
+    real = transfer.action
+
+    def counted(module, pairs):
+        words.append(pairs)
+        return real(module, pairs)
+
+    monkeypatch.setattr(transfer, "action", counted)
+    assert tr_degree0(hh, m, alg.module).entries == want
+    assert len(words) == len(set(words)) == 14
 
 
 def test_simp_model_s3():
