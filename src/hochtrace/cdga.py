@@ -332,15 +332,11 @@ class KAlgebra:
             self._validate()
 
     def mul_pairs(self, p1, p2) -> Kvec:
-        """Product of two total-space basis elements (b, v)."""
-        (a, x), (b, y) = p1, p2
-        sign = -ONE if (self.base.degree(b) * self.gens.degree[x]) % 2 else ONE
-        out = {}
-        for bb, c in self.base.mul_basis(a, b).items():
-            for (cc, z), w in self.mult.get((x, y), {}).items():
-                for b3, q in self.base.mul_basis(bb, cc).items():
-                    vec_add(out, {(b3, z): sign * c * w * q})
-        return out
+        """Product of two total-space basis elements (b, v): the k-bilinear
+        extension of ``mult``, through ``eval_k_multilinear``."""
+        degree = self.gens.degree
+        return eval_k_multilinear(self.base, self.mult, 0, (p1, p2),
+                                  (degree[p1[1]], degree[p2[1]]))
 
     def mul(self, u: Kvec, v: Kvec) -> Kvec:
         out = {}

@@ -9,25 +9,28 @@ Coefficients are exact rationals, and an integral coefficient is a
 Python int: ``ONE`` is the int 1, structure tables are stored through
 ``int_first``, and ``vec_add``, ``GradedMap`` and the d^2 and chain-map
 checks keep int input int.  A Fraction appears only where elimination
-divides by a pivot other than +-1 (``_normalized``); int and
-Fraction values go through the same code, and an integral quotient is
-stored as int.  Each degree block d^t of a ``Complex`` is eliminated
-once per complex, upward from its lowest degree, and cached on it,
-read-only.  The elimination clears (Chen-Kerber): a column whose label
-leads a boundary pivot of block t-1 is never inserted, and the kernel
-combos left span a complement of the boundaries in the cycles.  It takes
-two passes (see ``Complex``): a kernel pass over the uncleared columns,
-keyed by target position and pivoting on the target latest in the basis,
-finds the kernel combos and the independent columns; an echelon pass
-puts only those columns into a least-repr ``_Eliminator``, whose leads
-clear block t+1.  ``homology_window`` counts the kernel combos, and
-``HomologyBasis`` reads homology coordinates off them with no second
-elimination.  Inside ``_Eliminator`` rows are keyed by the repr string of
-each label, so that every dict operation of a reduction hashes a string
-that caches its hash; its pivot is the least-repr label.  Every lead set,
-``hoch.ClassicalHochschild``, ``solve`` and ``sparse_rank`` keep that
-order; only the kernel pass, whose output does not depend on it, pivots
-otherwise.  Koszul signs are the ints +1 and -1.
+divides by a pivot other than +-1 (``_normalized``); int and Fraction
+values go through the same code, and an integral quotient, and every
+integral coefficient of a kernel combo, is stored as int.
+
+Elimination has two engines, one per kind of output:
+- ``_kernel_pass`` answers what does not depend on the pivot order: the
+  kernel combos and the greedy independent columns.  It keys rows by
+  target index and pivots on the latest target.  The kernel of every
+  ``Complex`` block, ``kernel_basis``, ``solve`` and ``sparse_rank`` run
+  through it, the last three with labels indexed by first appearance;
+- the least-repr ``_Eliminator`` serves where a lead set is the output:
+  the boundary echelon of a ``Complex`` block (``_echelon``) and
+  ``hoch.ClassicalHochschild``.  It keys rows by the repr string of each
+  label, which caches its hash, and pivots on the least-repr label.
+Each degree block d^t of a ``Complex`` is eliminated once per complex,
+upward from its lowest degree, and cached on it, read-only.  The
+elimination clears (Chen-Kerber): a column whose label leads a boundary
+pivot of block t-1 is never inserted, and the kernel combos left span a
+complement of the boundaries in the cycles (see ``Complex``).
+``homology_window`` counts the kernel combos, and ``HomologyBasis``
+reads homology coordinates off them with no second elimination.  Koszul
+signs are the ints +1 and -1.
 
 A permutation is a plain tuple of destination slots: perm[i] is the
 slot that factor i moves to.  ``permute`` is the one action on a tuple,
@@ -345,11 +348,11 @@ class Complex:
       independent.  So the kernel combos are those of any elimination in
       basis order, the least-repr one included;
     - the echelon pass puts only the columns of P, last first, into a
-      least-repr ``_Eliminator`` with no combos.  They span the image of
-      d^t, and the least-repr lead set of a subspace does not depend on
-      the rows that span it, so the cleared labels of block t+1, the
-      representatives, their coordinates and every window are those of a
-      single least-repr pass.
+      least-repr ``_Eliminator``.  They span the image of d^t, and the
+      least-repr lead set of a subspace does not depend on the rows that
+      span it, so the cleared labels of block t+1, the representatives,
+      their coordinates and every window are those of a single
+      least-repr pass.
     Both passes key rows by target index, so a label is hashed once per
     entry, as one pass did; block t+1 skips its cleared columns by index.
     The complex keeps that eliminator (rank d^t is the number of its
@@ -411,13 +414,17 @@ def _kernel_pass(labels, cleared, entries, targets):
     the index of each target in ``targets``; the pivot of a row is its
     greatest index, the target latest in the basis.  An empty column goes
     straight to the kernel.  A pivot row led by +-1 is stored as it is,
-    with that sign, any other normalized to lead 1.  The independent
-    columns are returned in order, keyed by target index, with the
-    coefficients the columns hold.  One loop, with no call per row or per
-    reduction step."""
+    with that sign, any other normalized to lead 1.  Kernel combos are
+    int while no pivot has been normalized and every factor has been an
+    int; from then on each is stored through ``int_first``, so its
+    integral coefficients are int whatever the pivot order.  The
+    independent columns are returned in order, keyed by target index,
+    with the coefficients the columns hold.  One loop, with no call per
+    row or per reduction step."""
     position = {w: j for j, w in enumerate(targets)}
     pivots = {}  # index of the leading target -> (row, combo, inverse of the lead)
     kernel, independent = [], []
+    exact = True  # no pivot normalized and every factor an int so far
     for i, v in enumerate(labels):
         if i in cleared:
             continue
@@ -437,10 +444,13 @@ def _kernel_pass(labels, cleared, entries, targets):
                     pivots[j] = (row, combo, p)
                 else:
                     pivots[j] = (_normalized(row, p), _normalized(combo, p), 1)
+                    exact = False
                 independent.append(column)
                 break
             pivot_row, pivot_combo, inverse = hit
             factor = -inverse * row[j]
+            if type(factor) is not int:
+                exact = False
             for k, c in pivot_row.items():
                 c = row.get(k, 0) + factor * c
                 if c:
@@ -454,13 +464,13 @@ def _kernel_pass(labels, cleared, entries, targets):
                 else:
                     del combo[k]
         else:
-            kernel.append(combo)
+            kernel.append(combo if exact else int_first(combo))
     return kernel, independent
 
 
 def _echelon(rows, targets):
     """(least-repr ``_Eliminator`` of rows keyed by index into ``targets``,
-    the indices of its leads), inserted in turn with no combos.
+    the indices of its leads), inserted in turn.
 
     Each target's repr is computed once, when a row first holds it, and
     the pivots are those ``_Eliminator._insert`` would store from the
@@ -487,10 +497,10 @@ def _echelon(rows, targets):
             hit = pivots.get(col)
             if hit is None:
                 p = row[col]
-                pivots[col] = (row if p == 1 else _normalized(row, p), None)
+                pivots[col] = row if p == 1 else _normalized(row, p)
                 break
             factor = -row[col]
-            for k, c in hit[0].items():
+            for k, c in hit.items():
                 c = row.get(k, 0) + factor * c
                 if c:
                     row[k] = c
@@ -503,12 +513,41 @@ def _echelon(rows, targets):
 # exact elimination
 
 
+def _row_pass(rows):
+    """``_kernel_pass`` over dict rows as its columns: zeros dropped and
+    integral Fractions turned into int, each label indexed in order of
+    first appearance, each kernel combo keyed by row index."""
+    columns = dict(enumerate(map(int_first, rows)))
+    targets = list(dict.fromkeys(w for row in columns.values() for w in row))
+    return _kernel_pass(columns, (), columns, targets)
+
+
 def sparse_rank(rows) -> int:
-    """Rank of a sparse matrix given as a list of dict rows (not modified)."""
-    elim = _Eliminator()
-    for row in rows:
-        elim._insert(elim._keyed(row), None)
-    return len(elim.pivots)
+    """Rank of a sparse matrix given as a list of dict rows (not modified):
+    the number of independent rows of the kernel pass."""
+    return len(_row_pass(rows)[1])
+
+
+def kernel_basis(rows):
+    """Basis of {x : sum_i x_i * rows[i] = 0}, as dicts over row indices:
+    one combo per row that depends on the rows before it, with
+    coefficient 1 at that row."""
+    return _row_pass(rows)[0]
+
+
+def solve(rows, rhs):
+    """One solution x of sum_i x_i rows[i] = rhs, or None.
+
+    ``rows`` are dict rows; ``rhs`` a dict over the same column labels.
+    rhs goes into the kernel pass after the rows: it is in their span iff
+    it has a kernel combo, whose coefficient at rhs is 1, and x is the
+    rest of that combo negated, supported on the greedy independent rows.
+    """
+    kernel = _row_pass([*rows, rhs])[0]
+    n = len(rows)
+    if not kernel or n not in kernel[-1]:
+        return None
+    return {i: -c for i, c in kernel[-1].items() if i != n}
 
 
 def dense_rank(matrix) -> int:
@@ -549,37 +588,35 @@ def int_first(vec):
 
 
 class _Eliminator:
-    """Incremental sparse Gaussian elimination with row-combination tracking.
+    """Least-repr sparse Gaussian elimination, where a lead set is the output.
 
     The pivot of a row is its leading column: the label with the least
-    repr (``lead``).  ``hoch.ClassicalHochschild`` relies on this order
-    to keep its "a"-tagged relation labels ahead of its "z"-tagged basis;
-    it writes its rows under ``_key``, inserts them through ``_insert``
-    and reads a lead as ``_labels[min(row)]``.
+    repr.  ``_echelon`` fills one with the boundary rows of a ``Complex``
+    block, whose leads the block above clears, as ``HomologyBasis.coords``
+    does through ``clear``.  ``hoch.ClassicalHochschild`` relies on the
+    order to keep its "a"-tagged relation labels ahead of its "z"-tagged
+    basis; it writes its rows under ``_key``, inserts them through
+    ``_insert`` and reads a lead as ``_labels[min(row)]``.  No row
+    combination is tracked: kernel combos and solutions come from the
+    kernel pass.
 
     Inside, rows are keyed by the repr string of each label, computed
     once when a row brings the label in, and ``pivots`` maps the repr of
     each leading label to its row: the pivot of a row is then ``min(row)``,
     a string compare, and every dict operation hashes a string that caches
     its hash.  Two labels with one repr would share a column and raise
-    ValueError instead.  ``insert`` and ``reduce`` take and return rows
-    keyed by label, as does ``clear``; ``_reduce`` and ``_insert`` take a
-    repr-keyed row and reduce it in place.  Combos stay keyed by the
-    caller's index.
+    ValueError instead.  ``_reduce`` and ``_insert`` reduce a repr-keyed
+    row in place; ``clear`` takes and returns a row keyed by label.
 
-    Label-keyed rows and combos are copied on entry, with zero entries
-    dropped and integral Fractions turned into int.  Pivot rows and their
-    combos are stored normalized to leading coefficient 1, so a reduction
-    step multiplies but never divides, and integral input stays int unless
-    a pivot p is not +-1: ``_normalized`` then scales by Fraction(1, p),
-    the one division in the library outside the ``dense_rank`` oracle (the
-    two passes of ``Complex`` normalize through it too).  Returned
-    rows, combos and the results built from them may therefore hold int
-    as well as Fraction coefficients.
+    Pivot rows are stored normalized to leading coefficient 1, so a
+    reduction step multiplies but never divides, and integral input stays
+    int unless a pivot p is not +-1: ``_normalized`` then scales by
+    Fraction(1, p), the one division in the library outside the
+    ``dense_rank`` oracle (the kernel pass normalizes through it too).
     """
 
     def __init__(self):
-        self.pivots = {}  # repr of the leading label -> (normalized row, combo)
+        self.pivots = {}  # repr of the leading label -> normalized row
         self._keys = {}  # label -> repr(label)
         self._labels = {}  # repr(label) -> label
 
@@ -595,69 +632,39 @@ class _Eliminator:
             self._keys[label] = key
         return key
 
-    def _keyed(self, row):
-        """A copy of a label-keyed row keyed by repr, zeros dropped and
-        integral Fractions turned into int (as ``int_first``)."""
-        keys = self._keys
-        out = {}
-        for label, c in row.items():
-            if c:
-                out[keys.get(label) or self._key(label)] = (
-                    c.numerator if c.denominator == 1 else c)
-        return out
-
     def _labelled(self, row):
         """A repr-keyed row keyed by label again."""
         labels = self._labels
         return {labels[key]: c for key, c in row.items()}
 
-    def lead(self, row):
-        """The leading (pivot) label of a nonempty label-keyed row that
-        went through this eliminator."""
-        return min(row, key=self._keys.__getitem__)
-
-    def _reduce(self, row, combo):
-        """Reduce a repr-keyed row in place against the pivots; returns
-        (row, combo), the pivot combos subtracted being added to combo in
-        place (None: not tracked)."""
+    def _reduce(self, row):
+        """Reduce a repr-keyed row in place against the pivots; returns it."""
         pivots = self.pivots
         while row:
             col = min(row)
-            hit = pivots.get(col)
-            if hit is None:
+            pivot_row = pivots.get(col)
+            if pivot_row is None:
                 break
-            pivot_row, pivot_combo = hit
             factor = -row[col]
-            vec_add(row, pivot_row, factor)
-            if combo is not None and pivot_combo is not None:
-                vec_add(combo, pivot_combo, factor)
-        return row, combo
+            for k, c in pivot_row.items():
+                c = row.get(k, 0) + factor * c
+                if c:
+                    row[k] = c
+                else:
+                    del row[k]
+        return row
 
-    def _insert(self, row, combo):
+    def _insert(self, row):
         """``_reduce`` a repr-keyed row, then store what survives,
-        normalized, as a pivot.  Returns the repr-keyed (row, combo)."""
-        row, combo = self._reduce(row, combo)
+        normalized, as a pivot.  Returns the repr-keyed row."""
+        row = self._reduce(row)
         if row:
             col = min(row)
             p = row[col]
             if p != 1:
                 row = _normalized(row, p)
-                if combo is not None:
-                    combo = _normalized(combo, p)
-            self.pivots[col] = (row, combo)
-        return row, combo
-
-    def reduce(self, row, combo=None):
-        """Reduce a copy of row against the pivots; returns (row, combo),
-        combo tracking the pivot combos subtracted (None: not tracked)."""
-        row, combo = self._reduce(self._keyed(row), None if combo is None else int_first(combo))
-        return self._labelled(row), combo
-
-    def insert(self, row, combo=None):
-        """Reduce and insert if independent. Returns the surviving (row,
-        combo), normalized when the row is nonzero."""
-        row, combo = self._insert(self._keyed(row), None if combo is None else int_first(combo))
-        return self._labelled(row), combo
+            self.pivots[col] = row
+        return row
 
     def clear(self, row):
         """A label-keyed copy of row, zeros dropped, with every entry at a
@@ -668,7 +675,7 @@ class _Eliminator:
         while leads := [key for key in map(keys.get, row) if key in pivots]:
             key = min(leads)
             c = row[labels[key]]
-            for k, p in pivots[key][0].items():
+            for k, p in pivots[key].items():
                 vec_add_term(row, labels[k], -c * p)
         return row
 
@@ -680,35 +687,6 @@ def _normalized(vec, p):
     if p == -1:
         return {k: -c for k, c in vec.items()}
     return int_first({k: c * Fraction(1, p) for k, c in vec.items()})
-
-
-def _eliminate(indexed_rows):
-    """Insert each (i, row) with combo {i: 1} into one new eliminator;
-    returns it and the combos of the rows that reduced to zero."""
-    elim = _Eliminator()
-    kernel = []
-    for i, r in indexed_rows:
-        row, combo = elim._insert(elim._keyed(r), {i: 1})
-        if not row:
-            kernel.append(combo)
-    return elim, kernel
-
-
-def kernel_basis(rows):
-    """Basis of {x : sum_i x_i * rows[i] = 0}, as dicts over row indices."""
-    return _eliminate(enumerate(rows))[1]
-
-
-def solve(rows, rhs):
-    """One solution x of sum_i x_i rows[i] = rhs, or None.
-
-    ``rows`` are dict rows; ``rhs`` a dict over the same column labels.
-    """
-    elim, _ = _eliminate(enumerate(rows))
-    residue, neg_solution = elim._reduce(elim._keyed(rhs), {})
-    if residue:
-        return None
-    return {i: -c for i, c in neg_solution.items()}
 
 
 def homology_window(cx: Complex, t_min, t_max) -> dict:

@@ -177,12 +177,6 @@ class HochschildComplex:
                       self.bimodule.kmodule.d.entries, check=False)
         return Complex(shifted_target, d, check=False)
 
-    def include_coefficients(self) -> GradedMap:
-        """M -> HH as the Hochschild-degree-0 part."""
-        source = self._coefficient_space()
-        entries = {(b, vm): {(b, vm, ()): ONE} for (b, vm) in source.labels()}
-        return GradedMap(source, self.space, 0, entries)
-
     def __repr__(self):
         kind = "HH^n" if self.normalized else "HH"
         return (f"{kind}(rank={self.space.dim}, h_max={self.h_max}, "
@@ -450,10 +444,10 @@ class ClassicalHochschild:
 
         def row(beta, vm, bar_col, m_col, negate):
             """bar_col (x) vm + (-1)^negate beta (x) m_col, keyed by the
-            eliminator's repr key of each tagged label, as ``_keyed`` would
-            key it.  The columns hold no zero and no integral Fraction, and
-            over Q the labels of each part are distinct, so only a sum at a
-            label of both parts is dropped or turned into int."""
+            eliminator's repr key of each tagged label (``_Eliminator._key``).
+            The columns hold no zero and no integral Fraction, and over Q
+            the labels of each part are distinct, so only a sum at a label
+            of both parts is dropped or turned into int."""
             out = {}
             for (_1, b2), c in bar_col.items():
                 label = (tag[b2], (b2, vm))
@@ -472,7 +466,7 @@ class ClassicalHochschild:
             """Insert one relation row; it must not reduce onto the basis."""
             if relation := row(*witness[2:], bar_col, m_col, negate):
                 self._relation_count += 1
-                rrow, _ = elim._insert(relation, None)
+                rrow = elim._insert(relation)
                 if rrow and elim._labels[min(rrow)][0] == "z":
                     raise CertificateError("relation span hit the basis", (witness, {
                         k: c for (_, k), c in elim._labelled(rrow).items()}))
@@ -492,9 +486,9 @@ class ClassicalHochschild:
 
         def quotient_d(beta, vm):
             """D(beta (x) vm) in the quotient, on the canonical basis."""
-            rem, _ = elim._reduce(row(beta, vm, int_first(bar.mu_word(0, 0, (beta,))),
-                                      int_first(bimodule.mu_word(0, 0, (vm,))),
-                                      bg.degree[beta] % 2), None)
+            rem = elim._reduce(row(beta, vm, int_first(bar.mu_word(0, 0, (beta,))),
+                                   int_first(bimodule.mu_word(0, 0, (vm,))),
+                                   bg.degree[beta] % 2))
             rem = elim._labelled(rem)
             residue = {k: c for (kind, k), c in rem.items() if kind != "z"}
             if residue:

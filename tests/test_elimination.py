@@ -4,10 +4,13 @@ pinned exact outputs that any change to elimination must reproduce.
 
 ``LabelEliminator`` is the elimination loop as it was before rows were
 keyed by repr strings: rows keyed by label, the pivot picked by
-``min(row, key=repr)``.  It is kept as the reference that the library's
-``_Eliminator`` must match bit for bit.  ``fresh_cleared_blocks`` runs
-the cleared block elimination on fresh ``LabelEliminator``s, the
-reference for ``Complex``'s block cache and ``HomologyBasis``."""
+``min(row, key=repr)``, with row combinations tracked.  It is kept as the
+reference: the library's least-repr ``_Eliminator`` must match its pivot
+rows bit for bit, and the kernel pass behind ``kernel_basis``, ``solve``
+and ``sparse_rank`` its kernel combos, solutions and rank in value, with
+every integral coefficient an int.  ``fresh_cleared_blocks`` runs the
+cleared block elimination on fresh ``LabelEliminator``s, the reference
+for ``Complex``'s block cache and ``HomologyBasis``."""
 import hashlib
 import inspect
 import random
@@ -119,18 +122,24 @@ def test_solve_exact_or_none(matrix, data):
         assert combine(rows, sol) == rhs
 
 
+def repr_keyed(elim, row):
+    """A label-keyed row keyed by the eliminator's repr keys, zeros
+    dropped and integral Fractions turned into int."""
+    return {elim._key(label): c for label, c in int_first(row).items()}
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_pivots_are_normalized_in_repr_order(matrix):
     _cols, rows = matrix
     elim = _Eliminator()
     for row in rows:
-        elim.insert(row, {})
+        elim._insert(repr_keyed(elim, row))
     # the pivot dict is keyed by repr; read each pivot row back by label
-    for key, (row, _combo) in elim.pivots.items():
+    for key, row in elim.pivots.items():
         col, row = elim._labels[key], elim._labelled(row)
         assert row[col] == 1
-        assert elim.lead(row) == col == min(row, key=repr)
+        assert col == min(row, key=repr)
 
 
 class LabelEliminator:
@@ -194,6 +203,10 @@ def keyed(vec):
     return {k: (type(c), c) for k, c in vec.items()}
 
 
+def assert_int_when_integral(vec):
+    assert all(type(c) is int or c.denominator != 1 for c in vec.values()), vec
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices(), st.data())
 def test_repr_keys_match_the_label_keyed_loop(matrix, data):
@@ -202,24 +215,28 @@ def test_repr_keys_match_the_label_keyed_loop(matrix, data):
     kernel = []
     for i, r in enumerate(rows):
         want = ref.insert(r, {i: 1})
-        got = elim.insert(r, {i: 1})
-        assert [exact(v) for v in got] == [exact(v) for v in want]
+        got = elim._insert(repr_keyed(elim, r))
+        assert exact(elim._labelled(got)) == exact(want[0])
         if not want[0]:
             kernel.append(want[1])
     # the same pivots, in insertion order, with the same normalized rows
     assert [elim._labels[key] for key in elim.pivots] == list(ref.pivots)
-    for key, (row, combo) in elim.pivots.items():
-        want_row, want_combo = ref.pivots[elim._labels[key]]
-        assert exact(elim._labelled(row)) == exact(want_row)
-        assert exact(combo) == exact(want_combo)
+    for key, row in elim.pivots.items():
+        assert exact(elim._labelled(row)) == exact(ref.pivots[elim._labels[key]][0])
+    # the kernel pass: the same rank, kernel combos and solution in value,
+    # every integral coefficient an int, whatever its pivot order
     assert sparse_rank(rows) == len(ref.pivots)
-    assert [exact(v) for v in kernel_basis(rows)] == [exact(v) for v in kernel]
+    got = kernel_basis(rows)
+    assert got == kernel
+    for vec in got:
+        assert_int_when_integral(vec)
     rhs = data.draw(st.dictionaries(st.sampled_from(cols), nonzero))
     residue, neg = ref.reduce(rhs, {})
     want = None if residue else {i: -c for i, c in neg.items()}
     got = solve(rows, rhs)
-    assert got == want and (got is None or exact(got) == exact(want))
-    assert [exact(v) for v in elim.reduce(rhs, {})] == [exact(residue), exact(neg)]
+    assert got == want
+    if got is not None:
+        assert_int_when_integral(got)
 
 
 class SameRepr:
@@ -232,15 +249,28 @@ class SameRepr:
 def test_labels_sharing_a_repr_raise():
     first, second = SameRepr(), SameRepr()
     elim = _Eliminator()
-    elim.insert({first: 1})
+    elim._key(first)
     with pytest.raises(ValueError, match="share the repr"):
-        elim.insert({second: 2})
-    with pytest.raises(ValueError, match="share the repr"):
-        _Eliminator().insert({first: 1, second: 1})
+        elim._key(second)
     # equal labels built apart are one column
     elim = _Eliminator()
-    elim.insert({("x", (1, "y")): 2})
-    assert elim.insert({("x", (1, "y")): 2}) == ({}, None)
+    elim._insert({elim._key(("x", (1, "y"))): 2})
+    assert elim._insert({elim._key(("x", (1, "y"))): 2}) == {}
+    # a block echelon whose targets share a repr raises
+    space = GradedSpace([("s", 0), ("t", 0), (first, 1), (second, 1)])
+    cx = Complex(space, GradedMap(space, space, 1, {"s": {first: 1}, "t": {second: 1}}))
+    with pytest.raises(ValueError, match="share the repr"):
+        homology_window(cx, 0, 1)
+
+
+def test_the_kernel_pass_takes_labels_sharing_a_repr():
+    # sparse_rank, kernel_basis and solve key labels by position, not repr
+    first, second = SameRepr(), SameRepr()
+    rows = [{first: 1}, {second: 2}, {first: 3, second: 4}]
+    assert sparse_rank(rows) == 2
+    assert kernel_basis(rows) == [{2: 1, 0: -3, 1: -2}]
+    assert solve(rows, {first: 2, second: 2}) == {0: 2, 1: 1}
+    assert solve(rows[:1], {second: 1}) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -403,7 +433,7 @@ def fresh_basis(cx, t, blocks):
         residue, neg = boundaries.reduce(z, {})
         assert not residue
         coords.append({k: -c for k, c in neg.items() if c})
-    return [keyed(z) for z in reps], [exact(c) for c in coords], cycles
+    return [keyed(int_first(z)) for z in reps], [exact(c) for c in coords], cycles
 
 
 def cached_basis(cx, t, cycles):
@@ -424,7 +454,9 @@ def rank_window(cx):
 def test_the_block_cache_matches_fresh_elimination():
     # representatives compare keyed: the cache's kernel pass pivots on the
     # target latest in the basis, so a combo's keys come in another order
-    # than the least-repr elimination's, though the combo is the same
+    # than the least-repr elimination's, though the combo is the same; it
+    # holds every integral coefficient as int, so the reference goes
+    # through int_first
     for build in cache_complexes():
         cx = build().complex
         degrees = cx.space.degrees()
@@ -453,13 +485,14 @@ def test_the_block_cache_matches_fresh_elimination():
 def assert_blocks_match_single_pass(cx, blocks):
     """Every cached block against the single least-repr pass of
     ``fresh_cleared_blocks``: the same kernel combos, key by key with
-    their coefficient types, in the same order, and the same lead set of
-    the boundaries, also as indices."""
+    their coefficient types once the reference's integral Fractions are
+    int, in the same order, and the same lead set of the boundaries, also
+    as indices."""
     for t, (elim, cycles) in blocks.items():
         boundaries, kernel, leads = cx._block(t)
         labels = cx.space.by_degree.get(t, [])
         assert [keyed({labels[i]: c for i, c in combo.items()}) for combo in kernel] == [
-            keyed(z) for z in cycles]
+            keyed(int_first(z)) for z in cycles]
         targets = cx.space.by_degree.get(t + 1, [])
         assert ({boundaries._labels[key] for key in boundaries.pivots}
                 == {targets[j] for j in leads} == set(elim.pivots))
@@ -522,7 +555,7 @@ def test_homology_bases_span_the_homology():
             # independent modulo the boundaries, eliminated anew: the
             # boundary columns, then the representatives, into a fresh
             # eliminator
-            boundaries, independent = _Eliminator(), _Eliminator()
+            boundaries, independent = LabelEliminator(), LabelEliminator()
             for v in cx.space.by_degree.get(t - 1, ()):
                 boundaries.insert(cx.d.column(v))
                 independent.insert(cx.d.column(v))
@@ -557,13 +590,13 @@ def test_homology_bases_eliminate_nothing(monkeypatch):
     calls = []
     real_reduce, real_insert = _Eliminator._reduce, _Eliminator._insert
 
-    def reduce(self, row, combo):
+    def reduce(self, row):
         calls.append("reduce")
-        return real_reduce(self, row, combo)
+        return real_reduce(self, row)
 
-    def insert(self, row, combo):
+    def insert(self, row):
         calls.append("insert")
-        return real_insert(self, row, combo)
+        return real_insert(self, row)
 
     monkeypatch.setattr(_Eliminator, "_reduce", reduce)
     monkeypatch.setattr(_Eliminator, "_insert", insert)

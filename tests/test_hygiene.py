@@ -19,8 +19,8 @@ unbounded structure-map memo raised peak RSS by 31-84%; and no function
 in ``hoch``, ``bimod``, ``ainf`` or ``wheeled`` calls ``mul_basis``, so
 every product by a base label there goes through ``cdga.times_base`` and
 ``cdga.leibniz_column``; and every module-level function, class or
-constant is named somewhere in ``src``, ``bench`` or ``tests`` outside its
-own definition."""
+constant, and every method but a dunder, is named somewhere in ``src``,
+``bench`` or ``tests`` outside its own definition."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -220,8 +220,10 @@ def names_in(sources):
 
 def orphans(source, named):
     """Names of the module-level functions, classes and constants of
-    ``source`` that ``named``, the ``names_in`` count of sources that hold
-    ``source``, names only inside the definition itself."""
+    ``source``, and ``Class.method`` of the methods of its module-level
+    classes but the dunders, that ``named``, the ``names_in`` count of
+    sources that hold ``source``, names only inside the definition
+    itself."""
     found = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -233,6 +235,13 @@ def orphans(source, named):
             continue
         own = Counter(_named(node))
         found += [name for name in names if named[name] == own[name]]
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                name = getattr(method, "name", "__")
+                if (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (name.startswith("__") and name.endswith("__"))
+                        and named[name] == Counter(_named(method))[name]):
+                    found.append(f"{node.name}.{name}")
     return found
 
 
@@ -353,6 +362,11 @@ def test_the_checks_fire():
               "x = base.mul_basis(1, 2)\n")
     assert callers_of(source, ("mul_basis",)) == ["<module>", "B._differential", "extend"]
     source = ("X = 1\nY: int = X\ndef f(n):\n    return f(n - 1)\n"
-              "class C:\n    pass\ndef g():\n    return C\n")
-    assert orphans(source, names_in([source])) == ["Y", "f", "g"]
-    assert orphans(source, names_in([source, "from m import g\nsetattr(m, 'Y', 2)\n"])) == ["f"]
+              "class C:\n    pass\ndef g():\n    return C\n"
+              "class D:\n    def __init__(self):\n        self.used()\n"
+              "    def used(self):\n        return 1\n"
+              "    def alone(self, n):\n        return self.alone(n - 1)\n"
+              "    @property\n    def size(self):\n        return 2\n")
+    assert orphans(source, names_in([source])) == ["Y", "f", "g", "D", "D.alone", "D.size"]
+    assert orphans(source, names_in([source, "from m import g, D\nsetattr(m, 'Y', 2)\n"
+                                              "D().size\n"])) == ["f", "D.alone"]

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -19,6 +20,7 @@ from hochtrace.fixtures import (
 )
 from hochtrace.grdlin import GradedMap, GradedSpace, ONE, cyclic_rotations, homology_window, vec_add
 from hochtrace.hoch import hh_of_algebra
+from hochtrace.report import Report
 from hochtrace.transfer import (
     GeneralizedTrace,
     SimpModel,
@@ -530,6 +532,18 @@ def test_vanishing_check_names_a_class_with_a_nonzero_value(monkeypatch):
     report = vanishing_check(alg, 3, -1, 1)
     assert [ok for _name, ok, _w in report.checks] == [True, False, True]
     assert report.first_failure == ("t=0 (3 classes)", ({label: 1}, {"1": 1}))
+
+
+def test_a_report_as_json():
+    # Report.to_dict, the JSON route of a report: a witness only on a
+    # failed check, written as its repr
+    report = Report("checks")
+    report.record("passes", True, "not shown")
+    report.record_first_defect("fails", [1, 2], lambda x: {x: 1} if x == 2 else {})
+    assert json.loads(json.dumps(report.to_dict())) == {
+        "title": "checks", "ok": False,
+        "checks": [{"name": "passes", "ok": True},
+                   {"name": "fails", "ok": False, "witness": "(2, {2: 1})"}]}
 
 
 
