@@ -232,19 +232,21 @@ def insertions(base: BaseCDGA, f, arities, degree):
     A word's terms are memoized without their parity: per arity s, the
     window at r = 0 is one lookup f(word[:s]), and the rest are the terms
     of word[1:] with word[0] prepended, r + 1 and |word[:r]| raised by
-    |word[0]|.  The memo lives as long as the enumerator.
+    |word[0]|.  The memo lives as long as the enumerator: ``table``
+    recurses through its argument, so no closure holds itself in a
+    reference cycle that only the cyclic garbage collector would free.
     """
     if any(s >= t for s, t in zip(arities, arities[1:])):
         raise ValueError(f"insertion arities {arities!r} are not ascending and distinct")
     coeff_degree = base.space.degree
     memo = {}
 
-    def table(word):
+    def table(word, recurse):
         # per arity, the (r, new word, c, coeff, |word[:r]|) of every window
         found = memo.get(word)
         if found is None:
             n = len(word)
-            rest = table(word[1:]) if arities and n > arities[0] else None
+            rest = recurse(word[1:], recurse) if arities and n > arities[0] else None
             found = []
             for i, s in enumerate(arities):
                 value = f(word[:s]) if n >= s else None
@@ -259,7 +261,7 @@ def insertions(base: BaseCDGA, f, arities, degree):
         return found
 
     def terms(word, prefix_degree=0):
-        for per_arity in table(word):
+        for per_arity in table(word, table):
             for r, new_word, c, coeff, rel in per_arity:
                 yield (r, new_word, c, coeff,
                        migration_parity(prefix_degree + rel, 1, coeff_degree[c]))

@@ -18,7 +18,8 @@ Elimination has two engines, one per kind of output:
   kernel combos and the greedy independent columns.  It keys rows by
   target index and pivots on the latest target.  The kernel of every
   ``Complex`` block, ``kernel_basis``, ``solve`` and ``sparse_rank`` run
-  through it, the last three with labels indexed by first appearance;
+  through it, the last three with labels indexed by first appearance
+  (``sparse_rank``, and ``solve`` to find its rows, with no combos);
 - the least-repr ``_Eliminator`` serves where a lead set is the output:
   the boundary echelon of a ``Complex`` block (``_echelon``) and
   ``hoch.ClassicalHochschild``.  It keys rows by the repr string of each
@@ -38,8 +39,9 @@ slot that factor i moves to.  ``permute`` is the one action on a tuple,
 ``enumerate_shuffles`` lists the (p, q)-shuffles in this format.
 
 ``cyclic_rotations`` is the one implementation of the cyclic Koszul
-rotation and its sign: every Hochschild, Connes, trace and symmetry
-formula that rotates a word of graded factors goes through it.
+rotation and its sign (``rotation_parities``, the signs alone): every
+Hochschild, Connes, trace and symmetry formula that rotates a word of
+graded factors goes through it.
 ``chain_map_witness`` is the one chain-map certificate, f d = (-1)^{|f|}
 d f with its first failing label: every quotient, comparison, trace and
 transfer check of a map of complexes goes through it.
@@ -68,14 +70,15 @@ class GradedSpace:
     __slots__ = ("basis", "degree", "by_degree")
 
     def __init__(self, basis):
-        self.basis = tuple((label, int(deg)) for label, deg in basis)
-        self.degree = {}
-        self.by_degree = {}
-        for label, deg in self.basis:
-            if label in self.degree:
-                raise ValueError(f"duplicate basis label {label!r}")
-            self.degree[label] = deg
-            self.by_degree.setdefault(deg, []).append(label)
+        self.basis = basis = tuple([(label, int(deg)) for label, deg in basis])
+        self.degree = dict(basis)
+        if len(self.degree) != len(basis):  # name the first repeat, scanning in order
+            seen = set()
+            label = next(label for label, _ in basis if label in seen or seen.add(label))
+            raise ValueError(f"duplicate basis label {label!r}")
+        self.by_degree = by_degree = {deg: [] for deg in self.degree.values()}
+        for label, deg in basis:
+            by_degree[deg].append(label)
 
     @property
     def dim(self):
@@ -120,14 +123,14 @@ def tensor_space(*spaces) -> GradedSpace:
     return GradedSpace(basis)
 
 
-def vec_add(target: dict, items, coeff=1):
+def vec_add(target: dict, items: dict, coeff=1):
     """In-place target += coeff * items, dropping zeros.
 
     A missing entry counts as int 0, so int coefficients times an int
     coeff stay int: integral coefficients are int throughout, and only a
     Fraction operand (from a non-unit pivot) gives a Fraction.
     """
-    for label, c in items.items() if isinstance(items, dict) else items:
+    for label, c in items.items():
         value = target.get(label, 0) + coeff * c
         if value:
             target[label] = value
@@ -196,11 +199,20 @@ class GradedMap:
         return cls(space, space, 0, {v: {v: ONE} for v in space.labels()}, check=False)
 
     def __call__(self, vec: dict) -> dict:
+        """The image of vec, accumulated as ``vec_add`` would: a sum that
+        reaches zero drops its label, and a zero coefficient in vec adds
+        nothing and raises nothing."""
         out = {}
+        entries, get = self.entries, out.get
         for v, c in vec.items():
-            col = self.entries.get(v)
+            col = entries.get(v)
             if col:
-                vec_add(out, col, c)
+                for w, x in col.items():
+                    value = get(w, 0) + c * x
+                    if value:
+                        out[w] = value
+                    else:
+                        out.pop(w, None)
         return out
 
     def column(self, v) -> dict:
@@ -311,11 +323,18 @@ def cyclic_rotations(items, degrees):
     """
     items = tuple(items)
     n = len(items)
-    total = sum(degrees)
-    moved = 0
-    for l in range(n):
-        yield l, items[n - l:] + items[:n - l], (moved * (total - moved)) % 2
-        moved += degrees[n - 1 - l]
+    for l, parity in enumerate(rotation_parities(degrees)):
+        yield l, items[n - l:] + items[:n - l], parity
+
+
+def rotation_parities(degrees):
+    """The parities of the signs of ``cyclic_rotations``, as a list over
+    l = 0..n-1, for a caller that does not need the rotated tuples."""
+    total, moved, parities = sum(degrees), 0, []
+    for deg in reversed(degrees):
+        parities.append(moved * (total - moved) % 2)
+        moved += deg
+    return parities
 
 
 class Complex:
@@ -401,12 +420,12 @@ class Complex:
                 targets = by_degree.get(s + 1, ())
                 kernel, independent = _kernel_pass(
                     by_degree.get(s, ()), below[2] if below else (), entries, targets)
-                boundaries, leads = _echelon(reversed(independent), targets)
+                boundaries, leads = _echelon(reversed(independent.values()), targets)
                 block = blocks[s] = (boundaries, kernel, leads)
         return block
 
 
-def _kernel_pass(labels, cleared, entries, targets):
+def _kernel_pass(labels, cleared, entries, targets, track=True):
     """(kernel combos, independent columns) of the columns entries[v] of
     the labels v of ``labels`` whose index i is not in ``cleared``.
 
@@ -418,12 +437,13 @@ def _kernel_pass(labels, cleared, entries, targets):
     int while no pivot has been normalized and every factor has been an
     int; from then on each is stored through ``int_first``, so its
     integral coefficients are int whatever the pivot order.  The
-    independent columns are returned in order, keyed by target index,
-    with the coefficients the columns hold.  One loop, with no call per
-    row or per reduction step."""
+    independent columns are returned as {i: column} in order, keyed by
+    target index, with the coefficients the columns hold; with ``track``
+    false every combo is left empty.  One loop, with no call per row or
+    per reduction step."""
     position = {w: j for j, w in enumerate(targets)}
     pivots = {}  # index of the leading target -> (row, combo, inverse of the lead)
-    kernel, independent = [], []
+    kernel, independent = [], {}
     exact = True  # no pivot normalized and every factor an int so far
     for i, v in enumerate(labels):
         if i in cleared:
@@ -434,7 +454,7 @@ def _kernel_pass(labels, cleared, entries, targets):
             continue
         row = {position[w]: c for w, c in col.items()}
         column = row.copy()
-        combo = {i: 1}
+        combo = {i: 1} if track else {}
         while row:
             j = max(row)
             hit = pivots.get(j)
@@ -445,7 +465,7 @@ def _kernel_pass(labels, cleared, entries, targets):
                 else:
                     pivots[j] = (_normalized(row, p), _normalized(combo, p), 1)
                     exact = False
-                independent.append(column)
+                independent[i] = column
                 break
             pivot_row, pivot_combo, inverse = hit
             factor = -inverse * row[j]
@@ -513,19 +533,20 @@ def _echelon(rows, targets):
 # exact elimination
 
 
-def _row_pass(rows):
+def _row_pass(rows, track=True):
     """``_kernel_pass`` over dict rows as its columns: zeros dropped and
     integral Fractions turned into int, each label indexed in order of
-    first appearance, each kernel combo keyed by row index."""
+    first appearance, each kernel combo keyed by row index (and empty
+    unless ``track``)."""
     columns = dict(enumerate(map(int_first, rows)))
     targets = list(dict.fromkeys(w for row in columns.values() for w in row))
-    return _kernel_pass(columns, (), columns, targets)
+    return _kernel_pass(columns, (), columns, targets, track)
 
 
 def sparse_rank(rows) -> int:
     """Rank of a sparse matrix given as a list of dict rows (not modified):
-    the number of independent rows of the kernel pass."""
-    return len(_row_pass(rows)[1])
+    the number of independent rows of a kernel pass with no combos."""
+    return len(_row_pass(rows, False)[1])
 
 
 def kernel_basis(rows):
@@ -539,15 +560,16 @@ def solve(rows, rhs):
     """One solution x of sum_i x_i rows[i] = rhs, or None.
 
     ``rows`` are dict rows; ``rhs`` a dict over the same column labels.
-    rhs goes into the kernel pass after the rows: it is in their span iff
-    it has a kernel combo, whose coefficient at rhs is 1, and x is the
-    rest of that combo negated, supported on the greedy independent rows.
+    A kernel pass with no combos finds the greedy independent rows; a
+    second takes them, then rhs, which is in their span iff it has a
+    kernel combo (coefficient 1 at rhs).  x is the rest of that combo
+    negated, the one solution supported on the greedy rows.
     """
-    kernel = _row_pass([*rows, rhs])[0]
-    n = len(rows)
-    if not kernel or n not in kernel[-1]:
+    greedy = list(_row_pass(rows, False)[1])
+    kernel = _row_pass([rows[i] for i in greedy] + [rhs])[0]
+    if not kernel:
         return None
-    return {i: -c for i, c in kernel[-1].items() if i != n}
+    return {greedy[k]: -c for k, c in kernel[0].items() if k < len(greedy)}
 
 
 def dense_rank(matrix) -> int:

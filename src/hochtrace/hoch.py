@@ -15,10 +15,12 @@ Each construction builds one ``cdga.insertions`` enumerator per inserted
 map, which looks each word up once per arity, and drops it once built.
 The complexes over the base R build their unit-coefficient columns alone
 and extend them over b by ``cdga.leibniz_column`` (``hh_algebra_induced_map``
-by ``cdga.times_base``).  ``HochschildComplex`` builds a word's unit columns
-together: the insertions, less those that output the unit when
-normalized, and the rotated bimodule folds, read from one ``fold_table``
-per construction with one lookup per word and (l, r).
+by ``cdga.times_base``).  ``HochschildComplex`` assembles basis and
+columns in one loop over the words.  Per word, the insertions (less
+those that output the unit when normalized) are summed once per parity
+of m, and each vm's unit column adds the rotated bimodule folds, read
+from one ``fold_table`` per construction with one lookup per word and
+(l, r).
 
 ``ClassicalHochschild`` reads mu^M once per (vm, x), mu^B once per (beta,
 x) and each bar generator's tag once, and keeps its relation rows keyed
@@ -31,7 +33,7 @@ differential p o d and the chain-map certificate), behind
 """
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import product
 
 from .ainf import AInfAlgebra, compositions, from_dga
 from .bimod import (
@@ -50,6 +52,7 @@ from .grdlin import (
     chain_map_witness,
     cyclic_rotations,
     int_first,
+    rotation_parities,
     sparse_rank,
     vec_add,
     vec_add_term,
@@ -79,8 +82,10 @@ class HochschildComplex:
     ``shift``: added to every total degree (s^{-1} for HH_k(R) means
     shift=+1); labels are unchanged and no signs are introduced.
     ``normalized``: drop basis elements whose x-part contains s1.
-    Columns are built per word, one per (unit, vm, xs), and extended over
-    b by ``cdga.leibniz_column``; the enumerator and fold table then go.
+    One loop over the words, with what does not depend on the word read
+    once, appends each label (b, vm, xs), b outer and vm inner, with its
+    column: the unit column of (vm, xs) for b = unit (the unit case of
+    ``cdga.leibniz_column``), extended by ``leibniz_column`` for other b.
     """
 
     def __init__(self, algebra: AInfAlgebra, bimodule: AInfBimodule, h_max,
@@ -94,71 +99,63 @@ class HochschildComplex:
         self.normalized = normalized
         self.base = base = algebra.base
         unit = algebra.unit
-        gen_labels = [x for x in algebra.gens.labels()
-                      if not (normalized and x == unit)]
         if normalized and unit is None:
             raise ValueError("normalization needs a unital algebra")
+        gen_labels = [x for x in algebra.gens.labels() if not (normalized and x == unit)]
+        # a normalized complex drops each insertion that outputs the unit, the
+        # only way in for it: a fold outputs a sub-word of xs
+        skip = unit if normalized else None
         terms = insertions(base, algebra.mu_word, algebra.arities, algebra.gens.degree)
-        folds = fold_table(bimodule)
+        shapes = [(l, r, windows) for (l, r), windows in fold_table(bimodule).items()]
+        x_degree, m_gens = algebra.gens.degree, bimodule.kmodule.gens
+        modules = [(vm, m_gens.degree[vm]) for vm in m_gens.labels()]
+        parity_of = {vm: deg % 2 for vm, deg in modules}
+        parities = set(parity_of.values())
+        bases = [(b, base.degree(b)) for b in base.space.labels()]
         basis, entries = [], {}
         for n in range(0, self.h_max + 1):
             for xs in product(gen_labels, repeat=n):
-                for label, deg, col in self._word_columns(xs, terms, folds):
-                    basis.append((label, deg))
-                    if col:
-                        entries[label] = col
-        del terms, folds
+                x_degrees = [x_degree[x] for x in xs]
+                deg_xs = sum(x_degrees) + self.shift
+                # (a) id^{1+r} (x) mu_s (x) id^t on the x-string, summed once
+                # per parity of m: mu moves past m, x_1..x_r with its
+                # coefficient c
+                inserted = {}
+                for p in parities:
+                    out = inserted[p] = {}
+                    for r, w, c, coeff, parity in terms(xs, p):
+                        if w[r] != skip:
+                            vec_add_term(out, (c, w), -coeff if parity else coeff)
+                columns = {vm: {(c, vm, w): coeff
+                                for (c, w), coeff in inserted[parity_of[vm]].items()}
+                           for vm, _deg in modules}
+                # (b) (mu_{l,r}^M (x) id^s) o t_{1+n}^l reads the window
+                # (xs[n-l:], vm, xs[:r]) and leaves xs[r:n-l]: one lookup per
+                # (l, r) for every vm, signed by the parity of rotation l
+                rotation = None
+                for l, r, windows in shapes:
+                    if l + r <= n and (found := windows.get((xs[n - l:], xs[:r]))):
+                        if rotation is None:
+                            rotation = {p: rotation_parities([p] + x_degrees) for p in parities}
+                        new_xs = xs[r:n - l]
+                        for vm, column in found:
+                            negate, out = rotation[parity_of[vm]][l], columns[vm]
+                            for (c, vm2), coeff in column.items():
+                                vec_add_term(out, (c, vm2, new_xs), -coeff if negate else coeff)
+                for b, deg_b in bases:
+                    for vm, deg_m in modules:
+                        label, column = (b, vm, xs), columns[vm]
+                        basis.append((label, deg_b + deg_m + deg_xs))
+                        if b != base.unit:
+                            column = leibniz_column(base, b, (vm, xs), column)
+                        if column:
+                            entries[label] = column
         self.space = GradedSpace(basis)
         self.d = GradedMap(self.space, self.space, 1, entries)
         self.complex = Complex(self.space, self.d)
 
     def hochschild_degree(self, label):
         return len(label[2])
-
-    def _word_columns(self, xs, terms, folds):
-        """Yield (label, degree, d label) for the labels (b, vm, xs) in basis
-        order, b outer and vm inner.  One unit column per vm holds mu's
-        insertions ``terms`` and the rotated ``folds``; ``cdga.leibniz_column``
-        extends it over b.  A normalized complex skips each insertion that
-        outputs the unit, the only way in for it: a fold outputs a sub-word
-        of xs."""
-        alg, base, m_degree = self.algebra, self.base, self.bimodule.kmodule.gens.degree
-        n = len(xs)
-        # (b) (mu_{l,r}^M (x) id^s) o t_{1+n}^l reads the window (xs[n-l:], vm,
-        # xs[:r]) and leaves xs[r:n-l]: one lookup per (l, r) for every vm
-        hits, top = {}, -1
-        for (l, r), windows in folds.items():
-            if l + r <= n and (found := windows.get((xs[n - l:], xs[:r]))):
-                top = l
-                for vm, column in found:
-                    hits.setdefault(vm, []).append((l, xs[r:n - l], column))
-        x_degrees = [alg.gens.degree[x] for x in xs]
-        deg_xs = sum(x_degrees) + self.shift
-        unit = alg.unit if self.normalized else None
-        inserted, rotation = {}, {}
-        for p in {deg % 2 for deg in m_degree.values()}:
-            # (a) id^{1+r} (x) mu_s (x) id^t on the x-string; mu moves past m,
-            # x_1..x_r together with its coefficient c
-            inserted[p] = [(w, c, coeff, parity) for r, w, c, coeff, parity in terms(xs, p)
-                           if w[r] != unit]
-            # the parities of the rotations l = 0..top, the largest fold l found
-            rotation[p] = [parity for _l, _rotated, parity in
-                           islice(cyclic_rotations((None,) + xs, [p] + x_degrees), top + 1)]
-        unit_columns = {}
-        for vm in self.bimodule.kmodule.gens.labels():
-            p = m_degree[vm] % 2
-            out = unit_columns[vm] = {}
-            for new_xs, c, coeff, parity in inserted[p]:
-                vec_add_term(out, (c, vm, new_xs), -coeff if parity else coeff)
-            for l, new_xs, column in hits.get(vm, ()):
-                negate = rotation[p][l]
-                for (c, vm2), coeff in column.items():
-                    vec_add_term(out, (c, vm2, new_xs), -coeff if negate else coeff)
-        for b in base.space.labels():
-            deg_b = base.degree(b)
-            for vm, unit_column in unit_columns.items():
-                yield ((b, vm, xs), deg_b + m_degree[vm] + deg_xs,
-                       leibniz_column(base, b, (vm, xs), unit_column))
 
     def project_to_coefficients(self) -> GradedMap:
         """The Hochschild-degree-0 projection onto M (a chain map when the

@@ -29,7 +29,7 @@ from hochtrace.fixtures import (
     random_dga,
     sphere3_with_differential,
 )
-from hochtrace import grdlin
+from hochtrace import bimod, grdlin
 from hochtrace.grdlin import (
     Complex,
     GradedMap,
@@ -508,15 +508,17 @@ def test_the_two_passes_match_a_single_least_repr_pass_on_random_dgas(rng, h):
 
 def count_line_runs(func, marker, run):
     """(number of lines of ``func`` that hold ``marker``, how often they
-    ran during ``run()``), counted with a line tracer on func's frames."""
+    ran during ``run()``), counted with a line tracer on func's frames;
+    for a tuple of markers, a tuple of such pairs from the one run."""
+    markers = marker if isinstance(marker, tuple) else (marker,)
     lines, first = inspect.getsourcelines(func)
-    targets = {first + k for k, line in enumerate(lines) if marker in line}
-    code, count = func.__code__, 0
+    targets = {first + k: m for k, line in enumerate(lines)
+               for m, text in enumerate(markers) if text in line}
+    code, counts = func.__code__, [0] * len(markers)
 
     def local(frame, event, _arg):
-        nonlocal count
         if event == "line" and frame.f_lineno in targets:
-            count += 1
+            counts[targets[frame.f_lineno]] += 1
         return local
 
     sys.settrace(lambda frame, _event, _arg: local if frame.f_code is code else None)
@@ -524,7 +526,8 @@ def count_line_runs(func, marker, run):
         run()
     finally:
         sys.settrace(None)
-    return len(targets), count
+    found = tuple((list(targets.values()).count(m), counts[m]) for m in range(len(markers)))
+    return found if isinstance(marker, tuple) else found[0]
 
 
 def test_the_kernel_pass_work_on_the_hh_homology_complex():
@@ -540,6 +543,41 @@ def test_the_kernel_pass_work_on_the_hh_homology_complex():
     assert count_line_runs(grdlin._kernel_pass, "+ factor * c", window) == (2, 25328)
     # the echelon pass: the independent columns, last first, no combos
     assert count_line_runs(grdlin._echelon, "+ factor * c", window) == (1, 2816)
+
+
+def test_the_d_squared_work_on_the_hh_homology_complex():
+    # entry updates of the d*d = 0 certificate while the complex is built:
+    # one per entry of d(w) for each entry w of each column of d
+    cp2 = fixture_algebra("cp2")
+
+    def build():
+        hh_of_algebra(cp2, 9, normalized=True)
+
+    assert count_line_runs(GradedMap.__call__, "+ c * x", build) == (1, 16724)
+
+
+def test_solve_builds_no_combo_it_throws_away(monkeypatch):
+    # the 480 rows of cyclic_in_shuffle_span(5), 120 of them independent:
+    # a kernel pass with combos over every row and rhs made 173,456 row
+    # and 423,408 combo updates.  Now a pass with no combos finds the 120,
+    # and a second takes them and rhs: 181,998 row and 10,714 combo updates
+    systems = []
+    monkeypatch.setattr(bimod, "solve", lambda rows, rhs: systems.append((rows, rhs)))
+    bimod.cyclic_in_shuffle_span(5)
+    [(rows, rhs)] = systems
+    assert (len(rows), sparse_rank(rows)) == (480, 120)
+
+    def run():
+        systems.append(solve(rows, rhs))
+
+    assert count_line_runs(grdlin._kernel_pass, ("row.get(k, 0) + factor", "combo.get(k, 0) + factor"),
+                           run) == ((1, 181998), (1, 10714))
+    x = systems[-1]
+    assert len(x) <= 120
+    total = {}
+    for i, c in x.items():
+        vec_add(total, rows[i], c)
+    assert total == rhs
 
 
 def test_homology_bases_span_the_homology():

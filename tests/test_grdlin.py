@@ -39,6 +39,41 @@ def test_d_squared_failure_names_its_witness():
     assert isinstance(caught.value, ValueError)
 
 
+def test_d_squared_witness_keeps_the_accumulation_order():
+    # d d v runs through u1, u2, u3: x2 cancels at u2 and comes back last
+    # at u3, x1 is updated in place, x4 is new; w fails too, but later
+    space = GradedSpace([("v", 0), ("w", 0), ("u1", 1), ("u2", 1), ("u3", 1),
+                         ("x1", 2), ("x2", 2), ("x3", 2), ("x4", 2)])
+    d = GradedMap(space, space, 1, {
+        "v": {"u1": 1, "u2": 1, "u3": 1}, "w": {"u3": 1},
+        "u1": {"x1": 1, "x2": 1, "x3": 2}, "u2": {"x2": -1, "x4": 3, "x1": 1},
+        "u3": {"x2": 5}})
+    with pytest.raises(CertificateError) as caught:
+        Complex(space, d)
+    v, ddv = caught.value.witness
+    assert v == "v"
+    assert list(ddv.items()) == [("x1", 2), ("x3", 2), ("x4", 3), ("x2", 5)]
+
+
+def test_a_repeated_label_names_the_first_duplicate():
+    with pytest.raises(ValueError, match="^duplicate basis label 'a'$"):
+        GradedSpace([("b", 0), ("a", 1), ("c", 0), ("a", 2), ("b", 1)])
+    space = GradedSpace([("b", 1), ("a", 0), ("c", 1)])
+    assert space.degree == {"b": 1, "a": 0, "c": 1}
+    assert space.by_degree == {1: ["b", "c"], 0: ["a"]}
+
+
+def test_a_zero_coefficient_adds_nothing_and_raises_nothing():
+    # a zero coefficient drops a label the image does not hold: no KeyError
+    space = GradedSpace([("a", 0), ("b", 0), ("c", 0), ("x", 1), ("y", 1)])
+    f = GradedMap(space, space, 1, {"a": {"x": 1, "y": 2}, "b": {"y": -2}, "c": {"y": 3}})
+    assert f({"a": 0}) == {}
+    assert list(f({"b": 0, "a": 1}).items()) == [("x", 1), ("y", 2)]
+    # y cancels at b, and c's zero coefficient does not bring it back
+    assert list(f({"a": 1, "b": 1, "c": 0, "x": 7}).items()) == [("x", 1)]
+    assert f({"b": 1, "a": 0}) == {"y": -2}
+
+
 def test_chain_map_failure_names_its_witness():
     # a(0) -> b(1) and c(1) -> e(2), each with d = 1; a degree-1 map of
     # complexes satisfies f d = -d f, so it must send b to -e

@@ -4,10 +4,13 @@ One enumerator serves a whole construction and builds each word's terms
 from its suffix: the windows at r = 0 are one structure-map lookup per
 arity, and the rest are the terms of word[1:] with word[0] prepended.
 These tests compare it with a direct scan of every window, count the
-lookups it makes while a Hochschild complex is built, and check that it
-refuses arities it would count twice.
+lookups it makes while a Hochschild complex is built, check that it
+refuses arities it would count twice, and that its memo goes with it.
 """
+import gc
+import inspect
 import re
+import weakref
 from collections import Counter
 
 import pytest
@@ -99,6 +102,22 @@ def test_repeated_or_descending_arities_raise():
     for arities in ((2, 2), (3, 2), (1, 2, 2)):
         with pytest.raises(ValueError, match=re.escape(repr(arities))):
             insertions(base, f, arities, gens.degree)
+
+
+def test_the_memo_goes_with_the_enumerator():
+    # with the cyclic collector off, dropping the enumerator frees the
+    # function that holds the memo: no closure refers to itself
+    base, f, arities, gens = BUILT["mu3"]
+    terms = insertions(base, f, arities, gens.degree)
+    assert list(terms(tuple(gens.labels()) * 2))
+    held = [weakref.ref(cell.cell_contents) for cell in terms.__closure__
+            if inspect.isfunction(cell.cell_contents)]
+    gc.disable()
+    try:
+        del terms
+        assert held and all(ref() is None for ref in held)
+    finally:
+        gc.enable()
 
 
 @pytest.fixture
