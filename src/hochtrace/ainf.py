@@ -36,8 +36,9 @@ from .cdga import (
     base_as_algebra,
     eval_k_multilinear,
     kvec_scale,
+    store_tables,
 )
-from .grdlin import ONE, GradedSpace, enumerate_shuffles, int_first, koszul_sign, permute, vec_add
+from .grdlin import ONE, GradedSpace, enumerate_shuffles, koszul_sign, permute, vec_add
 from .report import Report
 
 
@@ -61,23 +62,19 @@ class AInfAlgebra:
     """An A-infinity algebra over a base cdga, truncated at arity N_max.
 
     ``gens`` is the generator space of sR (shifted degrees).  ``mu`` maps
-    arities to tables {generator tuple: kvec}, stored through
-    ``int_first``: explicit zeros are dropped and integral coefficients
-    become int.  Arities above N_max are declared zero.  ``unit`` is the
-    generator label of s1, if any.
+    arities n to tables {generator n-tuple: kvec of degree +1}, stored and
+    checked by ``cdga.store_tables``.  Arities above N_max are declared
+    zero.  ``unit`` is the generator label of s1, if any.
 
     ``arities``: the ascending arities n at which mu_n can be nonzero on
     unit-coefficient generators, the arities of ``mu`` plus 1 whenever the
     module differential has entries.
     """
 
-    def __init__(self, base: BaseCDGA, gens: GradedSpace, mu, n_max,
-                 unit=None, check=True):
+    def __init__(self, base: BaseCDGA, gens: GradedSpace, mu, n_max, unit=None):
         self.base = base
         self.gens = gens
-        self.mu = {n: {vs: kept for vs, col in table.items() if (kept := int_first(col))}
-                   for n, table in mu.items()}
-        self.mu = {n: t for n, t in self.mu.items() if t}
+        self.mu = store_tables(mu, lambda n: (gens.degree,) * n, 1, base, gens.degree)
         self.n_max = int(n_max)
         self.unit = unit
         if any(n > self.n_max for n in self.mu):
@@ -85,21 +82,11 @@ class AInfAlgebra:
         # building the module validates mu_1^2 = 0 (with the base Leibniz rule);
         # mu tables are keyed by tuples, the module twist by bare labels
         twist = {vs[0]: col for vs, col in self.mu.get(1, {}).items()}
-        self.module = FreeKModule(base, gens, twist, check=check)
+        self.module = FreeKModule(base, gens, twist)
         arities = set(self.mu)
         if self.module.d.entries:
             arities.add(1)
         self.arities = tuple(sorted(arities))
-        if check:
-            for n, table in self.mu.items():
-                for vs, col in table.items():
-                    if len(vs) != n:
-                        raise ValueError(f"arity {n} table keyed by {vs!r}")
-                    want = 1 + sum(gens.degree[v] for v in vs)
-                    for (b, w) in col:
-                        if base.degree(b) + gens.degree[w] != want:
-                            raise ValueError(
-                                f"mu_{n}{vs!r} -> ({b!r},{w!r}) is not degree +1")
 
     def mu_word(self, word) -> dict:
         """mu_n on a word of unit-coefficient generators, n = len(word):
@@ -241,35 +228,22 @@ def check_cinfty(alg: AInfAlgebra, up_to) -> Report:
 
 
 class AInfMorphism:
-    """Components f_n: (sR)^{(x)n} -> sS of degree 0, tables on generators.
+    """Components f_n: (sR)^{(x)n} -> sS of degree 0, tables on generators,
+    stored and checked by ``cdga.store_tables``."""
 
-    The tables are stored through ``int_first``, as ``AInfAlgebra.mu``:
-    explicit zeros are dropped and integral coefficients become int.
-    """
-
-    def __init__(self, source: AInfAlgebra, target: AInfAlgebra, components,
-                 n_max=None, check=True):
+    def __init__(self, source: AInfAlgebra, target: AInfAlgebra, components, n_max=None):
         if source.base is not target.base and source.base.space != target.base.space:
             raise ValueError("morphism across different bases")
         self.source = source
         self.target = target
-        self.components = {n: {vs: kept for vs, col in table.items()
-                               if (kept := int_first(col))}
-                           for n, table in components.items()}
-        self.components = {n: t for n, t in self.components.items() if t}
+        self.components = store_tables(components, lambda n: (source.gens.degree,) * n, 0,
+                                       target.base, target.gens.degree)
         self.n_max = n_max if n_max is not None else min(source.n_max, target.n_max)
-        if check:
-            for n, table in self.components.items():
-                for vs, col in table.items():
-                    want = sum(source.gens.degree[v] for v in vs)
-                    for (b, w) in col:
-                        if target.base.degree(b) + target.gens.degree[w] != want:
-                            raise ValueError(f"f_{n}{vs!r} is not degree 0")
 
     @classmethod
     def identity(cls, alg: AInfAlgebra):
         table = {(v,): {(alg.base.unit, v): ONE} for v in alg.gens.labels()}
-        return cls(alg, alg, {1: table}, n_max=alg.n_max, check=False)
+        return cls(alg, alg, {1: table}, n_max=alg.n_max)
 
     def eval_f(self, pairs) -> dict:
         n = len(pairs)
@@ -373,7 +347,7 @@ def compose_morphisms(g: AInfMorphism, f: AInfMorphism) -> AInfMorphism:
                 table[vs] = total
         if table:
             tables[n] = table
-    return AInfMorphism(f.source, g.target, tables, n_max=n_max, check=False)
+    return AInfMorphism(f.source, g.target, tables, n_max=n_max)
 
 
 def from_dga(dga: KAlgebra, n_max=None) -> AInfAlgebra:
@@ -434,7 +408,7 @@ def to_rational_algebra(alg: AInfAlgebra) -> AInfAlgebra:
     unit = (alg.base.unit, alg.unit) if alg.unit is not None else None
     return AInfAlgebra(BaseCDGA.rationals(), gens,
                        flat_tables(alg.eval_mu, gens.labels(), alg.arities), alg.n_max,
-                       unit=unit, check=False)
+                       unit=unit)
 
 
 def flatten(alg: AInfAlgebra) -> AInfAlgebra:
@@ -449,7 +423,7 @@ def flatten_morphism(f: AInfMorphism, source: AInfAlgebra,
     if f.source.base.is_rational:
         return f
     tables = flat_tables(f.eval_f, source.gens.labels(), range(1, f.n_max + 1))
-    return AInfMorphism(source, target, tables, n_max=f.n_max, check=False)
+    return AInfMorphism(source, target, tables, n_max=f.n_max)
 
 
 def _is_flattening(alg: AInfAlgebra, base: BaseCDGA) -> bool:

@@ -37,6 +37,7 @@ from .cdga import (
     insertions,
     kvec_scale,
     migration_parity,
+    store_tables,
 )
 from .grdlin import (
     ONE,
@@ -45,7 +46,6 @@ from .grdlin import (
     compose_perms,
     cyclic_rotations,
     enumerate_shuffles,
-    int_first,
     solve,
     vec_add,
     vec_add_term,
@@ -56,41 +56,41 @@ from .report import CertificateError, Report
 class AInfBimodule:
     """An R-S-bimodule with structure-map tables on generators.
 
-    ``tables``: {(l, r): {input generator tuple: kvec}} for (l, r) != (0, 0),
-    stored through ``int_first``: explicit zeros are dropped and integral
-    coefficients become int.  The (0, 0) map is the differential of
-    ``kmodule``.  Either algebra may be None, meaning the zero algebra
-    (one-sided modules).
+    ``tables``: {(l, r): {input generator tuple: kvec of degree +1}} for
+    (l, r) != (0, 0), stored and checked by ``cdga.store_tables``.  The
+    (0, 0) map is the differential of ``kmodule``.  Either algebra may be
+    None, meaning the zero algebra (one-sided modules).
 
     ``arities``: the sorted (l, r) at which mu_{l,r} can be nonzero on
     unit-coefficient generators, the keys of ``tables`` plus (0, 0)
     whenever the module differential has entries.
     """
 
-    def __init__(self, left, right, kmodule: FreeKModule, tables, n_max, check=True):
+    def __init__(self, left, right, kmodule: FreeKModule, tables, n_max):
         self.left = left
         self.right = right
         self.kmodule = kmodule
         self.base = kmodule.base
         self.n_max = int(n_max)
-        self.tables = {}
-        for (l, r), table in tables.items():
-            if (l, r) == (0, 0):
-                raise ValueError("the (0,0) map is owned by the free module")
-            if (l and left is None) or (r and right is None):
-                raise ValueError("structure map over the zero algebra")
-            cleaned = {k: kept for k, col in table.items() if (kept := int_first(col))}
-            if cleaned:
-                self.tables[(l, r)] = cleaned
+        if (0, 0) in tables:
+            raise ValueError("the (0, 0) map is owned by the free module")
+        self.tables = store_tables(tables, self.slot_degrees, 1, self.base,
+                                   kmodule.gens.degree)
         arities = set(self.tables)
         if kmodule.d.entries:
             arities.add((0, 0))
         self.arities = tuple(sorted(arities))
-        if check:
-            for (l, r), table in self.tables.items():
-                for key, col in table.items():
-                    if len(key) != l + 1 + r:
-                        raise ValueError(f"mu_({l},{r}) keyed by {key!r}")
+
+    def slot_degrees(self, shape):
+        """The generator-degree dicts of the l + 1 + r input slots of
+        mu_{l,r}: l left letters, the module generator, r right letters;
+        ValueError for a side whose algebra is None."""
+        l, r = shape
+        if (l and self.left is None) or (r and self.right is None):
+            raise ValueError(f"structure map {shape!r} over the zero algebra")
+        left = (self.left.gens.degree,) * l if l else ()
+        right = (self.right.gens.degree,) * r if r else ()
+        return left + (self.kmodule.gens.degree,) + right
 
     def input_degree_list(self, l, r, key):
         degs = []
@@ -204,31 +204,16 @@ def check_bimodule(bim: AInfBimodule, up_to) -> Report:
 
 
 class BimoduleMap:
-    """A degree-d map of R-S-bimodules, component tables on generators.
+    """A degree-d map of R-S-bimodules, component tables {(l, r): {input
+    generator tuple of the source: kvec of the target}} stored and checked
+    by ``cdga.store_tables``."""
 
-    The tables are stored through ``int_first``, as ``AInfBimodule.tables``:
-    explicit zeros are dropped and integral coefficients become int.
-    """
-
-    def __init__(self, source: AInfBimodule, target: AInfBimodule, degree,
-                 components, check=True):
+    def __init__(self, source: AInfBimodule, target: AInfBimodule, degree, components):
         self.source = source
         self.target = target
         self.degree = int(degree)
-        self.components = {}
-        for (l, r), table in components.items():
-            cleaned = {k: kept for k, col in table.items() if (kept := int_first(col))}
-            if cleaned:
-                self.components[(l, r)] = cleaned
-        if check:
-            for (l, r), table in self.components.items():
-                for key, col in table.items():
-                    want = self.degree + sum(source.input_degree_list(l, r, key))
-                    for (b, w) in col:
-                        got = target.base.degree(b) + target.kmodule.gens.degree[w]
-                        if got != want:
-                            raise ValueError(
-                                f"f_({l},{r}){key!r} has wrong degree")
+        self.components = store_tables(components, source.slot_degrees, self.degree,
+                                       target.base, target.kmodule.gens.degree)
 
     @classmethod
     def strict(cls, source, target, table):
@@ -237,7 +222,7 @@ class BimoduleMap:
     @classmethod
     def identity(cls, bim: AInfBimodule):
         table = {(v,): {(bim.base.unit, v): ONE} for v in bim.kmodule.gens.labels()}
-        return cls(bim, bim, 0, {(0, 0): table}, check=False)
+        return cls(bim, bim, 0, {(0, 0): table})
 
     def eval(self, l, r, pairs) -> dict:
         table = self.components.get((l, r))
@@ -285,8 +270,7 @@ def compose_bimodule_maps(f2: BimoduleMap, f1: BimoduleMap) -> BimoduleMap:
                 table[key] = total
         if table:
             components[(l, r)] = table
-    return BimoduleMap(f1.source, f2.target, f1.degree + f2.degree, components,
-                       check=False)
+    return BimoduleMap(f1.source, f2.target, f1.degree + f2.degree, components)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +358,7 @@ def algebra_map_bimodule_map(f: AInfMorphism) -> BimoduleMap:
     """f': sR -> (f,f)^*(sS) with f'_{l,r} = f_{l+1+r} (Lemma 3.3.10)."""
     source = diagonal_bimodule(f.source)
     target = restrict_scalars(f, f, diagonal_bimodule(f.target))
-    return BimoduleMap(source, target, 0, split_arities(f.components), check=False)
+    return BimoduleMap(source, target, 0, split_arities(f.components))
 
 
 # --- infinity tensor product ------------------------------------------------
@@ -638,7 +622,7 @@ def v_map(alg: AInfAlgebra, m: AInfBimodule, end_ainf=None) -> AInfMorphism:
         end_ainf = from_dga(end_algebra(m.kmodule), n_max=alg.n_max)
     components = {l: {xs: action(m, _unit_pairs(alg.base, xs)) for xs in alg.gen_tuples(l)}
                   for l, _zero in m.arities if 0 < l <= alg.n_max}
-    return AInfMorphism(alg, end_ainf, components, n_max=alg.n_max, check=False)
+    return AInfMorphism(alg, end_ainf, components, n_max=alg.n_max)
 
 
 # --- the pi / iota / contraction / nu quartet --------------------------------
@@ -666,7 +650,7 @@ def pi_map(alg: AInfAlgebra, m: AInfBimodule, h_max,
                 table[key] = value
         if table:
             components[(l, 0)] = table
-    return BimoduleMap(source, m, 1, components, check=False)
+    return BimoduleMap(source, m, 1, components)
 
 
 def iota_map(alg: AInfAlgebra, m: AInfBimodule, h_max,
@@ -681,7 +665,7 @@ def iota_map(alg: AInfAlgebra, m: AInfBimodule, h_max,
         components[(l, 0)] = {
             key: {(base.unit, (alg.unit, key[:l], key[l])): ONE}
             for key in bimodule_inputs(alg, m.kmodule, None, l, 0)}
-    return BimoduleMap(m, target, -1, components, check=False)
+    return BimoduleMap(m, target, -1, components)
 
 
 def contraction_h(alg: AInfAlgebra, tensor_module: AInfBimodule):
@@ -733,7 +717,7 @@ def nu_map(alg: AInfAlgebra, m: AInfBimodule) -> BimoduleMap:
     components = {(l, r): {key: action(m, _unit_pairs(alg.base, key))
                            for key in bimodule_inputs(alg, source.kmodule, alg, l, r)}
                   for l, r in shapes(alg, alg, 0, alg.n_max - 1)}
-    return BimoduleMap(source, hom_k(m, m), 1, components, check=False)
+    return BimoduleMap(source, hom_k(m, m), 1, components)
 
 
 # --- symmetry ----------------------------------------------------------------

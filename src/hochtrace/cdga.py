@@ -30,6 +30,10 @@ d(b, tail) = (d_k b, tail) + (-1)^{|b|} b * d(unit, tail): every dg
 k-module here (``total_differential``, the Hochschild and bar Connes
 complexes, the induced Hochschild maps) builds its unit-coefficient
 columns alone and extends them through these two.
+
+``store_tables`` is the one store-and-check routine for the structure-map
+tables: every dga over the base (``KAlgebra``), A-infinity algebra,
+morphism, bimodule and bimodule map is validated where it is built.
 """
 from __future__ import annotations
 
@@ -43,28 +47,28 @@ class BaseCDGA:
 
     ``mult`` maps basis pairs (a, b) to sparse products {c: coefficient},
     stored through ``int_first``: explicit zeros are dropped and integral
-    coefficients become int.  On construction ``KAlgebra._validate`` checks
-    the dga rules on ``cdga_as_kalgebra(self)``: the unit, d(1) = 0, then
-    Leibniz and associativity pair by pair; graded commutativity is
-    checked last.
+    coefficients become int.  On construction ``_validate`` checks the dga
+    rules.  A one-dimensional base is the unit alone, in degree 0, so its
+    d is zero by degree and its one rule is 1 * 1 = 1.  Any other base is
+    checked by building ``cdga_as_kalgebra(self)``, whose validation
+    checks the unit, d(1) = 0, then Leibniz and associativity pair by
+    pair; graded commutativity is checked last.
     """
 
-    def __init__(self, space: GradedSpace, d: GradedMap, mult, unit, check=True):
+    def __init__(self, space: GradedSpace, d: GradedMap, mult, unit):
         self.space = space
         self.unit = unit
         self.mult = {pair: kept for pair, col in mult.items() if (kept := int_first(col))}
-        self.complex = Complex(space, d, check=check)
+        self.complex = Complex(space, d)
         self.d = d
         if unit not in space.degree or space.degree[unit] != 0:
             raise ValueError("unit must be a degree-0 basis label")
-        if check:
-            self._validate()
+        self._validate()
 
     @classmethod
     def rationals(cls):
         space = GradedSpace([("1", 0)])
-        return cls(space, GradedMap.zero(space, space, 1),
-                   {("1", "1"): {"1": ONE}}, "1", check=False)
+        return cls(space, GradedMap.zero(space, space, 1), {("1", "1"): {"1": ONE}}, "1")
 
     @property
     def is_rational(self):
@@ -84,7 +88,12 @@ class BaseCDGA:
         return out
 
     def _validate(self):
-        cdga_as_kalgebra(self)._validate()
+        if self.is_rational:
+            one = self.unit
+            if self.mult != {(one, one): {one: ONE}}:
+                raise ValueError(f"one-dimensional base without {one!r} * {one!r} = {one!r}")
+            return
+        cdga_as_kalgebra(self)  # the KAlgebra constructor checks the dga rules
         labels = self.space.labels()
         deg = self.space.degree
         for a in labels:
@@ -151,7 +160,7 @@ class FreeKModule:
     total space is asserted on construction.
     """
 
-    def __init__(self, base: BaseCDGA, gens: GradedSpace, d_gen=None, check=True):
+    def __init__(self, base: BaseCDGA, gens: GradedSpace, d_gen=None):
         self.base = base
         self.gens = gens
         self.d_gen = {v: kept for v, col in (d_gen or {}).items()
@@ -162,7 +171,7 @@ class FreeKModule:
         )
         self.d = GradedMap(self.total, self.total, 1,
                            total_differential(base, gens, self.d_gen))
-        self.complex = Complex(self.total, self.d, check=check)
+        self.complex = Complex(self.total, self.d)
 
     @property
     def rank(self):
@@ -301,22 +310,63 @@ def eval_k_multilinear(base: BaseCDGA, table, map_degree, pairs, gen_degrees) ->
     return out
 
 
+def store_tables(tables, slot_degrees, map_degree, base: BaseCDGA, gen_degree) -> dict:
+    """The one store-and-check routine for structure-map tables {shape:
+    {generator tuple: kvec}}, behind ``KAlgebra``, ``AInfAlgebra``,
+    ``AInfMorphism``, ``AInfBimodule`` and ``BimoduleMap``; returns the
+    stored tables.
+
+    Each column is stored through ``int_first``: explicit zeros are dropped
+    and integral coefficients become int.  Empty columns and tables are
+    dropped.  ``slot_degrees(shape)`` gives one generator-degree dict per
+    key slot, so the key width is its length.  Each entry (b, w) of the
+    column at a key has degree |b| + ``gen_degree[w]``, which must be
+    ``map_degree`` plus the degrees of the key's generators.  A key of the
+    wrong width raises ValueError naming the shape and the key; an entry of
+    the wrong degree, naming the shape, the key and the entry.
+    """
+    base_degree = base.space.degree
+    stored = {}
+    for shape, table in tables.items():
+        slots = slot_degrees(shape)
+        width = len(slots)
+        kept = {}
+        for key, col in table.items():
+            if len(key) != width:
+                raise ValueError(f"map {shape!r} keyed by {key!r}, not by {width} generators")
+            col = int_first(col)
+            if not col:
+                continue
+            want = map_degree
+            for degree, v in zip(slots, key):
+                want += degree[v]
+            for b, w in col:
+                if base_degree[b] + gen_degree[w] != want:
+                    raise ValueError(f"map {shape!r} at {key!r} -> {(b, w)!r} "
+                                     f"is not of degree {map_degree}")
+            kept[key] = col
+        if kept:
+            stored[shape] = kept
+    return stored
+
+
 class KAlgebra:
     """A dga over a base cdga, free finite as a k-module, with the unit a
     designated generator.
 
-    ``mult`` is the k-bilinear multiplication on generator pairs, with
-    kvec values stored through ``int_first`` (zeros dropped, integral
-    coefficients int).  Associativity, Leibniz and unitality are checked on
-    generators (k-bilinearity makes that sufficient).
+    ``mult`` is the k-bilinear multiplication on generator pairs (x, y),
+    with kvec values of degree |x| + |y|, stored and checked by
+    ``store_tables`` as the table of arity 2.  Associativity, Leibniz and
+    unitality are checked on generators (k-bilinearity makes that
+    sufficient).
     """
 
-    def __init__(self, base: BaseCDGA, gens: GradedSpace, mult, unit_gen,
-                 d_gen=None, check=True):
-        self.module = FreeKModule(base, gens, d_gen, check=check)
+    def __init__(self, base: BaseCDGA, gens: GradedSpace, mult, unit_gen, d_gen=None):
+        self.module = FreeKModule(base, gens, d_gen)
         self.base = base
         self.gens = gens
-        self.mult = {pair: kept for pair, col in mult.items() if (kept := int_first(col))}
+        self.mult = store_tables({2: mult}, lambda n: (gens.degree,) * n, 0, base,
+                                 gens.degree).get(2, {})
         if isinstance(unit_gen, dict):
             # a general unit kvec (e.g. sum of matrix units for End)
             self.unit_kvec = dict(unit_gen)
@@ -330,8 +380,7 @@ class KAlgebra:
             self.unit_kvec = {(base.unit, unit_gen): ONE}
             if unit_gen not in gens.degree or gens.degree[unit_gen] != 0:
                 raise ValueError("unit generator must exist in degree 0")
-        if check:
-            self._validate()
+        self._validate()
 
     def mul_pairs(self, p1, p2) -> Kvec:
         """Product of two total-space basis elements (b, v): the k-bilinear
@@ -393,8 +442,7 @@ class KAlgebra:
 def base_as_algebra(base: BaseCDGA) -> KAlgebra:
     """The base cdga as a dga over itself (one generator, the unit)."""
     gens = GradedSpace([("1", 0)])
-    return KAlgebra(base, gens, {("1", "1"): {(base.unit, "1"): ONE}}, "1",
-                    check=False)
+    return KAlgebra(base, gens, {("1", "1"): {(base.unit, "1"): ONE}}, "1")
 
 
 def cdga_as_kalgebra(cdga: BaseCDGA) -> KAlgebra:
@@ -409,4 +457,4 @@ def cdga_as_kalgebra(cdga: BaseCDGA) -> KAlgebra:
         col = cdga.d.column(v)
         if col:
             d_gen[v] = {("1", w): c for w, c in col.items()}
-    return KAlgebra(rationals, cdga.space, mult, cdga.unit, d_gen, check=False)
+    return KAlgebra(rationals, cdga.space, mult, cdga.unit, d_gen)

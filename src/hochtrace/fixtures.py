@@ -106,7 +106,7 @@ def broken_associativity_algebra() -> AInfAlgebra:
         ("v", "u"): {("1", "w"): ONE},
         # missing/incompatible ("u", "v") makes (uu)u != u(uu)
     }
-    return AInfAlgebra(base, gens, {2: mu2}, 3, check=False)
+    return AInfAlgebra(base, gens, {2: mu2}, 3)
 
 
 def noncommutative_dga() -> KAlgebra:

@@ -165,14 +165,13 @@ class GradedMap:
     entry must raise degrees by exactly ``degree``.
 
     The map takes the caller's column dicts: one pass scans each column
-    for zeros (and checks its degrees when ``check``), and only a column
-    holding a zero is copied.  A caller must not mutate a column after
-    handing it over.
+    for zeros and checks its degrees, and only a column holding a zero is
+    copied.  A caller must not mutate a column after handing it over.
     """
 
     __slots__ = ("source", "target", "degree", "entries")
 
-    def __init__(self, source, target, degree, entries, check=True):
+    def __init__(self, source, target, degree, entries):
         self.source = source
         self.target = target
         self.degree = degree = int(degree)
@@ -183,20 +182,19 @@ class GradedMap:
                 col = {w: c for w, c in col.items() if c}
             if not col:
                 continue
-            if check:
-                dw = source.degree[v] + degree
-                for w in col:
-                    if target_degree[w] != dw:
-                        raise ValueError(f"entry {v!r} -> {w!r} violates degree {degree}")
+            dw = source.degree[v] + degree
+            for w in col:
+                if target_degree[w] != dw:
+                    raise ValueError(f"entry {v!r} -> {w!r} violates degree {degree}")
             kept[v] = col
 
     @classmethod
     def zero(cls, source, target, degree=0):
-        return cls(source, target, degree, {}, check=False)
+        return cls(source, target, degree, {})
 
     @classmethod
     def identity(cls, space):
-        return cls(space, space, 0, {v: {v: ONE} for v in space.labels()}, check=False)
+        return cls(space, space, 0, {v: {v: ONE} for v in space.labels()})
 
     def __call__(self, vec: dict) -> dict:
         """The image of vec, accumulated as ``vec_add`` would: a sum that
@@ -228,7 +226,7 @@ class GradedMap:
             if col:
                 entries[v] = col
         return GradedMap(other.source, self.target, self.degree + other.degree,
-                         entries, check=False)
+                         entries)
 
     def __add__(self, other):
         if (self.source, self.target, self.degree) != (
@@ -237,7 +235,7 @@ class GradedMap:
         entries = {v: dict(col) for v, col in self.entries.items()}
         for v, col in other.entries.items():
             vec_add(entries.setdefault(v, {}), col)
-        return GradedMap(self.source, self.target, self.degree, entries, check=False)
+        return GradedMap(self.source, self.target, self.degree, entries)
 
     def __neg__(self):
         return self.scale(-1)
@@ -248,8 +246,7 @@ class GradedMap:
     def scale(self, coeff):
         return GradedMap(self.source, self.target, self.degree,
                          {v: {w: coeff * c for w, c in col.items()}
-                          for v, col in self.entries.items()},
-                         check=False)
+                          for v, col in self.entries.items()})
 
     def __eq__(self, other):
         return (isinstance(other, GradedMap)
@@ -281,7 +278,7 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
                 for yv, yc in gy.items():
                     col[(xv, yv)] = sign * xc * yc
             entries[(x, y)] = col
-    return GradedMap(source, target, degree, entries, check=False)
+    return GradedMap(source, target, degree, entries)
 
 
 def permute(perm, items):
@@ -342,8 +339,7 @@ class Complex:
 
     d o d = 0 is asserted on construction, one column d(d(v)) at a time;
     a failure raises CertificateError("d*d != 0") with witness (the first
-    label v in ``d.entries`` order, its d*d column).  With check=False the
-    caller vouches for d o d = 0, which the elimination relies on.
+    label v in ``d.entries`` order, its d*d column).
 
     Each degree block d^t is eliminated at most once per complex, when
     ``homology_window`` or ``HomologyBasis`` first needs it.  Blocks are
@@ -384,7 +380,7 @@ class Complex:
 
     __slots__ = ("space", "d", "_blocks")
 
-    def __init__(self, space: GradedSpace, d: GradedMap, check=True):
+    def __init__(self, space: GradedSpace, d: GradedMap):
         if d.source != space or d.target != space:
             raise ValueError("differential must be an endomap of the space")
         if d.degree != 1:
@@ -392,11 +388,10 @@ class Complex:
         self.space = space
         self.d = d
         self._blocks = {}
-        if check:
-            for v, col in d.entries.items():
-                ddv = d(col)
-                if ddv:
-                    raise CertificateError("d*d != 0", (v, ddv))
+        for v, col in d.entries.items():
+            ddv = d(col)
+            if ddv:
+                raise CertificateError("d*d != 0", (v, ddv))
 
     def __repr__(self):
         return f"Complex(dim={self.space.dim}, degrees={self.space.degrees()})"

@@ -170,9 +170,8 @@ class HochschildComplex:
 
     def coefficient_complex(self) -> Complex:
         shifted_target = self._coefficient_space()
-        d = GradedMap(shifted_target, shifted_target, 1,
-                      self.bimodule.kmodule.d.entries, check=False)
-        return Complex(shifted_target, d, check=False)
+        d = GradedMap(shifted_target, shifted_target, 1, self.bimodule.kmodule.d.entries)
+        return Complex(shifted_target, d)
 
     def __repr__(self):
         kind = "HH^n" if self.normalized else "HH"
@@ -265,14 +264,14 @@ def cyclic_representative(items, degrees):
     return best[1], -ONE if best[2] else ONE
 
 
-def cyclic_quotient(space: GradedSpace, d: GradedMap, reduce, check):
+def cyclic_quotient(space: GradedSpace, d: GradedMap, reduce, name):
     """The quotient of the complex (space, d) by signed cyclic rotation.
 
     ``reduce(label)`` gives (representative label, sign), the label None
     for a dead orbit.  Returns (projection p, quotient Complex) with the
     quotient differential p o d on the representatives.  The one
     certificate: p must be a chain map, p d = d p, else CertificateError
-    with ``check`` and the witness of ``grdlin.chain_map_witness``.  Behind
+    named ``name``, with the witness of ``grdlin.chain_map_witness``.  Behind
     ``ConnesComplex`` and ``BarConnesComplex``.
     """
     reps = {}
@@ -293,7 +292,7 @@ def cyclic_quotient(space: GradedSpace, d: GradedMap, reduce, check):
     quotient_d = GradedMap(quotient, quotient, 1, entries)
     complex_ = Complex(quotient, quotient_d)
     if witness := chain_map_witness(projection, d, quotient_d):
-        raise CertificateError(check, witness)
+        raise CertificateError(name, witness)
     return projection, complex_
 
 

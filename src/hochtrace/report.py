@@ -10,9 +10,9 @@ class CertificateError(ValueError):
     """A failed certificate: ``check`` names it, ``witness`` is the first
     input it fails on (with the defect there, where there is one)."""
 
-    def __init__(self, check, witness=None):
-        super().__init__(check if witness is None else f"{check}, witness {witness!r}")
-        self.check = check
+    def __init__(self, name, witness=None):
+        super().__init__(name if witness is None else f"{name}, witness {witness!r}")
+        self.check = name
         self.witness = witness
 
 

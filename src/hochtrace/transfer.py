@@ -135,11 +135,6 @@ def graded_trace_cyclicity_report(module: FreeKModule, rng, samples=20) -> Repor
 # --- modules over R as one-sided A-infinity modules over R-as-Q-algebra --------
 
 
-def base_algebra_over_q(base: BaseCDGA) -> AInfAlgebra:
-    """The finite cdga R as a C-infinity algebra over Q (flattened)."""
-    return from_dga(cdga_as_kalgebra(base), n_max=4)
-
-
 def module_flat(base: BaseCDGA, gens: GradedSpace, d_gen) -> FreeKModule:
     """The underlying Q-module of the free R-module R (x) V with generator
     differential ``d_gen``: generators (r, v), differential the total
@@ -197,7 +192,7 @@ def find_derived_coev(base: BaseCDGA, module: FreeKModule, b_max=3) -> DerivedCo
     bar level 0; otherwise the cocycle-lift system is solved by exact
     elimination (an obstruction raises ValueError: the truncation b_max
     was too small)."""
-    r_alg = base_algebra_over_q(base)
+    r_alg = from_dga(cdga_as_kalgebra(base), n_max=4)
     right = module_as_right(module, r_alg)
     left_dual = _dual_as_left(module, r_alg)
     tensor = tensor_inf(right, left_dual, b_max)
@@ -354,7 +349,7 @@ def becker_gottlieb(s_alg: AInfAlgebra) -> GradedMap:
     source = s_alg.module.total
     entries = {pair: module_trace(s_alg.module, action(ss, (pair,)))
                for pair in source.labels()}
-    return GradedMap(source, s_alg.base.space, 1, entries, check=False).scale(-ONE)
+    return GradedMap(source, s_alg.base.space, 1, entries).scale(-ONE)
 
 
 def becker_gottlieb_report(s_alg: AInfAlgebra) -> Report:
@@ -373,11 +368,6 @@ def assembly_projection_report(hh: HochschildComplex) -> Report:
 
 
 # --- the generalized trace (Def-4.2.4 shape) -------------------------------------
-
-
-def end_algebra_over_base(module: FreeKModule) -> AInfAlgebra:
-    """End_R(M) as a shifted dga over the base R."""
-    return from_dga(end_algebra(module), n_max=4)
 
 
 def _apply_hom(base: BaseCDGA, hom_degree, hom_pair, m_pair) -> dict:
@@ -432,7 +422,7 @@ class GeneralizedTrace:
         self.base = coev.base
         self.module = coev.module
         self.r_alg = coev.r_alg
-        self.end = end_algebra_over_base(coev.module)
+        self.end = from_dga(end_algebra(coev.module), n_max=4)
         self.hh_end = hh_end = hh_of_algebra(flatten(self.end), h_max)
         if target_h is None:
             target_h = max(h_max * max(coev.b_max, 1), _output_tail_bound(coev, h_max))

@@ -83,13 +83,13 @@ def test_broken_associativity_fails_at_3():
 def test_unital_fixture_and_perturbed():
     alg = fixture_algebra("s2")
     assert check_unital(alg).ok
-    # perturb mu_3 on an s1 slot
+    # perturb mu_4 on its s1 slots, keeping degree +1: |s1| = -1, |x| = 1
     bad = AInfAlgebra(alg.base, alg.gens,
-                      {**alg.mu, 3: {("1", "x", "x"): {("1", "x"): ONE}}},
-                      alg.n_max, unit="1", check=False)
+                      {**alg.mu, 4: {("1", "x", "x", "1"): {("1", "x"): ONE}}},
+                      alg.n_max, unit="1")
     report = check_unital(bad)
     assert report.first_failure == ("mu_{n>=3} vanish on s1 slots",
-                                    ((3, ("1", "x", "x")), {("1", "x"): ONE}))
+                                    ((4, ("1", "x", "x", "1")), {("1", "x"): ONE}))
 
 
 def test_eta_is_strict_unital_morphism():
@@ -176,7 +176,7 @@ def test_composition_unit_and_associativity():
         e = AInfMorphism.identity(alg)
         two = e.components[1]
         scale = {k: {p: 1 * c for p, c in col.items()} for k, col in two.items()}
-        f = AInfMorphism(alg, alg, {1: scale}, check=False)
+        f = AInfMorphism(alg, alg, {1: scale})
         lhs = compose_morphisms(compose_morphisms(f, f), f)
         rhs = compose_morphisms(f, compose_morphisms(f, f))
         assert lhs.components == rhs.components

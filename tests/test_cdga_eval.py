@@ -212,6 +212,10 @@ BAD_BASE_TABLES = {
     # d(1) = x: Leibniz fails at (1, 1) alone, named by the rule d(1) = 0
     "d(1) = 0": (lambda: _base_cdga([("1", 0), ("x", 1)], {}, diff={"1": {"x": 1}}),
                  "d(1) != 0"),
+    # a one-dimensional base is checked alone: 1 * 1 = 2 breaks its one rule
+    "one-dimensional unit": (lambda: _base_cdga([("1", 0)], {("1", "1"): {"1": 2}},
+                                                unit_acts=False),
+                             "one-dimensional base without '1' * '1' = '1'"),
 }
 
 

@@ -35,14 +35,14 @@ def test_integral_coefficients_are_int():
     for table in free_multilinear_algebra(3).mu.values():
         assert coefficient_types(table) == {int}
     # a table written with Fractions is stored with ints
-    gens = GradedSpace([("a", 1), ("c", 4)])
+    gens = GradedSpace([("a", 1), ("c", 4), ("e", 7)])
     alg = AInfAlgebra(BaseCDGA.rationals(), gens,
                       {3: {("a", "a", "a"): {("1", "c"): Fraction(1)},
-                           ("a", "c", "a"): {("1", "a"): Fraction(-2),
+                           ("a", "c", "a"): {("1", "e"): Fraction(-2),
                                              ("1", "c"): Fraction(0)}}},
-                      3, check=False)
+                      3)
     assert alg.mu[3] == {("a", "a", "a"): {("1", "c"): 1},
-                         ("a", "c", "a"): {("1", "a"): -2}}
+                         ("a", "c", "a"): {("1", "e"): -2}}
     assert coefficient_types(alg.mu[3]) == {int}
 
 

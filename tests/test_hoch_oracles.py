@@ -8,6 +8,7 @@ from hochtrace.ainf import AInfMorphism, check_morphism, from_dga, unit_algebra
 from hochtrace.bimod import (
     dga_module_bimodule,
     diagonal_bimodule,
+    end_algebra,
     left_module_from_algebra,
     v_map,
 )
@@ -43,7 +44,6 @@ from hochtrace.hoch import (
     rotation_to_bar_hc,
 )
 from hochtrace.report import CertificateError
-from hochtrace.transfer import end_algebra_over_base
 
 
 def test_classical_comparison_fixtures():
@@ -173,7 +173,7 @@ def test_induced_map_of_the_action_map_mu3():
     # v: R -> End(R) for mu3 has v_2 on the odd letter a, so the Koszul sign
     # of the rotated letters that v_2 eats decides whether v_* is a chain map
     alg = mu3_algebra()
-    end = end_algebra_over_base(alg.module)
+    end = from_dga(end_algebra(alg.module), n_max=4)
     v = v_map(alg, left_module_from_algebra(alg), end_ainf=end)
     source, target = hh_of_algebra(alg, 2), hh_of_algebra(end, 2)
     induced = hh_algebra_induced_map(v, source, target)

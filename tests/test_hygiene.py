@@ -6,11 +6,13 @@ outside ``bimod.bimodule_inputs``, the one place that decides how a zero
 algebra (None) enumerates its words; and no function but ``bimod.action``
 that calls both a structure-map ``eval`` and ``hom_label``, so every
 End-valued operator built from structure maps comes from one place; and
-``Complex`` is built with a ``check`` argument only at the listed sites,
-each of which vouches for d*d = 0 that elimination relies on; and only
-``ainf`` flattens (``to_rational_algebra``, ``flat_tables``), while
-``transfer`` reads no ``.is_rational`` and calls no ``isinstance``, so
-whether an HH letter is a pair (b, v) is decided by the ``ainf`` rule; and
+no function or method takes a parameter named ``check`` and no
+``Complex`` is built with a ``check`` argument, so every object is
+validated where it is built and every d*d = 0 that elimination relies on
+is certified; and only ``ainf`` flattens (``to_rational_algebra``,
+``flat_tables``), while ``transfer`` reads no ``.is_rational`` and calls
+no ``isinstance``, so whether an HH letter is a pair (b, v) is decided by
+the ``ainf`` rule; and
 no function both calls ``.compose`` and compares with ``==`` or ``!=``, so
 every chain-map check goes through ``grdlin.chain_map_witness``; and no
 function is decorated with ``functools.cache`` or ``lru_cache``: a memo
@@ -163,6 +165,18 @@ def memo_decorated(source):
                           for d in fn.decorator_list))
 
 
+def check_parameters(source):
+    """Names of the functions and methods with a parameter named ``check``:
+    each is an option to skip validation."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = fn.args
+            if any(a.arg == "check" for a in args.posonlyargs + args.args + args.kwonlyargs):
+                found.append(getattr(fn, "name", "<lambda>"))
+    return sorted(found)
+
+
 def unchecked_complexes(source):
     """Qualified names of the functions that build a ``Complex`` with a
     ``check`` argument other than the literal True: each skips, or may
@@ -189,11 +203,8 @@ def unchecked_complexes(source):
 OVER_THE_BASE = [p for p in SOURCES if p.name in ("ainf.py", "bimod.py", "hoch.py", "wheeled.py")]
 
 
-# where each one's d*d = 0 comes from is listed in CHANGES.md
-UNCHECKED_COMPLEXES = {
-    "cdga.py": ["BaseCDGA.__init__", "FreeKModule.__init__"],
-    "hoch.py": ["HochschildComplex.coefficient_complex"],
-}
+# every Complex certifies its own d*d = 0: no site is listed
+UNCHECKED_COMPLEXES = {}
 
 
 def _named(tree):
@@ -302,6 +313,11 @@ def test_unchecked_complexes_are_the_listed_sites(path):
     assert unchecked_complexes(path.read_text()) == UNCHECKED_COMPLEXES.get(path.name, [])
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_check_parameter(path):
+    assert check_parameters(path.read_text()) == []
+
+
 @pytest.mark.parametrize("path", OVER_THE_BASE, ids=lambda p: p.name)
 def test_one_k_linear_extension(path):
     assert callers_of(path.read_text(), ("mul_basis",)) == []
@@ -338,6 +354,12 @@ def test_the_checks_fire():
               "def g():\n    return Complex(s, d, check=False)\n"
               "def h():\n    return Complex(s, d, check=True), Complex(s, d)\n")
     assert unchecked_complexes(source) == ["A.f", "g"]
+    source = ("class A:\n    def __init__(self, d, check=True):\n        self.d = d\n"
+              "def f(x, *, check):\n    return x\n"
+              "def g(x, /, check):\n    return x\n"
+              "h = lambda check=False: check\n"
+              "def ok(x, checked=True, **check):\n    return check(x)\n")
+    assert check_parameters(source) == ["<lambda>", "__init__", "f", "g"]
     source = ("a = ainf.to_rational_algebra(s)\nb = flat_tables(f, l, n)\n"
               "c = to_rational_algebra\nd = isinstance(x, tuple) and base.is_rational\n"
               "e = is_rational(base)\n")

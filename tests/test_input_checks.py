@@ -1,0 +1,98 @@
+"""Every constructor rejects a structure-map table or a linear map that is
+not of its shape: a key of the wrong width, or an entry of the wrong
+degree, raises ValueError naming the offending key; a bimodule table of a
+shape that no bimodule over its algebras has raises ValueError naming
+that shape.
+
+The algebra is ``mu3_algebra``: shifted generators 1 (degree -1), a (1)
+and c (4) over Q; the dga has generators 1 (0), x (2) and y (3).  Each
+width row keeps every entry of the degree that
+its first slots ask for, so it is only the width check that rejects it.
+"""
+import re
+
+import pytest
+
+from hochtrace.ainf import AInfAlgebra, AInfMorphism
+from hochtrace.bimod import AInfBimodule, BimoduleMap, diagonal_bimodule
+from hochtrace.cdga import BaseCDGA, KAlgebra
+from hochtrace.fixtures import mu3_algebra
+from hochtrace.grdlin import GradedMap, GradedSpace
+
+
+def _dga(table):
+    gens = GradedSpace([("1", 0), ("x", 2), ("y", 3)])
+    return KAlgebra(BaseCDGA.rationals(), gens, table, "1")
+
+
+def _algebra(table):
+    alg = mu3_algebra()
+    return AInfAlgebra(alg.base, alg.gens, {3: table}, 3)
+
+
+def _morphism(table):
+    alg = mu3_algebra()
+    return AInfMorphism(alg, alg, {1: table})
+
+
+def _bimodule(table):
+    alg = mu3_algebra()
+    return AInfBimodule(alg, alg, alg.module, {(1, 0): table}, 2)
+
+
+def _left_module(table):
+    alg = mu3_algebra()
+    return AInfBimodule(alg, None, alg.module, {(0, 1): table}, 2)
+
+
+def _owned_by_the_module(table):
+    alg = mu3_algebra()
+    return AInfBimodule(alg, alg, alg.module, {(0, 0): table}, 2)
+
+
+def _bimodule_map(table):
+    bim = diagonal_bimodule(mu3_algebra())
+    return BimoduleMap(bim, bim, 0, {(0, 0): table})
+
+
+def _graded_map(column):
+    gens = mu3_algebra().gens
+    return GradedMap(gens, gens, 1, {"a": column})
+
+
+REJECTED = [
+    # a product x x has degree |x| + |x| = 4, not |y| = 3
+    pytest.param(_dga, {("x", "x"): {("1", "y"): 1}}, ("x", "x"), id="dga-degree"),
+    # mu_3 on two generators: 1 + |1| + |a| = 1 = |a|
+    pytest.param(_algebra, {("1", "a"): {("1", "a"): 1}}, ("1", "a"), id="algebra-width"),
+    # mu_3(a, a, a) has degree 1 + 3 = 4, not |a| = 1
+    pytest.param(_algebra, {("a", "a", "a"): {("1", "a"): 1}}, ("a", "a", "a"),
+                 id="algebra-degree"),
+    # f_1 on two generators: |1| = -1 = |1|
+    pytest.param(_morphism, {("1", "a"): {("1", "1"): 1}}, ("1", "a"), id="morphism-width"),
+    # f_1(a) has degree |a| = 1, not |c| = 4
+    pytest.param(_morphism, {("a",): {("1", "c"): 1}}, ("a",), id="morphism-degree"),
+    # mu_{1,0} on three generators: 1 + |1| + |a| = 1 = |a|
+    pytest.param(_bimodule, {("1", "a", "c"): {("1", "a"): 1}}, ("1", "a", "c"),
+                 id="bimodule-width"),
+    # mu_{1,0}(a, a) has degree 1 + 2 = 3, not |a| = 1
+    pytest.param(_bimodule, {("a", "a"): {("1", "a"): 1}}, ("a", "a"), id="bimodule-degree"),
+    # mu_{0,1} over the zero right algebra, with an entry of the right degree
+    pytest.param(_left_module, {("a", "1"): {("1", "1"): 1}}, (0, 1), id="bimodule-zero-side"),
+    # mu_{0,0} is the differential of the free module, never a table, not
+    # even an empty one
+    pytest.param(_owned_by_the_module, {}, (0, 0), id="bimodule-module-differential"),
+    # f_{0,0} on two generators: 0 + |a| = 1 = |a|
+    pytest.param(_bimodule_map, {("a", "c"): {("1", "a"): 1}}, ("a", "c"),
+                 id="bimodule-map-width"),
+    # f_{0,0}(a) has degree |a| = 1, not |c| = 4
+    pytest.param(_bimodule_map, {("a",): {("1", "c"): 1}}, ("a",), id="bimodule-map-degree"),
+    # a degree-1 map sends a (1) to degree 2, not to c (4)
+    pytest.param(_graded_map, {"c": 1}, "a", id="graded-map-degree"),
+]
+
+
+@pytest.mark.parametrize("build, table, named", REJECTED)
+def test_a_table_of_the_wrong_shape_is_rejected(build, table, named):
+    with pytest.raises(ValueError, match=re.escape(repr(named))):
+        build(table)

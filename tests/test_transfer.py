@@ -67,7 +67,7 @@ def test_module_as_right_moves_r2_past_an_odd_generator():
     base = sphere3_with_differential()
     module = FreeKModule(base, GradedSpace([("u", 0), ("w", -1)]),
                          {"u": {("x", "w"): ONE}})
-    right = transfer.module_as_right(module, transfer.base_algebra_over_q(base))
+    right = transfer.module_as_right(module, from_dga(cdga_as_kalgebra(base), n_max=4))
     assert check_bimodule(right, 3).ok
     coev = find_derived_coev(base, module, b_max=2)
     assert coev.vector and not coev.tensor.kmodule.d(coev.vector)
