@@ -396,10 +396,6 @@ class KAlgebra:
                 vec_add(out, self.mul_pairs(p1, p2), c1 * c2)
         return out
 
-    @property
-    def unit(self) -> Kvec:
-        return dict(self.unit_kvec)
-
     def _validate(self):
         gens = self.gens.labels()
         unit, base, d = self.unit_kvec, self.base, self.module.d

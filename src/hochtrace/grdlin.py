@@ -237,12 +237,6 @@ class GradedMap:
             vec_add(entries.setdefault(v, {}), col)
         return GradedMap(self.source, self.target, self.degree, entries)
 
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, coeff):
         return GradedMap(self.source, self.target, self.degree,
                          {v: {w: coeff * c for w, c in col.items()}

@@ -24,7 +24,11 @@ from one ``fold_table`` per construction with one lookup per word and
 
 ``ClassicalHochschild`` reads mu^M once per (vm, x), mu^B once per (beta,
 x) and each bar generator's tag once, and keeps its relation rows keyed
-by repr.
+by repr.  ``compare_classical`` checks one stated map against the
+A-infinity complex, the diagonal sign (-1)^{(1 + |m|)(|x_1| + .. + |x_n|)}
+of moving the module slot past the letters, with one chain-map
+certificate: it searches for no sign, so a classical differential off
+that convention by any diagonal gauge fails it.
 
 ``cyclic_quotient`` is the one quotient by signed cyclic rotation
 (representatives from ``cyclic_representative``, the projection p, the
@@ -405,6 +409,12 @@ class ClassicalHochschild:
     the canonical basis (s1 (x) xs (x) s1) (x) m = m (x) xs.  Restricted
     to the rational base (the comparison oracle's habitat).
 
+    The basis label (b, m, xs) names (s1 (x) xs (x) s1) (x) m, the module
+    slot after the letters; the same label in ``HochschildComplex`` names
+    the word with the module slot, of degree 1 + |m|, in front.  Moving it
+    past the letters gives the Koszul sign that ``compare_classical``
+    applies.
+
     Each generator is read once: a bar generator's tag ("z" on the
     canonical basis, "a" off it), mu^M_{0,1}(m, sx) and mu^M_{1,0}(sx, m)
     per (m, x), mu^B_{1,0}(sx, b) and mu^B_{0,1}(b, sx) per (b, x).  The
@@ -516,58 +526,27 @@ def classical_hh(dga: KAlgebra, bimodule: AInfBimodule, h_max) -> ClassicalHochs
 
 def compare_classical(classical: ClassicalHochschild,
                       ainf_hh: HochschildComplex):
-    """An explicit degree-0 chain isomorphism classical -> A-infinity,
-    found as a diagonal sign change of basis and verified exactly.
+    """The degree-0 chain isomorphism classical -> A-infinity: the
+    diagonal map
 
-    Returns the GradedMap, or raises if no diagonal iso exists.
+      (b, m, x_1 .. x_n) -> (-1)^{(1 + |m|)(|x_1| + .. + |x_n|)} (b, m, x_1 .. x_n)
+
+    in the shifted degrees of m and of the letters, the Koszul sign of the
+    rotation that moves the module slot past the letters
+    (``rotation_parities``, l = n).
+    It is certified by one ``chain_map_witness``: CertificateError("diagonal
+    sign map failed the chain-map check") with its witness, else the map.
+    ValueError when the two complexes do not share a labeled basis.
     """
     if set(classical.space.basis) != set(ainf_hh.space.basis):
         raise ValueError("the two complexes do not share a labeled basis")
-    labels = classical.space.labels()
-    classical_d, ainf_d = classical.d.entries, ainf_hh.d.entries
-    # each label's incoming edges (w2, c), w2 in the order of classical_d
-    incoming = {}
-    for w2, col in classical_d.items():
-        for v, c in col.items():
-            incoming.setdefault(v, []).append((w2, c))
-    sign = {}
-    # propagate signs along the differential graph; an edge (w, x, y) asks
-    # sign[w] = sign[v] * x / y, compared exactly without dividing
-    order = sorted(labels, key=repr)
-    for seed in order:
-        if seed in sign:
-            continue
-        sign[seed] = 1
-        stack = [seed]
-        while stack:
-            v = stack.pop()
-            neighbours = []
-            ainf_col = ainf_d.get(v, {})
-            for w, c in classical_d.get(v, {}).items():
-                a = ainf_col.get(w)
-                if a is None:
-                    raise ValueError(f"sparsity mismatch at {v!r} -> {w!r}")
-                neighbours.append((w, a, c))
-            for w2, c in incoming.get(v, ()):
-                a = ainf_d.get(w2, {}).get(v)
-                if a is None:
-                    raise ValueError(f"sparsity mismatch at {w2!r} -> {v!r}")
-                neighbours.append((w2, c, a))
-            for w, x, y in neighbours:
-                if x == y:
-                    value = sign[v]
-                elif x == -y:
-                    value = -sign[v]
-                else:
-                    raise ValueError(f"non-sign ratio {x}/{y} at {v!r}")
-                if w in sign:
-                    if sign[w] != value:
-                        raise ValueError("no diagonal isomorphism exists")
-                else:
-                    sign[w] = value
-                    stack.append(w)
-    iso = GradedMap(classical.space, ainf_hh.space, 0,
-                    {v: {v: sign[v]} for v in labels})
+    m_deg, x_deg = classical.bimodule.kmodule.gens.degree, classical.algebra.gens.degree
+    entries = {}
+    for v in classical.space.labels():
+        _b, vm, xs = v
+        parity = rotation_parities([1 + m_deg[vm]] + [x_deg[x] for x in xs])[-1]
+        entries[v] = {v: -1 if parity else 1}
+    iso = GradedMap(classical.space, ainf_hh.space, 0, entries)
     if witness := chain_map_witness(iso, classical.d, ainf_hh.d):
         raise CertificateError("diagonal sign map failed the chain-map check", witness)
     return iso

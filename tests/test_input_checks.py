@@ -8,16 +8,22 @@ The algebra is ``mu3_algebra``: shifted generators 1 (degree -1), a (1)
 and c (4) over Q; the dga has generators 1 (0), x (2) and y (3).  Each
 width row keeps every entry of the degree that
 its first slots ask for, so it is only the width check that rejects it.
+
+The rows of ``test_a_bad_input_is_rejected`` each reach one more raise:
+an algebra with a structure map above its truncation arity, a complex
+whose differential is not a degree +1 endomap, and a classical comparison
+of two Hochschild complexes truncated at different degrees.
 """
 import re
 
 import pytest
 
-from hochtrace.ainf import AInfAlgebra, AInfMorphism
+from hochtrace.ainf import AInfAlgebra, AInfMorphism, from_dga
 from hochtrace.bimod import AInfBimodule, BimoduleMap, diagonal_bimodule
-from hochtrace.cdga import BaseCDGA, KAlgebra
-from hochtrace.fixtures import mu3_algebra
-from hochtrace.grdlin import GradedMap, GradedSpace
+from hochtrace.cdga import BaseCDGA, KAlgebra, cdga_as_kalgebra
+from hochtrace.fixtures import fixture_cdga, mu3_algebra
+from hochtrace.grdlin import Complex, GradedMap, GradedSpace
+from hochtrace.hoch import classical_hh, compare_classical, hh_complex
 
 
 def _dga(table):
@@ -96,3 +102,32 @@ REJECTED = [
 def test_a_table_of_the_wrong_shape_is_rejected(build, table, named):
     with pytest.raises(ValueError, match=re.escape(repr(named))):
         build(table)
+
+
+def _classical_against_a_longer_complex():
+    dga = cdga_as_kalgebra(fixture_cdga("dual"))
+    alg = from_dga(dga)
+    diag = diagonal_bimodule(alg)
+    return compare_classical(classical_hh(dga, diag, 2), hh_complex(alg, diag, 3))
+
+
+_LINE = GradedSpace([("a", 1)])
+
+BAD_INPUTS = [
+    # mu_3 != 0 on an algebra truncated at arity 2
+    pytest.param(lambda: mu3_algebra(n_max=2),
+                 "structure map above the declared truncation arity", id="algebra-arity"),
+    pytest.param(lambda: Complex(_LINE, GradedMap(_LINE, GradedSpace([("a", 2)]), 1, {})),
+                 "differential must be an endomap of the space", id="complex-endomap"),
+    pytest.param(lambda: Complex(_LINE, GradedMap(_LINE, _LINE, 0, {})),
+                 "differential must have degree +1", id="complex-degree"),
+    # classical h = 2 against A-infinity h = 3
+    pytest.param(_classical_against_a_longer_complex,
+                 "the two complexes do not share a labeled basis", id="classical-basis"),
+]
+
+
+@pytest.mark.parametrize("build, message", BAD_INPUTS)
+def test_a_bad_input_is_rejected(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
