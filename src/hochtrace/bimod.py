@@ -26,7 +26,7 @@ k-multilinear tables on generators.
 from __future__ import annotations
 
 from functools import partial
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 
 from .ainf import AInfAlgebra, AInfMorphism, compositions, from_dga, insert_at
 from .cdga import (
@@ -378,16 +378,19 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
     if middle is not None and n.left.gens != middle.gens:
         raise ValueError("middle algebra mismatch")
     base = m.base
+    coeff_degree = base.space.degree
     # over k there are no middle letters: only the words of length 0
     letters = middle.gens.labels() if middle is not None else ()
-    gen_list = []
+    m_deg, n_deg = m.kmodule.gens.degree, n.kmodule.gens.degree
+    # the prefix degrees |vm| + |y_1..y_i|, i = 0..k, once per (vm, ys)
+    gen_list, prefixes = [], {}
     for k in range(0, h_max + 1):
         for ys in product(letters, repeat=k):
+            y_sums = list(accumulate((middle.gens.degree[y] for y in ys), initial=0))
             for vm in m.kmodule.gens.labels():
+                prefix = prefixes[vm, ys] = [m_deg[vm] + p for p in y_sums]
                 for vn in n.kmodule.gens.labels():
-                    deg = (m.kmodule.gens.degree[vm] + n.kmodule.gens.degree[vn]
-                           + sum(middle.gens.degree[y] for y in ys))
-                    gen_list.append(((vm, ys, vn), deg))
+                    gen_list.append(((vm, ys, vn), prefix[-1] + n_deg[vn]))
     gens = GradedSpace(gen_list)
     if middle is not None:
         middle_terms = insertions(base, middle.mu_word, middle.arities, middle.gens.degree)
@@ -410,7 +413,6 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
         """
         vm, ys, vn = key[l]
         k = len(ys)
-        deg_m = m.kmodule.gens.degree[vm]
         out = {}
         if r == 0 and l in m_arities:
             # mu^M_{l,n1} (x) id^{(k-n1)+1}: the window x_1..x_l, vm, y_1..y_n1
@@ -421,22 +423,23 @@ def tensor_inf(m: AInfBimodule, n: AInfBimodule, h_max) -> AInfBimodule:
                 new_ys = ys[n1:]
                 for (b2, vm2), c in m.mu_word(l, n1, head[:l + 1 + n1]).items():
                     vec_add_term(out, (b2, (vm2, new_ys, vn)), c)
-        if l == 0 and r == 0 and middle is not None:
+        if l:
+            return out
+        prefix = prefixes[vm, ys]
+        if r == 0 and middle is not None:
             # id^{1+n1} (x) mu^S_{n2} (x) id, moving past vm, y_1..y_n1
-            for _n1, new_ys, b2, c, parity in middle_terms(ys, deg_m):
+            for _n1, new_ys, b2, c, parity in middle_terms(ys, prefix[0]):
                 vec_add_term(out, (b2, (vm, new_ys, vn)), -c if parity else c)
-        if l == 0 and r in n_arities:
+        if r in n_arities:
             # id^{1+n1} (x) mu^N_{n2,r} on the window y_{n1+1}..y_k, vn, y_1..y_r,
             # moving past vm, y_1..y_n1
             tail = (vn,) + key[1:]
-            y_degs = [middle.gens.degree[y] for y in ys]
             for n2 in n_arities[r]:
                 if n2 > k:
                     continue
                 n1 = k - n2
-                left_deg = deg_m + sum(y_degs[:n1])
                 for (b2, vn2), c in n.mu_word(n2, r, ys[n1:] + tail).items():
-                    negate = migration_parity(left_deg, 1, base.degree(b2))
+                    negate = migration_parity(prefix[n1], 1, coeff_degree[b2])
                     vec_add_term(out, (b2, (vm, ys[:n1], vn2)), -c if negate else c)
         return out
 

@@ -22,8 +22,9 @@ Elimination has two engines, one per kind of output:
   (``sparse_rank``, and ``solve`` to find its rows, with no combos);
 - the least-repr ``_Eliminator`` serves where a lead set is the output:
   the boundary echelon of a ``Complex`` block (``_echelon``) and
-  ``hoch.ClassicalHochschild``.  It keys rows by the repr string of each
-  label, which caches its hash, and pivots on the least-repr label.
+  ``hoch.ClassicalHochschild``.  It pivots on the least-repr label, with
+  rows keyed by the repr string of each label (``_echelon``) or by its
+  rank in a ``repr_ranks`` table (the oracle).
 Each degree block d^t of a ``Complex`` is eliminated once per complex,
 upward from its lowest degree, and cached on it, read-only.  The
 elimination clears (Chen-Kerber): a column whose label leads a boundary
@@ -604,20 +605,17 @@ class _Eliminator:
     The pivot of a row is its leading column: the label with the least
     repr.  ``_echelon`` fills one with the boundary rows of a ``Complex``
     block, whose leads the block above clears, as ``HomologyBasis.coords``
-    does through ``clear``.  ``hoch.ClassicalHochschild`` relies on the
-    order to keep its "a"-tagged relation labels ahead of its "z"-tagged
-    basis; it writes its rows under ``_key``, inserts them through
-    ``_insert`` and reads a lead as ``_labels[min(row)]``.  No row
-    combination is tracked: kernel combos and solutions come from the
-    kernel pass.
+    does.  No row combination is tracked: kernel combos and solutions come
+    from the kernel pass.
 
-    Inside, rows are keyed by the repr string of each label, computed
-    once when a row brings the label in, and ``pivots`` maps the repr of
-    each leading label to its row: the pivot of a row is then ``min(row)``,
-    a string compare, and every dict operation hashes a string that caches
-    its hash.  Two labels with one repr would share a column and raise
-    ValueError instead.  ``_reduce`` and ``_insert`` reduce a repr-keyed
-    row in place; ``clear`` takes and returns a row keyed by label.
+    Rows are keyed so that the least key is the least-repr label, and
+    ``pivots`` maps the key of each leading label to its row, so the pivot
+    of a row is ``min(row)``.  ``_echelon`` keys by the repr string of each
+    label (``_key``, read back through ``_labels``; two labels with one
+    repr raise ValueError); ``hoch.ClassicalHochschild`` by its int rank in
+    a ``repr_ranks`` table, which keeps its "a"-tagged relation labels
+    ahead of its "z"-tagged basis.  ``_reduce`` and ``_insert`` reduce a
+    row of either kind in place.
 
     Pivot rows are stored normalized to leading coefficient 1, so a
     reduction step multiplies but never divides, and integral input stays
@@ -627,7 +625,7 @@ class _Eliminator:
     """
 
     def __init__(self):
-        self.pivots = {}  # repr of the leading label -> normalized row
+        self.pivots = {}  # key of the leading label -> normalized row
         self._keys = {}  # label -> repr(label)
         self._labels = {}  # repr(label) -> label
 
@@ -643,13 +641,8 @@ class _Eliminator:
             self._keys[label] = key
         return key
 
-    def _labelled(self, row):
-        """A repr-keyed row keyed by label again."""
-        labels = self._labels
-        return {labels[key]: c for key, c in row.items()}
-
     def _reduce(self, row):
-        """Reduce a repr-keyed row in place against the pivots; returns it."""
+        """Reduce a row in place against the pivots; returns it."""
         pivots = self.pivots
         while row:
             col = min(row)
@@ -666,8 +659,8 @@ class _Eliminator:
         return row
 
     def _insert(self, row):
-        """``_reduce`` a repr-keyed row, then store what survives,
-        normalized, as a pivot.  Returns the repr-keyed row."""
+        """``_reduce`` a row, then store what survives, normalized, as a
+        pivot.  Returns the reduced row."""
         row = self._reduce(row)
         if row:
             col = min(row)
@@ -677,18 +670,21 @@ class _Eliminator:
             self.pivots[col] = row
         return row
 
-    def clear(self, row):
-        """A label-keyed copy of row, zeros dropped, with every entry at a
-        pivot's lead reduced away, least lead first.  The eliminator does
-        not change: a label it has not seen leads no pivot."""
-        keys, labels, pivots = self._keys, self._labels, self.pivots
-        row = {label: c for label, c in row.items() if c}
-        while leads := [key for key in map(keys.get, row) if key in pivots]:
-            key = min(leads)
-            c = row[labels[key]]
-            for k, p in pivots[key].items():
-                vec_add_term(row, labels[k], -c * p)
-        return row
+
+def repr_ranks(labels):
+    """(ranks, ordered) for a list of distinct labels: ``ordered`` is the
+    labels sorted by repr, and ranks[i] is the place of labels[i] in it.
+    An ``_Eliminator`` fed rows keyed by these ranks pivots as one fed the
+    repr keys of the labels.  ValueError when two labels share a repr."""
+    keys = [repr(label) for label in labels]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if keys[i] == keys[j]:
+            raise ValueError(f"labels {labels[i]!r} and {labels[j]!r} share the repr {keys[i]}")
+    ranks = [0] * len(keys)
+    for rank, i in enumerate(order):
+        ranks[i] = rank
+    return ranks, [labels[i] for i in order]
 
 
 def _normalized(vec, p):
@@ -719,24 +715,25 @@ class HomologyBasis:
     - every nonzero boundary holds such a lead, its least-repr label: the
       echelon pass of block t-1 pivots in least-repr order.
     Construction certifies the first two, which make the z_k independent
-    modulo the boundaries, and raises CertificateError with witness z_k
+    modulo the boundaries, on the indices of each combo against the lead
+    indices of block t-1, and raises CertificateError with witness z_k
     where one fails.
     """
 
     def __init__(self, cx: Complex, t):
-        labels = cx.space.by_degree.get(t, [])
-        cycles = cx._block(t)[1]
-        self._boundaries = below = cx._block(t - 1)[0]
-        self._own = {labels[max(combo)]: k for k, combo in enumerate(cycles)}
-        keys, pivots = below._keys, below.pivots
+        self._labels = labels = cx.space.by_degree.get(t, [])
+        self._cycles = cycles = cx._block(t)[1]
+        self._boundaries, _kernel, self._leads = cx._block(t - 1)
+        self._own = own = {max(combo): k for k, combo in enumerate(cycles)}
         self.representatives = []
-        for k, combo in enumerate(cycles):
+        for combo in cycles:
             z = {labels[i]: c for i, c in combo.items()}
-            if (z[labels[max(combo)]] != 1 or len(self._own.keys() & z.keys()) > 1
-                    or not pivots.keys().isdisjoint(map(keys.get, z))):
+            if (combo[max(combo)] != 1 or len(own.keys() & combo.keys()) > 1
+                    or not self._leads.isdisjoint(combo)):
                 raise CertificateError(
                     "homology representative is not read off the cleared kernel", z)
             self.representatives.append(z)
+        self._position = {v: i for i, v in enumerate(labels)}
 
     @property
     def dim(self):
@@ -744,13 +741,27 @@ class HomologyBasis:
 
     def coords(self, vec: dict):
         """Homology coordinates of a cycle (boundaries project to zero): the
-        residue of vec with the boundary leads cleared is sum a_k z_k, a_k
-        its coefficient at the own label of z_k, or vec is no cycle."""
-        residue = self._boundaries.clear(vec)
+        residue of vec with the boundary leads cleared, least-repr lead
+        first, is sum a_k z_k, a_k its coefficient at the own index of z_k,
+        or vec is no cycle.  Worked on the indices of degree t."""
+        position, labels, leads = self._position, self._labels, self._leads
+        residue = {}
+        for v, c in vec.items():
+            if c:
+                if v not in position:
+                    raise ValueError("vector is not a cycle modulo boundaries")
+                residue[position[v]] = c
+        below = self._boundaries
+        keys, names, pivots = below._keys, below._labels, below.pivots
+        while hit := [(keys[labels[i]], i) for i in residue if i in leads]:
+            key, i = min(hit)
+            c = residue[i]
+            for k, p in pivots[key].items():
+                vec_add_term(residue, position[names[k]], -c * p)
         own = self._own
-        coords = int_first({own[v]: c for v, c in residue.items() if v in own})
+        coords = int_first({own[i]: c for i, c in residue.items() if i in own})
         for k, c in coords.items():
-            vec_add(residue, self.representatives[k], -c)
+            vec_add(residue, self._cycles[k], -c)
         if residue:
             raise ValueError("vector is not a cycle modulo boundaries")
         return coords

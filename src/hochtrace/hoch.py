@@ -23,8 +23,9 @@ from one ``fold_table`` per construction with one lookup per word and
 (l, r).
 
 ``ClassicalHochschild`` reads mu^M once per (vm, x), mu^B once per (beta,
-x) and each bar generator's tag once, and keeps its relation rows keyed
-by repr.  ``compare_classical`` checks one stated map against the
+x) and each bar generator's tag once, and keys its relation rows by the
+least-repr rank of each tagged label, from one ``repr_ranks`` table per
+construction.  ``compare_classical`` checks one stated map against the
 A-infinity complex, the diagonal sign (-1)^{(1 + |m|)(|x_1| + .. + |x_n|)}
 of moving the module slot past the letters, with one chain-map
 certificate: it searches for no sign, so a classical differential off
@@ -56,6 +57,7 @@ from .grdlin import (
     chain_map_witness,
     cyclic_rotations,
     int_first,
+    repr_ranks,
     rotation_parities,
     sparse_rank,
     vec_add,
@@ -417,11 +419,14 @@ class ClassicalHochschild:
 
     Each generator is read once: a bar generator's tag ("z" on the
     canonical basis, "a" off it), mu^M_{0,1}(m, sx) and mu^M_{1,0}(sx, m)
-    per (m, x), mu^B_{1,0}(sx, b) and mu^B_{0,1}(b, sx) per (b, x).  The
-    relations go in in (b, m, x, u1/u2) order, each written straight
-    under the eliminator's repr keys (``_Eliminator._key``) and inserted
-    as it is; only a row that hits the basis is keyed by label again, for
-    its witness.
+    per (m, x), mu^B_{1,0}(sx, b) and mu^B_{0,1}(b, sx) per (b, x), each
+    column turned once into (position, coefficient) pairs.  The tagged
+    labels (tag, (b, m)) are ranked by repr once (``repr_ranks``), so the
+    eliminator's least key is the least-repr label and every "a" label
+    ranks ahead of every "z" one.  The relations go in in (b, m, x, u1/u2)
+    order, each keyed by rank through list indexing alone and inserted as
+    it is; the lead check, the two witnesses and the quotient read labels
+    back through the ranked list.
     """
 
     def __init__(self, dga: KAlgebra, bimodule: AInfBimodule, h_max):
@@ -436,31 +441,39 @@ class ClassicalHochschild:
         bar = tensor_inf(diag, diag, h_max)
         base = alg.base
         u = base.unit
-        bg = bar.kmodule.gens
-        mg = bimodule.kmodule.gens
+        bars, mods = bar.kmodule.gens.labels(), bimodule.kmodule.gens.labels()
+        bar_deg, m_deg = bar.kmodule.gens.degree, bimodule.kmodule.gens.degree
         sdeg = alg.gens.degree
         unit = alg.unit
-        # each bar generator's tag, once: "z" on the canonical basis, "a" off it
-        tag = {beta: "z" if beta[0] == unit and beta[2] == unit else "a" for beta in bg.labels()}
         xs = [x for x in alg.gens.labels() if x != unit]  # the unit relations vanish identically
+        # the tagged label (tag, (bars[i], mods[j])) sits at position i * nm + j,
+        # tagged "z" on the canonical basis, "a" off it
+        nm = len(mods)
+        tags = ["z" if beta[0] == unit and beta[2] == unit else "a" for beta in bars]
+        rank, ordered = repr_ranks([(t, (beta, vm)) for t, beta in zip(tags, bars) for vm in mods])
+        bar_at = {beta: i * nm for i, beta in enumerate(bars)}
+        m_at = {vm: j for j, vm in enumerate(mods)}
+
+        def bar_pairs(col):  # (position i * nm of each bar generator, coefficient)
+            return [(bar_at[b2], c) for (_1, b2), c in col.items()]
+
+        def m_pairs(col):  # (position j of each module generator, coefficient)
+            return [(m_at[vm2], c) for (_1, vm2), c in col.items()]
 
         elim = _Eliminator()
-        keys, key_of = elim._keys, elim._key
         self._relation_count = 0
 
-        def row(beta, vm, bar_col, m_col, negate):
-            """bar_col (x) vm + (-1)^negate beta (x) m_col, keyed by the
-            eliminator's repr key of each tagged label (``_Eliminator._key``).
-            The columns hold no zero and no integral Fraction, and over Q
-            the labels of each part are distinct, so only a sum at a label
-            of both parts is dropped or turned into int."""
-            out = {}
-            for (_1, b2), c in bar_col.items():
-                label = (tag[b2], (b2, vm))
-                out[keys.get(label) or key_of(label)] = c
-            for (_1, vm2), c in m_col.items():
-                label = (tag[beta], (beta, vm2))
-                key = keys.get(label) or key_of(label)
+        def row(i, j, bar_col, m_col, negate):
+            """bar_col (x) mods[j] + (-1)^negate bars[i] (x) m_col, keyed by
+            the rank of each tagged label.  The columns hold no zero and no
+            integral Fraction, and over Q the labels of each part are
+            distinct, so only a sum at a label of both parts is dropped or
+            turned into int."""
+            out, offset = {}, i * nm
+            for o2, c in bar_col:
+                out[rank[o2 + j]] = c
+            for j2, c in m_col:
+                key = rank[offset + j2]
                 c = out.get(key, 0) + (-c if negate else c)
                 if c:
                     out[key] = c.numerator if c.denominator == 1 else c
@@ -468,50 +481,56 @@ class ClassicalHochschild:
                     del out[key]
             return out
 
-        def relate(witness, bar_col, m_col, negate):
+        def relate(kind, x, i, j, bar_col, m_col, negate):
             """Insert one relation row; it must not reduce onto the basis."""
-            if relation := row(*witness[2:], bar_col, m_col, negate):
+            if relation := row(i, j, bar_col, m_col, negate):
                 self._relation_count += 1
                 rrow = elim._insert(relation)
-                if rrow and elim._labels[min(rrow)][0] == "z":
-                    raise CertificateError("relation span hit the basis", (witness, {
-                        k: c for (_, k), c in elim._labelled(rrow).items()}))
+                if rrow and ordered[min(rrow)][0] == "z":
+                    raise CertificateError("relation span hit the basis", (
+                        (kind, x, bars[i], mods[j]), {ordered[k][1]: c for k, c in rrow.items()}))
 
-        m_cols = {vm: [(x, bimodule.mu_word(0, 1, (vm, x)), bimodule.mu_word(1, 0, (x, vm)))
-                       for x in xs] for vm in mg.labels()}
-        for beta in bg.labels():
-            beta_deg = bg.degree[beta]
-            b_cols = [(bar.mu_word(1, 0, (x, beta)), bar.mu_word(0, 1, (beta, x))) for x in xs]
-            for vm, cols in m_cols.items():
-                m_deg = mg.degree[vm]
+        m_cols = [[(x, m_pairs(bimodule.mu_word(0, 1, (vm, x))),
+                    m_pairs(bimodule.mu_word(1, 0, (x, vm)))) for x in xs] for vm in mods]
+        for i, beta in enumerate(bars):
+            beta_deg = bar_deg[beta]
+            b_cols = [(bar_pairs(bar.mu_word(1, 0, (x, beta))),
+                       bar_pairs(bar.mu_word(0, 1, (beta, x)))) for x in xs]
+            for j, cols in enumerate(m_cols):
+                vm_deg = m_deg[mods[j]]
                 for (x, right_m, left_m), (left_b, right_b) in zip(cols, b_cols):
                     # u1 subtracts with the sign (-1)^exp, u2 with (-1)^{|beta| + 1}
-                    exp = (sdeg[x] + 1) * (beta_deg + m_deg) + m_deg + 1
-                    relate(("u1", x, beta, vm), left_b, right_m, not exp % 2)
-                    relate(("u2", x, beta, vm), right_b, left_m, beta_deg % 2)
+                    exp = (sdeg[x] + 1) * (beta_deg + vm_deg) + vm_deg + 1
+                    relate("u1", x, i, j, left_b, right_m, not exp % 2)
+                    relate("u2", x, i, j, right_b, left_m, beta_deg % 2)
 
-        def quotient_d(beta, vm):
+        def quotient_d(i, j, beta, vm):
             """D(beta (x) vm) in the quotient, on the canonical basis."""
-            rem = elim._reduce(row(beta, vm, int_first(bar.mu_word(0, 0, (beta,))),
-                                   int_first(bimodule.mu_word(0, 0, (vm,))),
-                                   bg.degree[beta] % 2))
-            rem = elim._labelled(rem)
-            residue = {k: c for (kind, k), c in rem.items() if kind != "z"}
+            rem = elim._reduce(row(i, j, bar_pairs(int_first(bar.mu_word(0, 0, (beta,)))),
+                                   m_pairs(int_first(bimodule.mu_word(0, 0, (vm,)))),
+                                   bar_deg[beta] % 2))
+            col, residue = {}, {}
+            for k, c in rem.items():
+                kind, (b2, vm2) = ordered[k]
+                if kind == "z":
+                    col[(u, vm2, b2[1])] = c
+                else:
+                    residue[(b2, vm2)] = c
             if residue:
                 raise CertificateError("balanced reduction left a residue", ((beta, vm), residue))
-            return {(u, vm2, ys): c for (_tag, ((_vb, ys, _vb2), vm2)), c in rem.items()}
+            return col
 
         # the shifted presentation sR (x)~_R sR is s^2 times the classical
         # two-sided bar; the +2 undoes that relabeling so the quotient lands
         # on M (x) (sR)^{(x)n} with its natural degrees
         basis, entries = [], {}
-        for beta in bg.labels():
-            if tag[beta] == "z":
-                for vm in mg.labels():
-                    basis.append(((u, vm, beta[1]), bg.degree[beta] + 2 + mg.degree[vm]))
-                    if col := quotient_d(beta, vm):
+        for i, (beta, t) in enumerate(zip(bars, tags)):
+            if t == "z":
+                for j, vm in enumerate(mods):
+                    basis.append(((u, vm, beta[1]), bar_deg[beta] + 2 + m_deg[vm]))
+                    if col := quotient_d(i, j, beta, vm):
                         entries[(u, vm, beta[1])] = col
-        del bar, elim, m_cols
+        del bar, elim, m_cols, rank, ordered
         self.space = GradedSpace(basis)
         self.d = GradedMap(self.space, self.space, 1, entries)
         self.complex = Complex(self.space, self.d)

@@ -1,11 +1,11 @@
 """The classical comparison oracle and the bar it is built on, bit for bit.
 
 ``ClassicalHochschild`` reads each structure map once per generator pair
-and inserts its relation rows keyed by tagged label; ``tensor_inf`` reads
-the factors' arities grouped by side.  These tests pin, as ordered
-digests taken before either change, the oracle's differential and its
-relation count, and the tables and differential of three infinity tensor
-products.  Coefficients go in by repr and keys in insertion order, so a
+and inserts its relation rows keyed by the least-repr rank of each tagged
+label; ``tensor_inf`` reads the factors' arities grouped by side and each
+prefix degree once.  These tests pin, as ordered digests taken before
+these changes, the oracle's differential and its relation count, and the
+tables and differential of three infinity tensor products.  Coefficients go in by repr and keys in insertion order, so a
 change to the relation order, to the eliminator's pivots or to the bar's
 column order shows here even where homology and every certificate agree.
 """

@@ -40,6 +40,7 @@ from hochtrace.grdlin import (
     homology_window,
     int_first,
     kernel_basis,
+    repr_ranks,
     solve,
     sparse_rank,
     vec_add,
@@ -128,6 +129,11 @@ def repr_keyed(elim, row):
     return {elim._key(label): c for label, c in int_first(row).items()}
 
 
+def labelled(elim, row):
+    """A repr-keyed row keyed by label again."""
+    return {elim._labels[key]: c for key, c in row.items()}
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_pivots_are_normalized_in_repr_order(matrix):
@@ -137,7 +143,7 @@ def test_pivots_are_normalized_in_repr_order(matrix):
         elim._insert(repr_keyed(elim, row))
     # the pivot dict is keyed by repr; read each pivot row back by label
     for key, row in elim.pivots.items():
-        col, row = elim._labels[key], elim._labelled(row)
+        col, row = elim._labels[key], labelled(elim, row)
         assert row[col] == 1
         assert col == min(row, key=repr)
 
@@ -211,18 +217,26 @@ def assert_int_when_integral(vec):
 @given(matrices(), st.data())
 def test_repr_keys_match_the_label_keyed_loop(matrix, data):
     cols, rows = matrix
-    ref, elim = LabelEliminator(), _Eliminator()
+    ref, elim, by_rank = LabelEliminator(), _Eliminator(), _Eliminator()
+    # rows keyed by least-repr rank, as hoch.ClassicalHochschild writes them
+    ranks, ordered = repr_ranks(cols)
+    rank = dict(zip(cols, ranks))
     kernel = []
     for i, r in enumerate(rows):
         want = ref.insert(r, {i: 1})
         got = elim._insert(repr_keyed(elim, r))
-        assert exact(elim._labelled(got)) == exact(want[0])
+        assert exact(labelled(elim, got)) == exact(want[0])
+        got = by_rank._insert({rank[label]: c for label, c in int_first(r).items()})
+        assert exact({ordered[k]: c for k, c in got.items()}) == exact(want[0])
         if not want[0]:
             kernel.append(want[1])
     # the same pivots, in insertion order, with the same normalized rows
     assert [elim._labels[key] for key in elim.pivots] == list(ref.pivots)
+    assert [ordered[k] for k in by_rank.pivots] == list(ref.pivots)
     for key, row in elim.pivots.items():
-        assert exact(elim._labelled(row)) == exact(ref.pivots[elim._labels[key]][0])
+        assert exact(labelled(elim, row)) == exact(ref.pivots[elim._labels[key]][0])
+    for k, row in by_rank.pivots.items():
+        assert exact({ordered[j]: c for j, c in row.items()}) == exact(ref.pivots[ordered[k]][0])
     # the kernel pass: the same rank, kernel combos and solution in value,
     # every integral coefficient an int, whatever its pivot order
     assert sparse_rank(rows) == len(ref.pivots)
@@ -252,6 +266,10 @@ def test_labels_sharing_a_repr_raise():
     elim._key(first)
     with pytest.raises(ValueError, match="share the repr"):
         elim._key(second)
+    # so does a rank table that holds both, and only one of them ranks alone
+    with pytest.raises(ValueError, match="share the repr"):
+        repr_ranks([("a", 1), first, ("b", 2), second])
+    assert repr_ranks([("b", 2), first, ("a", 1)]) == ([1, 2, 0], [("a", 1), ("b", 2), first])
     # equal labels built apart are one column
     elim = _Eliminator()
     elim._insert({elim._key(("x", (1, "y"))): 2})

@@ -66,7 +66,7 @@ def test_a_non_unit_pivot_builds_a_fraction():
     elim._insert({elim._key("a"): 3, elim._key("b"): 1})
     # the pivot dict is keyed by repr; read it back by label
     (key, row), = elim.pivots.items()
-    row = elim._labelled(row)
+    row = {elim._labels[k]: c for k, c in row.items()}
     assert elim._labels[key] == "a"
     assert row == {"a": 1, "b": Fraction(1, 3)}
     assert type(row["a"]) is int and type(row["b"]) is Fraction
@@ -75,7 +75,7 @@ def test_a_non_unit_pivot_builds_a_fraction():
     elim = _Eliminator()
     elim._insert({elim._key("a"): 2, elim._key("b"): 4})
     (_key, row), = elim.pivots.items()
-    row = elim._labelled(row)
+    row = {elim._labels[k]: c for k, c in row.items()}
     assert row == {"a": 1, "b": 2}
     assert [type(c) for c in (row["a"], row["b"])] == [int, int]
     # the kernel pass pivots on b, 4, and the combo of the second row

@@ -11,15 +11,23 @@ its first slots ask for, so it is only the width check that rejects it.
 
 The rows of ``test_a_bad_input_is_rejected`` each reach one more raise:
 an algebra with a structure map above its truncation arity, a complex
-whose differential is not a degree +1 endomap, and a classical comparison
-of two Hochschild complexes truncated at different degrees.
+whose differential is not a degree +1 endomap, a classical comparison
+of two Hochschild complexes truncated at different degrees, and an
+infinity tensor product whose factors do not share a middle algebra:
+one side without one, or two with different generators.
 """
 import re
 
 import pytest
 
 from hochtrace.ainf import AInfAlgebra, AInfMorphism, from_dga
-from hochtrace.bimod import AInfBimodule, BimoduleMap, diagonal_bimodule
+from hochtrace.bimod import (
+    AInfBimodule,
+    BimoduleMap,
+    diagonal_bimodule,
+    left_module_from_algebra,
+    tensor_inf,
+)
 from hochtrace.cdga import BaseCDGA, KAlgebra, cdga_as_kalgebra
 from hochtrace.fixtures import fixture_cdga, mu3_algebra
 from hochtrace.grdlin import Complex, GradedMap, GradedSpace
@@ -124,6 +132,14 @@ BAD_INPUTS = [
     # classical h = 2 against A-infinity h = 3
     pytest.param(_classical_against_a_longer_complex,
                  "the two complexes do not share a labeled basis", id="classical-basis"),
+    # a left module has no right algebra for the diagonal bimodule's left one
+    pytest.param(lambda: tensor_inf(left_module_from_algebra(mu3_algebra()),
+                                    diagonal_bimodule(mu3_algebra()), 1),
+                 "middle algebra mismatch", id="tensor-one-sided-middle"),
+    # mu3's generators 1, a, c against the dual numbers' 1, x
+    pytest.param(lambda: tensor_inf(diagonal_bimodule(mu3_algebra()), diagonal_bimodule(
+                     from_dga(cdga_as_kalgebra(fixture_cdga("dual")))), 1),
+                 "middle algebra mismatch", id="tensor-middle-generators"),
 ]
 
 

@@ -14,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from hochtrace import ainf, bimod, cdga, grdlin
+from hochtrace import ainf, bimod, cdga, grdlin, hoch
 from hochtrace.ainf import AInfAlgebra, check_stasheff, from_dga, unit_algebra
 from hochtrace.bimod import (
     AInfBimodule,
@@ -179,26 +179,27 @@ def test_the_counters_see_pair_evaluator_calls(pair_calls):
 
 def test_classical_hochschild_reads_each_structure_map_once_per_pair(monkeypatch):
     # per (beta, vm, x) relation pass the oracle read mu^B and mu^M again
-    # (11,742 mu_word calls, 2,862 in tensor_inf) and turned each of its
-    # 3,120 reduced relation rows back into labels (3,240 copies with the
-    # 120 quotient reductions)
+    # (11,742 mu_word calls, 2,862 in tensor_inf), and it keyed its 3,120
+    # relation rows by the repr of each tagged label, looked up per entry
     calls = Counter()
-    mu_word, labelled = AInfBimodule.mu_word, grdlin._Eliminator._labelled
+    mu_word = AInfBimodule.mu_word
 
     def counted_mu_word(self, l, r, word):
         calls["mu_word"] += 1
         return mu_word(self, l, r, word)
 
-    def counted_labelled(self, row):
-        calls["labelled"] += 1
-        return labelled(self, row)
+    def counted_repr(obj):
+        calls["repr"] += 1
+        return repr(obj)
 
     dga, _alg, diag = _cp2_classical()
     monkeypatch.setattr(AInfBimodule, "mu_word", counted_mu_word)
-    monkeypatch.setattr(grdlin._Eliminator, "_labelled", counted_labelled)
+    for module in (grdlin, hoch):
+        monkeypatch.setattr(module, "repr", counted_repr, raising=False)
     cl = classical_hh(dga, diag, 3)
     assert cl._relation_count == 3120
     # 2,862 in tensor_inf, 1,440 + 12 relation reads, 240 quotient reads
     assert calls["mu_word"] <= 4554
-    # one per quotient reduction, none per relation row
-    assert calls["labelled"] <= cl.space.dim == 120
+    # one repr per tagged label (tag, (beta, vm)): 360 bar generators times
+    # 3 module generators, none per relation row
+    assert calls["repr"] == 360 * 3 == 1080
