@@ -84,7 +84,7 @@ class AInfAlgebra:
         twist = {vs[0]: col for vs, col in self.mu.get(1, {}).items()}
         self.module = FreeKModule(base, gens, twist)
         arities = set(self.mu)
-        if self.module.d.entries:
+        if self.module.d.columns:
             arities.add(1)
         self.arities = tuple(sorted(arities))
 
@@ -92,12 +92,12 @@ class AInfAlgebra:
         """mu_n on a word of unit-coefficient generators, n = len(word):
         the stored column itself, {} where mu_n has none.
 
-        At n = 1 this is the module differential at (unit, v).  It equals
-        ``eval_mu`` of the (unit, v) pairs without building them; the
-        caller must not mutate the result.
+        At n = 1 this is d_gen[v], the module differential at (unit, v).
+        It equals ``eval_mu`` of the (unit, v) pairs without building them;
+        the caller must not mutate the result.
         """
         if len(word) == 1:
-            return self.module.d.entries.get((self.base.unit, word[0]), {})
+            return self.module.d_gen.get(word[0], {})
         table = self.mu.get(len(word))
         return table.get(word, {}) if table else {}
 

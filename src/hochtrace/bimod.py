@@ -77,7 +77,7 @@ class AInfBimodule:
         self.tables = store_tables(tables, self.slot_degrees, 1, self.base,
                                    kmodule.gens.degree)
         arities = set(self.tables)
-        if kmodule.d.entries:
+        if kmodule.d.columns:
             arities.add((0, 0))
         self.arities = tuple(sorted(arities))
 
@@ -105,12 +105,12 @@ class AInfBimodule:
         """mu_{l,r} on a word of l + 1 + r unit-coefficient generators: the
         stored column itself, {} where mu_{l,r} has none.
 
-        At (0, 0) this is the module differential at (unit, m).  It equals
-        ``eval`` of the (unit, v) pairs without building them; the caller
-        must not mutate the result.
+        At (0, 0) this is d_gen[m], the module differential at (unit, m).
+        It equals ``eval`` of the (unit, v) pairs without building them;
+        the caller must not mutate the result.
         """
         if (l, r) == (0, 0):
-            return self.kmodule.d.entries.get((self.base.unit, word[0]), {})
+            return self.kmodule.d_gen.get(word[0], {})
         table = self.tables.get((l, r))
         return table.get(word, {}) if table else {}
 

@@ -135,7 +135,7 @@ def leibniz_column(base: BaseCDGA, b, tail, unit_column) -> dict:
     d_k b entries come first; for b = unit (d_k unit = 0) this is
     ``unit_column`` itself: read it, never mutate it."""
     column = times_base(base, b, unit_column, base.degree(b) % 2)
-    db = base.d.entries.get(b)
+    db = base.d.column(b)
     if not db:
         return column
     return vec_add({(b2,) + tail: c for b2, c in db.items()}, column)

@@ -3,7 +3,10 @@
 Graded vector spaces with named basis elements, sparse graded maps,
 cochain complexes (differentials of degree +1, d*d = 0 asserted on
 construction), Koszul signs for permutations of graded tensor factors,
-and windowed homology by exact Gaussian elimination.
+and windowed homology by exact Gaussian elimination.  Maps keep their
+columns on basis positions, so the d^2 and chain-map checks, composition
+and elimination hash no label; labels appear only at the boundary:
+label input, ``column``, ``__call__``, ``entries`` and every witness.
 
 Coefficients are exact rationals, and an integral coefficient is a
 Python int: ``ONE`` is the int 1, structure tables are stored through
@@ -16,15 +19,15 @@ integral coefficient of a kernel combo, is stored as int.
 Elimination has two engines, one per kind of output:
 - ``_kernel_pass`` answers what does not depend on the pivot order: the
   kernel combos and the greedy independent columns.  It keys rows by
-  target index and pivots on the latest target.  The kernel of every
+  target position and pivots on the latest target.  The kernel of every
   ``Complex`` block, ``kernel_basis``, ``solve`` and ``sparse_rank`` run
   through it, the last three with labels indexed by first appearance
   (``sparse_rank``, and ``solve`` to find its rows, with no combos);
 - the least-repr ``_Eliminator`` serves where a lead set is the output:
   the boundary echelon of a ``Complex`` block (``_echelon``) and
   ``hoch.ClassicalHochschild``.  It pivots on the least-repr label, with
-  rows keyed by the repr string of each label (``_echelon``) or by its
-  rank in a ``repr_ranks`` table (the oracle).
+  rows keyed by the repr string of each label, taken once per target
+  (``_echelon``), or by its rank in a ``repr_ranks`` table (the oracle).
 Each degree block d^t of a ``Complex`` is eliminated once per complex,
 upward from its lowest degree, and cached on it, read-only.  The
 elimination clears (Chen-Kerber): a column whose label leads a boundary
@@ -53,6 +56,7 @@ carry no signs themselves; all signs live in maps and permutations.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 
@@ -65,47 +69,63 @@ class GradedSpace:
     """A finite graded Q-vector space with a named homogeneous basis.
 
     ``basis`` is a sequence of (label, degree) pairs.  Labels must be
-    hashable and unique; tuples of labels are used for tensor bases.
+    hashable and unique; tuples of labels are used for tensor bases.  A
+    label's position is its place in ``basis`` (``position``, ``label_at``,
+    ``degree_at``, ``positions_by_degree``); spaces are equal when their
+    bases are, in order, so equal spaces share their positions.
     """
 
-    __slots__ = ("basis", "degree", "by_degree")
+    __slots__ = ("basis", "degree", "position", "label_at", "degree_at", "positions_by_degree")
 
     def __init__(self, basis):
         self.basis = basis = tuple([(label, int(deg)) for label, deg in basis])
-        self.degree = dict(basis)
-        if len(self.degree) != len(basis):  # name the first repeat, scanning in order
+        self.label_at = labels = [label for label, _ in basis]
+        self.degree_at = [deg for _, deg in basis]
+        self.position = dict(zip(labels, range(len(labels))))
+        if len(self.position) != len(basis):  # name the first repeat, scanning in order
             seen = set()
-            label = next(label for label, _ in basis if label in seen or seen.add(label))
+            label = next(label for label in labels if label in seen or seen.add(label))
             raise ValueError(f"duplicate basis label {label!r}")
-        self.by_degree = by_degree = {deg: [] for deg in self.degree.values()}
-        for label, deg in basis:
-            by_degree[deg].append(label)
+        self.degree = dict(basis)
+        self.positions_by_degree = blocks = {}
+        for p, deg in zip(self.position.values(), self.degree_at):  # one int object per position
+            blocks.setdefault(deg, []).append(p)
 
     @property
     def dim(self):
         return len(self.basis)
 
+    @property
+    def by_degree(self):
+        """The labels of each degree, in basis order, built on each read."""
+        labels = self.label_at
+        return {deg: [labels[p] for p in block] for deg, block in self.positions_by_degree.items()}
+
     def labels(self):
-        return [label for label, _ in self.basis]
+        return list(self.label_at)
 
     def dim_in_degree(self, t):
-        return len(self.by_degree.get(t, ()))
+        return len(self.positions_by_degree.get(t, ()))
 
     def degrees(self):
-        return sorted(self.by_degree)
+        return sorted(self.positions_by_degree)
 
     def __contains__(self, label):
-        return label in self.degree
+        return label in self.position
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, GradedSpace)
-                                 and set(self.basis) == set(other.basis))
+        return self is other or (isinstance(other, GradedSpace) and self.basis == other.basis)
 
     def __hash__(self):
-        return hash(frozenset(self.basis))
+        return hash(self.basis)
 
     def __repr__(self):
         return f"GradedSpace(dim={self.dim}, degrees={self.degrees()})"
+
+    def named(self, vec: dict) -> dict:
+        """A vector keyed by position, keyed by label in the same order."""
+        labels = self.label_at
+        return {labels[i]: c for i, c in vec.items()}
 
     def shifted(self, n=1):
         """s^n: same labels, degrees lowered by n (cohomological shift by -n)."""
@@ -158,53 +178,70 @@ def vec_add_term(target: dict, label, c):
 
 
 class GradedMap:
-    """A degree-homogeneous linear map given by sparse columns.
+    """A degree-homogeneous linear map, its sparse columns on basis positions.
 
-    ``entries[src_label]`` is a dict target_label -> coefficient, kept as
-    given with zeros dropped: an int for every integral coefficient, a
-    Fraction only where elimination divided by a non-unit pivot.  Every
-    entry must raise degrees by exactly ``degree``.
+    ``columns[i]`` is the column of source position i, a dict target
+    position -> coefficient in the order given, zeros dropped: an int for
+    every integral coefficient, a Fraction only where elimination divided
+    by a non-unit pivot.  Every entry must raise degrees by ``degree``.
 
-    The map takes the caller's column dicts: one pass scans each column
-    for zeros and checks its degrees, and only a column holding a zero is
-    copied.  A caller must not mutate a column after handing it over.
+    The constructor takes label-keyed columns and looks each label up
+    once; ``on_positions`` takes int columns and keeps the caller's dicts
+    (a caller must not mutate one after).  Labels appear only at the
+    boundary: ``column``, ``__call__`` and the ``entries`` view.
     """
 
-    __slots__ = ("source", "target", "degree", "entries")
+    __slots__ = ("source", "target", "degree", "columns")
 
     def __init__(self, source, target, degree, entries):
-        self.source = source
-        self.target = target
+        position, at = source.position, target.position
+        self._store(source, target, degree, {position[v]: {at[w]: c for w, c in col.items() if c}
+                                             for v, col in entries.items() if col})
+
+    @classmethod
+    def on_positions(cls, source, target, degree, columns):
+        f = cls.__new__(cls)
+        f._store(source, target, degree, columns)
+        return f
+
+    def _store(self, source, target, degree, columns):
+        """Keep the nonzero columns; ValueError names an entry off degree."""
+        self.source, self.target = source, target
         self.degree = degree = int(degree)
-        self.entries = kept = {}
-        target_degree = target.degree
-        for v, col in entries.items():
+        self.columns = kept = {}
+        source_degree, target_degree = source.degree_at, target.degree_at
+        for i, col in columns.items():
             if not all(col.values()):
-                col = {w: c for w, c in col.items() if c}
-            if not col:
-                continue
-            dw = source.degree[v] + degree
-            for w in col:
-                if target_degree[w] != dw:
-                    raise ValueError(f"entry {v!r} -> {w!r} violates degree {degree}")
-            kept[v] = col
+                col = {j: c for j, c in col.items() if c}
+            if col:
+                dw = source_degree[i] + degree
+                for j in col:
+                    if target_degree[j] != dw:
+                        raise ValueError(f"entry {source.label_at[i]!r} -> "
+                                         f"{target.label_at[j]!r} violates degree {degree}")
+                kept[i] = col
 
     @classmethod
     def zero(cls, source, target, degree=0):
-        return cls(source, target, degree, {})
+        return cls.on_positions(source, target, degree, {})
 
     @classmethod
     def identity(cls, space):
-        return cls(space, space, 0, {v: {v: ONE} for v in space.labels()})
+        return cls.on_positions(space, space, 0, {i: {i: ONE} for i in range(space.dim)})
 
-    def __call__(self, vec: dict) -> dict:
-        """The image of vec, accumulated as ``vec_add`` would: a sum that
-        reaches zero drops its label, and a zero coefficient in vec adds
-        nothing and raises nothing."""
+    @property
+    def entries(self) -> Mapping:
+        """The columns keyed by label: a read-only view, in stored order."""
+        return _Entries(self)
+
+    def _image(self, vec: dict) -> dict:
+        """The image of a vector on positions, accumulated as ``vec_add``
+        would: a sum that reaches zero drops its key, and a zero
+        coefficient in vec adds nothing and raises nothing."""
         out = {}
-        entries, get = self.entries, out.get
+        columns, get = self.columns, out.get
         for v, c in vec.items():
-            col = entries.get(v)
+            col = columns.get(v)
             if col:
                 for w, x in col.items():
                     value = get(w, 0) + c * x
@@ -214,66 +251,80 @@ class GradedMap:
                         out.pop(w, None)
         return out
 
+    def __call__(self, vec: dict) -> dict:
+        """The image of a label-keyed vector; a label outside the source adds nothing."""
+        position = self.source.position
+        return self.target.named(self._image(
+            {i: c for v, c in vec.items() if (i := position.get(v)) is not None}))
+
     def column(self, v) -> dict:
-        return dict(self.entries.get(v, {}))
+        col = self.columns.get(self.source.position.get(v))
+        return self.target.named(col) if col else {}
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self o other."""
         if other.target != self.source:
             raise ValueError("composition mismatch")
-        entries = {}
-        for v in other.entries:
-            col = self(other.entries[v])
-            if col:
-                entries[v] = col
-        return GradedMap(other.source, self.target, self.degree + other.degree,
-                         entries)
+        return GradedMap.on_positions(other.source, self.target, self.degree + other.degree,
+                                      {i: self._image(c) for i, c in other.columns.items()})
 
     def __add__(self, other):
         if (self.source, self.target, self.degree) != (
                 other.source, other.target, other.degree):
             raise ValueError("sum mismatch")
-        entries = {v: dict(col) for v, col in self.entries.items()}
-        for v, col in other.entries.items():
-            vec_add(entries.setdefault(v, {}), col)
-        return GradedMap(self.source, self.target, self.degree, entries)
+        columns = {i: dict(col) for i, col in self.columns.items()}
+        for i, col in other.columns.items():
+            vec_add(columns.setdefault(i, {}), col)
+        return GradedMap.on_positions(self.source, self.target, self.degree, columns)
 
     def scale(self, coeff):
-        return GradedMap(self.source, self.target, self.degree,
-                         {v: {w: coeff * c for w, c in col.items()}
-                          for v, col in self.entries.items()})
+        return GradedMap.on_positions(self.source, self.target, self.degree,
+                                      {i: {j: coeff * c for j, c in col.items()}
+                                       for i, col in self.columns.items()})
 
     def __eq__(self, other):
         return (isinstance(other, GradedMap)
                 and self.source == other.source and self.target == other.target
-                and self.degree == other.degree and self.entries == other.entries)
+                and self.degree == other.degree and self.columns == other.columns)
 
     def __repr__(self):
         return (f"GradedMap(degree={self.degree}, "
-                f"{self.source.dim}->{self.target.dim}, nnz={sum(len(c) for c in self.entries.values())})")
+                f"{self.source.dim}->{self.target.dim}, nnz={sum(len(c) for c in self.columns.values())})")
+
+
+class _Entries(Mapping):
+    """A map's columns keyed by label, read-only and in stored order; a
+    column is turned into labels each time it is read."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __getitem__(self, v):
+        return self.f.target.named(self.f.columns[self.f.source.position[v]])
+
+    def get(self, v, default=None):  # with no KeyError per empty column, as Mapping.get has
+        return self.f.column(v) or default
+
+    def __iter__(self):
+        return map(self.f.source.label_at.__getitem__, self.f.columns)
+
+    def __len__(self):
+        return len(self.f.columns)
 
 
 def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
-    """f (x) g with the Koszul rule: (f(x)g)(x(x)y) = (-1)^{|g||x|} f(x)(x)g(y)."""
+    """f (x) g with the Koszul rule: (f(x)g)(x(x)y) = (-1)^{|g||x|} f(x)(x)g(y);
+    (x, y) sits at position x * dim + y of its tensor space."""
     source = tensor_space(f.source, g.source)
     target = tensor_space(f.target, g.target)
-    degree = f.degree + g.degree
-    entries = {}
-    for x in f.source.labels():
-        fx = f.entries.get(x)
-        if not fx:
-            continue
-        sign = -ONE if (g.degree * f.source.degree[x]) % 2 else ONE
-        for y in g.source.labels():
-            gy = g.entries.get(y)
-            if not gy:
-                continue
-            col = {}
-            for xv, xc in fx.items():
-                for yv, yc in gy.items():
-                    col[(xv, yv)] = sign * xc * yc
-            entries[(x, y)] = col
-    return GradedMap(source, target, degree, entries)
+    n_source, n_target = g.source.dim, g.target.dim
+    columns = {}
+    for x, fx in sorted(f.columns.items()):  # in basis order
+        sign = -ONE if (g.degree * f.source.degree_at[x]) % 2 else ONE
+        for y, gy in sorted(g.columns.items()):
+            columns[x * n_source + y] = {xv * n_target + yv: sign * xc * yc
+                                         for xv, xc in fx.items() for yv, yc in gy.items()}
+    return GradedMap.on_positions(source, target, f.degree + g.degree, columns)
 
 
 def permute(perm, items):
@@ -295,13 +346,8 @@ def koszul_sign(perm, degrees) -> int:
     degrees = list(degrees)
     if len(degrees) != len(perm):
         raise ValueError("degree list does not match permutation size")
-    exponent = 0
-    for i in range(len(perm)):
-        if degrees[i] % 2 == 0:
-            continue
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j] and degrees[j] % 2:
-                exponent += 1
+    odd = [i for i, deg in enumerate(degrees) if deg % 2]
+    exponent = sum(perm[i] > perm[j] for i, j in combinations(odd, 2))
     return -1 if exponent % 2 else 1
 
 
@@ -332,9 +378,9 @@ def rotation_parities(degrees):
 class Complex:
     """A cochain complex: graded space plus a degree +1 differential.
 
-    d o d = 0 is asserted on construction, one column d(d(v)) at a time;
-    a failure raises CertificateError("d*d != 0") with witness (the first
-    label v in ``d.entries`` order, its d*d column).
+    d o d = 0 is asserted on construction, one column d(d(v)) at a time on
+    positions; a failure raises CertificateError("d*d != 0") with witness
+    (the first label v in column order, its d*d column keyed by label).
 
     Each degree block d^t is eliminated at most once per complex, when
     ``homology_window`` or ``HomologyBasis`` first needs it.  Blocks are
@@ -347,12 +393,12 @@ class Complex:
     kernel combos span a complement of the boundaries in the cycles, one
     combo per class of H^t.
 
-    A block takes two passes, ``_kernel_pass`` and ``_echelon``:
+    A block takes two passes, ``_kernel_pass`` and ``_echelon``, both on
+    the int columns of d, so no label is hashed:
     - the kernel pass puts the uncleared columns in, in basis order, each
-      with the combo {i: 1}, keyed by the position of each target in
-      ``space.by_degree[t + 1]`` and pivoting on the greatest.  The
-      columns that do not reduce to zero are the independent set P, the
-      greedy basis in insertion order, whatever the pivot order; and a
+      column i with the combo {i: 1} and pivoting on its latest target.
+      The columns that do not reduce to zero are the independent set P,
+      the greedy basis in insertion order, whatever the pivot order; and a
       column i that reduces to zero has exactly one combo of the form
       e_i - sum_{j in P, j < i} a_j e_j, since the columns of P are
       independent.  So the kernel combos are those of any elimination in
@@ -362,15 +408,12 @@ class Complex:
       least-repr lead set of a subspace does not depend on the rows that
       span it, so the cleared labels of block t+1, the representatives,
       their coordinates and every window are those of a single
-      least-repr pass.
-    Both passes key rows by target index, so a label is hashed once per
-    entry, as one pass did; block t+1 skips its cleared columns by index.
+      least-repr pass.  It takes each target's repr once.
     The complex keeps that eliminator (rank d^t is the number of its
-    pivots), the kernel combos over the indices of ``space.by_degree[t]``
-    and the indices of the leads in ``space.by_degree[t + 1]``.  The
-    cache is read-only once filled, so ``d`` must not change after the
-    first use.  ``HomologyBasis`` reads coordinates off the kernel combos
-    and the leads of block t-1.
+    pivots), the kernel combos and {position of each lead: its repr key}.
+    The cache is read-only once filled, so ``d`` must not change after
+    the first use.  ``HomologyBasis`` reads coordinates off the kernel
+    combos and the leads of block t-1.
     """
 
     __slots__ = ("space", "d", "_blocks")
@@ -383,67 +426,62 @@ class Complex:
         self.space = space
         self.d = d
         self._blocks = {}
-        for v, col in d.entries.items():
-            ddv = d(col)
-            if ddv:
-                raise CertificateError("d*d != 0", (v, ddv))
+        image = d._image
+        for v, col in d.columns.items():
+            if ddv := image(col):
+                raise CertificateError("d*d != 0", (space.label_at[v], space.named(ddv)))
 
     def __repr__(self):
         return f"Complex(dim={self.space.dim}, degrees={self.space.degrees()})"
 
     def _block(self, t):
         """(least-repr eliminator of the independent columns of d^t, the
-        kernel combos of its uncleared columns, the indices of its leads
-        in ``space.by_degree[t + 1]``: the labels block t+1 clears),
+        kernel combos of its uncleared columns, the positions of its leads:
+        the labels block t+1 clears),
         cached; every uncached block from the lowest degree of the space
         up to t is filled first."""
         blocks = self._blocks
         block = blocks.get(t)
         if block is None:
             start = t
-            lowest = min(self.space.by_degree, default=t)
+            lowest = min(self.space.positions_by_degree, default=t)
             while start > lowest and start - 1 not in blocks:
                 start -= 1
-            entries, by_degree = self.d.entries, self.space.by_degree
+            space, columns = self.space, self.d.columns
             for s in range(start, t + 1):
                 below = blocks.get(s - 1)
-                targets = by_degree.get(s + 1, ())
                 kernel, independent = _kernel_pass(
-                    by_degree.get(s, ()), below[2] if below else (), entries, targets)
-                boundaries, leads = _echelon(reversed(independent.values()), targets)
+                    space.positions_by_degree.get(s, ()), below[2] if below else (), columns)
+                boundaries, leads = _echelon(reversed(independent.values()), space)
                 block = blocks[s] = (boundaries, kernel, leads)
         return block
 
 
-def _kernel_pass(labels, cleared, entries, targets, track=True):
-    """(kernel combos, independent columns) of the columns entries[v] of
-    the labels v of ``labels`` whose index i is not in ``cleared``.
+def _kernel_pass(sources, cleared, columns, track=True):
+    """(kernel combos, independent columns) of the int columns columns[i]
+    of the positions i of ``sources`` not in ``cleared``.
 
-    The columns go in in order, each with the combo {i: 1} and keyed by
-    the index of each target in ``targets``; the pivot of a row is its
-    greatest index, the target latest in the basis.  An empty column goes
-    straight to the kernel.  A pivot row led by +-1 is stored as it is,
-    with that sign, any other normalized to lead 1.  Kernel combos are
-    int while no pivot has been normalized and every factor has been an
-    int; from then on each is stored through ``int_first``, so its
-    integral coefficients are int whatever the pivot order.  The
-    independent columns are returned as {i: column} in order, keyed by
-    target index, with the coefficients the columns hold; with ``track``
-    false every combo is left empty.  One loop, with no call per row or
-    per reduction step."""
-    position = {w: j for j, w in enumerate(targets)}
-    pivots = {}  # index of the leading target -> (row, combo, inverse of the lead)
+    The columns go in in order, each with the combo {i: 1}; the pivot of
+    a row is its greatest position, the target latest in the basis.  An
+    empty column goes straight to the kernel.  A pivot row led by +-1 is
+    stored as it is, with that sign, any other normalized to lead 1.
+    Kernel combos are int while no pivot has been normalized and every
+    factor has been an int; from then on each is stored through
+    ``int_first``, so its integral coefficients are int whatever the pivot
+    order.  The independent columns are returned as {i: column} in order,
+    the stored dicts themselves; with ``track`` false every combo is left
+    empty.  One loop, with no call per row or per reduction step."""
+    pivots = {}  # position of the leading target -> (row, combo, inverse of the lead)
     kernel, independent = [], {}
     exact = True  # no pivot normalized and every factor an int so far
-    for i, v in enumerate(labels):
+    for i in sources:
         if i in cleared:
             continue
-        col = entries.get(v)
+        col = columns.get(i)
         if not col:
             kernel.append({i: 1})
             continue
-        row = {position[w]: c for w, c in col.items()}
-        column = row.copy()
+        row = col.copy()
         combo = {i: 1} if track else {}
         while row:
             j = max(row)
@@ -455,7 +493,7 @@ def _kernel_pass(labels, cleared, entries, targets, track=True):
                 else:
                     pivots[j] = (_normalized(row, p), _normalized(combo, p), 1)
                     exact = False
-                independent[i] = column
+                independent[i] = col
                 break
             pivot_row, pivot_combo, inverse = hit
             factor = -inverse * row[j]
@@ -478,29 +516,28 @@ def _kernel_pass(labels, cleared, entries, targets, track=True):
     return kernel, independent
 
 
-def _echelon(rows, targets):
-    """(least-repr ``_Eliminator`` of rows keyed by index into ``targets``,
-    the indices of its leads), inserted in turn.
+def _echelon(rows, space):
+    """(least-repr ``_Eliminator`` of rows keyed by position in ``space``,
+    {position of each lead: its repr key}), inserted in turn.
 
-    Each target's repr is computed once, when a row first holds it, and
-    the pivots are those ``_Eliminator._insert`` would store from the
-    rows keyed by label.  One loop, with no call per row or per reduction
-    step."""
+    Each target's repr is taken once, through the space's labels, when a
+    row first holds it, and the pivots are those ``_Eliminator._insert``
+    would store from the rows keyed by label.  One loop, with no call per
+    row or per reduction step."""
     elim = _Eliminator()
-    keys, labels, pivots = elim._keys, elim._labels, elim.pivots
-    reprs = [None] * len(targets)
-    index = {}  # repr key -> index of its target
+    labels, pivots, position_of = elim._labels, elim.pivots, elim._position
+    label_at = space.label_at
+    reprs = {}  # target position -> repr key
     for column in rows:
         row = {}
         for j, c in column.items():
-            key = reprs[j]
+            key = reprs.get(j)
             if key is None:
-                w = targets[j]
+                w = label_at[j]
                 key = reprs[j] = repr(w)
                 if labels.setdefault(key, w) is not w:
                     elim._key(w)  # raises: another label holds the repr
-                keys[w] = key
-                index[key] = j
+                position_of[key] = j
             row[key] = c
         while row:
             col = min(row)
@@ -516,7 +553,7 @@ def _echelon(rows, targets):
                     row[k] = c
                 else:
                     del row[k]
-    return elim, {index[key] for key in pivots}
+    return elim, {position_of[key]: key for key in pivots}
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +565,10 @@ def _row_pass(rows, track=True):
     integral Fractions turned into int, each label indexed in order of
     first appearance, each kernel combo keyed by row index (and empty
     unless ``track``)."""
-    columns = dict(enumerate(map(int_first, rows)))
-    targets = list(dict.fromkeys(w for row in columns.values() for w in row))
-    return _kernel_pass(columns, (), columns, targets, track)
+    index = {}
+    columns = {i: {index.setdefault(w, len(index)): c for w, c in int_first(row).items()}
+               for i, row in enumerate(rows)}
+    return _kernel_pass(range(len(columns)), (), columns, track)
 
 
 def sparse_rank(rows) -> int:
@@ -565,29 +603,17 @@ def solve(rows, rhs):
 def dense_rank(matrix) -> int:
     """Rank by dense fraction elimination; independent oracle for sparse_rank."""
     m = [[Fraction(x) for x in row] for row in matrix]
-    if not m:
-        return 0
-    ncols = len(m[0])
     rank = 0
-    row_at = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(row_at, len(m)):
-            if m[r][col]:
-                pivot_row = r
-                break
+    for col in range(len(m[0]) if m else 0):
+        pivot_row = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot_row is None:
             continue
-        m[row_at], m[pivot_row] = m[pivot_row], m[row_at]
-        pivot = m[row_at][col]
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
         for r in range(len(m)):
-            if r != row_at and m[r][col]:
-                factor = m[r][col] / pivot
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row_at])]
-        row_at += 1
+            if r != rank and m[r][col]:
+                factor = m[r][col] / m[rank][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
         rank += 1
-        if row_at == len(m):
-            break
     return rank
 
 
@@ -626,19 +652,16 @@ class _Eliminator:
 
     def __init__(self):
         self.pivots = {}  # key of the leading label -> normalized row
-        self._keys = {}  # label -> repr(label)
         self._labels = {}  # repr(label) -> label
+        self._position = {}  # repr(label) -> position of the label (``_echelon``)
 
     def _key(self, label):
-        """The repr key of a label, computed once per label; ValueError
-        when another label already holds that repr."""
-        key = self._keys.get(label)
-        if key is None:
-            key = repr(label)
-            other = self._labels.setdefault(key, label)
-            if other is not label:
-                raise ValueError(f"labels {other!r} and {label!r} share the repr {key}")
-            self._keys[label] = key
+        """The repr key of a label; ValueError when another label already
+        holds that repr."""
+        key = repr(label)
+        other = self._labels.setdefault(key, label)
+        if other != label:
+            raise ValueError(f"labels {other!r} and {label!r} share the repr {key}")
         return key
 
     def _reduce(self, row):
@@ -671,12 +694,13 @@ class _Eliminator:
         return row
 
 
-def repr_ranks(labels):
+def repr_ranks(labels, keys=None):
     """(ranks, ordered) for a list of distinct labels: ``ordered`` is the
-    labels sorted by repr, and ranks[i] is the place of labels[i] in it.
-    An ``_Eliminator`` fed rows keyed by these ranks pivots as one fed the
+    labels sorted by repr (or by ``keys``, their reprs composed by the
+    caller), and ranks[i] is the place of labels[i] in it.  An
+    ``_Eliminator`` fed rows keyed by these ranks pivots as one fed the
     repr keys of the labels.  ValueError when two labels share a repr."""
-    keys = [repr(label) for label in labels]
+    keys = [repr(label) for label in labels] if keys is None else keys
     order = sorted(range(len(keys)), key=keys.__getitem__)
     for i, j in zip(order, order[1:]):
         if keys[i] == keys[j]:
@@ -708,32 +732,32 @@ class HomologyBasis:
     The representatives z_k are the kernel combos of the complex's cleared
     block d^t, in order: they span a complement of the boundaries in the
     cycles (see ``Complex``).  Coordinates are read off them by three facts:
-    - z_k has coefficient 1 at its own label, that of its index
+    - z_k has coefficient 1 at its own label, that of its position
       ``max(combo)``, and no other z_j holds it: a kernel combo holds
-      only its own index and indices of independent columns before it;
+      only its own position and those of independent columns before it;
     - no z_k holds a lead of a pivot row of block d^{t-1}, a cleared label;
     - every nonzero boundary holds such a lead, its least-repr label: the
       echelon pass of block t-1 pivots in least-repr order.
     Construction certifies the first two, which make the z_k independent
-    modulo the boundaries, on the indices of each combo against the lead
-    indices of block t-1, and raises CertificateError with witness z_k
+    modulo the boundaries, on the positions of each combo against the
+    lead positions of block t-1, and raises CertificateError with witness z_k
     where one fails.
     """
 
     def __init__(self, cx: Complex, t):
-        self._labels = labels = cx.space.by_degree.get(t, [])
+        self._space, self._t = cx.space, t
         self._cycles = cycles = cx._block(t)[1]
         self._boundaries, _kernel, self._leads = cx._block(t - 1)
         self._own = own = {max(combo): k for k, combo in enumerate(cycles)}
+        leads = self._leads.keys()
         self.representatives = []
         for combo in cycles:
-            z = {labels[i]: c for i, c in combo.items()}
+            z = cx.space.named(combo)
             if (combo[max(combo)] != 1 or len(own.keys() & combo.keys()) > 1
-                    or not self._leads.isdisjoint(combo)):
+                    or not leads.isdisjoint(combo)):
                 raise CertificateError(
                     "homology representative is not read off the cleared kernel", z)
             self.representatives.append(z)
-        self._position = {v: i for i, v in enumerate(labels)}
 
     @property
     def dim(self):
@@ -742,22 +766,22 @@ class HomologyBasis:
     def coords(self, vec: dict):
         """Homology coordinates of a cycle (boundaries project to zero): the
         residue of vec with the boundary leads cleared, least-repr lead
-        first, is sum a_k z_k, a_k its coefficient at the own index of z_k,
-        or vec is no cycle.  Worked on the indices of degree t."""
-        position, labels, leads = self._position, self._labels, self._leads
+        first, is sum a_k z_k, a_k its coefficient at the own position of z_k,
+        or vec is no cycle.  Worked on the positions of the space."""
+        position, degree_at, leads = self._space.position, self._space.degree_at, self._leads
         residue = {}
         for v, c in vec.items():
             if c:
-                if v not in position:
+                i = position.get(v)
+                if i is None or degree_at[i] != self._t:
                     raise ValueError("vector is not a cycle modulo boundaries")
-                residue[position[v]] = c
-        below = self._boundaries
-        keys, names, pivots = below._keys, below._labels, below.pivots
-        while hit := [(keys[labels[i]], i) for i in residue if i in leads]:
+                residue[i] = c
+        position_of, pivots = self._boundaries._position, self._boundaries.pivots
+        while hit := [(leads[i], i) for i in residue if i in leads]:
             key, i = min(hit)
             c = residue[i]
             for k, p in pivots[key].items():
-                vec_add_term(residue, position[names[k]], -c * p)
+                vec_add_term(residue, position_of[k], -c * p)
         own = self._own
         coords = int_first({own[i]: c for i, c in residue.items() if i in own})
         for k, c in coords.items():
@@ -776,13 +800,14 @@ def chain_map_witness(f: GradedMap, d_source: GradedMap, d_target: GradedMap):
     if d_source.target != f.source or f.target != d_target.source:
         raise ValueError("chain map and differentials do not share their spaces")
     sign = -1 if f.degree % 2 else 1
-    for v, _deg in f.source.basis:
-        col = f(d_source.entries.get(v, {}))
-        fv = f.entries.get(v)
+    image, columns, d_columns = f._image, f.columns, d_source.columns
+    for v in range(f.source.dim):
+        col = image(d_columns.get(v, {}))
+        fv = columns.get(v)
         if fv:
-            vec_add(col, d_target(fv), -sign)
+            vec_add(col, d_target._image(fv), -sign)
         if col:
-            return v, col
+            return f.source.label_at[v], f.target.named(col)
     return None
 
 

@@ -16,11 +16,11 @@ map, which looks each word up once per arity, and drops it once built.
 The complexes over the base R build their unit-coefficient columns alone
 and extend them over b by ``cdga.leibniz_column`` (``hh_algebra_induced_map``
 by ``cdga.times_base``).  ``HochschildComplex`` assembles basis and
-columns in one loop over the words.  Per word, the insertions (less
+int columns in one loop over the words.  Per word, the insertions (less
 those that output the unit when normalized) are summed once per parity
 of m, and each vm's unit column adds the rotated bimodule folds, read
 from one ``fold_table`` per construction with one lookup per word and
-(l, r).
+(l, r); a target's basis position is one lookup of its word away.
 
 ``ClassicalHochschild`` reads mu^M once per (vm, x), mu^B once per (beta,
 x) and each bar generator's tag once, and keys its relation rows by the
@@ -90,7 +90,7 @@ class HochschildComplex:
     ``normalized``: drop basis elements whose x-part contains s1.
     One loop over the words, with what does not depend on the word read
     once, appends each label (b, vm, xs), b outer and vm inner, with its
-    column: the unit column of (vm, xs) for b = unit (the unit case of
+    int column: the unit column of (vm, xs) for b = unit (the unit case of
     ``cdga.leibniz_column``), extended by ``leibniz_column`` for other b.
     """
 
@@ -115,49 +115,59 @@ class HochschildComplex:
         shapes = [(l, r, windows) for (l, r), windows in fold_table(bimodule).items()]
         x_degree, m_gens = algebra.gens.degree, bimodule.kmodule.gens
         modules = [(vm, m_gens.degree[vm]) for vm in m_gens.labels()]
-        parity_of = {vm: deg % 2 for vm, deg in modules}
-        parities = set(parity_of.values())
+        parity_of = [deg % 2 for _vm, deg in modules]
+        parities = set(parity_of)
         bases = [(b, base.degree(b)) for b in base.space.labels()]
+        # (c, vm, w) sits at word_start[w] + b_offset[c] + m_index[vm]; b_at
+        # names the c of each offset in a word, for the Leibniz rule
+        nm, width, m_index = len(modules), len(bases) * len(modules), m_gens.position
+        words = [xs for n in range(self.h_max + 1) for xs in product(gen_labels, repeat=n)]
+        word_start = {xs: k * width for k, xs in enumerate(words)}
+        b_offset = {b: i * nm for i, (b, _deg) in enumerate(bases)}
+        b_at = [b for b, _deg in bases for _vm in modules]
         basis, entries = [], {}
-        for n in range(0, self.h_max + 1):
-            for xs in product(gen_labels, repeat=n):
-                x_degrees = [x_degree[x] for x in xs]
-                deg_xs = sum(x_degrees) + self.shift
-                # (a) id^{1+r} (x) mu_s (x) id^t on the x-string, summed once
-                # per parity of m: mu moves past m, x_1..x_r with its
-                # coefficient c
-                inserted = {}
-                for p in parities:
-                    out = inserted[p] = {}
-                    for r, w, c, coeff, parity in terms(xs, p):
-                        if w[r] != skip:
-                            vec_add_term(out, (c, w), -coeff if parity else coeff)
-                columns = {vm: {(c, vm, w): coeff
-                                for (c, w), coeff in inserted[parity_of[vm]].items()}
-                           for vm, _deg in modules}
-                # (b) (mu_{l,r}^M (x) id^s) o t_{1+n}^l reads the window
-                # (xs[n-l:], vm, xs[:r]) and leaves xs[r:n-l]: one lookup per
-                # (l, r) for every vm, signed by the parity of rotation l
-                rotation = None
-                for l, r, windows in shapes:
-                    if l + r <= n and (found := windows.get((xs[n - l:], xs[:r]))):
-                        if rotation is None:
-                            rotation = {p: rotation_parities([p] + x_degrees) for p in parities}
-                        new_xs = xs[r:n - l]
-                        for vm, column in found:
-                            negate, out = rotation[parity_of[vm]][l], columns[vm]
-                            for (c, vm2), coeff in column.items():
-                                vec_add_term(out, (c, vm2, new_xs), -coeff if negate else coeff)
-                for b, deg_b in bases:
-                    for vm, deg_m in modules:
-                        label, column = (b, vm, xs), columns[vm]
-                        basis.append((label, deg_b + deg_m + deg_xs))
-                        if b != base.unit:
-                            column = leibniz_column(base, b, (vm, xs), column)
-                        if column:
-                            entries[label] = column
+        for xs, start in word_start.items():
+            n = len(xs)
+            x_degrees = [x_degree[x] for x in xs]
+            deg_xs = sum(x_degrees) + self.shift
+            # (a) id^{1+r} (x) mu_s (x) id^t on the x-string, summed once
+            # per parity of m: mu moves past m, x_1..x_r with its
+            # coefficient c
+            inserted = {}
+            for p in parities:
+                out = inserted[p] = {}
+                for r, w, c, coeff, parity in terms(xs, p):
+                    if w[r] != skip:
+                        vec_add_term(out, word_start[w] + b_offset[c], -coeff if parity else coeff)
+            columns = [{k + j: coeff for k, coeff in inserted[p].items()}
+                       for j, p in enumerate(parity_of)]
+            # (b) (mu_{l,r}^M (x) id^s) o t_{1+n}^l reads the window
+            # (xs[n-l:], vm, xs[:r]) and leaves xs[r:n-l]: one lookup per
+            # (l, r) for every vm, signed by the parity of rotation l
+            rotation = None
+            for l, r, windows in shapes:
+                if l + r <= n and (found := windows.get((xs[n - l:], xs[:r]))):
+                    if rotation is None:
+                        rotation = {p: rotation_parities([p] + x_degrees) for p in parities}
+                    new_start = word_start[xs[r:n - l]]
+                    for vm, column in found:
+                        j = m_index[vm]
+                        negate, out = rotation[parity_of[j]][l], columns[j]
+                        for (c, vm2), coeff in column.items():
+                            vec_add_term(out, new_start + b_offset[c] + m_index[vm2],
+                                         -coeff if negate else coeff)
+            for b, deg_b in bases:
+                for j, (vm, deg_m) in enumerate(modules):
+                    basis.append(((b, vm, xs), deg_b + deg_m + deg_xs))
+                    column = columns[j]
+                    if b != base.unit:  # on keys (c, position less c's offset)
+                        split = {(c, q - b_offset[c]): coeff for q, coeff in column.items()
+                                 for c in (b_at[q % width],)}
+                        column = {rest + b_offset[c]: coeff for (c, rest), coeff
+                                  in leibniz_column(base, b, (start + j,), split).items()}
+                    entries[start + b_offset[b] + j] = column
         self.space = GradedSpace(basis)
-        self.d = GradedMap(self.space, self.space, 1, entries)
+        self.d = GradedMap.on_positions(self.space, self.space, 1, entries)
         self.complex = Complex(self.space, self.d)
 
     def hochschild_degree(self, label):
@@ -175,9 +185,10 @@ class HochschildComplex:
                            for label, deg in self.bimodule.kmodule.total.basis)
 
     def coefficient_complex(self) -> Complex:
-        shifted_target = self._coefficient_space()
-        d = GradedMap(shifted_target, shifted_target, 1, self.bimodule.kmodule.d.entries)
-        return Complex(shifted_target, d)
+        """The module's complex shifted by ``shift``, its basis in order."""
+        shifted = self._coefficient_space()
+        d = GradedMap.on_positions(shifted, shifted, 1, self.bimodule.kmodule.d.columns)
+        return Complex(shifted, d)
 
     def __repr__(self):
         kind = "HH^n" if self.normalized else "HH"
@@ -242,10 +253,11 @@ def stabilized_normalization_report(algebra: AInfAlgebra, h_max, t_min, t_max) -
 def filtration_report(hh: HochschildComplex) -> Report:
     """The differential never raises the Hochschild degree."""
     report = Report("hochschild filtration")
+    labels = hh.space.label_at
     # the defect of an entry src -> tgt is the rise in Hochschild degree
     report.record_first_defect(
         "d does not raise the Hochschild degree",
-        ((src, tgt) for src, col in hh.d.entries.items() for tgt in col),
+        ((labels[src], labels[tgt]) for src, col in hh.d.columns.items() for tgt in col),
         lambda edge: max(0, hh.hochschild_degree(edge[1]) - hh.hochschild_degree(edge[0])))
     return report
 
@@ -290,12 +302,9 @@ def cyclic_quotient(space: GradedSpace, d: GradedMap, reduce, name):
         proj_entries[label] = {rep: sign}
     quotient = GradedSpace(reps.items())
     projection = GradedMap(space, quotient, 0, proj_entries)
-    entries = {}
-    for rep in quotient.labels():
-        col = projection(d.entries.get(rep, {}))
-        if col:
-            entries[rep] = col
-    quotient_d = GradedMap(quotient, quotient, 1, entries)
+    image, position, columns = projection._image, space.position, d.columns
+    quotient_d = GradedMap.on_positions(quotient, quotient, 1, {
+        i: image(columns.get(position.get(rep), {})) for i, rep in enumerate(quotient.label_at)})
     complex_ = Complex(quotient, quotient_d)
     if witness := chain_map_witness(projection, d, quotient_d):
         raise CertificateError(name, witness)
@@ -340,18 +349,10 @@ class DegeneratePiece:
         self.hh = hh
         self.p = p
         self.unit = unit
-        basis = []
-        for (label, deg) in hh.space.basis:
-            if self._in_gp(label):
-                basis.append((label, deg))
-        self.space = GradedSpace(basis)
-        entries = {}
-        for label, _ in basis:
-            col = {t: c for t, c in hh.d.column(label).items()
-                   if self._in_gp(t)}
-            if col:
-                entries[label] = col
-        self.d = GradedMap(self.space, self.space, 1, entries)
+        self.space = GradedSpace(pair for pair in hh.space.basis if self._in_gp(pair[0]))
+        self.d = GradedMap(self.space, self.space, 1, {
+            label: {t: c for t, c in hh.d.column(label).items() if self._in_gp(t)}
+            for label in self.space.labels()})
         self.complex = Complex(self.space, self.d)
 
     def _in_gp(self, label):
@@ -421,7 +422,8 @@ class ClassicalHochschild:
     canonical basis, "a" off it), mu^M_{0,1}(m, sx) and mu^M_{1,0}(sx, m)
     per (m, x), mu^B_{1,0}(sx, b) and mu^B_{0,1}(b, sx) per (b, x), each
     column turned once into (position, coefficient) pairs.  The tagged
-    labels (tag, (b, m)) are ranked by repr once (``repr_ranks``), so the
+    labels (tag, (b, m)) are ranked by repr once (``repr_ranks``), each
+    repr composed from those of its bar and module generators, so the
     eliminator's least key is the least-repr label and every "a" label
     ranks ahead of every "z" one.  The relations go in in (b, m, x, u1/u2)
     order, each keyed by rank through list indexing alone and inserted as
@@ -450,7 +452,10 @@ class ClassicalHochschild:
         # tagged "z" on the canonical basis, "a" off it
         nm = len(mods)
         tags = ["z" if beta[0] == unit and beta[2] == unit else "a" for beta in bars]
-        rank, ordered = repr_ranks([(t, (beta, vm)) for t, beta in zip(tags, bars) for vm in mods])
+        m_reprs = [repr(vm) for vm in mods]
+        rank, ordered = repr_ranks(
+            [(t, (beta, vm)) for t, beta in zip(tags, bars) for vm in mods],
+            [f"({t!r}, ({rb}, {rm}))" for t, rb in zip(tags, map(repr, bars)) for rm in m_reprs])
         bar_at = {beta: i * nm for i, beta in enumerate(bars)}
         m_at = {vm: j for j, vm in enumerate(mods)}
 
@@ -528,8 +533,7 @@ class ClassicalHochschild:
             if t == "z":
                 for j, vm in enumerate(mods):
                     basis.append(((u, vm, beta[1]), bar_deg[beta] + 2 + m_deg[vm]))
-                    if col := quotient_d(i, j, beta, vm):
-                        entries[(u, vm, beta[1])] = col
+                    entries[(u, vm, beta[1])] = quotient_d(i, j, beta, vm)
         del bar, elim, m_cols, rank, ordered
         self.space = GradedSpace(basis)
         self.d = GradedMap(self.space, self.space, 1, entries)

@@ -558,12 +558,12 @@ class TransferReport:
         rhs = tr_degree0(self.hh_s, m, self.module)
         # the projection lands on the pairs (unit, r) of HH_Q(R)'s coefficients
         r_q = hh_target.algebra
-        collapsed = {src: {pair_to_letter(r_q, r_q.base, pair): c for pair, c in col.items()}
-                     for src, col in lhs.entries.items()}
+        labels = self.hh_s.space.label_at
         report.record_first_defect(
             "pr_0 o tr^c o v_* = tr_degree0",
-            sorted(set(collapsed) | set(rhs.entries), key=repr),
-            lambda src: vec_add(dict(collapsed.get(src, {})), rhs.entries.get(src, {}), -1))
+            sorted({labels[i] for f in (lhs, rhs) for i in f.columns}, key=repr),
+            lambda src: vec_add({pair_to_letter(r_q, r_q.base, pair): c
+                                 for pair, c in lhs.column(src).items()}, rhs.column(src), -1))
         return report
 
 
@@ -676,12 +676,8 @@ class SimpModel:
             monomials.extend(new)
             frontier = new
         self.space = GradedSpace(((("simp", w), d) for w, d in monomials))
-        entries = {}
-        for (tag, word) in self.space.labels():
-            col = self._d_word(word, hhn, tr)
-            if col:
-                entries[(tag, word)] = col
-        self.d = GradedMap(self.space, self.space, 1, entries)
+        self.d = GradedMap(self.space, self.space, 1, {
+            label: self._d_word(label[1], hhn, tr) for label in self.space.labels()})
         self.complex = Complex(self.space, self.d)
 
     def _sort_word(self, word):
@@ -728,15 +724,9 @@ def reduced_hh_subcomplex(hh: HochschildComplex) -> Complex:
     when the coefficients are symmetric, i.e. for C-infinity algebras)."""
     labels = [lbl for lbl in hh.space.labels() if len(lbl[2]) >= 1]
     space = GradedSpace((lbl, hh.space.degree[lbl]) for lbl in labels)
-    entries = {}
-    for lbl in labels:
-        col = hh.d.column(lbl)
-        for t2 in col:
-            if len(t2[2]) < 1:
-                raise ValueError("degree >= 1 part is not a subcomplex "
-                                 "(coefficients are not symmetric)")
-        if col:
-            entries[lbl] = col
+    entries = {lbl: hh.d.column(lbl) for lbl in labels}
+    if any(len(t2[2]) < 1 for col in entries.values() for t2 in col):
+        raise ValueError("degree >= 1 part is not a subcomplex (coefficients are not symmetric)")
     return Complex(space, GradedMap(space, space, 1, entries))
 
 

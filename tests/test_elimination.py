@@ -505,15 +505,14 @@ def assert_blocks_match_single_pass(cx, blocks):
     ``fresh_cleared_blocks``: the same kernel combos, key by key with
     their coefficient types once the reference's integral Fractions are
     int, in the same order, and the same lead set of the boundaries, also
-    as indices."""
+    as positions."""
+    labels = cx.space.label_at
     for t, (elim, cycles) in blocks.items():
         boundaries, kernel, leads = cx._block(t)
-        labels = cx.space.by_degree.get(t, [])
         assert [keyed({labels[i]: c for i, c in combo.items()}) for combo in kernel] == [
             keyed(int_first(z)) for z in cycles]
-        targets = cx.space.by_degree.get(t + 1, [])
         assert ({boundaries._labels[key] for key in boundaries.pivots}
-                == {targets[j] for j in leads} == set(elim.pivots))
+                == {labels[j] for j in leads} == set(elim.pivots))
 
 
 @settings(max_examples=25, deadline=None)
@@ -565,13 +564,14 @@ def test_the_kernel_pass_work_on_the_hh_homology_complex():
 
 def test_the_d_squared_work_on_the_hh_homology_complex():
     # entry updates of the d*d = 0 certificate while the complex is built:
-    # one per entry of d(w) for each entry w of each column of d
+    # one per entry of d(w) for each entry w of each column of d, made on
+    # basis positions by the int image behind GradedMap.__call__
     cp2 = fixture_algebra("cp2")
 
     def build():
         hh_of_algebra(cp2, 9, normalized=True)
 
-    assert count_line_runs(GradedMap.__call__, "+ c * x", build) == (1, 16724)
+    assert count_line_runs(GradedMap._image, "+ c * x", build) == (1, 16724)
 
 
 def test_solve_builds_no_combo_it_throws_away(monkeypatch):
@@ -630,11 +630,11 @@ def test_homology_bases_span_the_homology():
 
 
 def boundary_leads(cx, t):
-    """Indices into ``space.by_degree[t]`` of the labels that lead a pivot
-    row of the cached block d^{t-1}."""
+    """Positions of the labels of degree t that lead a pivot row of the
+    cached block d^{t-1}."""
     below = cx._block(t - 1)[0]
-    return [i for i, v in enumerate(cx.space.by_degree[t])
-            if below._keys.get(v) in below.pivots]
+    return [cx.space.position[v] for v in cx.space.by_degree[t]
+            if repr(v) in below.pivots]
 
 
 def test_homology_bases_eliminate_nothing(monkeypatch):
@@ -681,9 +681,9 @@ def test_a_broken_kernel_combo_names_its_representative(tamper):
         combo[max(kernel[0])] = 1
     assert max(combo) == max(kernel[k])
     kernel[k] = combo
-    labels = cx.space.by_degree[t]
     with pytest.raises(CertificateError) as caught:
         HomologyBasis(cx, t)
+    labels = cx.space.label_at
     assert caught.value.witness == {labels[i]: c for i, c in combo.items()}
 
 
@@ -693,7 +693,7 @@ def boundary_meeting_every_lead(cx, t):
     boundary = {}
     for j, w in enumerate(cx.space.by_degree.get(t - 1, ())):
         vec_add(boundary, cx.d.column(w), j + 1)
-    leads = {cx.space.by_degree[t][i] for i in boundary_leads(cx, t)}
+    leads = {cx.space.label_at[i] for i in boundary_leads(cx, t)}
     assert leads and leads <= set(boundary)
     return boundary
 

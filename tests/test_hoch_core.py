@@ -38,10 +38,17 @@ def test_hh_d_squared_mu3():
 
 
 def test_filtration_report_names_an_entry_that_raises_the_degree():
-    hh = hh_of_algebra(fixture_algebra("s2"), 2)
+    # the tampered differential, built through the GradedMap constructor,
+    # adds one entry of degree +1 from Hochschild degree 0 to 2; s2 at
+    # h = 2 has no such pair of labels, s3 has
+    hh = hh_of_algebra(fixture_algebra("s3"), 2)
+    degree = hh.space.degree
     src = next(label for label in hh.space.labels() if not label[2])
-    tgt = next(label for label in hh.space.labels() if len(label[2]) == 2)
-    hh.d.entries[src] = {tgt: ONE}
+    tgt = next(label for label in hh.space.labels()
+               if len(label[2]) == 2 and degree[label] == degree[src] + 1)
+    entries = dict(hh.d.entries)
+    entries[src] = {**entries.get(src, {}), tgt: ONE}
+    hh.d = GradedMap(hh.space, hh.space, 1, entries)
     report = filtration_report(hh)
     assert not report.ok
     assert report.first_failure == ("d does not raise the Hochschild degree", ((src, tgt), 2))

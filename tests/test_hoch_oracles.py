@@ -69,19 +69,23 @@ def test_classical_comparison_has_teeth():
 
 def test_classical_comparison_names_the_edge_it_cannot_match():
     # a dropped or tripled entry of the A-infinity differential at v -> w
-    # leaves the defect of the stated sign map at exactly that edge
+    # leaves the defect of the stated sign map at exactly that edge; each
+    # tampered differential is built through the GradedMap constructor
     dga = cdga_as_kalgebra(fixture_cdga("cp2"))
     alg = from_dga(dga)
     diag = diagonal_bimodule(alg)
     cl, ai = classical_hh(dga, diag, 2), hh_complex(alg, diag, 2)
-    v, col = next((v, col) for v, col in ai.d.entries.items() if col)
+    entries = dict(ai.d.entries)
+    v, col = next((v, col) for v, col in entries.items() if col)
     w = next(iter(col))
     c = col.pop(w)
+    ai.d = GradedMap(ai.space, ai.space, 1, entries)
     with pytest.raises(CertificateError) as caught:
         compare_classical(cl, ai)
     assert caught.value.check == "diagonal sign map failed the chain-map check"
     assert caught.value.witness == (v, {w: 1})
     col[w] = 3 * c
+    ai.d = GradedMap(ai.space, ai.space, 1, entries)
     with pytest.raises(CertificateError) as caught:
         compare_classical(cl, ai)
     assert caught.value.witness == (v, {w: -2})
@@ -95,10 +99,12 @@ def test_classical_comparison_rejects_a_gauge_conjugated_differential():
     alg = from_dga(dga)
     diag = diagonal_bimodule(alg)
     cl, ai = classical_hh(dga, diag, 3), hh_complex(alg, diag, 3)
-    for (_b, _vm, xs), col in cl.d.entries.items():
+    entries = dict(cl.d.entries)
+    for (_b, _vm, xs), col in entries.items():
         for w in col:
             if (len(xs) + len(w[2])) % 2:
                 col[w] = -col[w]
+    cl.d = GradedMap(cl.space, cl.space, 1, entries)
     with pytest.raises(CertificateError) as caught:
         compare_classical(cl, ai)
     assert caught.value.check == "diagonal sign map failed the chain-map check"

@@ -20,9 +20,12 @@ lives only as long as the object or construction that fills it, since an
 unbounded structure-map memo raised peak RSS by 31-84%; and no function
 in ``hoch``, ``bimod``, ``ainf`` or ``wheeled`` calls ``mul_basis``, so
 every product by a base label there goes through ``cdga.times_base`` and
-``cdga.leibniz_column``; and every module-level function, class or
-constant, and every method but a dunder, is named somewhere in ``src``,
-``bench`` or ``tests`` outside its own definition."""
+``cdga.leibniz_column``; and no module but ``grdlin`` reads
+``.entries``, the label-keyed view of a ``GradedMap`` that converts a
+column each time it is read, so no library path pays for it; and every
+module-level function, class or constant, and every method but a dunder,
+is named somewhere in ``src``, ``bench`` or ``tests`` outside its own
+definition."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -201,6 +204,7 @@ def unchecked_complexes(source):
 
 
 OVER_THE_BASE = [p for p in SOURCES if p.name in ("ainf.py", "bimod.py", "hoch.py", "wheeled.py")]
+OUTSIDE_GRDLIN = [p for p in SOURCES if p.name != "grdlin.py"]
 
 
 # every Complex certifies its own d*d = 0: no site is listed
@@ -323,6 +327,11 @@ def test_one_k_linear_extension(path):
     assert callers_of(path.read_text(), ("mul_basis",)) == []
 
 
+@pytest.mark.parametrize("path", OUTSIDE_GRDLIN, ids=lambda p: p.name)
+def test_no_entries_view_read_outside_grdlin(path):
+    assert attribute_reads(path.read_text(), "entries") == []
+
+
 @pytest.fixture(scope="module")
 def named():
     return names_in(p.read_text() for p in NAMING)
@@ -366,6 +375,9 @@ def test_the_checks_fire():
     assert calls_to(source, ("to_rational_algebra", "flat_tables")) == [1, 2]
     assert calls_to(source, ("isinstance",)) == [4]
     assert attribute_reads(source, "is_rational") == [4]
+    source = ("a = f.entries\nb = hh.d.entries.get(v, {})\nentries = {}\n"
+              "c = entries[v]\nd = f.columns\nf.entries = {}\n")
+    assert attribute_reads(source, "entries") == [1, 2, 6]
     source = ("def by_hand(f, d, e):\n    return f.compose(d) == e.compose(f)\n"
               "def differs(f, d, e):\n    return f.compose(d) != e\n"
               "def summed(d, h):\n    return d.compose(h) + h.compose(d)\n"

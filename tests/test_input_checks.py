@@ -12,9 +12,12 @@ its first slots ask for, so it is only the width check that rejects it.
 The rows of ``test_a_bad_input_is_rejected`` each reach one more raise:
 an algebra with a structure map above its truncation arity, a complex
 whose differential is not a degree +1 endomap, a classical comparison
-of two Hochschild complexes truncated at different degrees, and an
+of two Hochschild complexes truncated at different degrees, an
 infinity tensor product whose factors do not share a middle algebra:
-one side without one, or two with different generators.
+one side without one, or two with different generators; and the maps
+on basis positions: a composite or a sum of maps between other spaces,
+a chain-map check whose differentials live on other spaces, and a
+window check of a map that is no chain map.
 """
 import re
 
@@ -30,7 +33,13 @@ from hochtrace.bimod import (
 )
 from hochtrace.cdga import BaseCDGA, KAlgebra, cdga_as_kalgebra
 from hochtrace.fixtures import fixture_cdga, mu3_algebra
-from hochtrace.grdlin import Complex, GradedMap, GradedSpace
+from hochtrace.grdlin import (
+    Complex,
+    GradedMap,
+    GradedSpace,
+    chain_map_witness,
+    is_quasi_iso_window,
+)
 from hochtrace.hoch import classical_hh, compare_classical, hh_complex
 
 
@@ -74,6 +83,12 @@ def _graded_map(column):
     return GradedMap(gens, gens, 1, {"a": column})
 
 
+def _graded_map_on_positions(column):
+    gens = mu3_algebra().gens
+    return GradedMap.on_positions(gens, gens, 1, {gens.position["a"]: {
+        gens.position[w]: c for w, c in column.items()}})
+
+
 REJECTED = [
     # a product x x has degree |x| + |x| = 4, not |y| = 3
     pytest.param(_dga, {("x", "x"): {("1", "y"): 1}}, ("x", "x"), id="dga-degree"),
@@ -103,6 +118,8 @@ REJECTED = [
     pytest.param(_bimodule_map, {("a",): {("1", "c"): 1}}, ("a",), id="bimodule-map-degree"),
     # a degree-1 map sends a (1) to degree 2, not to c (4)
     pytest.param(_graded_map, {"c": 1}, "a", id="graded-map-degree"),
+    # the same entry as int columns, named by its labels
+    pytest.param(_graded_map_on_positions, {"c": 1}, "a", id="graded-map-positions-degree"),
 ]
 
 
@@ -120,6 +137,10 @@ def _classical_against_a_longer_complex():
 
 
 _LINE = GradedSpace([("a", 1)])
+_POINT = GradedSpace([("b", 1)])
+# a(0) -> b(1); the degree-0 map a -> a is no chain map: f d (a) = 0, d f (a) = b
+_ARROW = GradedSpace([("a", 0), ("b", 1)])
+_ARROW_COMPLEX = Complex(_ARROW, GradedMap(_ARROW, _ARROW, 1, {"a": {"b": 1}}))
 
 BAD_INPUTS = [
     # mu_3 != 0 on an algebra truncated at arity 2
@@ -140,6 +161,16 @@ BAD_INPUTS = [
     pytest.param(lambda: tensor_inf(diagonal_bimodule(mu3_algebra()), diagonal_bimodule(
                      from_dga(cdga_as_kalgebra(fixture_cdga("dual")))), 1),
                  "middle algebra mismatch", id="tensor-middle-generators"),
+    pytest.param(lambda: GradedMap.identity(_LINE).compose(GradedMap.identity(_POINT)),
+                 "composition mismatch", id="map-compose"),
+    pytest.param(lambda: GradedMap.identity(_LINE) + GradedMap.zero(_LINE, _LINE, 1),
+                 "sum mismatch", id="map-sum"),
+    pytest.param(lambda: chain_map_witness(GradedMap.identity(_LINE), GradedMap.zero(_POINT, _POINT, 1),
+                                           GradedMap.zero(_LINE, _LINE, 1)),
+                 "chain map and differentials do not share their spaces", id="chain-map-spaces"),
+    pytest.param(lambda: is_quasi_iso_window(GradedMap(_ARROW, _ARROW, 0, {"a": {"a": 1}}),
+                                             _ARROW_COMPLEX, _ARROW_COMPLEX, 0, 1),
+                 "not a chain map", id="quasi-iso-chain-map"),
 ]
 
 

@@ -200,6 +200,26 @@ def test_classical_hochschild_reads_each_structure_map_once_per_pair(monkeypatch
     assert cl._relation_count == 3120
     # 2,862 in tensor_inf, 1,440 + 12 relation reads, 240 quotient reads
     assert calls["mu_word"] <= 4554
-    # one repr per tagged label (tag, (beta, vm)): 360 bar generators times
-    # 3 module generators, none per relation row
-    assert calls["repr"] == 360 * 3 == 1080
+    # one repr per bar generator and per module generator, composed into
+    # the key of each tagged label (tag, (beta, vm)), none per relation
+    # row; ranking the 360 * 3 tagged labels by their own reprs took 1,080
+    assert calls["repr"] == 360 + 3 == 363
+
+
+def test_the_composed_repr_keys_are_the_reprs_of_the_tagged_labels(monkeypatch):
+    # the classical oracle composes f"({tag!r}, ({rb}, {rm}))" from the
+    # reprs of its parts: each key must be repr(label) for the ranks to be
+    # the least-repr order
+    ranked = []
+    real = hoch.repr_ranks
+
+    def recorded(labels, keys=None):
+        ranked.append((labels, keys))
+        return real(labels, keys)
+
+    dga, _alg, diag = _cp2_classical()
+    monkeypatch.setattr(hoch, "repr_ranks", recorded)
+    classical_hh(dga, diag, 3)
+    [(labels, keys)] = ranked
+    assert len(keys) == len(labels) == 1080
+    assert keys == [repr(label) for label in labels]
