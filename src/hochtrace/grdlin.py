@@ -302,9 +302,6 @@ class _Entries(Mapping):
     def __getitem__(self, v):
         return self.f.target.named(self.f.columns[self.f.source.position[v]])
 
-    def get(self, v, default=None):  # with no KeyError per empty column, as Mapping.get has
-        return self.f.column(v) or default
-
     def __iter__(self):
         return map(self.f.source.label_at.__getitem__, self.f.columns)
 
@@ -346,8 +343,13 @@ def koszul_sign(perm, degrees) -> int:
     degrees = list(degrees)
     if len(degrees) != len(perm):
         raise ValueError("degree list does not match permutation size")
-    odd = [i for i, deg in enumerate(degrees) if deg % 2]
-    exponent = sum(perm[i] > perm[j] for i, j in combinations(odd, 2))
+    exponent = 0
+    for i in range(len(perm)):
+        if degrees[i] % 2 == 0:
+            continue
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j] and degrees[j] % 2:
+                exponent += 1
     return -1 if exponent % 2 else 1
 
 
@@ -603,17 +605,29 @@ def solve(rows, rhs):
 def dense_rank(matrix) -> int:
     """Rank by dense fraction elimination; independent oracle for sparse_rank."""
     m = [[Fraction(x) for x in row] for row in matrix]
+    if not m:
+        return 0
+    ncols = len(m[0])
     rank = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot_row = next((r for r in range(rank, len(m)) if m[r][col]), None)
+    row_at = 0
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(row_at, len(m)):
+            if m[r][col]:
+                pivot_row = r
+                break
         if pivot_row is None:
             continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        m[row_at], m[pivot_row] = m[pivot_row], m[row_at]
+        pivot = m[row_at][col]
         for r in range(len(m)):
-            if r != rank and m[r][col]:
-                factor = m[r][col] / m[rank][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+            if r != row_at and m[r][col]:
+                factor = m[r][col] / pivot
+                m[r] = [a - factor * b for a, b in zip(m[r], m[row_at])]
+        row_at += 1
         rank += 1
+        if row_at == len(m):
+            break
     return rank
 
 
@@ -694,13 +708,13 @@ class _Eliminator:
         return row
 
 
-def repr_ranks(labels, keys=None):
-    """(ranks, ordered) for a list of distinct labels: ``ordered`` is the
-    labels sorted by repr (or by ``keys``, their reprs composed by the
-    caller), and ranks[i] is the place of labels[i] in it.  An
+def repr_ranks(labels, keys):
+    """(ranks, ordered) for a list of distinct labels and their reprs
+    ``keys`` (keys[i] == repr(labels[i]), which the caller may compose
+    from the reprs of a label's parts): ``ordered`` is the labels sorted
+    by repr, and ranks[i] is the place of labels[i] in it.  An
     ``_Eliminator`` fed rows keyed by these ranks pivots as one fed the
     repr keys of the labels.  ValueError when two labels share a repr."""
-    keys = [repr(label) for label in labels] if keys is None else keys
     order = sorted(range(len(keys)), key=keys.__getitem__)
     for i, j in zip(order, order[1:]):
         if keys[i] == keys[j]:

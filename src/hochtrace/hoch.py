@@ -349,10 +349,18 @@ class DegeneratePiece:
         self.hh = hh
         self.p = p
         self.unit = unit
-        self.space = GradedSpace(pair for pair in hh.space.basis if self._in_gp(pair[0]))
-        self.d = GradedMap(self.space, self.space, 1, {
-            label: {t: c for t, c in hh.d.column(label).items() if self._in_gp(t)}
-            for label in self.space.labels()})
+        basis = []
+        for (label, deg) in hh.space.basis:
+            if self._in_gp(label):
+                basis.append((label, deg))
+        self.space = GradedSpace(basis)
+        entries = {}
+        for label, _ in basis:
+            col = {t: c for t, c in hh.d.column(label).items()
+                   if self._in_gp(t)}
+            if col:
+                entries[label] = col
+        self.d = GradedMap(self.space, self.space, 1, entries)
         self.complex = Complex(self.space, self.d)
 
     def _in_gp(self, label):
@@ -533,7 +541,8 @@ class ClassicalHochschild:
             if t == "z":
                 for j, vm in enumerate(mods):
                     basis.append(((u, vm, beta[1]), bar_deg[beta] + 2 + m_deg[vm]))
-                    entries[(u, vm, beta[1])] = quotient_d(i, j, beta, vm)
+                    if col := quotient_d(i, j, beta, vm):
+                        entries[(u, vm, beta[1])] = col
         del bar, elim, m_cols, rank, ordered
         self.space = GradedSpace(basis)
         self.d = GradedMap(self.space, self.space, 1, entries)

@@ -676,8 +676,12 @@ class SimpModel:
             monomials.extend(new)
             frontier = new
         self.space = GradedSpace(((("simp", w), d) for w, d in monomials))
-        self.d = GradedMap(self.space, self.space, 1, {
-            label: self._d_word(label[1], hhn, tr) for label in self.space.labels()})
+        entries = {}
+        for (tag, word) in self.space.labels():
+            col = self._d_word(word, hhn, tr)
+            if col:
+                entries[(tag, word)] = col
+        self.d = GradedMap(self.space, self.space, 1, entries)
         self.complex = Complex(self.space, self.d)
 
     def _sort_word(self, word):
@@ -724,9 +728,15 @@ def reduced_hh_subcomplex(hh: HochschildComplex) -> Complex:
     when the coefficients are symmetric, i.e. for C-infinity algebras)."""
     labels = [lbl for lbl in hh.space.labels() if len(lbl[2]) >= 1]
     space = GradedSpace((lbl, hh.space.degree[lbl]) for lbl in labels)
-    entries = {lbl: hh.d.column(lbl) for lbl in labels}
-    if any(len(t2[2]) < 1 for col in entries.values() for t2 in col):
-        raise ValueError("degree >= 1 part is not a subcomplex (coefficients are not symmetric)")
+    entries = {}
+    for lbl in labels:
+        col = hh.d.column(lbl)
+        for t2 in col:
+            if len(t2[2]) < 1:
+                raise ValueError("degree >= 1 part is not a subcomplex "
+                                 "(coefficients are not symmetric)")
+        if col:
+            entries[lbl] = col
     return Complex(space, GradedMap(space, space, 1, entries))
 
 

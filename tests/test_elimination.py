@@ -219,7 +219,7 @@ def test_repr_keys_match_the_label_keyed_loop(matrix, data):
     cols, rows = matrix
     ref, elim, by_rank = LabelEliminator(), _Eliminator(), _Eliminator()
     # rows keyed by least-repr rank, as hoch.ClassicalHochschild writes them
-    ranks, ordered = repr_ranks(cols)
+    ranks, ordered = repr_ranks(cols, [repr(x) for x in cols])
     rank = dict(zip(cols, ranks))
     kernel = []
     for i, r in enumerate(rows):
@@ -268,8 +268,10 @@ def test_labels_sharing_a_repr_raise():
         elim._key(second)
     # so does a rank table that holds both, and only one of them ranks alone
     with pytest.raises(ValueError, match="share the repr"):
-        repr_ranks([("a", 1), first, ("b", 2), second])
-    assert repr_ranks([("b", 2), first, ("a", 1)]) == ([1, 2, 0], [("a", 1), ("b", 2), first])
+        labels = [("a", 1), first, ("b", 2), second]
+        repr_ranks(labels, [repr(x) for x in labels])
+    labels = [("b", 2), first, ("a", 1)]
+    assert repr_ranks(labels, [repr(x) for x in labels]) == ([1, 2, 0], [("a", 1), ("b", 2), first])
     # equal labels built apart are one column
     elim = _Eliminator()
     elim._insert({elim._key(("x", (1, "y"))): 2})

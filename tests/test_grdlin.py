@@ -63,6 +63,27 @@ def test_a_repeated_label_names_the_first_duplicate():
     assert space.by_degree == {1: ["b", "c"], 0: ["a"]}
 
 
+def test_spaces_in_another_order_are_unequal():
+    # maps pair their columns up by basis position, so a space holding the
+    # same labels in another order is another space, and every operation
+    # that would mix up its columns raises
+    ab = GradedSpace([("a", 0), ("b", 1)])
+    ba = GradedSpace([("b", 1), ("a", 0)])
+    assert ab != ba and GradedSpace([("a", 0), ("b", 1)]) == ab
+    assert hash(GradedSpace(ab.basis)) == hash(ab)
+    d_ab = GradedMap(ab, ab, 1, {"a": {"b": 1}})
+    d_ba = GradedMap(ba, ba, 1, {"a": {"b": 1}})
+    assert d_ab != d_ba and d_ab.column("a") == d_ba.column("a") == {"b": 1}
+    with pytest.raises(ValueError, match="composition mismatch"):
+        d_ab.compose(d_ba)
+    with pytest.raises(ValueError, match="sum mismatch"):
+        d_ab + d_ba
+    with pytest.raises(ValueError, match="endomap"):
+        Complex(ab, d_ba)
+    with pytest.raises(ValueError, match="do not share their spaces"):
+        chain_map_witness(GradedMap.identity(ab), d_ba, d_ab)
+
+
 def test_a_zero_coefficient_adds_nothing_and_raises_nothing():
     # a zero coefficient drops a label the image does not hold: no KeyError
     space = GradedSpace([("a", 0), ("b", 0), ("c", 0), ("x", 1), ("y", 1)])

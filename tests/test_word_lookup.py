@@ -213,7 +213,7 @@ def test_the_composed_repr_keys_are_the_reprs_of_the_tagged_labels(monkeypatch):
     ranked = []
     real = hoch.repr_ranks
 
-    def recorded(labels, keys=None):
+    def recorded(labels, keys):
         ranked.append((labels, keys))
         return real(labels, keys)
 
