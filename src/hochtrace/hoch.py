@@ -465,7 +465,7 @@ class ClassicalHochschild:
             [(t, (beta, vm)) for t, beta in zip(tags, bars) for vm in mods],
             [f"({t!r}, ({rb}, {rm}))" for t, rb in zip(tags, map(repr, bars)) for rm in m_reprs])
         bar_at = {beta: i * nm for i, beta in enumerate(bars)}
-        m_at = {vm: j for j, vm in enumerate(mods)}
+        m_at = bimodule.kmodule.gens.position
 
         def bar_pairs(col):  # (position i * nm of each bar generator, coefficient)
             return [(bar_at[b2], c) for (_1, b2), c in col.items()]
